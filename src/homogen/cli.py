@@ -159,14 +159,19 @@ def _karel_params(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _karel_task_source(args: argparse.Namespace):
-    return karel_gen.task_source(
-        _karel_grid_sampler(args),
-        n_pairs=_karel_pairs(args),
-        step_limit=args.step_limit,
-        program_filter=(
-            karel_gen.satisfies_action_pruning if getattr(args, "classic_prune", False) else None
-        ),
-    )
+    try:
+        return karel_gen.task_source(
+            _karel_grid_sampler(args),
+            n_pairs=_karel_pairs(args),
+            step_limit=args.step_limit,
+            program_filter=(
+                karel_gen.satisfies_action_pruning
+                if getattr(args, "classic_prune", False)
+                else None
+            ),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _record_source_and_spec(args: argparse.Namespace, variable: str | None):
@@ -289,14 +294,19 @@ def _read_after_values(out_path: Path, spec: SalientSpec) -> list[Any]:
 def _dataset_variable_values(path: Path, variables: list[str] | None):
     """Infer the dataset's domain and extract salient values per variable."""
     records = []
-    with path.open("r", encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise UsageError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
+    try:
+        with path.open("r", encoding="utf-8") as fp:
+            for lineno, line in enumerate(fp, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise UsageError(
+                        f"{path}: line {lineno}: invalid JSON ({exc.msg})"
+                    ) from None
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc.strerror or exc}") from None
     if not records:
         raise UsageError(f"{path}: empty dataset")
 
@@ -371,7 +381,10 @@ def cmd_karel_run(args: argparse.Namespace, argv: list[str]) -> int:
     except (OSError, ValueError) as exc:
         raise UsageError(f"{grid_path}: {exc}") from None
 
-    result = execute(program, grid, step_limit=args.step_limit)
+    try:
+        result = execute(program, grid, step_limit=args.step_limit)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     arms = branch_arms(program)
     coverage = f"coverage: {len(result.branches_taken)}/{len(arms)} arms"
     if result.success:
@@ -385,6 +398,16 @@ def cmd_karel_run(args: argparse.Namespace, argv: list[str]) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _add_domain_arguments(parser: argparse.ArgumentParser, *, homogenize: bool = False) -> None:
@@ -432,7 +455,7 @@ def _add_domain_arguments(parser: argparse.ArgumentParser, *, homogenize: bool =
                 "--max-draws", type=int, default=None,
                 help="source draw budget (default: 20x the expected need)",
             )
-        p.add_argument("--count", type=int, required=True, help="records to write")
+        p.add_argument("--count", type=_count, required=True, help="records to write")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (default HOMOGEN_SEED or 0)")
         p.add_argument("--out", required=True, help="output JSONL path")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..homogenizer import SalientSpec
-from .interp import DEFAULT_STEP_LIMIT, branch_arms, execute
+from .interp import DEFAULT_STEP_LIMIT, branch_arms, compile_program, execute
 from .lang import (
     ACTIONS,
     MAX_REPEAT,
@@ -39,7 +39,16 @@ from .lang import (
     emit_tokens,
     program_salients,
 )
-from .world import MAX_SIDE, MIN_SIDE, DIRECTIONS, KarelGrid, grid_from_json, grid_salients, grid_to_json
+from .world import (
+    DIRECTIONS,
+    MAX_SIDE,
+    MIN_SIDE,
+    KarelGrid,
+    grid_cells,
+    grid_from_json,
+    grid_salients,
+    grid_to_json,
+)
 
 GridSampler = Callable[[random.Random], KarelGrid]
 
@@ -68,6 +77,16 @@ def sample_marker_count(rng: random.Random, dist: MarkerCountDist) -> int:
     return max(10 - count, 1)
 
 
+def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """``rng.randrange(n)`` for n >= 1, drawing the same bits in the same order
+    as ``random.Random._randbelow``, which ``randrange`` and ``randint`` use."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def sample_uniform_grid(rng: random.Random) -> KarelGrid:
     """Broad grid distribution.
 
@@ -76,27 +95,37 @@ def sample_uniform_grid(rng: random.Random) -> KarelGrid:
     wall coin (a wall wins the collision) then, for marker cells, a pile
     size uniform over 1..9; finally the agent cell uniform over non-wall
     cells and a uniform facing. All-wall grids are redrawn from scratch.
+
+    The draws consume the generator exactly as ``rng.randint`` and
+    ``rng.randrange`` would, in the order above.
     """
+    coin = rng.random
+    getrandbits = rng.getrandbits
+    side_span = MAX_SIDE - MIN_SIDE + 1
     while True:
-        width = rng.randint(MIN_SIDE, MAX_SIDE)
-        height = rng.randint(MIN_SIDE, MAX_SIDE)
-        marker_rate = rng.random()
-        wall_rate = rng.random()
-        walls = set()
+        width = MIN_SIDE + _randbelow(getrandbits, side_span)
+        height = MIN_SIDE + _randbelow(getrandbits, side_span)
+        marker_rate = coin()
+        wall_rate = coin()
+        walls = []
+        free = []
         markers = {}
-        for j in range(height):
-            for i in range(width):
-                wants_marker = rng.random() < marker_rate
-                wants_wall = rng.random() < wall_rate
-                if wants_wall:
-                    walls.add((i, j))
-                elif wants_marker:
-                    markers[(i, j)] = rng.randint(1, 9)
-        free = [(i, j) for j in range(height) for i in range(width) if (i, j) not in walls]
+        for cell in grid_cells(width, height):
+            wants_marker = coin() < marker_rate
+            if coin() < wall_rate:
+                walls.append(cell)
+                continue
+            free.append(cell)
+            if wants_marker:
+                # randint(1, 9): four bits per try, redrawn above 8.
+                pile = getrandbits(4)
+                while pile >= 9:
+                    pile = getrandbits(4)
+                markers[cell] = pile + 1
         if not free:
             continue
-        pos = free[rng.randrange(len(free))]
-        direction = DIRECTIONS[rng.randrange(4)]
+        pos = free[_randbelow(getrandbits, len(free))]
+        direction = DIRECTIONS[_randbelow(getrandbits, 4)]
         return KarelGrid(
             width=width,
             height=height,
@@ -142,7 +171,7 @@ def sample_narrow_grid(rng: random.Random, params: NarrowGridParams) -> KarelGri
     """
     width = rng.randint(10, MAX_SIDE)
     height = rng.randint(10, MAX_SIDE)
-    cells = [(i, j) for j in range(height) for i in range(width)]
+    cells = grid_cells(width, height)
     n_walls = int(len(cells) * params.r_wall)
     n_markers = int(len(cells) * params.r_marker)
     walls = rng.sample(cells, n_walls)
@@ -426,6 +455,11 @@ class UncoverableProgramError(RuntimeError):
         self.missing_arm_counts = missing_arm_counts
 
 
+def _check_step_limit(step_limit: int) -> None:
+    if step_limit < 0:
+        raise ValueError("step_limit must be >= 0")
+
+
 def make_task(
     program: KarelProgram,
     grid_sampler: GridSampler,
@@ -445,7 +479,9 @@ def make_task(
         raise ValueError("n_pairs must be in 1..5")
     if retry_limit < 1:
         raise ValueError("retry_limit must be >= 1")
-    required = branch_arms(program)
+    _check_step_limit(step_limit)
+    compiled = compile_program(program)
+    required = branch_arms(compiled)
     crash_counts: Counter[str] = Counter()
     missing_counts: Counter[tuple[int, str]] = Counter()
     for _ in range(retry_limit):
@@ -455,7 +491,7 @@ def make_task(
         results = []
         for _k in range(n_pairs + 1):
             grid = grid_sampler(rng)
-            result = execute(program, grid, step_limit)
+            result = execute(compiled, grid, step_limit)
             if not result.success:
                 crash_counts[result.crash.value] += 1
                 break
@@ -643,6 +679,7 @@ def task_source(
             raise ValueError("n_pairs must be an int in 1..5 or the string 'uniform'")
     elif not 1 <= n_pairs <= 5:
         raise ValueError("n_pairs must be in 1..5")
+    _check_step_limit(step_limit)
 
     def draw(rng: random.Random) -> SynthesisTask:
         for _ in range(max_program_attempts):

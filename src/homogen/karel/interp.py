@@ -14,11 +14,16 @@ Each run also records which conditional arms it exercised. Conditionals
 condition fails), ``while`` arms are ``enter``/``skip``. ``repeat`` has no
 branch. The pairs a program could ever produce come from
 :func:`branch_arms`.
+
+:func:`compile_program` turns a program into closures once; callers that
+run one program on many grids pass its result to :func:`execute` and
+:func:`branch_arms` in place of the program.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .lang import Action, Cond, If, IfElse, KarelProgram, Not, Pred, Repeat, Seq, Stmt, While
@@ -53,176 +58,262 @@ class _Crash(Exception):
         self.reason = reason
 
 
-Path = tuple[int, ...]
-
-
-def _number_branches(stmt: Stmt, path: Path, table: dict[Path, int]) -> None:
-    match stmt:
-        case Action():
-            pass
-        case Seq(first=first, rest=rest):
-            _number_branches(first, path + (0,), table)
-            _number_branches(rest, path + (1,), table)
-        case If(body=body) | While(body=body):
-            table[path] = len(table)
-            _number_branches(body, path + (0,), table)
-        case IfElse(then_body=then_body, else_body=else_body):
-            table[path] = len(table)
-            _number_branches(then_body, path + (0,), table)
-            _number_branches(else_body, path + (1,), table)
-        case Repeat(body=body):
-            _number_branches(body, path + (0,), table)
-
-
-def branch_arms(program: KarelProgram) -> frozenset[BranchArm]:
-    """All (branch id, arm) pairs the program can record."""
-    table: dict[Path, int] = {}
-    _number_branches(program.body, (), table)
-    arms = set()
-    for path, branch_id in table.items():
-        node = _node_at(program.body, path)
-        if isinstance(node, While):
-            arms.add((branch_id, "enter"))
-            arms.add((branch_id, "skip"))
-        else:
-            arms.add((branch_id, "then"))
-            arms.add((branch_id, "else"))
-    return frozenset(arms)
-
-
-def _node_at(stmt: Stmt, path: Path) -> Stmt:
-    for step in path:
-        match stmt:
-            case Seq(first=first, rest=rest):
-                stmt = first if step == 0 else rest
-            case If(body=body) | While(body=body) | Repeat(body=body):
-                stmt = body
-            case IfElse(then_body=then_body, else_body=else_body):
-                stmt = then_body if step == 0 else else_body
-            case _:
-                raise ValueError(f"bad path {path}")
-    return stmt
-
-
 class _Run:
-    def __init__(self, grid: KarelGrid, numbering: dict[Path, int], step_limit: int):
+    """The mutable world of one execution, plus its step count and arms."""
+
+    __slots__ = ("width", "height", "walls", "markers", "pos", "direction",
+                 "step_limit", "steps", "taken")
+
+    def __init__(self, grid: KarelGrid, step_limit: int):
         self.width = grid.width
         self.height = grid.height
         self.walls = grid.walls
         self.markers = dict(grid.markers)
         self.pos = grid.karel_pos
         self.direction = grid.karel_dir
-        self.numbering = numbering
         self.step_limit = step_limit
         self.steps = 0
         self.taken: set[BranchArm] = set()
 
-    def exec(self, stmt: Stmt, path: Path) -> None:
-        match stmt:
-            case Action(name=name):
-                if self.steps >= self.step_limit:
-                    raise _Crash(CrashReason.STEP_LIMIT)
-                self.act(name)
-                self.steps += 1
-            case Seq(first=first, rest=rest):
-                self.exec(first, path + (0,))
-                self.exec(rest, path + (1,))
-            case If(cond=cond, body=body):
-                branch = self.numbering[path]
-                if self.eval_cond(cond):
-                    self.taken.add((branch, "then"))
-                    self.exec(body, path + (0,))
-                else:
-                    self.taken.add((branch, "else"))
-            case IfElse(cond=cond, then_body=then_body, else_body=else_body):
-                branch = self.numbering[path]
-                if self.eval_cond(cond):
-                    self.taken.add((branch, "then"))
-                    self.exec(then_body, path + (0,))
-                else:
-                    self.taken.add((branch, "else"))
-                    self.exec(else_body, path + (1,))
-            case While(cond=cond, body=body):
-                branch = self.numbering[path]
-                while True:
-                    if not self.eval_cond(cond):
-                        self.taken.add((branch, "skip"))
-                        break
-                    self.taken.add((branch, "enter"))
-                    steps_before = self.steps
-                    self.exec(body, path + (0,))
-                    if self.steps == steps_before:
-                        # No action ran, so nothing observable changed and
-                        # the condition will stay true forever.
-                        raise _Crash(CrashReason.STEP_LIMIT)
-            case Repeat(times=times, body=body):
-                for _ in range(times):
-                    self.exec(body, path + (0,))
-            case _:
-                raise TypeError(f"not a statement: {stmt!r}")
 
-    def act(self, name: str) -> None:
-        if name == "move":
-            di, dj = DIR_DELTA[self.direction]
-            target = (self.pos[0] + di, self.pos[1] + dj)
-            if not self.in_bounds(target) or target in self.walls:
-                raise _Crash(CrashReason.MOVE_INTO_WALL)
-            self.pos = target
-        elif name == "turnLeft":
-            self.direction = LEFT_OF[self.direction]
-        elif name == "turnRight":
-            self.direction = RIGHT_OF[self.direction]
-        elif name == "pickMarker":
-            have = self.markers.get(self.pos, 0)
-            if have == 0:
-                raise _Crash(CrashReason.PICK_EMPTY)
-            if have == 1:
-                del self.markers[self.pos]
-            else:
-                self.markers[self.pos] = have - 1
-        elif name == "putMarker":
-            have = self.markers.get(self.pos, 0)
-            if have >= MAX_MARKERS:
-                raise _Crash(CrashReason.PUT_OVERFLOW)
-            self.markers[self.pos] = have + 1
+Code = Callable[[_Run], None]
+CondCode = Callable[[_Run], bool]
+
+
+@dataclass(frozen=True)
+class CompiledProgram:
+    """A program translated once into nested closures.
+
+    Each statement becomes a function of the run state (closure compilation,
+    Feeley & Lapalme, "Using Closures for Code Generation", 1987), so a run
+    walks no AST. Conditionals get their branch ids in pre-order while
+    compiling; ``arms`` holds every (branch id, arm) pair the code records.
+    """
+
+    code: Code
+    arms: frozenset[BranchArm]
+
+
+def compile_program(program: KarelProgram) -> CompiledProgram:
+    arms: list[BranchArm] = []
+    code = _compile(program.body, arms)
+    return CompiledProgram(code=code, arms=frozenset(arms))
+
+
+def _compiled(program: KarelProgram | CompiledProgram) -> CompiledProgram:
+    if isinstance(program, CompiledProgram):
+        return program
+    return compile_program(program)
+
+
+def branch_arms(program: KarelProgram | CompiledProgram) -> frozenset[BranchArm]:
+    """All (branch id, arm) pairs the program can record."""
+    return _compiled(program).arms
+
+
+def _compile(stmt: Stmt, arms: list[BranchArm]) -> Code:
+    match stmt:
+        case Action(name=name):
+            return _ACTIONS[name]
+        case Seq():
+            parts = []
+            while isinstance(stmt, Seq):
+                parts.append(_compile(stmt.first, arms))
+                stmt = stmt.rest
+            parts.append(_compile(stmt, arms))
+            return _seq(tuple(parts))
+        case If(cond=cond, body=body):
+            then_arm, else_arm = _new_branch(arms, "then", "else")
+            return _if_else(_compile_cond(cond), _compile(body, arms), _skip, then_arm, else_arm)
+        case IfElse(cond=cond, then_body=then_body, else_body=else_body):
+            then_arm, else_arm = _new_branch(arms, "then", "else")
+            return _if_else(
+                _compile_cond(cond),
+                _compile(then_body, arms),
+                _compile(else_body, arms),
+                then_arm,
+                else_arm,
+            )
+        case While(cond=cond, body=body):
+            enter_arm, skip_arm = _new_branch(arms, "enter", "skip")
+            return _while(_compile_cond(cond), _compile(body, arms), enter_arm, skip_arm)
+        case Repeat(times=times, body=body):
+            return _repeat(times, _compile(body, arms))
+    raise TypeError(f"not a statement: {stmt!r}")
+
+
+def _new_branch(arms: list[BranchArm], yes: str, no: str) -> tuple[BranchArm, BranchArm]:
+    branch = len(arms) // 2
+    pair = ((branch, yes), (branch, no))
+    arms.extend(pair)
+    return pair
+
+
+def _seq(parts: tuple[Code, ...]) -> Code:
+    def seq(run: _Run) -> None:
+        for part in parts:
+            part(run)
+
+    return seq
+
+
+def _skip(run: _Run) -> None:
+    pass
+
+
+def _if_else(
+    cond: CondCode, then_body: Code, else_body: Code, then_arm: BranchArm, else_arm: BranchArm
+) -> Code:
+    def if_else(run: _Run) -> None:
+        if cond(run):
+            run.taken.add(then_arm)
+            then_body(run)
         else:
-            raise ValueError(f"unknown action {name!r}")
+            run.taken.add(else_arm)
+            else_body(run)
 
-    def eval_cond(self, cond: Cond) -> bool:
-        match cond:
-            case Pred(name="markersPresent"):
-                return self.markers.get(self.pos, 0) > 0
-            case Pred(name="frontIsClear"):
-                return self.clear_toward(self.direction)
-            case Pred(name="leftIsClear"):
-                return self.clear_toward(LEFT_OF[self.direction])
-            case Pred(name="rightIsClear"):
-                return self.clear_toward(RIGHT_OF[self.direction])
-            case Not(cond=inner):
-                return not self.eval_cond(inner)
-        raise TypeError(f"not a condition: {cond!r}")
+    return if_else
 
-    def clear_toward(self, direction: str) -> bool:
-        di, dj = DIR_DELTA[direction]
-        target = (self.pos[0] + di, self.pos[1] + dj)
-        return self.in_bounds(target) and target not in self.walls
 
-    def in_bounds(self, cell: tuple[int, int]) -> bool:
-        i, j = cell
-        return 0 <= i < self.width and 0 <= j < self.height
+def _while(cond: CondCode, body: Code, enter_arm: BranchArm, skip_arm: BranchArm) -> Code:
+    def while_(run: _Run) -> None:
+        taken = run.taken
+        while cond(run):
+            taken.add(enter_arm)
+            steps_before = run.steps
+            body(run)
+            if run.steps == steps_before:
+                # No action ran, so nothing observable changed and the
+                # condition will stay true forever.
+                raise _Crash(CrashReason.STEP_LIMIT)
+        taken.add(skip_arm)
+
+    return while_
+
+
+def _repeat(times: int, body: Code) -> Code:
+    def repeat(run: _Run) -> None:
+        for _ in range(times):
+            body(run)
+
+    return repeat
+
+
+def _move(run: _Run) -> None:
+    if run.steps >= run.step_limit:
+        raise _Crash(CrashReason.STEP_LIMIT)
+    if not _clear_toward(run, run.direction):
+        raise _Crash(CrashReason.MOVE_INTO_WALL)
+    di, dj = DIR_DELTA[run.direction]
+    run.pos = (run.pos[0] + di, run.pos[1] + dj)
+    run.steps += 1
+
+
+def _turn_left(run: _Run) -> None:
+    if run.steps >= run.step_limit:
+        raise _Crash(CrashReason.STEP_LIMIT)
+    run.direction = LEFT_OF[run.direction]
+    run.steps += 1
+
+
+def _turn_right(run: _Run) -> None:
+    if run.steps >= run.step_limit:
+        raise _Crash(CrashReason.STEP_LIMIT)
+    run.direction = RIGHT_OF[run.direction]
+    run.steps += 1
+
+
+def _pick_marker(run: _Run) -> None:
+    if run.steps >= run.step_limit:
+        raise _Crash(CrashReason.STEP_LIMIT)
+    markers, pos = run.markers, run.pos
+    have = markers.get(pos, 0)
+    if have == 0:
+        raise _Crash(CrashReason.PICK_EMPTY)
+    if have == 1:
+        del markers[pos]
+    else:
+        markers[pos] = have - 1
+    run.steps += 1
+
+
+def _put_marker(run: _Run) -> None:
+    if run.steps >= run.step_limit:
+        raise _Crash(CrashReason.STEP_LIMIT)
+    markers, pos = run.markers, run.pos
+    have = markers.get(pos, 0)
+    if have >= MAX_MARKERS:
+        raise _Crash(CrashReason.PUT_OVERFLOW)
+    markers[pos] = have + 1
+    run.steps += 1
+
+
+_ACTIONS: dict[str, Code] = {
+    "move": _move,
+    "turnLeft": _turn_left,
+    "turnRight": _turn_right,
+    "pickMarker": _pick_marker,
+    "putMarker": _put_marker,
+}
+
+
+def _clear_toward(run: _Run, direction: str) -> bool:
+    di, dj = DIR_DELTA[direction]
+    i = run.pos[0] + di
+    j = run.pos[1] + dj
+    return 0 <= i < run.width and 0 <= j < run.height and (i, j) not in run.walls
+
+
+def _markers_present(run: _Run) -> bool:
+    return run.markers.get(run.pos, 0) > 0
+
+
+def _front_is_clear(run: _Run) -> bool:
+    return _clear_toward(run, run.direction)
+
+
+def _left_is_clear(run: _Run) -> bool:
+    return _clear_toward(run, LEFT_OF[run.direction])
+
+
+def _right_is_clear(run: _Run) -> bool:
+    return _clear_toward(run, RIGHT_OF[run.direction])
+
+
+_PREDICATES: dict[str, CondCode] = {
+    "markersPresent": _markers_present,
+    "frontIsClear": _front_is_clear,
+    "leftIsClear": _left_is_clear,
+    "rightIsClear": _right_is_clear,
+}
+
+
+def _compile_cond(cond: Cond) -> CondCode:
+    match cond:
+        case Pred(name=name):
+            return _PREDICATES[name]
+        case Not(cond=inner):
+            code = _compile_cond(inner)
+            return lambda run: not code(run)
+    raise TypeError(f"not a condition: {cond!r}")
 
 
 def execute(
-    program: KarelProgram, grid: KarelGrid, step_limit: int = DEFAULT_STEP_LIMIT
+    program: KarelProgram | CompiledProgram,
+    grid: KarelGrid,
+    step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> ExecResult:
-    """Run the program on the grid. Never raises for in-world failures."""
+    """Run the program on the grid. Never raises for in-world failures.
+
+    A caller running one program on many grids passes the
+    :func:`compile_program` result to compile it only once.
+    """
     if step_limit < 0:
         raise ValueError("step_limit must be >= 0")
-    numbering: dict[Path, int] = {}
-    _number_branches(program.body, (), numbering)
-    run = _Run(grid, numbering, step_limit)
+    code = _compiled(program).code
+    run = _Run(grid, step_limit)
     try:
-        run.exec(program.body, ())
+        code(run)
     except _Crash as crash:
         return ExecResult(
             output=None,

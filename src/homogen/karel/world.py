@@ -4,10 +4,20 @@ and the agent's pose, plus JSON round-tripping and grid-level features.
 Cells are (i, j) with i the column (0..width-1, growing east) and j the row
 (0..height-1, growing south). Marker piles hold 1..9 markers; a cell never
 holds both a wall and markers.
+
+Every :class:`KarelGrid` is validated on construction, whoever builds it:
+the samplers, the interpreter, JSON input and user code alike. The common
+case -- a ``frozenset`` of walls, a ``dict`` of markers and a ``tuple``
+position on a grid with int sides -- is checked with set operations against
+the shape's cell set. Any input that fails one of those checks, or arrives
+in another form, goes through the per-cell checks instead, which normalise
+list cells to tuples and raise the error that names the offending cell. The
+set checks accept only grids the per-cell checks accept.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -22,6 +32,26 @@ RIGHT_OF = {"N": "E", "E": "S", "S": "W", "W": "N"}
 
 Cell = tuple[int, int]
 
+_PILE_SIZES = frozenset(range(1, MAX_MARKERS + 1))
+_INT_ONLY = frozenset({int})
+_CELLS = tuple(tuple((i, j) for j in range(MAX_SIDE)) for i in range(MAX_SIDE))
+_SHAPES = (MAX_SIDE - MIN_SIDE + 1) ** 2
+
+
+@functools.lru_cache(maxsize=_SHAPES)
+def grid_cells(width: int, height: int) -> tuple[Cell, ...]:
+    """Every cell of a width x height grid in row-major order.
+
+    Each cell is one shared tuple object across all shapes, so set lookups
+    of sampled cells compare by identity.
+    """
+    return tuple(_CELLS[i][j] for j in range(height) for i in range(width))
+
+
+@functools.lru_cache(maxsize=_SHAPES)
+def _cell_set(width: int, height: int) -> frozenset[Cell]:
+    return frozenset(grid_cells(width, height))
+
 
 @dataclass(frozen=True)
 class KarelGrid:
@@ -33,6 +63,41 @@ class KarelGrid:
     karel_dir: str = "E"
 
     def __post_init__(self) -> None:
+        if self._passes_set_checks():
+            object.__setattr__(self, "markers", dict(self.markers))
+        else:
+            self._check_cell_by_cell()
+
+    def _passes_set_checks(self) -> bool:
+        width, height = self.width, self.height
+        walls, markers, pos = self.walls, self.markers, self.karel_pos
+        if not (
+            type(walls) is frozenset
+            and type(markers) is dict
+            and type(pos) is tuple
+            and type(width) is int
+            and type(height) is int
+            and MIN_SIDE <= width <= MAX_SIDE
+            and MIN_SIDE <= height <= MAX_SIDE
+        ):
+            return False
+        cells = _cell_set(width, height)
+        counts = markers.values()
+        try:
+            return (
+                walls <= cells
+                and markers.keys() <= cells
+                and markers.keys().isdisjoint(walls)
+                and _PILE_SIZES.issuperset(counts)
+                and _INT_ONLY.issuperset(map(type, counts))
+                and pos in cells
+                and pos not in walls
+                and self.karel_dir in DIRECTIONS
+            )
+        except TypeError:  # an unhashable count or position part
+            return False
+
+    def _check_cell_by_cell(self) -> None:
         object.__setattr__(self, "walls", frozenset(tuple(c) for c in self.walls))
         object.__setattr__(
             self, "markers", {tuple(c): n for c, n in dict(self.markers).items()}

@@ -5,6 +5,7 @@ checks the installed console script. All runs chdir into a tmp dir so the
 recorded command lines (and therefore the manifests) are reproducible.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -115,6 +116,68 @@ def test_generate_missing_narrow_rates_is_usage_error(tmp_path, monkeypatch, cap
     )
     assert code == 2
     assert "--r-wall" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "karel"],
+    ["homogenize", "karel", "--var", "size"],
+])
+def test_negative_step_limit_is_usage_error_and_writes_nothing(
+    command, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(
+        command + ["--step-limit", "-1", "--count", "2", "--out", "k.jsonl"], capsys
+    )
+    assert code == 2
+    assert "Traceback" not in err
+    assert "step_limit" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_negative_count_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["generate", "calc", "--count", "-5", "--out", "c.jsonl"], capsys)
+    assert code == 2
+    assert "--count" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+# Output digests for command lines the benchmark does not run: they pin the
+# narrow sampler, the action-pruning filter, per-task pair draws and
+# homogenize karel byte for byte.
+GOLDEN_SHA256 = [
+    (
+        ["generate", "karel", "--grids", "narrow", "--r-wall", "0.25", "--r-marker", "0.65",
+         "--classic-prune", "--count", "8", "--seed", "3", "--out", "out.jsonl"],
+        {"out.jsonl": "3bf0775eabd9d502fe24a55f0cc58ac90d30198ac56f60f3a30585d96660c30b"},
+    ),
+    (
+        ["generate", "karel", "--pairs", "uniform", "--count", "12", "--seed", "4",
+         "--out", "out.jsonl"],
+        {"out.jsonl": "58233c8787878ff6a752636d314defcb225df271447b080e62ace8f45a3af0a6"},
+    ),
+    (
+        ["homogenize", "karel", "--var", "size", "--count", "6", "--seed", "5",
+         "--out", "out.jsonl"],
+        {
+            "out.jsonl": "3fb9c0ab7bb47a838403f981af8f0e3a344da775d2a0c29672c8509781da60f9",
+            "out.jsonl.report.json":
+                "6df802c66604a28210e6bcaf097b73c2fb8e7ce138322b4892acade8f8a20cd1",
+            "out.jsonl.report.csv":
+                "fb1a77b1771314b7fa51fa0c591fa82b3efb1ea87b360ae1ae09f4d031d8ea6e",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digests", GOLDEN_SHA256, ids=["narrow", "pairs", "homogenize"])
+def test_karel_outputs_match_golden_digests(argv, digests, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_argparse_usage_error_exits_2(tmp_path, monkeypatch, capsys):
@@ -273,6 +336,14 @@ def test_stats_corrupt_line_reports_line_number(tmp_path, monkeypatch, capsys):
     assert "line 2" in err
 
 
+def test_stats_missing_file_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["stats", "missing.jsonl"], capsys)
+    assert code == 2
+    assert err.startswith("error: missing.jsonl: ")
+    assert "Traceback" not in err
+
+
 def test_stats_empty_dataset_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty.jsonl").write_text("")
@@ -327,6 +398,13 @@ def test_karel_run_step_limit_flag(tmp_path, capsys):
     code, out, _ = run_cli(["karel-run", prog, grid, "--step-limit", "3"], capsys)
     assert code == 1
     assert out.splitlines()[0] == "crash: StepLimit"
+
+
+def test_karel_run_negative_step_limit_is_usage_error(tmp_path, capsys):
+    prog, grid = write_run_inputs(tmp_path, COLLECTOR_TEXT, COLLECTOR_GRID_A)
+    code, _, err = run_cli(["karel-run", prog, grid, "--step-limit", "-1"], capsys)
+    assert code == 2
+    assert "step_limit" in err
 
 
 def test_karel_run_bad_program_is_usage_error(tmp_path, capsys):

@@ -7,8 +7,10 @@ from homogen.homogenizer import HomogenizerConfig, homogenize
 from homogen.diagnostics import Histogram, kl_to_uniform
 from homogen.karel import (
     ACTIONS,
+    DIRECTIONS,
     Action,
     If,
+    KarelGrid,
     KarelProgram,
     MarkerCountDist,
     NarrowGridParams,
@@ -120,6 +122,49 @@ def test_uniform_grid_pile_sizes_cover_one_to_nine():
     for _ in range(2000):
         seen.update(sample_uniform_grid(rng).markers.values())
     assert seen == set(range(1, 10))
+
+
+def reference_uniform_grid(rng):
+    """The per-call ``randint``/``randrange`` sampler the optimised one replaces."""
+    while True:
+        width = rng.randint(2, 16)
+        height = rng.randint(2, 16)
+        marker_rate = rng.random()
+        wall_rate = rng.random()
+        walls = set()
+        markers = {}
+        for j in range(height):
+            for i in range(width):
+                wants_marker = rng.random() < marker_rate
+                wants_wall = rng.random() < wall_rate
+                if wants_wall:
+                    walls.add((i, j))
+                elif wants_marker:
+                    markers[(i, j)] = rng.randint(1, 9)
+        free = [(i, j) for j in range(height) for i in range(width) if (i, j) not in walls]
+        if not free:
+            continue
+        pos = free[rng.randrange(len(free))]
+        direction = DIRECTIONS[rng.randrange(4)]
+        return KarelGrid(
+            width=width,
+            height=height,
+            walls=frozenset(walls),
+            markers=markers,
+            karel_pos=pos,
+            karel_dir=direction,
+        )
+
+
+@pytest.mark.parametrize("seed", [57, 58])
+def test_uniform_grid_sampler_matches_reference_draw_for_draw(seed):
+    fast, slow = random.Random(seed), random.Random(seed)
+    for _ in range(2500):
+        grid = sample_uniform_grid(fast)
+        expected = reference_uniform_grid(slow)
+        assert grid == expected
+        assert list(grid.markers.items()) == list(expected.markers.items())
+    assert fast.getstate() == slow.getstate()
 
 
 def test_narrow_grid_exact_counts():
@@ -335,6 +380,11 @@ def test_make_task_argument_validation():
         make_task(program, sample_uniform_grid, random.Random(0), n_pairs=6)
     with pytest.raises(ValueError):
         make_task(program, sample_uniform_grid, random.Random(0), retry_limit=0)
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="step_limit"):
+        make_task(program, sample_uniform_grid, rng, step_limit=-1)
+    assert rng.getstate() == state  # rejected before any grid is drawn
 
 
 def test_augment_appends_action_only_tasks():
@@ -411,6 +461,11 @@ def test_task_source_rejects_bad_pair_spec():
         task_source(sample_uniform_grid, n_pairs="all")
     with pytest.raises(ValueError):
         task_source(sample_uniform_grid, n_pairs=0)
+
+
+def test_task_source_rejects_negative_step_limit():
+    with pytest.raises(ValueError, match="step_limit"):
+        task_source(sample_uniform_grid, step_limit=-1)
 
 
 def test_task_source_honors_program_filter():

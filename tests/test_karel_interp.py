@@ -15,11 +15,13 @@ from homogen.karel import (
     Seq,
     While,
     branch_arms,
+    compile_program,
     execute,
     parse_program,
     sample_program,
     sample_uniform_grid,
 )
+from homogen.karel.world import DIR_DELTA, LEFT_OF, RIGHT_OF
 
 from karel_fixtures import (
     COLLECTOR_A_EXPECTED,
@@ -298,3 +300,142 @@ def test_execution_is_deterministic():
 def test_step_limit_validation():
     with pytest.raises(ValueError):
         execute(KarelProgram(Action("move")), open_grid(), step_limit=-1)
+
+
+# ---------------------------------------------------------------------------
+# the AST-walking interpreter the closure compiler replaces, as a reference
+
+
+class ReferenceRun:
+    def __init__(self, program, grid, step_limit):
+        self.grid = grid
+        self.walls = grid.walls
+        self.markers = dict(grid.markers)
+        self.pos = grid.karel_pos
+        self.direction = grid.karel_dir
+        self.step_limit = step_limit
+        self.steps = 0
+        self.taken = set()
+        self.numbering = {}
+        self.number(program.body, ())
+
+    def number(self, stmt, path):
+        match stmt:
+            case Seq(first=first, rest=rest):
+                self.number(first, path + (0,))
+                self.number(rest, path + (1,))
+            case If(body=body) | While(body=body):
+                self.numbering[path] = len(self.numbering)
+                self.number(body, path + (0,))
+            case IfElse(then_body=then_body, else_body=else_body):
+                self.numbering[path] = len(self.numbering)
+                self.number(then_body, path + (0,))
+                self.number(else_body, path + (1,))
+            case Repeat(body=body):
+                self.number(body, path + (0,))
+
+    def exec(self, stmt, path):
+        match stmt:
+            case Action(name=name):
+                if self.steps >= self.step_limit:
+                    raise ReferenceCrash(CrashReason.STEP_LIMIT)
+                self.act(name)
+                self.steps += 1
+            case Seq(first=first, rest=rest):
+                self.exec(first, path + (0,))
+                self.exec(rest, path + (1,))
+            case If(cond=cond, body=body):
+                arm = "then" if self.holds(cond) else "else"
+                self.taken.add((self.numbering[path], arm))
+                if arm == "then":
+                    self.exec(body, path + (0,))
+            case IfElse(cond=cond, then_body=then_body, else_body=else_body):
+                if self.holds(cond):
+                    self.taken.add((self.numbering[path], "then"))
+                    self.exec(then_body, path + (0,))
+                else:
+                    self.taken.add((self.numbering[path], "else"))
+                    self.exec(else_body, path + (1,))
+            case While(cond=cond, body=body):
+                while self.holds(cond):
+                    self.taken.add((self.numbering[path], "enter"))
+                    before = self.steps
+                    self.exec(body, path + (0,))
+                    if self.steps == before:
+                        raise ReferenceCrash(CrashReason.STEP_LIMIT)
+                self.taken.add((self.numbering[path], "skip"))
+            case Repeat(times=times, body=body):
+                for _ in range(times):
+                    self.exec(body, path + (0,))
+
+    def act(self, name):
+        have = self.markers.get(self.pos, 0)
+        if name == "move":
+            target = self.ahead(self.direction)
+            if target is None:
+                raise ReferenceCrash(CrashReason.MOVE_INTO_WALL)
+            self.pos = target
+        elif name in ("turnLeft", "turnRight"):
+            turns = {"turnLeft": LEFT_OF, "turnRight": RIGHT_OF}[name]
+            self.direction = turns[self.direction]
+        elif name == "pickMarker":
+            if have == 0:
+                raise ReferenceCrash(CrashReason.PICK_EMPTY)
+            if have == 1:
+                del self.markers[self.pos]
+            else:
+                self.markers[self.pos] = have - 1
+        else:
+            if have >= 9:
+                raise ReferenceCrash(CrashReason.PUT_OVERFLOW)
+            self.markers[self.pos] = have + 1
+
+    def ahead(self, direction):
+        di, dj = DIR_DELTA[direction]
+        i, j = self.pos[0] + di, self.pos[1] + dj
+        inside = 0 <= i < self.grid.width and 0 <= j < self.grid.height
+        return (i, j) if inside and (i, j) not in self.walls else None
+
+    def holds(self, cond):
+        match cond:
+            case Not(cond=inner):
+                return not self.holds(inner)
+            case Pred(name="markersPresent"):
+                return self.markers.get(self.pos, 0) > 0
+            case Pred(name=name):
+                turn = {"frontIsClear": None, "leftIsClear": LEFT_OF,
+                        "rightIsClear": RIGHT_OF}[name]
+                return self.ahead(turn[self.direction] if turn else self.direction) is not None
+
+
+class ReferenceCrash(Exception):
+    def __init__(self, reason):
+        self.reason = reason
+
+
+def reference_execute(program, grid, step_limit):
+    run = ReferenceRun(program, grid, step_limit)
+    try:
+        run.exec(program.body, ())
+    except ReferenceCrash as crash:
+        return None, crash.reason, frozenset(run.taken), run.steps
+    output = KarelGrid(width=grid.width, height=grid.height, walls=run.walls,
+                       markers=run.markers, karel_pos=run.pos, karel_dir=run.direction)
+    return output, None, frozenset(run.taken), run.steps
+
+
+def test_compiled_programs_match_the_reference_interpreter():
+    rng = random.Random(44)
+    crashes = set()
+    for _ in range(400):
+        program = sample_program(rng)
+        compiled = compile_program(program)
+        assert branch_arms(compiled) == branch_arms(program)
+        for _ in range(5):
+            grid = sample_uniform_grid(rng)
+            step_limit = rng.choice((0, 5, 200))
+            result = execute(compiled, grid, step_limit)
+            expected = reference_execute(program, grid, step_limit)
+            assert (result.output, result.crash, result.branches_taken, result.steps) == expected
+            crashes.add(result.crash)
+    assert crashes == {None, *CrashReason}

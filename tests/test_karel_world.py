@@ -1,4 +1,6 @@
 import json
+import random
+import re
 
 import pytest
 
@@ -24,6 +26,37 @@ def test_grid_validation():
         KarelGrid(width=4, height=4, karel_pos=(4, 4))
     with pytest.raises(ValueError):
         KarelGrid(width=4, height=4, karel_dir="U")
+
+    # Inputs a set-based check could wrongly accept keep the per-cell message.
+    rejected = [
+        (dict(walls=frozenset({(-1, 0)})), "wall (-1, 0) is out of bounds"),
+        (dict(markers={(0, -1): 2}), "markers at (0, -1) are out of bounds"),
+        (dict(karel_pos=(-1, 0)), "agent position (-1, 0) is out of bounds"),
+        (dict(walls=frozenset({(1, 2, 3)})), "too many values to unpack (expected 2)"),
+        (dict(markers={(1, 2, 3): 1}), "too many values to unpack (expected 2)"),
+        (dict(karel_pos=(1, 2, 3)), "too many values to unpack (expected 2)"),
+        (dict(markers={(0, 0): 1.0}), "marker count at (0, 0) must be in 1..9"),
+        (dict(markers={(0, 0): 0}), "marker count at (0, 0) must be in 1..9"),
+        (dict(markers={(0, 0): 10}), "marker count at (0, 0) must be in 1..9"),
+        (dict(markers={(0, 0): [1]}), "marker count at (0, 0) must be in 1..9"),
+        (dict(markers={(4, 0): 1}), "markers at (4, 0) are out of bounds"),
+        (
+            dict(walls=frozenset({(1, 1)}), markers={(1, 1): 3}),
+            "cell (1, 1) holds both a wall and markers",
+        ),
+    ]
+    for fields, message in rejected:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            KarelGrid(width=4, height=4, **fields)
+
+    # List cells normalise to tuple cells.
+    grid = KarelGrid(
+        width=4, height=4, walls=[[1, 2]], markers=[((0, 1), 3)], karel_pos=[0, 0]
+    )
+    assert grid.walls == frozenset({(1, 2)})
+    assert all(type(cell) is tuple for cell in grid.walls)
+    assert grid.markers == {(0, 1): 3} and type(grid.markers) is dict
+    assert grid.karel_pos == (0, 0) and type(grid.karel_pos) is tuple
 
 
 def test_grid_json_round_trip():
@@ -93,3 +126,47 @@ def test_grid_salients_are_axis_symmetric():
     assert a["wall_ratio"] == b["wall_ratio"]
     assert a["marker_count_histogram"] == b["marker_count_histogram"]
     assert (a["width"], a["height"]) == (b["height"], b["width"])
+
+
+def test_set_checks_accept_only_what_the_cell_checks_accept():
+    # Perturbed grid fields: whenever the set-based checks pass, the per-cell
+    # checks must pass too and leave the same fields.
+    from homogen.karel import sample_uniform_grid
+
+    rng = random.Random(5)
+    odd_counts = (-1, 0, 1, 9, 10, 1.0, True, 3)
+    accepted = 0
+    for _ in range(2000):
+        base = sample_uniform_grid(rng)
+        walls = set(base.walls)
+        markers = dict(base.markers)
+        pos = base.karel_pos
+        for _ in range(rng.randrange(3)):
+            i, j = rng.randrange(-1, 17), rng.randrange(-1, 17)
+            match rng.randrange(4):
+                case 0:
+                    walls.add((i, j))
+                case 1:
+                    markers[(i, j)] = odd_counts[rng.randrange(len(odd_counts))]
+                case 2:
+                    pos = (i, j)
+                case 3:
+                    walls.discard(pos)
+        fields = dict(
+            width=base.width + rng.choice((0, 0, 0, 1, -1)),
+            height=base.height,
+            walls=frozenset(walls),
+            markers=markers,
+            karel_pos=pos,
+            karel_dir=base.karel_dir,
+        )
+        fast = object.__new__(KarelGrid)
+        slow = object.__new__(KarelGrid)
+        for name, value in fields.items():
+            object.__setattr__(fast, name, value)
+            object.__setattr__(slow, name, value)
+        if fast._passes_set_checks():
+            accepted += 1
+            slow._check_cell_by_cell()
+            assert (slow.walls, slow.markers, slow.karel_pos) == (walls, markers, pos)
+    assert 200 < accepted < 1900
