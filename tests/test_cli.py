@@ -143,23 +143,27 @@ def test_negative_count_is_usage_error(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-# Output digests for command lines the benchmark does not run: they pin the
-# narrow sampler, the action-pruning filter, per-task pair draws and
-# homogenize karel byte for byte.
+# Output digests recorded before the CLI's per-domain code was folded into one
+# domain table. Each entry is a list of command lines run in order in one
+# directory, then the digests of the files they leave. They pin what the
+# benchmark does not run: the narrow sampler, the action-pruning filter,
+# per-task pair draws, homogenize on both domains with its report files, the
+# rcfg and bal calc samplers with their manifests, and ``stats`` in JSON and
+# CSV on a calc and on a Karel dataset.
 GOLDEN_SHA256 = [
     (
-        ["generate", "karel", "--grids", "narrow", "--r-wall", "0.25", "--r-marker", "0.65",
-         "--classic-prune", "--count", "8", "--seed", "3", "--out", "out.jsonl"],
+        [["generate", "karel", "--grids", "narrow", "--r-wall", "0.25", "--r-marker", "0.65",
+          "--classic-prune", "--count", "8", "--seed", "3", "--out", "out.jsonl"]],
         {"out.jsonl": "3bf0775eabd9d502fe24a55f0cc58ac90d30198ac56f60f3a30585d96660c30b"},
     ),
     (
-        ["generate", "karel", "--pairs", "uniform", "--count", "12", "--seed", "4",
-         "--out", "out.jsonl"],
+        [["generate", "karel", "--pairs", "uniform", "--count", "12", "--seed", "4",
+          "--out", "out.jsonl"]],
         {"out.jsonl": "58233c8787878ff6a752636d314defcb225df271447b080e62ace8f45a3af0a6"},
     ),
     (
-        ["homogenize", "karel", "--var", "size", "--count", "6", "--seed", "5",
-         "--out", "out.jsonl"],
+        [["homogenize", "karel", "--var", "size", "--count", "6", "--seed", "5",
+          "--out", "out.jsonl"]],
         {
             "out.jsonl": "3fb9c0ab7bb47a838403f981af8f0e3a344da775d2a0c29672c8509781da60f9",
             "out.jsonl.report.json":
@@ -168,14 +172,79 @@ GOLDEN_SHA256 = [
                 "fb1a77b1771314b7fa51fa0c591fa82b3efb1ea87b360ae1ae09f4d031d8ea6e",
         },
     ),
+    (
+        [["homogenize", "calc", "--dist", "t2t", "--var", "max_depth", "--count", "150",
+          "--seed", "8", "--out", "out.jsonl"]],
+        {
+            "out.jsonl": "3b8d004a61488644c601f4ef1d302a407892594fe6691ce2018417226b4deeab",
+            "out.jsonl.report.json":
+                "19c50ba69e92c2868d65817a46512189ed1a9a46f6c7d9dc1bdefce10b258e7c",
+            "out.jsonl.report.csv":
+                "ab48109194ff91baf8d4c8b68bdbcad95867b1bb7d25ebf3db2c543d7413209f",
+            "out.jsonl.manifest.json":
+                "bbc2cb637bffaa50d6bbed51af6ecd23bea283d02a1f7e1a0df0b28bb6bf159e",
+        },
+    ),
+    (
+        [["generate", "calc", "--dist", "rcfg", "--count", "300", "--seed", "12",
+          "--out", "out.jsonl"]],
+        {
+            "out.jsonl":
+                "38d0fba2c5c63746b371c72917e393c7149ede252cfc7b479d9e377e677c5986",
+            "out.jsonl.manifest.json":
+                "ad53e511c776990bd113b19ed095e27f87c91b37aa2d3d4b90cf20f58e1ca57e",
+        },
+    ),
+    (
+        [["generate", "calc", "--dist", "bal", "--count", "300", "--seed", "13",
+          "--out", "out.jsonl"]],
+        {
+            "out.jsonl":
+                "f7bc2222c153c4c5e66e2236403a65176a059ba8cdc8372aceaf8a9abdb81698",
+            "out.jsonl.manifest.json":
+                "86116ebc31132f76490c9932c762e3c2fa706311568faf812bdac12afc7dee82",
+        },
+    ),
+    (
+        [["generate", "calc", "--count", "200", "--seed", "6", "--out", "d.jsonl"],
+         ["stats", "d.jsonl", "--out", "s.json"],
+         ["stats", "d.jsonl", "--format", "csv", "--out", "s.csv"]],
+        {
+            "d.jsonl":
+                "9164d387ee7ed95d0d311b2bdcec60af8e26a0109370fa6914614143510634dc",
+            "s.json":
+                "329ab87a2cd2fa599b74b9322860cd1e8b846933eb8e1558092770ab682da394",
+            "s.csv":
+                "47e3e8e3ac2e1c3104436e8044b9f233bfb06398325fc2726942c325c8489281",
+        },
+    ),
+    (
+        [["generate", "karel", "--count", "8", "--seed", "2", "--out", "d.jsonl"],
+         ["stats", "d.jsonl", "--out", "s.json"],
+         ["stats", "d.jsonl", "--format", "csv", "--out", "s.csv"]],
+        {
+            "d.jsonl":
+                "1dbad82fa2e12f507f639038d2367e431e8a0fdb9db8c1ec72d48e70ee626243",
+            "s.json":
+                "70a900d02f2c9b1398d31625ff9a99617d20f262541c099714d12b6bfb6055ac",
+            "s.csv":
+                "310271960a1ce8a392a1cd7bde1217a8623ab4d5a147853686cacfd8926d49ce",
+        },
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv, digests", GOLDEN_SHA256, ids=["narrow", "pairs", "homogenize"])
-def test_karel_outputs_match_golden_digests(argv, digests, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "commands, digests",
+    GOLDEN_SHA256,
+    ids=["narrow", "pairs", "homogenize", "homogenize-calc", "rcfg", "bal", "stats-calc",
+         "stats-karel"],
+)
+def test_karel_outputs_match_golden_digests(commands, digests, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    code, _, _ = run_cli(argv, capsys)
-    assert code == 0
+    for argv in commands:
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0, argv
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
