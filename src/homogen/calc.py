@@ -284,11 +284,13 @@ def sample_record(rng: random.Random, sampler: CalcSampler) -> dict:
 # ---------------------------------------------------------------------------
 # Salient features of the rendered text.
 
-LENGTH_DOMAIN = tuple(range(2, 121, 2))
-NUM_OPS_DOMAIN = tuple(range(0, 61))
-NUM_PARENS_DOMAIN = tuple(range(0, 31))
-MEAN_DEPTH_DOMAIN = tuple(range(0, 41))
-MAX_DEPTH_DOMAIN = tuple(range(0, 16))
+_SALIENT_DOMAINS = {
+    "length": tuple(range(2, 121, 2)),
+    "num_ops": tuple(range(0, 61)),
+    "num_parens": tuple(range(0, 31)),
+    "mean_depth": tuple(range(0, 41)),
+    "max_depth": tuple(range(0, 16)),
+}
 
 
 @dataclass(frozen=True)
@@ -305,6 +307,16 @@ class CalcSalients:
     num_paren_pairs: int
     mean_depth_bin: int
     max_depth: int
+
+    def by_name(self) -> dict[str, int]:
+        """The features keyed by their :func:`salient_specs` names."""
+        return {
+            "length": self.length_even,
+            "num_ops": self.num_ops,
+            "num_parens": self.num_paren_pairs,
+            "mean_depth": self.mean_depth_bin,
+            "max_depth": self.max_depth,
+        }
 
 
 def calc_salients(text: str) -> CalcSalients:
@@ -354,19 +366,6 @@ def _clamp(value: int, low: int, high: int) -> int:
 def salient_specs() -> dict[str, SalientSpec]:
     """Named salient variables over rendered expression strings."""
     return {
-        "length": SalientSpec(
-            "length", LENGTH_DOMAIN, lambda s: _salients_of_text(s).length_even
-        ),
-        "num_ops": SalientSpec(
-            "num_ops", NUM_OPS_DOMAIN, lambda s: _salients_of_text(s).num_ops
-        ),
-        "num_parens": SalientSpec(
-            "num_parens", NUM_PARENS_DOMAIN, lambda s: _salients_of_text(s).num_paren_pairs
-        ),
-        "mean_depth": SalientSpec(
-            "mean_depth", MEAN_DEPTH_DOMAIN, lambda s: _salients_of_text(s).mean_depth_bin
-        ),
-        "max_depth": SalientSpec(
-            "max_depth", MAX_DEPTH_DOMAIN, lambda s: _salients_of_text(s).max_depth
-        ),
+        name: SalientSpec(name, domain, lambda s, name=name: _salients_of_text(s).by_name()[name])
+        for name, domain in _SALIENT_DOMAINS.items()
     }

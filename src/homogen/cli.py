@@ -5,6 +5,10 @@ out over one salient variable, with a before/after report), ``stats``
 (per-variable histograms and KL-to-uniform of an existing dataset) and
 ``karel-run`` (execute one program on one grid).
 
+Both domains, calc and karel, are :class:`Domain` entries of one table,
+``DOMAINS``, and the subcommands never branch on the domain. Karel tasks are
+sampled, homogenized and measured as tasks, and serialized once, when written.
+
 Datasets are JSON Lines with LF newlines and a fixed key order, so a given
 command line and seed reproduce files byte for byte. Every written dataset
 gets a sibling ``<out>.manifest.json`` recording the command, the resolved
@@ -23,6 +27,8 @@ import json
 import os
 import random
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -96,116 +102,153 @@ def _write_manifest(
 
 
 # ---------------------------------------------------------------------------
-# sources and salient specs per domain
+# domains
 
 
-def _calc_sampler(args: argparse.Namespace) -> calc.CalcSampler:
-    if args.dist == "dcfg":
-        return calc.Dcfg(p=args.p) if args.p is not None else calc.Dcfg()
-    if args.dist == "t2t":
-        return calc.T2t(max_depth=args.max_depth)
-    if args.dist == "rcfg":
-        return calc.Rcfg(p=args.p) if args.p is not None else calc.Rcfg()
-    if args.dist == "bal":
-        return calc.Bal()
-    raise UsageError(f"unknown calc distribution {args.dist!r}")
+Source = Callable[[random.Random], Any]
 
 
-def _calc_params(args: argparse.Namespace) -> dict[str, Any]:
-    sampler = _calc_sampler(args)
-    return {"domain": "calc", "dist": args.dist, "sampler": repr(sampler)}
+@dataclass(frozen=True)
+class Domain:
+    """One dataset domain as the subcommands see it.
+
+    ``source`` builds a seeded item sampler and the manifest parameters,
+    raising ``ValueError`` before any output is opened; ``salients`` measures
+    every salient variable of an item in one pass; ``read`` validates and
+    measures a stored record, which belongs to the domain whose ``key`` it has.
+    """
+
+    name: str
+    help: str
+    key: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    source: Callable[[argparse.Namespace], tuple[Source, dict[str, Any]]]
+    to_record: Callable[[Any], dict[str, Any]]
+    salients: Callable[[Any], dict[str, Any]]
+    read: Callable[[Any], dict[str, Any]]
+    salient_specs: Callable[[], dict[str, SalientSpec]]
 
 
-def _karel_grid_sampler(args: argparse.Namespace) -> karel_gen.GridSampler:
-    if args.grids == "uniform":
-        return karel_gen.sample_uniform_grid
+_CALC_SAMPLERS = {
+    "dcfg": lambda args: calc.Dcfg() if args.p is None else calc.Dcfg(p=args.p),
+    "t2t": lambda args: calc.T2t(max_depth=args.max_depth),
+    "rcfg": lambda args: calc.Rcfg() if args.p is None else calc.Rcfg(p=args.p),
+    "bal": lambda args: calc.Bal(),
+}
+
+
+def _calc_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--dist", choices=tuple(_CALC_SAMPLERS), default="dcfg", help="expression sampler"
+    )
+    parser.add_argument("--p", type=float, default=None, help="recursion rate for dcfg/rcfg")
+    parser.add_argument("--max-depth", type=int, default=8, help="t2t depth ceiling")
+
+
+def _calc_source(args: argparse.Namespace) -> tuple[Source, dict[str, Any]]:
+    sampler = _CALC_SAMPLERS[args.dist](args)
+    params = {"domain": "calc", "dist": args.dist, "sampler": repr(sampler)}
+    return (lambda rng: calc.sample_record(rng, sampler)), params
+
+
+def _karel_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--grids", choices=("uniform", "narrow"), default="uniform",
+        help="input grid distribution",
+    )
+    parser.add_argument("--r-wall", type=float, default=None, help="narrow wall cell rate")
+    parser.add_argument("--r-marker", type=float, default=None, help="narrow marker cell rate")
+    parser.add_argument(
+        "--marker-dist", choices=tuple(d.value for d in karel_gen.MarkerCountDist),
+        default="geom", help="narrow pile-size distribution",
+    )
+    parser.add_argument(
+        "--pairs", default="5", help="shown pairs per task: 1..5 or 'uniform' for a per-task draw"
+    )
+    parser.add_argument("--step-limit", type=int, default=200, help="action budget per execution")
+    parser.add_argument(
+        "--classic-prune", action="store_true",
+        help="only keep programs with two or more actions including a move",
+    )
+
+
+def _karel_source(args: argparse.Namespace) -> tuple[Source, dict[str, Any]]:
+    params: dict[str, Any] = {"domain": "karel", "grids": args.grids, "pairs": args.pairs}
+    grid_sampler = karel_gen.sample_uniform_grid
     if args.grids == "narrow":
         if args.r_wall is None or args.r_marker is None:
             raise UsageError("narrow grids need --r-wall and --r-marker")
-        try:
-            dist = karel_gen.MarkerCountDist(args.marker_dist)
-            params = karel_gen.NarrowGridParams(
-                r_wall=args.r_wall, r_marker=args.r_marker, marker_dist=dist
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        return lambda rng: karel_gen.sample_narrow_grid(rng, params)
-    raise UsageError(f"unknown grid distribution {args.grids!r}")
-
-
-def _karel_pairs(args: argparse.Namespace) -> int | str:
-    if args.pairs == "uniform":
-        return "uniform"
-    try:
-        pairs = int(args.pairs)
-    except ValueError:
-        raise UsageError("--pairs must be an integer in 1..5 or 'uniform'") from None
-    if not 1 <= pairs <= 5:
-        raise UsageError("--pairs must be in 1..5")
-    return pairs
-
-
-def _karel_params(args: argparse.Namespace) -> dict[str, Any]:
-    params: dict[str, Any] = {"domain": "karel", "grids": args.grids, "pairs": args.pairs}
-    if args.grids == "narrow":
-        params |= {
-            "r_wall": args.r_wall,
-            "r_marker": args.r_marker,
-            "marker_dist": args.marker_dist,
-        }
-    if getattr(args, "classic_prune", False):
-        params["classic_prune"] = True
-    return params
-
-
-def _karel_task_source(args: argparse.Namespace):
-    try:
-        return karel_gen.task_source(
-            _karel_grid_sampler(args),
-            n_pairs=_karel_pairs(args),
-            step_limit=args.step_limit,
-            program_filter=(
-                karel_gen.satisfies_action_pruning
-                if getattr(args, "classic_prune", False)
-                else None
-            ),
+        narrow = karel_gen.NarrowGridParams(
+            args.r_wall, args.r_marker, karel_gen.MarkerCountDist(args.marker_dist)
         )
+        grid_sampler = lambda rng: karel_gen.sample_narrow_grid(rng, narrow)  # noqa: E731
+        params |= {"r_wall": args.r_wall, "r_marker": args.r_marker,
+                   "marker_dist": args.marker_dist}
+    pairs = args.pairs
+    if pairs != "uniform":
+        try:
+            pairs = int(pairs)
+        except ValueError:
+            raise UsageError("--pairs must be an integer in 1..5 or 'uniform'") from None
+    if args.classic_prune:
+        params["classic_prune"] = True
+    source = karel_gen.task_source(
+        grid_sampler,
+        n_pairs=pairs,
+        step_limit=args.step_limit,
+        program_filter=karel_gen.satisfies_action_pruning if args.classic_prune else None,
+    )
+    return source, params
+
+
+# Record-level calls go through the module attributes at call time, so that
+# wrappers installed on those attributes see every call.
+DOMAINS = {
+    domain.name: domain
+    for domain in (
+        Domain(
+            name="calc",
+            help="mod-10 calculator expressions",
+            key="expr",
+            add_arguments=_calc_arguments,
+            source=_calc_source,
+            to_record=lambda record: record,
+            salients=lambda record: calc._salients_of_text(record["expr"]).by_name(),
+            read=lambda record: calc.calc_salients(record["expr"]).by_name(),
+            salient_specs=calc.salient_specs,
+        ),
+        Domain(
+            name="karel",
+            help="Karel synthesis tasks",
+            key="program",
+            add_arguments=_karel_arguments,
+            source=_karel_source,
+            to_record=lambda task: karel_gen.task_to_json(task),
+            salients=lambda task: karel_gen.salient_values(task),
+            read=lambda record: karel_gen.salient_values(karel_gen.task_from_json(record)),
+            salient_specs=karel_gen.salient_specs,
+        ),
+    )
+}
+
+
+def _domain_source(args: argparse.Namespace) -> tuple[Domain, Source, dict[str, Any]]:
+    domain = DOMAINS[args.domain]
+    try:
+        source, params = domain.source(args)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    return domain, source, params
 
 
-def _record_source_and_spec(args: argparse.Namespace, variable: str | None):
-    """Per-domain record sampler plus, when asked, the salient spec over records."""
-    if args.domain == "calc":
-        sampler = _calc_sampler(args)
-        source = lambda rng: calc.sample_record(rng, sampler)  # noqa: E731
-        params = _calc_params(args)
-        if variable is None:
-            return source, None, params
-        specs = calc.salient_specs()
-        if variable not in specs:
-            raise UsageError(
-                f"unknown calc variable {variable!r}; choose from {', '.join(sorted(specs))}"
-            )
-        base = specs[variable]
-        spec = SalientSpec(base.name, base.domain, lambda rec: base.extract(rec["expr"]))
-        return source, spec, params
-
-    task_src = _karel_task_source(args)
-    source = lambda rng: karel_gen.task_to_json(task_src(rng))  # noqa: E731
-    params = _karel_params(args)
-    if variable is None:
-        return source, None, params
-    specs = karel_gen.salient_specs()
-    if variable not in specs:
+def _salient_specs(domain: Domain, names: list[str]) -> list[SalientSpec]:
+    specs = domain.salient_specs()
+    if unknown := [name for name in names if name not in specs]:
         raise UsageError(
-            f"unknown karel variable {variable!r}; choose from {', '.join(sorted(specs))}"
+            f"unknown {domain.name} variable(s) {', '.join(unknown)}; "
+            f"choose from {', '.join(sorted(specs))}"
         )
-    base = specs[variable]
-    spec = SalientSpec(
-        base.name, base.domain, lambda rec: base.extract(karel_gen.task_from_json(rec))
-    )
-    return source, spec, params
+    return [specs[name] for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +257,13 @@ def _record_source_and_spec(args: argparse.Namespace, variable: str | None):
 
 def cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
     seed = resolve_seed(args.seed)
-    source, _, params = _record_source_and_spec(args, None)
+    domain, source, params = _domain_source(args)
     params |= {"count": args.count}
     rng = random.Random(seed)
     out_path = Path(args.out)
     with out_path.open("w", encoding="utf-8", newline="\n") as fp:
         for _ in range(args.count):
-            fp.write(_json_line(source(rng)))
+            fp.write(_json_line(domain.to_record(source(rng))))
     _write_manifest(out_path, argv, seed, params, [out_path])
     print(f"wrote {args.count} records to {out_path}")
     return EXIT_OK
@@ -228,7 +271,8 @@ def cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
 
 def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
     seed = resolve_seed(args.seed)
-    source, spec, params = _record_source_and_spec(args, args.var)
+    domain, source, params = _domain_source(args)
+    (base,) = _salient_specs(domain, [args.var])
     params |= {"variable": args.var, "epsilon": args.eps, "count": args.count}
     if args.max_draws is not None:
         params["max_draws"] = args.max_draws
@@ -239,17 +283,27 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
+    # Each draw is an (item, salient values) pair, so an item is measured
+    # once and serialized only when it is accepted.
+    def measured(rng: random.Random) -> tuple[Any, dict[str, Any]]:
+        item = source(rng)
+        return item, domain.salients(item)
+
+    name = base.name
+    spec = SalientSpec(name, base.domain, lambda drawn: drawn[1][name])
     out_path = Path(args.out)
-    run = HomogenizerRun(source, spec, config)
+    run = HomogenizerRun(measured, spec, config)
+    after_values = []
     with out_path.open("w", encoding="utf-8", newline="\n") as fp:
-        for record in run:
-            fp.write(_json_line(record))
+        for item, values in run:
+            fp.write(_json_line(domain.to_record(item)))
+            after_values.append(values[name])
 
     baseline_seed = seed + BASELINE_SEED_OFFSET
     baseline_rng = random.Random(baseline_seed)
-    baseline_values = [spec.extract(source(baseline_rng)) for _ in range(args.count)]
+    baseline_values = [spec.extract(measured(baseline_rng)) for _ in range(args.count)]
     before = Histogram.from_values(spec.domain, baseline_values)
-    after = Histogram.from_values(spec.domain, _read_after_values(out_path, spec))
+    after = Histogram.from_values(spec.domain, after_values)
     kl_before = kl_to_uniform(before)
     kl_after = kl_to_uniform(after)
     reduction = 100.0 * (1.0 - kl_after / kl_before) if kl_before > 0 else 0.0
@@ -283,87 +337,69 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
     return EXIT_OK
 
 
-def _read_after_values(out_path: Path, spec: SalientSpec) -> list[Any]:
-    values = []
-    with out_path.open("r", encoding="utf-8") as fp:
-        for line in fp:
-            values.append(spec.extract(json.loads(line)))
-    return values
-
-
-def _dataset_variable_values(path: Path, variables: list[str] | None):
-    """Infer the dataset's domain and extract salient values per variable."""
-    records = []
+def _dataset_columns(path: Path, variables: list[str] | None) -> list[tuple[SalientSpec, list]]:
+    """Recognise the dataset's domain by its first record, then validate and
+    measure each record once, keeping only the chosen salient values."""
+    columns: list[tuple[SalientSpec, list]] | None = None
     try:
         with path.open("r", encoding="utf-8") as fp:
             for lineno, line in enumerate(fp, start=1):
                 if not line.strip():
                     continue
                 try:
-                    records.append(json.loads(line))
+                    record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise UsageError(
                         f"{path}: line {lineno}: invalid JSON ({exc.msg})"
                     ) from None
-    except OSError as exc:
-        raise UsageError(f"{path}: {exc.strerror or exc}") from None
-    if not records:
+                if columns is None:
+                    domain = _domain_of(path, record)
+                    names = variables or sorted(domain.salient_specs())
+                    columns = [(spec, []) for spec in _salient_specs(domain, names)]
+                try:
+                    values = domain.read(record)
+                except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                    raise UsageError(f"{path}: line {lineno}: bad record ({exc})") from None
+                for spec, column in columns:
+                    column.append(values[spec.name])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+    if columns is None:
         raise UsageError(f"{path}: empty dataset")
+    return columns
 
-    first = records[0]
-    if "expr" in first:
-        specs = calc.salient_specs()
-        def value_of(spec, record, lineno):
-            try:
-                return spec.extract(record["expr"])
-            except (KeyError, TypeError, calc.CalcParseError) as exc:
-                raise UsageError(f"{path}: line {lineno}: bad record ({exc})") from None
-    elif "program" in first:
-        specs = karel_gen.salient_specs()
-        def value_of(spec, record, lineno):
-            try:
-                return spec.extract(karel_gen.task_from_json(record))
-            except (ValueError, KarelSyntaxError) as exc:
-                raise UsageError(f"{path}: line {lineno}: bad record ({exc})") from None
-    else:
-        raise UsageError(f"{path}: records look neither like calc nor karel data")
 
-    chosen = variables if variables else sorted(specs)
-    unknown = [v for v in chosen if v not in specs]
-    if unknown:
-        raise UsageError(
-            f"unknown variable(s) {', '.join(unknown)}; choose from {', '.join(sorted(specs))}"
-        )
-    out = {}
-    for name in chosen:
-        spec = specs[name]
-        values = [value_of(spec, record, i + 1) for i, record in enumerate(records)]
-        out[name] = (spec, values)
-    return out
+def _domain_of(path: Path, record: Any) -> Domain:
+    for domain in DOMAINS.values():
+        if isinstance(record, dict) and domain.key in record:
+            return domain
+    raise UsageError(f"{path}: records look like none of the domains {', '.join(DOMAINS)}")
 
 
 def cmd_stats(args: argparse.Namespace, argv: list[str]) -> int:
     variables = args.vars.split(",") if args.vars else None
-    per_variable = _dataset_variable_values(Path(args.dataset), variables)
     report: dict[str, Any] = {"dataset": args.dataset, "variables": {}}
     csv_lines = ["variable,kl_to_uniform,value,count"]
-    for name, (spec, values) in per_variable.items():
+    for spec, values in _dataset_columns(Path(args.dataset), variables):
         histogram = Histogram.from_values(spec.domain, values)
         kl = kl_to_uniform(histogram)
         nonzero = {str(v): c for v, c in histogram.counts.items() if c}
-        report["variables"][name] = {
+        report["variables"][spec.name] = {
             "count": histogram.total,
             "kl_to_uniform": kl,
             "histogram": nonzero,
         }
         for value, count in nonzero.items():
-            csv_lines.append(f"{name},{kl},{value},{count}")
+            csv_lines.append(f"{spec.name},{kl},{value},{count}")
     if args.format == "json":
         text = json.dumps(report, indent=2) + "\n"
     else:
         text = "\n".join(csv_lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"{args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -412,39 +448,9 @@ def _count(text: str) -> int:
 
 def _add_domain_arguments(parser: argparse.ArgumentParser, *, homogenize: bool = False) -> None:
     sub = parser.add_subparsers(dest="domain", required=True)
-
-    calc_p = sub.add_parser("calc", help="mod-10 calculator expressions")
-    calc_p.add_argument(
-        "--dist", choices=("dcfg", "t2t", "rcfg", "bal"), default="dcfg",
-        help="expression sampler",
-    )
-    calc_p.add_argument("--p", type=float, default=None, help="recursion rate for dcfg/rcfg")
-    calc_p.add_argument("--max-depth", type=int, default=8, help="t2t depth ceiling")
-
-    karel_p = sub.add_parser("karel", help="Karel synthesis tasks")
-    karel_p.add_argument(
-        "--grids", choices=("uniform", "narrow"), default="uniform",
-        help="input grid distribution",
-    )
-    karel_p.add_argument("--r-wall", type=float, default=None, help="narrow wall cell rate")
-    karel_p.add_argument("--r-marker", type=float, default=None, help="narrow marker cell rate")
-    karel_p.add_argument(
-        "--marker-dist", choices=tuple(d.value for d in karel_gen.MarkerCountDist),
-        default="geom", help="narrow pile-size distribution",
-    )
-    karel_p.add_argument(
-        "--pairs", default="5",
-        help="shown pairs per task: 1..5 or 'uniform' for a per-task draw",
-    )
-    karel_p.add_argument(
-        "--step-limit", type=int, default=200, help="action budget per execution"
-    )
-    karel_p.add_argument(
-        "--classic-prune", action="store_true",
-        help="only keep programs with two or more actions including a move",
-    )
-
-    for p in (calc_p, karel_p):
+    for domain in DOMAINS.values():
+        p = sub.add_parser(domain.name, help=domain.help)
+        domain.add_arguments(p)
         if homogenize:
             p.add_argument("--var", required=True, help="salient variable to even out")
             p.add_argument(

@@ -243,36 +243,30 @@ class HomogenizerRun:
         target = self.config.target_size
         cap = self.config.resolved_max_draws()
 
-        for _ in range(self.config.warm_up):
-            counts.increment(self._extract_checked(extract, source(rng)))
-            self.draws_used += 1
+        try:
+            for _ in range(self.config.warm_up):
+                counts.increment(extract(source(rng)))
+                self.draws_used += 1
 
-        while self.accepted < target:
-            if cap is not None and self.draws_used >= cap:
-                raise BudgetExhaustedError(
-                    f"used {self.draws_used} draws but accepted only "
-                    f"{self.accepted} of {target} samples",
-                    draws_used=self.draws_used,
-                    accepted=self.accepted,
-                    counts=counts.copy(),
-                )
-            sample = source(rng)
-            value = self._extract_checked(extract, sample)
-            counts.increment(value)
-            self.draws_used += 1
-            keep = acceptance_probability(counts, value, epsilon)
-            if rng.random() < keep:
-                self.accepted += 1
-                yield sample
-
-    def _extract_checked(self, extract: Callable[[Any], Any], sample: Any) -> Any:
-        value = extract(sample)
-        if value not in self.counts.counts:
-            raise DomainViolationError(
-                f"salient {self.spec.name!r} produced {value!r}, "
-                f"which is outside its declared domain"
-            )
-        return value
+            while self.accepted < target:
+                if cap is not None and self.draws_used >= cap:
+                    raise BudgetExhaustedError(
+                        f"used {self.draws_used} draws but accepted only "
+                        f"{self.accepted} of {target} samples",
+                        draws_used=self.draws_used,
+                        accepted=self.accepted,
+                        counts=counts.copy(),
+                    )
+                sample = source(rng)
+                value = extract(sample)
+                counts.increment(value)
+                self.draws_used += 1
+                keep = acceptance_probability(counts, value, epsilon)
+                if rng.random() < keep:
+                    self.accepted += 1
+                    yield sample
+        except DomainViolationError as exc:
+            raise DomainViolationError(f"salient {self.spec.name!r}: {exc}") from None
 
 
 def homogenize(

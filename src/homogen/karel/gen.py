@@ -145,8 +145,10 @@ class NarrowGridParams:
     marker_dist: MarkerCountDist = MarkerCountDist.GEOM
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.r_wall <= 1.0 and 0.0 <= self.r_marker <= 1.0):
-            raise ValueError("cell rates must be in [0, 1]")
+        # A grid has at least 100 cells, so any r_wall below 1 leaves the
+        # agent a free cell.
+        if not (0.0 <= self.r_wall < 1.0 and 0.0 <= self.r_marker <= 1.0):
+            raise ValueError("r_wall must be in [0, 1) and r_marker in [0, 1]")
         if self.r_wall + self.r_marker > 1.0:
             raise ValueError("r_wall + r_marker must not exceed 1")
 
@@ -582,40 +584,31 @@ def task_salients(task: SynthesisTask) -> dict[str, Any]:
     }
 
 
-SIZE_DOMAIN = tuple(range(8, 161))
-CONTROL_FLOW_DOMAIN = tuple(range(0, 13))
-NESTING_DOMAIN = tuple(range(0, 9))
-NUMBER_OF_GRIDS_DOMAIN = (1, 2, 3, 4, 5)
-DECILE_DOMAIN = tuple(range(10))
+# Salient variable name -> domain; each is a contiguous run of ints.
+_SALIENT_DOMAINS = {
+    "number_of_grids": (1, 2, 3, 4, 5),
+    "size": tuple(range(8, 161)),
+    "control_flow_count": tuple(range(0, 13)),
+    "nesting_depth": tuple(range(0, 9)),
+    "marker_ratio_decile": tuple(range(10)),
+    "wall_ratio_decile": tuple(range(10)),
+}
 
 
-def _clamped_field(field_name: str, low: int, high: int) -> Callable[[SynthesisTask], int]:
-    def extract(task: SynthesisTask) -> int:
-        value = task_salients(task)[field_name]
-        return min(max(value, low), high)
-
-    return extract
+def salient_values(task: SynthesisTask) -> dict[str, int]:
+    """Every salient variable of the task, clamped into its domain, in one pass."""
+    values = task_salients(task)
+    return {
+        name: min(max(values[name], domain[0]), domain[-1])
+        for name, domain in _SALIENT_DOMAINS.items()
+    }
 
 
 def salient_specs() -> dict[str, SalientSpec]:
     """Named salient variables over synthesis tasks."""
     return {
-        "number_of_grids": SalientSpec(
-            "number_of_grids", NUMBER_OF_GRIDS_DOMAIN, _clamped_field("number_of_grids", 1, 5)
-        ),
-        "size": SalientSpec("size", SIZE_DOMAIN, _clamped_field("size", 8, 160)),
-        "control_flow_count": SalientSpec(
-            "control_flow_count", CONTROL_FLOW_DOMAIN, _clamped_field("control_flow_count", 0, 12)
-        ),
-        "nesting_depth": SalientSpec(
-            "nesting_depth", NESTING_DOMAIN, _clamped_field("nesting_depth", 0, 8)
-        ),
-        "marker_ratio_decile": SalientSpec(
-            "marker_ratio_decile", DECILE_DOMAIN, _clamped_field("marker_ratio_decile", 0, 9)
-        ),
-        "wall_ratio_decile": SalientSpec(
-            "wall_ratio_decile", DECILE_DOMAIN, _clamped_field("wall_ratio_decile", 0, 9)
-        ),
+        name: SalientSpec(name, domain, lambda task, name=name: salient_values(task)[name])
+        for name, domain in _SALIENT_DOMAINS.items()
     }
 
 
@@ -643,6 +636,8 @@ def task_from_json(obj: dict[str, Any]) -> SynthesisTask:
         held = (grid_from_json(obj["held_out"]["in"]), grid_from_json(obj["held_out"]["out"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed task object: {exc}") from None
+    if not pairs:
+        raise ValueError("malformed task object: no shown pairs")
     return SynthesisTask(program=program, pairs=pairs, held_out=held)
 
 

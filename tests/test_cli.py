@@ -118,20 +118,37 @@ def test_generate_missing_narrow_rates_is_usage_error(tmp_path, monkeypatch, cap
     assert "--r-wall" in err
 
 
-@pytest.mark.parametrize("command", [
-    ["generate", "karel"],
-    ["homogenize", "karel", "--var", "size"],
+@pytest.mark.parametrize("argv, fragment", [
+    pytest.param(["generate", "karel", "--step-limit", "-1"], "step_limit", id="command0"),
+    pytest.param(
+        ["homogenize", "karel", "--var", "size", "--step-limit", "-1"], "step_limit",
+        id="command1",
+    ),
+    pytest.param(
+        ["generate", "calc", "--dist", "dcfg", "--p", "1.5"], "p must be in (0, 1)", id="dcfg-p"
+    ),
+    pytest.param(
+        ["homogenize", "calc", "--var", "length", "--dist", "rcfg", "--p", "0"],
+        "p must be in (0, 1)", id="homogenize-rcfg-p",
+    ),
+    pytest.param(
+        ["generate", "calc", "--dist", "t2t", "--max-depth", "0"], "max_depth", id="t2t-depth"
+    ),
+    pytest.param(
+        ["generate", "karel", "--grids", "narrow", "--r-wall", "1.0", "--r-marker", "0"],
+        "r_wall", id="narrow-all-walls",
+    ),
 ])
 def test_negative_step_limit_is_usage_error_and_writes_nothing(
-    command, tmp_path, monkeypatch, capsys
+    argv, fragment, tmp_path, monkeypatch, capsys
 ):
+    # Bad source parameters of either domain, the negative step limit first
+    # among them, are rejected before any output file is opened.
     monkeypatch.chdir(tmp_path)
-    code, _, err = run_cli(
-        command + ["--step-limit", "-1", "--count", "2", "--out", "k.jsonl"], capsys
-    )
+    code, _, err = run_cli(argv + ["--count", "2", "--out", "k.jsonl"], capsys)
     assert code == 2
     assert "Traceback" not in err
-    assert "step_limit" in err
+    assert fragment in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -405,11 +422,66 @@ def test_stats_corrupt_line_reports_line_number(tmp_path, monkeypatch, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("line", [
+    '{"expr":"1++2","label":3}',
+    '{"expr":"((((","label":0}',
+    '{"expr":12,"label":2}',
+    '{"label":3}',
+    '[1, 2]',
+    # Nested deeper than the recursive parser can follow.
+    '{"expr":"' + "(" * 1200 + "1" + ")" * 1200 + '","label":1}',
+], ids=["double-op", "unclosed", "not-text", "no-expr", "not-object", "too-deep"])
+def test_stats_malformed_calc_record_reports_line_number(line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.jsonl").write_text('{"expr":"1+2","label":3}\n' + line + "\n")
+    code, _, err = run_cli(["stats", "bad.jsonl"], capsys)
+    assert code == 2
+    assert "line 2: bad record" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda r: r.update(program="def run(): move()"),
+    lambda r: r.update(pairs=[]),
+    lambda r: r["held_out"].pop("in"),
+], ids=["bad-program", "no-pairs", "no-held-out-input"])
+def test_stats_malformed_karel_record_reports_line_number(
+    corrupt, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    run_cli(["generate", "karel", "--count", "2", "--seed", "1", "--out", "k.jsonl"], capsys)
+    first, second = (tmp_path / "k.jsonl").read_text().splitlines()
+    record = json.loads(second)
+    corrupt(record)
+    (tmp_path / "k.jsonl").write_text(first + "\n" + json.dumps(record) + "\n")
+    code, _, err = run_cli(["stats", "k.jsonl"], capsys)
+    assert code == 2
+    assert "line 2: bad record" in err
+
+
+def test_stats_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run_cli(["generate", "calc", "--count", "5", "--seed", "1", "--out", "c.jsonl"], capsys)
+    code, _, err = run_cli(["stats", "c.jsonl", "--out", "nodir/x.json"], capsys)
+    assert code == 2
+    assert err.startswith("error: nodir/x.json: ")
+    assert "Traceback" not in err
+
+
 def test_stats_missing_file_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(["stats", "missing.jsonl"], capsys)
     assert code == 2
     assert err.startswith("error: missing.jsonl: ")
+    assert "Traceback" not in err
+
+
+def test_stats_undecodable_file_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.jsonl").write_bytes(b'{"expr":"1+2","label":3}\n\xff\n')
+    code, _, err = run_cli(["stats", "latin1.jsonl"], capsys)
+    assert code == 2
+    assert err.startswith("error: latin1.jsonl: ")
     assert "Traceback" not in err
 
 

@@ -248,7 +248,7 @@ def test_budget_exhaustion_is_an_error_with_statistics():
 def test_extractor_outside_domain_raises():
     spec = SalientSpec(name="bad", domain=(0, 1), extract=lambda s: 2)
     config = HomogenizerConfig(epsilon=0.1, target_size=10, seed=1)
-    with pytest.raises(DomainViolationError):
+    with pytest.raises(DomainViolationError, match="bad"):
         homogenize(lambda rng: 0, spec, config)
 
 

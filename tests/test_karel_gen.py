@@ -193,6 +193,11 @@ def test_narrow_params_validation():
         NarrowGridParams(r_wall=-0.1, r_marker=0.5)
     with pytest.raises(ValueError):
         NarrowGridParams(r_wall=0.5, r_marker=1.1)
+    # All walls would leave the agent nowhere to stand; any rate below 1 does.
+    with pytest.raises(ValueError, match="r_wall"):
+        NarrowGridParams(r_wall=1.0, r_marker=0.0)
+    grid = sample_narrow_grid(random.Random(3), NarrowGridParams(r_wall=0.99, r_marker=0.0))
+    assert grid.karel_pos not in grid.walls
 
 
 def test_table1_parameter_grid():
