@@ -13,9 +13,11 @@ re-parse). ``parse_expr(render(e)) == e`` holds for every expression.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .homogenizer import SalientSpec
+from .rng import randbelow
 
 OPS = ("+", "-", "*")
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2}
@@ -42,6 +44,10 @@ class BinOp:
 
 
 CalcExpr = Digit | BinOp
+
+# The ten leaves every sampled or parsed tree shares, each built and
+# validated once.
+_DIGITS = tuple(Digit(v) for v in range(10))
 
 
 def eval_mod10(expr: CalcExpr) -> int:
@@ -95,53 +101,57 @@ class CalcParseError(ValueError):
         self.position = position
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def sum_expr(self) -> CalcExpr:
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.text[self.pos]
-            self.pos += 1
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> CalcExpr:
-        node = self.atom()
-        while self.peek() == "*":
-            self.pos += 1
-            node = BinOp("*", node, self.atom())
-        return node
-
-    def atom(self) -> CalcExpr:
-        ch = self.peek()
-        if ch is None:
-            raise CalcParseError("unexpected end of input", self.pos)
-        if ch.isdigit():
-            self.pos += 1
-            return Digit(int(ch))
-        if ch == "(":
-            self.pos += 1
-            node = self.sum_expr()
-            if self.peek() != ")":
-                raise CalcParseError("expected ')'", self.pos)
-            self.pos += 1
-            return node
-        raise CalcParseError(f"unexpected character {ch!r}", self.pos)
-
-
 def parse_expr(text: str) -> CalcExpr:
-    """Parse expression text; raises :class:`CalcParseError` with a position."""
-    parser = _Parser(text)
-    expr = parser.sum_expr()
-    if parser.pos != len(text):
-        raise CalcParseError(f"unexpected character {text[parser.pos]!r}", parser.pos)
-    return expr
+    """Parse expression text; raises :class:`CalcParseError` with a position.
+
+    The grammar is ``sum := term (('+'|'-') term)*``, ``term := atom ('*'
+    atom)*``, ``atom := digit | '(' sum ')'``. It is walked with an explicit
+    stack of the enclosing parentheses' partial sum and term, so nesting
+    depth is bounded by memory, not by Python's recursion limit.
+    """
+    n = len(text)
+    pos = 0
+    # Partial sum, its pending operator and partial product at this level.
+    total: CalcExpr | None = None
+    total_op = ""
+    product: CalcExpr | None = None
+    enclosing: list[tuple[CalcExpr | None, str, CalcExpr | None]] = []
+    while True:
+        # An atom: a digit, or an opening parenthesis that starts a new level.
+        if pos == n:
+            raise CalcParseError("unexpected end of input", pos)
+        ch = text[pos]
+        if ch == "(":
+            enclosing.append((total, total_op, product))
+            total, total_op, product = None, "", None
+            pos += 1
+            continue
+        if not ch.isdigit():
+            raise CalcParseError(f"unexpected character {ch!r}", pos)
+        node: CalcExpr = _DIGITS[int(ch)]
+        pos += 1
+        # Fold the atom into the product, the product into the sum, and a
+        # finished parenthesised sum into the enclosing level as its atom.
+        while True:
+            product = node if product is None else BinOp("*", product, node)
+            ch = text[pos] if pos < n else None
+            if ch == "*":
+                pos += 1
+                break
+            node = product if total is None else BinOp(total_op, total, product)
+            product = None
+            if ch == "+" or ch == "-":
+                total, total_op = node, ch
+                pos += 1
+                break
+            if not enclosing:
+                if pos != n:
+                    raise CalcParseError(f"unexpected character {ch!r}", pos)
+                return node
+            if ch != ")":
+                raise CalcParseError("expected ')'", pos)
+            pos += 1
+            total, total_op, product = enclosing.pop()
 
 
 # ---------------------------------------------------------------------------
@@ -219,59 +229,67 @@ class Bal:
 CalcSampler = Dcfg | T2t | Rcfg | Bal
 
 
+# The samplers draw with ``rng.random`` (``coin``) and ``rng.getrandbits``
+# (``bits``, through ``randbelow``), consuming the generator exactly as
+# ``rng.randrange``/``rng.randint`` would in the documented order.
+Coin = Callable[[], float]
+Bits = Callable[[int], int]
+
+
 def sample_expr(rng: random.Random, sampler: CalcSampler) -> CalcExpr:
+    coin, bits = rng.random, rng.getrandbits
     match sampler:
         case Dcfg(p=p):
-            return _sample_dcfg(rng, p)
+            return _sample_dcfg(coin, bits, p)
         case T2t(max_depth=max_depth, depth=depth):
-            d = depth if depth is not None else rng.randint(1, max_depth)
-            return _sample_t2t(rng, d)
+            d = depth if depth is not None else 1 + randbelow(bits, max_depth)
+            return _sample_t2t(coin, bits, d)
         case Rcfg(p=p, run_lengths=runs):
-            return _sample_rcfg(rng, p, runs)
+            return _sample_rcfg(coin, bits, p, runs)
         case Bal(depths=depths):
-            return _sample_bal(rng, depths[rng.randrange(len(depths))])
+            return _sample_bal(bits, depths[randbelow(bits, len(depths))])
     raise TypeError(f"unknown sampler: {sampler!r}")
 
 
-def _sample_dcfg(rng: random.Random, p: float) -> CalcExpr:
-    if rng.random() >= p:
-        return Digit(rng.randrange(10))
-    op = OPS[rng.randrange(3)]
-    left = _sample_dcfg(rng, p)
-    right = _sample_dcfg(rng, p)
+def _sample_dcfg(coin: Coin, bits: Bits, p: float) -> CalcExpr:
+    if coin() >= p:
+        return _DIGITS[randbelow(bits, 10)]
+    op = OPS[randbelow(bits, 3)]
+    left = _sample_dcfg(coin, bits, p)
+    right = _sample_dcfg(coin, bits, p)
     return BinOp(op, left, right)
 
 
-def _sample_t2t(rng: random.Random, depth: int) -> CalcExpr:
+def _sample_t2t(coin: Coin, bits: Bits, depth: int) -> CalcExpr:
     if depth == 0:
-        return Digit(rng.randrange(10))
-    op = OPS[rng.randrange(3)]
-    force_left = rng.random() < 0.5
-    other_depth = rng.randrange(depth)
+        return _DIGITS[randbelow(bits, 10)]
+    op = OPS[randbelow(bits, 3)]
+    force_left = coin() < 0.5
+    other_depth = randbelow(bits, depth)
     if force_left:
-        return BinOp(op, _sample_t2t(rng, depth - 1), _sample_t2t(rng, other_depth))
-    return BinOp(op, _sample_t2t(rng, other_depth), _sample_t2t(rng, depth - 1))
+        return BinOp(op, _sample_t2t(coin, bits, depth - 1), _sample_t2t(coin, bits, other_depth))
+    return BinOp(op, _sample_t2t(coin, bits, other_depth), _sample_t2t(coin, bits, depth - 1))
 
 
-def _sample_rcfg(rng: random.Random, p: float, runs: tuple[int, ...]) -> CalcExpr:
-    if rng.random() >= p:
-        return Digit(rng.randrange(10))
-    op = OPS[rng.randrange(3)]
+def _sample_rcfg(coin: Coin, bits: Bits, p: float, runs: tuple[int, ...]) -> CalcExpr:
+    if coin() >= p:
+        return _DIGITS[randbelow(bits, 10)]
+    op = OPS[randbelow(bits, 3)]
     if op == "-":
-        return BinOp("-", _sample_rcfg(rng, p, runs), _sample_rcfg(rng, p, runs))
-    k = runs[rng.randrange(len(runs))]
-    node = _sample_rcfg(rng, p, runs)
+        return BinOp("-", _sample_rcfg(coin, bits, p, runs), _sample_rcfg(coin, bits, p, runs))
+    k = runs[randbelow(bits, len(runs))]
+    node = _sample_rcfg(coin, bits, p, runs)
     for _ in range(k - 1):
-        node = BinOp(op, node, _sample_rcfg(rng, p, runs))
+        node = BinOp(op, node, _sample_rcfg(coin, bits, p, runs))
     return node
 
 
-def _sample_bal(rng: random.Random, depth: int) -> CalcExpr:
+def _sample_bal(bits: Bits, depth: int) -> CalcExpr:
     if depth == 0:
-        return Digit(rng.randrange(10))
-    op = OPS[rng.randrange(3)]
-    left = _sample_bal(rng, depth - 1)
-    right = _sample_bal(rng, depth - 1)
+        return _DIGITS[randbelow(bits, 10)]
+    op = OPS[randbelow(bits, 3)]
+    left = _sample_bal(bits, depth - 1)
+    right = _sample_bal(bits, depth - 1)
     return BinOp(op, left, right)
 
 
@@ -322,50 +340,53 @@ class CalcSalients:
 def calc_salients(text: str) -> CalcSalients:
     """Salient features of expression text; malformed text is a parse error."""
     parse_expr(text)
-    return _salients_of_text(text)
-
-
-def _salients_of_text(text: str) -> CalcSalients:
-    # Shared with the salient-spec extractors, which skip re-validating
-    # strings they just rendered.
-    length = len(text)
-    length_even = length + (length % 2)
-    ops = 0
-    parens = 0
-    depth = 0
-    depth_sum = 0
-    max_depth = 0
-    digits = 0
-    for ch in text:
-        if ch == "(":
-            parens += 1
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch.isdigit():
-            digits += 1
-            depth_sum += depth
-            if depth > max_depth:
-                max_depth = depth
-        elif ch in _PRECEDENCE:
-            ops += 1
-    mean_depth = depth_sum / digits if digits else 0.0
+    values = _salients_of_text(text)
     return CalcSalients(
-        length_even=_clamp(length_even, 2, 120),
-        num_ops=_clamp(ops, 0, 60),
-        num_paren_pairs=_clamp(parens, 0, 30),
-        mean_depth_bin=_clamp(int(round(4.0 * mean_depth)), 0, 40),
-        max_depth=_clamp(max_depth, 0, 15),
+        length_even=values["length"],
+        num_ops=values["num_ops"],
+        num_paren_pairs=values["num_parens"],
+        mean_depth_bin=values["mean_depth"],
+        max_depth=values["max_depth"],
     )
 
 
-def _clamp(value: int, low: int, high: int) -> int:
-    return min(max(value, low), high)
+def _salients_of_text(text: str) -> dict[str, int]:
+    """The :class:`CalcSalients` features keyed by spec name, without parsing.
+
+    Shared with the salient-spec extractors and the CLI, which skip
+    re-validating strings they just rendered. Depths need a scan only when
+    the text has an opening parenthesis; without one no digit sits deeper
+    than 0.
+    """
+    length = len(text)
+    parens = text.count("(")
+    mean_depth_bin = max_depth = 0
+    if parens:
+        depth = depth_sum = digits = 0
+        for ch in text:
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+            elif ch.isdigit():
+                digits += 1
+                depth_sum += depth
+                if depth > max_depth:
+                    max_depth = depth
+        if digits:
+            mean_depth_bin = min(max(round(4.0 * (depth_sum / digits)), 0), 40)
+    return {
+        "length": min(max(length + length % 2, 2), 120),
+        "num_ops": min(text.count("+") + text.count("-") + text.count("*"), 60),
+        "num_parens": min(parens, 30),
+        "mean_depth": mean_depth_bin,
+        "max_depth": min(max_depth, 15),
+    }
 
 
 def salient_specs() -> dict[str, SalientSpec]:
     """Named salient variables over rendered expression strings."""
     return {
-        name: SalientSpec(name, domain, lambda s, name=name: _salients_of_text(s).by_name()[name])
+        name: SalientSpec(name, domain, lambda s, name=name: _salients_of_text(s)[name])
         for name, domain in _SALIENT_DOMAINS.items()
     }

@@ -13,7 +13,9 @@ Datasets are JSON Lines with LF newlines and a fixed key order, so a given
 command line and seed reproduce files byte for byte. Every written dataset
 gets a sibling ``<out>.manifest.json`` recording the command, the resolved
 seed and parameters, and SHA-256 digests of all outputs. When ``--seed`` is
-absent the ``HOMOGEN_SEED`` environment variable is used, then 0.
+absent the ``HOMOGEN_SEED`` environment variable is used, then 0. Outputs
+are written to temporary siblings and moved into place only when the command
+succeeds, the manifest last, so a failed run leaves no file behind.
 
 Exit codes: 0 success, 1 crash reported by ``karel-run``, 2 usage errors,
 3 sampling stalls (draw budget or grid retries exhausted).
@@ -30,7 +32,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, TextIO
 
 from . import __version__, calc
 from .diagnostics import Histogram, ReportRow, kl_to_uniform, write_report_csv, write_report_json
@@ -75,18 +77,57 @@ def _json_line(obj: Any) -> str:
     return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+class _Outputs:
+    """The files one command writes, each first to a temporary sibling.
+
+    On success the files are moved into place in the order they were opened,
+    so the manifest, opened last, lands last; on failure every temporary file
+    is removed and no output path is touched.
+    """
+
+    def __init__(self) -> None:
+        self._pending: list[tuple[Path, Path]] = []
+
+    def open(self, path: Path) -> TextIO:
+        temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            fp = temp.open("w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise UsageError(f"{path}: {exc.strerror or exc}") from None
+        self._pending.append((temp, path))
+        return fp
+
+    def digests(self) -> dict[str, str]:
+        """SHA-256 of every file written so far, keyed by its final name."""
+        return {
+            path.name: hashlib.sha256(temp.read_bytes()).hexdigest()
+            for temp, path in self._pending
+        }
+
+    def __enter__(self) -> "_Outputs":
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        try:
+            if exc_type is None:
+                for temp, path in self._pending:
+                    try:
+                        os.replace(temp, path)
+                    except OSError as error:
+                        raise UsageError(f"{path}: {error.strerror or error}") from None
+        finally:
+            for temp, _ in self._pending:
+                temp.unlink(missing_ok=True)
 
 
 def _write_manifest(
+    outputs: _Outputs,
     out_path: Path,
     argv: list[str],
     seed: int,
     params: dict[str, Any],
-    outputs: list[Path],
     substreams: dict[str, int] | None = None,
-) -> Path:
+) -> None:
     manifest = {
         "tool": "homogen",
         "version": __version__,
@@ -94,11 +135,10 @@ def _write_manifest(
         "seed": seed,
         "substreams": substreams or {"main": seed},
         "params": params,
-        "outputs": {path.name: _sha256(path) for path in outputs},
+        "outputs": outputs.digests(),
     }
-    manifest_path = out_path.with_name(out_path.name + ".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    return manifest_path
+    with outputs.open(out_path.with_name(out_path.name + ".manifest.json")) as fp:
+        fp.write(json.dumps(manifest, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +188,18 @@ def _calc_arguments(parser: argparse.ArgumentParser) -> None:
 def _calc_source(args: argparse.Namespace) -> tuple[Source, dict[str, Any]]:
     sampler = _CALC_SAMPLERS[args.dist](args)
     params = {"domain": "calc", "dist": args.dist, "sampler": repr(sampler)}
-    return (lambda rng: calc.sample_record(rng, sampler)), params
+    flag = f"--max-depth {args.max_depth}" if args.dist == "t2t" else f"--p {args.p}"
+
+    def draw(rng: random.Random) -> dict[str, Any]:
+        try:
+            return calc.sample_record(rng, sampler)
+        except RecursionError:
+            raise UsageError(
+                f"{flag}: a sampled expression nested deeper than the calc sampler "
+                "can follow; choose a smaller value"
+            ) from None
+
+    return draw, params
 
 
 def _karel_arguments(parser: argparse.ArgumentParser) -> None:
@@ -213,7 +264,7 @@ DOMAINS = {
             add_arguments=_calc_arguments,
             source=_calc_source,
             to_record=lambda record: record,
-            salients=lambda record: calc._salients_of_text(record["expr"]).by_name(),
+            salients=lambda record: calc._salients_of_text(record["expr"]),
             read=lambda record: calc.calc_salients(record["expr"]).by_name(),
             salient_specs=calc.salient_specs,
         ),
@@ -261,10 +312,11 @@ def cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
     params |= {"count": args.count}
     rng = random.Random(seed)
     out_path = Path(args.out)
-    with out_path.open("w", encoding="utf-8", newline="\n") as fp:
-        for _ in range(args.count):
-            fp.write(_json_line(domain.to_record(source(rng))))
-    _write_manifest(out_path, argv, seed, params, [out_path])
+    with _Outputs() as outputs:
+        with outputs.open(out_path) as fp:
+            for _ in range(args.count):
+                fp.write(_json_line(domain.to_record(source(rng))))
+        _write_manifest(outputs, out_path, argv, seed, params)
     print(f"wrote {args.count} records to {out_path}")
     return EXIT_OK
 
@@ -294,42 +346,37 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
     out_path = Path(args.out)
     run = HomogenizerRun(measured, spec, config)
     after_values = []
-    with out_path.open("w", encoding="utf-8", newline="\n") as fp:
-        for item, values in run:
-            fp.write(_json_line(domain.to_record(item)))
-            after_values.append(values[name])
+    with _Outputs() as outputs:
+        with outputs.open(out_path) as fp:
+            for item, values in run:
+                fp.write(_json_line(domain.to_record(item)))
+                after_values.append(values[name])
 
-    baseline_seed = seed + BASELINE_SEED_OFFSET
-    baseline_rng = random.Random(baseline_seed)
-    baseline_values = [spec.extract(measured(baseline_rng)) for _ in range(args.count)]
-    before = Histogram.from_values(spec.domain, baseline_values)
-    after = Histogram.from_values(spec.domain, after_values)
-    kl_before = kl_to_uniform(before)
-    kl_after = kl_to_uniform(after)
-    reduction = 100.0 * (1.0 - kl_after / kl_before) if kl_before > 0 else 0.0
-    row = ReportRow(
-        variable=spec.name,
-        epsilon=args.eps,
-        kl_before=kl_before,
-        kl_after=kl_after,
-        reduction_pct=reduction,
-        draws_per_accept=run.draws_used / args.count,
-        bound=expected_tries_bound(args.eps) if args.eps > 0 else None,
-    )
-    report_json = out_path.with_name(out_path.name + ".report.json")
-    report_csv = out_path.with_name(out_path.name + ".report.csv")
-    with report_json.open("w", encoding="utf-8", newline="\n") as fp:
-        write_report_json([row], fp)
-    with report_csv.open("w", encoding="utf-8", newline="\n") as fp:
-        write_report_csv([row], fp)
-    _write_manifest(
-        out_path,
-        argv,
-        seed,
-        params,
-        [out_path, report_json, report_csv],
-        substreams={"main": seed, "baseline": baseline_seed},
-    )
+        baseline_seed = seed + BASELINE_SEED_OFFSET
+        baseline_rng = random.Random(baseline_seed)
+        baseline_values = [spec.extract(measured(baseline_rng)) for _ in range(args.count)]
+        before = Histogram.from_values(spec.domain, baseline_values)
+        after = Histogram.from_values(spec.domain, after_values)
+        kl_before = kl_to_uniform(before)
+        kl_after = kl_to_uniform(after)
+        reduction = 100.0 * (1.0 - kl_after / kl_before) if kl_before > 0 else 0.0
+        row = ReportRow(
+            variable=spec.name,
+            epsilon=args.eps,
+            kl_before=kl_before,
+            kl_after=kl_after,
+            reduction_pct=reduction,
+            draws_per_accept=run.draws_used / args.count,
+            bound=expected_tries_bound(args.eps) if args.eps > 0 else None,
+        )
+        with outputs.open(out_path.with_name(out_path.name + ".report.json")) as fp:
+            write_report_json([row], fp)
+        with outputs.open(out_path.with_name(out_path.name + ".report.csv")) as fp:
+            write_report_csv([row], fp)
+        _write_manifest(
+            outputs, out_path, argv, seed, params,
+            substreams={"main": seed, "baseline": baseline_seed},
+        )
     print(
         f"wrote {args.count} records to {out_path} "
         f"(draws/accept {row.draws_per_accept:.2f}, KL {kl_before:.4f} -> {kl_after:.4f})"
@@ -396,10 +443,8 @@ def cmd_stats(args: argparse.Namespace, argv: list[str]) -> int:
     else:
         text = "\n".join(csv_lines) + "\n"
     if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise UsageError(f"{args.out}: {exc.strerror or exc}") from None
+        with _Outputs() as outputs, outputs.open(Path(args.out)) as fp:
+            fp.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -92,7 +92,8 @@ class CountTable:
         table._n_at_min = sum(1 for c in table.counts.values() if c == table._min_count)
         return table
 
-    def increment(self, value: Any) -> None:
+    def increment(self, value: Any) -> int:
+        """Count one draw of ``value`` and return its new count."""
         try:
             old = self.counts[value]
         except KeyError:
@@ -106,6 +107,7 @@ class CountTable:
                 # minimum is exactly one higher; recount who sits there.
                 self._min_count += 1
                 self._n_at_min = sum(1 for c in self.counts.values() if c == self._min_count)
+        return old + 1
 
     @property
     def min_count(self) -> int:
@@ -148,10 +150,14 @@ def acceptance_probability(counts: CountTable, value: Any, epsilon: float) -> fl
         raise ValueError("epsilon must be >= 0")
     if counts.total == 0:
         raise ValueError("cannot compute an acceptance probability from an empty count table")
-    current = counts.frequency(value)
-    if current == 0.0:
+    if counts.frequency(value) == 0.0:
         raise ValueError(f"value {value!r} has never been counted")
-    return (counts.min_frequency + epsilon) / (current + epsilon)
+    return _acceptance(counts.min_count, counts.counts[value], counts.total, epsilon)
+
+
+def _acceptance(min_count: int, count: int, total: int, epsilon: float) -> float:
+    # The one copy of the acceptance formula; callers check its inputs.
+    return (min_count / total + epsilon) / (count / total + epsilon)
 
 
 @dataclass(frozen=True)
@@ -236,16 +242,18 @@ class HomogenizerRun:
 
     def _iterate(self) -> Iterator[Any]:
         rng = self._rng
+        coin = rng.random
         source = self.source
         extract = self.spec.extract
         counts = self.counts
+        increment = counts.increment
         epsilon = self.config.epsilon
         target = self.config.target_size
         cap = self.config.resolved_max_draws()
 
         try:
             for _ in range(self.config.warm_up):
-                counts.increment(extract(source(rng)))
+                increment(extract(source(rng)))
                 self.draws_used += 1
 
             while self.accepted < target:
@@ -258,11 +266,13 @@ class HomogenizerRun:
                         counts=counts.copy(),
                     )
                 sample = source(rng)
-                value = extract(sample)
-                counts.increment(value)
+                count = increment(extract(sample))
                 self.draws_used += 1
-                keep = acceptance_probability(counts, value, epsilon)
-                if rng.random() < keep:
+                # acceptance_probability's checks hold by construction here:
+                # epsilon was checked by the config, and the value was just
+                # counted, so the total and its count are at least 1.
+                keep = _acceptance(counts._min_count, count, counts.total, epsilon)
+                if coin() < keep:
                     self.accepted += 1
                     yield sample
         except DomainViolationError as exc:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..homogenizer import SalientSpec
+from ..rng import randbelow
 from .interp import DEFAULT_STEP_LIMIT, branch_arms, compile_program, execute
 from .lang import (
     ACTIONS,
@@ -77,16 +78,6 @@ def sample_marker_count(rng: random.Random, dist: MarkerCountDist) -> int:
     return max(10 - count, 1)
 
 
-def _randbelow(getrandbits: Callable[[int], int], n: int) -> int:
-    """``rng.randrange(n)`` for n >= 1, drawing the same bits in the same order
-    as ``random.Random._randbelow``, which ``randrange`` and ``randint`` use."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 def sample_uniform_grid(rng: random.Random) -> KarelGrid:
     """Broad grid distribution.
 
@@ -103,8 +94,8 @@ def sample_uniform_grid(rng: random.Random) -> KarelGrid:
     getrandbits = rng.getrandbits
     side_span = MAX_SIDE - MIN_SIDE + 1
     while True:
-        width = MIN_SIDE + _randbelow(getrandbits, side_span)
-        height = MIN_SIDE + _randbelow(getrandbits, side_span)
+        width = MIN_SIDE + randbelow(getrandbits, side_span)
+        height = MIN_SIDE + randbelow(getrandbits, side_span)
         marker_rate = coin()
         wall_rate = coin()
         walls = []
@@ -124,8 +115,8 @@ def sample_uniform_grid(rng: random.Random) -> KarelGrid:
                 markers[cell] = pile + 1
         if not free:
             continue
-        pos = free[_randbelow(getrandbits, len(free))]
-        direction = DIRECTIONS[_randbelow(getrandbits, 4)]
+        pos = free[randbelow(getrandbits, len(free))]
+        direction = DIRECTIONS[randbelow(getrandbits, 4)]
         return KarelGrid(
             width=width,
             height=height,

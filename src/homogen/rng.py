@@ -1,0 +1,15 @@
+"""Random draws shared by the samplers of both domains."""
+
+from __future__ import annotations
+
+from collections.abc import Callable
+
+
+def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """``rng.randrange(n)`` for n >= 1, drawing the same bits in the same order
+    as ``random.Random._randbelow``, which ``randrange`` and ``randint`` use."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r

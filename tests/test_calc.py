@@ -3,6 +3,8 @@ import random
 import pytest
 
 from homogen.calc import (
+    _SALIENT_DOMAINS as DOMAINS,
+    OPS,
     Bal,
     BinOp,
     CalcParseError,
@@ -11,6 +13,7 @@ from homogen.calc import (
     Digit,
     Rcfg,
     T2t,
+    _salients_of_text,
     calc_salients,
     eval_mod10,
     parse_expr,
@@ -290,3 +293,204 @@ def test_salient_spec_extractors_match_calc_salients():
         assert specs["num_parens"].extract(text) == s.num_paren_pairs
         assert specs["mean_depth"].extract(text) == s.mean_depth_bin
         assert specs["max_depth"].extract(text) == s.max_depth
+
+
+# ---------------------------------------------------------------------------
+# references: the pre-change samplers, salient loop and recursive parser
+
+
+def _reference_sample(rng, sampler):
+    """The ``randrange``-based samplers the getrandbits draws replaced."""
+
+    def dcfg(p):
+        if rng.random() >= p:
+            return Digit(rng.randrange(10))
+        op = OPS[rng.randrange(3)]
+        left = dcfg(p)
+        right = dcfg(p)
+        return BinOp(op, left, right)
+
+    def t2t(depth):
+        if depth == 0:
+            return Digit(rng.randrange(10))
+        op = OPS[rng.randrange(3)]
+        force_left = rng.random() < 0.5
+        other_depth = rng.randrange(depth)
+        if force_left:
+            return BinOp(op, t2t(depth - 1), t2t(other_depth))
+        return BinOp(op, t2t(other_depth), t2t(depth - 1))
+
+    def rcfg(p, runs):
+        if rng.random() >= p:
+            return Digit(rng.randrange(10))
+        op = OPS[rng.randrange(3)]
+        if op == "-":
+            return BinOp("-", rcfg(p, runs), rcfg(p, runs))
+        k = runs[rng.randrange(len(runs))]
+        node = rcfg(p, runs)
+        for _ in range(k - 1):
+            node = BinOp(op, node, rcfg(p, runs))
+        return node
+
+    def bal(depth):
+        if depth == 0:
+            return Digit(rng.randrange(10))
+        op = OPS[rng.randrange(3)]
+        left = bal(depth - 1)
+        right = bal(depth - 1)
+        return BinOp(op, left, right)
+
+    if isinstance(sampler, Dcfg):
+        return dcfg(sampler.p)
+    if isinstance(sampler, T2t):
+        depth = sampler.depth if sampler.depth is not None else rng.randint(1, sampler.max_depth)
+        return t2t(depth)
+    if isinstance(sampler, Rcfg):
+        return rcfg(sampler.p, sampler.run_lengths)
+    return bal(sampler.depths[rng.randrange(len(sampler.depths))])
+
+
+REFERENCE_SAMPLERS = (
+    Dcfg(), Dcfg(p=0.45), T2t(), T2t(max_depth=11), T2t(depth=4), Rcfg(),
+    Rcfg(p=0.25, run_lengths=(2, 5)), Bal(), Bal(depths=(0, 3, 7)),
+)
+
+
+@pytest.mark.parametrize("sampler", REFERENCE_SAMPLERS, ids=repr)
+@pytest.mark.parametrize("seed", [61, 62])
+def test_samplers_match_the_randrange_reference(sampler, seed):
+    new, old = random.Random(seed), random.Random(seed)
+    for _ in range(2500):
+        assert sample_expr(new, sampler) == _reference_sample(old, sampler)
+    assert new.getstate() == old.getstate()
+
+
+def _reference_salients(text):
+    """The pre-change character loop, keyed by spec name."""
+    length = len(text)
+    ops = parens = depth = depth_sum = max_depth = digits = 0
+    for ch in text:
+        if ch == "(":
+            parens += 1
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch.isdigit():
+            digits += 1
+            depth_sum += depth
+            if depth > max_depth:
+                max_depth = depth
+        elif ch in ("+", "-", "*"):
+            ops += 1
+    mean_depth = depth_sum / digits if digits else 0.0
+
+    def clamp(value, low, high):
+        return min(max(value, low), high)
+
+    return {
+        "length": clamp(length + length % 2, 2, 120),
+        "num_ops": clamp(ops, 0, 60),
+        "num_parens": clamp(parens, 0, 30),
+        "mean_depth": clamp(int(round(4.0 * mean_depth)), 0, 40),
+        "max_depth": clamp(max_depth, 0, 15),
+    }
+
+
+def test_salients_match_the_character_loop_reference():
+    rng = random.Random(63)
+    texts = ["7", "", "(7)", "((((((((((((((((((((1))))))))))))))))))))", ")1(", "1+(2"]
+    # Deep parentheses that overflow every clamped domain at once.
+    texts.append("(" * 45 + "+".join("1" * 70) + ")" * 45)
+    texts.append(render(sample_expr(rng, Bal(depths=(10,)))))
+    for sampler in REFERENCE_SAMPLERS:
+        texts += [render(sample_expr(rng, sampler)) for _ in range(500)]
+    clamped = set()
+    for text in texts:
+        values = _salients_of_text(text)
+        assert values == _reference_salients(text), text
+        clamped |= {name for name, value in values.items() if value == max(DOMAINS[name])}
+    assert clamped == set(DOMAINS)
+
+
+class _ReferenceParser:
+    """The pre-change recursive-descent parser."""
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def peek(self):
+        return self.text[self.pos] if self.pos < len(self.text) else None
+
+    def sum_expr(self):
+        node = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.text[self.pos]
+            self.pos += 1
+            node = BinOp(op, node, self.term())
+        return node
+
+    def term(self):
+        node = self.atom()
+        while self.peek() == "*":
+            self.pos += 1
+            node = BinOp("*", node, self.atom())
+        return node
+
+    def atom(self):
+        ch = self.peek()
+        if ch is None:
+            raise CalcParseError("unexpected end of input", self.pos)
+        if ch.isdigit():
+            self.pos += 1
+            return Digit(int(ch))
+        if ch == "(":
+            self.pos += 1
+            node = self.sum_expr()
+            if self.peek() != ")":
+                raise CalcParseError("expected ')'", self.pos)
+            self.pos += 1
+            return node
+        raise CalcParseError(f"unexpected character {ch!r}", self.pos)
+
+
+def _reference_parse(text):
+    parser = _ReferenceParser(text)
+    expr = parser.sum_expr()
+    if parser.pos != len(text):
+        raise CalcParseError(f"unexpected character {text[parser.pos]!r}", parser.pos)
+    return expr
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except CalcParseError as exc:
+        return ("error", str(exc), exc.position)
+
+
+def test_parser_matches_the_recursive_reference():
+    # Rendered texts, then each with one character deleted, duplicated or
+    # replaced, so every error message and position is exercised.
+    rng = random.Random(64)
+    texts = ["", "(", ")", "()", "1)", "(1", "1 + 2", "12", "x", "1*", "((1)", "(1))"]
+    for sampler in REFERENCE_SAMPLERS:
+        for _ in range(150):
+            text = render(sample_expr(rng, sampler))
+            i = rng.randrange(len(text))
+            texts += [text, text[:i] + text[i + 1:], text[:i] + text[i] + text[i:],
+                      text[:i] + rng.choice("0+-*() ") + text[i + 1:]]
+    outcomes = set()
+    for text in texts:
+        new = _parse_outcome(parse_expr, text)
+        assert new == _parse_outcome(_reference_parse, text), text
+        outcomes.add(new[1].split(" at ")[0] if isinstance(new, tuple) else "ok")
+    assert {"ok", "unexpected end of input", "expected ')'"} <= outcomes
+    assert any(o.startswith("unexpected character") for o in outcomes)
+
+
+def test_parser_follows_nesting_past_the_recursion_limit():
+    deep = "(" * 5000 + "1+2" + ")" * 5000
+    assert parse_expr(deep) == BinOp("+", Digit(1), Digit(2))
+    with pytest.raises(CalcParseError, match=r"expected '\)' at position 10002"):
+        parse_expr(deep[:-1])

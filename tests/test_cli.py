@@ -138,6 +138,11 @@ def test_generate_missing_narrow_rates_is_usage_error(tmp_path, monkeypatch, cap
         ["generate", "karel", "--grids", "narrow", "--r-wall", "1.0", "--r-marker", "0"],
         "r_wall", id="narrow-all-walls",
     ),
+    # Near-critical branching: the second tree at seed 10 is 1,310 levels deep.
+    pytest.param(
+        ["generate", "calc", "--dist", "dcfg", "--p", "0.499", "--seed", "10"], "--p 0.499",
+        id="dcfg-too-deep",
+    ),
 ])
 def test_negative_step_limit_is_usage_error_and_writes_nothing(
     argv, fragment, tmp_path, monkeypatch, capsys
@@ -152,6 +157,32 @@ def test_negative_step_limit_is_usage_error_and_writes_nothing(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, exit_code", [
+    (["homogenize", "calc", "--var", "length", "--count", "100", "--max-draws", "50",
+      "--seed", "1", "--out", "h.jsonl"], 3),
+    (["generate", "calc", "--dist", "dcfg", "--p", "0.499", "--count", "2000", "--seed", "1",
+      "--out", "d.jsonl"], 2),
+], ids=["homogenize-stall", "generate-too-deep"])
+def test_failed_run_leaves_no_file(argv, exit_code, tmp_path, monkeypatch, capsys):
+    # Both fail after records were written; neither the partial output nor a
+    # temporary file stays behind.
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(argv, capsys)
+    assert code == exit_code
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(
+        ["generate", "calc", "--count", "3", "--out", "nodir/x.jsonl"], capsys
+    )
+    assert code == 2
+    assert "nodir/x.jsonl" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_negative_count_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(["generate", "calc", "--count", "-5", "--out", "c.jsonl"], capsys)
@@ -161,12 +192,12 @@ def test_negative_count_is_usage_error(tmp_path, monkeypatch, capsys):
 
 
 # Output digests recorded before the CLI's per-domain code was folded into one
-# domain table. Each entry is a list of command lines run in order in one
-# directory, then the digests of the files they leave. They pin what the
-# benchmark does not run: the narrow sampler, the action-pruning filter,
-# per-task pair draws, homogenize on both domains with its report files, the
-# rcfg and bal calc samplers with their manifests, and ``stats`` in JSON and
-# CSV on a calc and on a Karel dataset.
+# domain table, and before the calc draw path was rebuilt. Each entry is a list
+# of command lines run in order in one directory, then the digests of the files
+# they leave. They pin the narrow sampler, the action-pruning filter, per-task
+# pair draws, homogenize on both domains with its report files and manifest
+# (the benchmark's dcfg/length shape among them), all four calc samplers, and
+# ``stats`` in JSON and CSV on a calc and on a Karel dataset.
 GOLDEN_SHA256 = [
     (
         [["generate", "karel", "--grids", "narrow", "--r-wall", "0.25", "--r-marker", "0.65",
@@ -236,6 +267,42 @@ GOLDEN_SHA256 = [
         },
     ),
     (
+        [["homogenize", "calc", "--dist", "dcfg", "--var", "length", "--eps", "0.025",
+          "--count", "500", "--seed", "14", "--out", "out.jsonl"]],
+        {
+            "out.jsonl": "e230978c81d7ef1842198e58911b5c7886d2e2c68bdc860d5e844cfbb5349bad",
+            "out.jsonl.report.json":
+                "1e4bb3bf000c297c760cd427e3540d832d27e73844c99d31364ac2feba4d6a62",
+            "out.jsonl.report.csv":
+                "e56c003ba173a284956bb429317f481c3f3d1ba8e17acb987d7968ff7214ebea",
+            "out.jsonl.manifest.json":
+                "62797e77f75068922fb61e78512fcbe4c4044d53b48225ba9d96a5d26b90caee",
+        },
+    ),
+    (
+        [["generate", "calc", "--dist", "t2t", "--count", "300", "--seed", "15",
+          "--out", "out.jsonl"]],
+        {
+            "out.jsonl":
+                "cfa2de872697f3faf939ef92ad0507934d1ae74ae3304594d5e7792fc0a2ffa3",
+            "out.jsonl.manifest.json":
+                "ae2e60b2b12269c36850f29b38271c8f9fdbfc59e50221f414bd982c7d1f78b1",
+        },
+    ),
+    (
+        [["homogenize", "calc", "--dist", "rcfg", "--var", "num_parens", "--count", "200",
+          "--seed", "16", "--out", "out.jsonl"]],
+        {
+            "out.jsonl": "48e17dc29afbcf8dc7bd3b3264f68a41314d539be069c52ccc3f6b7ba6fdaace",
+            "out.jsonl.report.json":
+                "22341514ebd4558c163be8098ec6813da55a5894e29fb1f8f61b9751ae399007",
+            "out.jsonl.report.csv":
+                "41e8793bba4b73c90a2aa87060f00ef2e5fab66291021c9192516f3ca658793d",
+            "out.jsonl.manifest.json":
+                "979fef3b7e4871718f53b57ee474617979d54d9a24b856f439dd9f8bca577495",
+        },
+    ),
+    (
         [["generate", "karel", "--count", "8", "--seed", "2", "--out", "d.jsonl"],
          ["stats", "d.jsonl", "--out", "s.json"],
          ["stats", "d.jsonl", "--format", "csv", "--out", "s.csv"]],
@@ -255,7 +322,7 @@ GOLDEN_SHA256 = [
     "commands, digests",
     GOLDEN_SHA256,
     ids=["narrow", "pairs", "homogenize", "homogenize-calc", "rcfg", "bal", "stats-calc",
-         "stats-karel"],
+         "homogenize-dcfg", "t2t", "homogenize-rcfg", "stats-karel"],
 )
 def test_karel_outputs_match_golden_digests(commands, digests, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -428,9 +495,9 @@ def test_stats_corrupt_line_reports_line_number(tmp_path, monkeypatch, capsys):
     '{"expr":12,"label":2}',
     '{"label":3}',
     '[1, 2]',
-    # Nested deeper than the recursive parser can follow.
-    '{"expr":"' + "(" * 1200 + "1" + ")" * 1200 + '","label":1}',
-], ids=["double-op", "unclosed", "not-text", "no-expr", "not-object", "too-deep"])
+    # One closing parenthesis short, 1200 levels down.
+    '{"expr":"' + "(" * 1200 + "1" + ")" * 1199 + '","label":1}',
+], ids=["double-op", "unclosed", "not-text", "no-expr", "not-object", "deep-unclosed"])
 def test_stats_malformed_calc_record_reports_line_number(line, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.jsonl").write_text('{"expr":"1+2","label":3}\n' + line + "\n")
@@ -438,6 +505,19 @@ def test_stats_malformed_calc_record_reports_line_number(line, tmp_path, monkeyp
     assert code == 2
     assert "line 2: bad record" in err
     assert "Traceback" not in err
+
+
+def test_stats_accepts_deeply_nested_calc_record(tmp_path, monkeypatch, capsys):
+    # Well formed, and nested far deeper than Python's recursion limit.
+    monkeypatch.chdir(tmp_path)
+    deep = "(" * 1200 + "1" + ")" * 1200
+    (tmp_path / "deep.jsonl").write_text(json.dumps({"expr": deep, "label": 1}) + "\n")
+    code, out, err = run_cli(["stats", "deep.jsonl"], capsys)
+    assert code == 0, err
+    variables = json.loads(out)["variables"]
+    assert variables["num_parens"]["histogram"] == {"30": 1}
+    assert variables["max_depth"]["histogram"] == {"15": 1}
+    assert variables["length"]["histogram"] == {"120": 1}
 
 
 @pytest.mark.parametrize("corrupt", [

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from homogen import homogenizer
 from homogen.homogenizer import (
     BudgetExhaustedError,
     CountTable,
@@ -94,6 +95,58 @@ def test_acceptance_probability_lower_bound_during_run():
             counts.increment(v)
             g = acceptance_probability(counts, v, epsilon)
             assert floor <= g <= 1.0
+
+
+def test_run_acceptance_equals_acceptance_probability_bit_for_bit():
+    # The run computes the acceptance from the count ``increment`` returns
+    # instead of calling acceptance_probability; on random count tables both
+    # give the same float as the pre-change formula, to the last bit.
+    rng = random.Random(12)
+    for _ in range(40):
+        domain = range(rng.randint(1, 30))
+        table = CountTable.from_counts({x: rng.randint(0, 50) for x in domain})
+        for epsilon in (0.0, 1e-9, 0.025, 0.1, rng.random(), 3.0):
+            for _ in range(50):
+                v = rng.choice(domain)
+                count = table.increment(v)
+                assert count == table.counts[v]
+                inlined = homogenizer._acceptance(table.min_count, count, table.total, epsilon)
+                old = (table.min_frequency + epsilon) / (table.frequency(v) + epsilon)
+                assert inlined.hex() == acceptance_probability(table, v, epsilon).hex()
+                assert inlined.hex() == old.hex()
+
+
+def _reference_run(source, spec, config):
+    """The pre-change run loop, calling acceptance_probability on every draw."""
+    rng = random.Random(config.seed)
+    counts = CountTable(spec.domain)
+    draws = 0
+    for _ in range(config.warm_up):
+        counts.increment(spec.extract(source(rng)))
+        draws += 1
+    items = []
+    cap = config.resolved_max_draws()
+    while len(items) < config.target_size and (cap is None or draws < cap):
+        sample = source(rng)
+        value = spec.extract(sample)
+        counts.increment(value)
+        draws += 1
+        if rng.random() < acceptance_probability(counts, value, config.epsilon):
+            items.append(sample)
+    return items, draws, counts
+
+
+@pytest.mark.parametrize("epsilon, warm_up", [(0.025, 0), (0.3, 0), (0.0, 50), (2.0, 10)])
+def test_run_matches_the_reference_loop(epsilon, warm_up):
+    domain = list(range(8))
+    source = weighted_source({v: (v + 1.0) ** 2 for v in domain})
+    spec = identity_spec("value", domain)
+    config = HomogenizerConfig(epsilon=epsilon, target_size=1500, seed=31, warm_up=warm_up)
+    data = homogenize(source, spec, config)
+    items, draws, counts = _reference_run(source, spec, config)
+    assert list(data.items) == items
+    assert data.draws_used == draws
+    assert data.final_counts == counts
 
 
 # ---------------------------------------------------------------------------
