@@ -311,47 +311,21 @@ _SALIENT_DOMAINS = {
 }
 
 
-@dataclass(frozen=True)
-class CalcSalients:
-    """Features of an expression string, clamped into fixed finite domains.
+def calc_salients(text: str) -> dict[str, int]:
+    """Salient features of expression text keyed by :func:`salient_specs`
+    name; malformed text is a parse error.
 
-    ``length_even`` is the character count rounded up to an even number.
-    Depths count enclosing parenthesis pairs around each digit;
-    ``mean_depth_bin`` is the mean over digits scaled by 4 and rounded.
+    ``length`` is the character count rounded up to an even number. Depths
+    count enclosing parenthesis pairs around each digit; ``mean_depth`` is
+    the mean over digits scaled by 4 and rounded. Every value is clamped
+    into its domain.
     """
-
-    length_even: int
-    num_ops: int
-    num_paren_pairs: int
-    mean_depth_bin: int
-    max_depth: int
-
-    def by_name(self) -> dict[str, int]:
-        """The features keyed by their :func:`salient_specs` names."""
-        return {
-            "length": self.length_even,
-            "num_ops": self.num_ops,
-            "num_parens": self.num_paren_pairs,
-            "mean_depth": self.mean_depth_bin,
-            "max_depth": self.max_depth,
-        }
-
-
-def calc_salients(text: str) -> CalcSalients:
-    """Salient features of expression text; malformed text is a parse error."""
     parse_expr(text)
-    values = _salients_of_text(text)
-    return CalcSalients(
-        length_even=values["length"],
-        num_ops=values["num_ops"],
-        num_paren_pairs=values["num_parens"],
-        mean_depth_bin=values["mean_depth"],
-        max_depth=values["max_depth"],
-    )
+    return _salients_of_text(text)
 
 
 def _salients_of_text(text: str) -> dict[str, int]:
-    """The :class:`CalcSalients` features keyed by spec name, without parsing.
+    """The :func:`calc_salients` features, without parsing.
 
     Shared with the salient-spec extractors and the CLI, which skip
     re-validating strings they just rendered. Depths need a scan only when

@@ -265,7 +265,7 @@ DOMAINS = {
             source=_calc_source,
             to_record=lambda record: record,
             salients=lambda record: calc._salients_of_text(record["expr"]),
-            read=lambda record: calc.calc_salients(record["expr"]).by_name(),
+            read=lambda record: calc.calc_salients(record["expr"]),
             salient_specs=calc.salient_specs,
         ),
         Domain(
@@ -275,8 +275,8 @@ DOMAINS = {
             add_arguments=_karel_arguments,
             source=_karel_source,
             to_record=lambda task: karel_gen.task_to_json(task),
-            salients=lambda task: karel_gen.salient_values(task),
-            read=lambda record: karel_gen.salient_values(karel_gen.task_from_json(record)),
+            salients=lambda task: karel_gen.task_salients(task),
+            read=lambda record: karel_gen.task_salients(karel_gen.task_from_json(record)),
             salient_specs=karel_gen.salient_specs,
         ),
     )

@@ -40,11 +40,6 @@ class Histogram:
             total += 1
         return cls(domain=tuple(counts), counts=counts, total=total)
 
-    def frequencies(self) -> dict[Any, float]:
-        if self.total == 0:
-            raise ValueError("empty histogram has no frequencies")
-        return {v: c / self.total for v, c in self.counts.items()}
-
 
 def kl_to_uniform(hist: Histogram) -> float:
     """KL divergence from the histogram's frequencies to uniform, in nats.

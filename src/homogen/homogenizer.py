@@ -180,8 +180,8 @@ class HomogenizerConfig:
     allow_cold_start: bool = False
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, not {self.epsilon}")
         if self.target_size < 1:
             raise ValueError("target_size must be >= 1")
         if self.warm_up < 0:

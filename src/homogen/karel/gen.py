@@ -254,8 +254,8 @@ def sample_program(
 ) -> KarelProgram:
     """Draw a program from the grammar walk, rejecting oversize draws.
 
-    Sequences in the result are right-nested, matching what the parser
-    builds, so emitted programs parse back to equal ASTs.
+    Sequences are built right-nested as they are drawn, matching what the
+    parser builds, so emitted programs parse back to equal ASTs.
     """
     for _ in range(_MAX_SAMPLE_ATTEMPTS):
         budget = [table.token_cap]  # loose node bound; exact token check below
@@ -263,7 +263,7 @@ def sample_program(
             body = _sample_stmt(rng, table, budget)
         except _Oversize:
             continue
-        program = KarelProgram(_right_nest(body))
+        program = KarelProgram(body)
         if len(emit_tokens(program)) <= table.token_cap:
             return program
     raise RuntimeError(
@@ -283,8 +283,7 @@ def _sample_stmt(rng: random.Random, table: ProductionTable, budget: list[int]) 
     edge += table.seq_p
     if roll < edge:
         first = _sample_stmt(rng, table, budget)
-        rest = _sample_stmt(rng, table, budget)
-        return Seq(first, rest)
+        return _chain(first, _sample_stmt(rng, table, budget))
     edge += table.if_p
     if roll < edge:
         return If(_sample_cond(rng, table), _sample_stmt(rng, table, budget))
@@ -300,38 +299,18 @@ def _sample_stmt(rng: random.Random, table: ProductionTable, budget: list[int]) 
     return Repeat(rng.randrange(MAX_REPEAT + 1), _sample_stmt(rng, table, budget))
 
 
+def _chain(first: Stmt, rest: Stmt) -> Stmt:
+    """``first``'s statements followed by ``rest``, right-nested like both."""
+    if isinstance(first, Seq):
+        return Seq(first.first, _chain(first.rest, rest))
+    return Seq(first, rest)
+
+
 def _sample_cond(rng: random.Random, table: ProductionTable) -> Pred | Not:
     pred = Pred(PREDICATES[rng.randrange(len(PREDICATES))])
     if rng.random() < table.negate_p:
         return Not(pred)
     return pred
-
-
-def _right_nest(stmt: Stmt) -> Stmt:
-    match stmt:
-        case Action():
-            return stmt
-        case Seq():
-            parts = _seq_parts(stmt)
-            node = parts[-1]
-            for part in reversed(parts[:-1]):
-                node = Seq(part, node)
-            return node
-        case If(cond=cond, body=body):
-            return If(cond, _right_nest(body))
-        case IfElse(cond=cond, then_body=then_body, else_body=else_body):
-            return IfElse(cond, _right_nest(then_body), _right_nest(else_body))
-        case While(cond=cond, body=body):
-            return While(cond, _right_nest(body))
-        case Repeat(times=times, body=body):
-            return Repeat(times, _right_nest(body))
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
-def _seq_parts(stmt: Stmt) -> list[Stmt]:
-    if isinstance(stmt, Seq):
-        return _seq_parts(stmt.first) + _seq_parts(stmt.rest)
-    return [_right_nest(stmt)]
 
 
 def sample_action_only(rng: random.Random, length: int) -> KarelProgram:
@@ -554,27 +533,6 @@ def _ratio_decile(ratio: float) -> int:
     return min(int(ratio * 10.0 + 1e-12), 9)
 
 
-def task_salients(task: SynthesisTask) -> dict[str, Any]:
-    """Program features, pair count, and decile-binned mean grid ratios.
-
-    The marker and wall ratios average over the shown inputs only, then fall
-    into deciles 0..9. Per-input grid features ride along under ``grids``.
-    """
-    program = program_salients(task.program)
-    shown = [grid_salients(grid) for grid, _ in task.pairs]
-    mean_marker = sum(g["marker_ratio"] for g in shown) / len(shown)
-    mean_wall = sum(g["wall_ratio"] for g in shown) / len(shown)
-    return {
-        "number_of_grids": len(task.pairs),
-        "size": program["size"],
-        "control_flow_count": program["control_flow_count"],
-        "nesting_depth": program["nesting_depth"],
-        "marker_ratio_decile": _ratio_decile(mean_marker),
-        "wall_ratio_decile": _ratio_decile(mean_wall),
-        "grids": shown,
-    }
-
-
 # Salient variable name -> domain; each is a contiguous run of ints.
 _SALIENT_DOMAINS = {
     "number_of_grids": (1, 2, 3, 4, 5),
@@ -586,9 +544,23 @@ _SALIENT_DOMAINS = {
 }
 
 
-def salient_values(task: SynthesisTask) -> dict[str, int]:
-    """Every salient variable of the task, clamped into its domain, in one pass."""
-    values = task_salients(task)
+def task_salients(task: SynthesisTask) -> dict[str, int]:
+    """Every salient variable of the task, clamped into its domain, in one pass.
+
+    The marker and wall ratios average over the shown inputs only, then fall
+    into deciles 0..9.
+    """
+    program = program_salients(task.program)
+    shown = [grid_salients(grid) for grid, _ in task.pairs]
+    n = len(shown)
+    values = {
+        "number_of_grids": n,
+        "size": program["size"],
+        "control_flow_count": program["control_flow_count"],
+        "nesting_depth": program["nesting_depth"],
+        "marker_ratio_decile": _ratio_decile(sum(g["marker_ratio"] for g in shown) / n),
+        "wall_ratio_decile": _ratio_decile(sum(g["wall_ratio"] for g in shown) / n),
+    }
     return {
         name: min(max(values[name], domain[0]), domain[-1])
         for name, domain in _SALIENT_DOMAINS.items()
@@ -598,7 +570,7 @@ def salient_values(task: SynthesisTask) -> dict[str, int]:
 def salient_specs() -> dict[str, SalientSpec]:
     """Named salient variables over synthesis tasks."""
     return {
-        name: SalientSpec(name, domain, lambda task, name=name: salient_values(task)[name])
+        name: SalientSpec(name, domain, lambda task, name=name: task_salients(task)[name])
         for name, domain in _SALIENT_DOMAINS.items()
     }
 

@@ -12,7 +12,10 @@ position on a grid with int sides -- is checked with set operations against
 the shape's cell set. Any input that fails one of those checks, or arrives
 in another form, goes through the per-cell checks instead, which normalise
 list cells to tuples and raise the error that names the offending cell. The
-set checks accept only grids the per-cell checks accept.
+set checks accept only grids the per-cell checks accept, except for cells
+such as ``(1.0, 1)`` or ``(True, 1)`` that equal an int cell: a set lookup
+cannot tell them apart, and checking every coordinate's type there would
+cost about a fifth of Karel task generation.
 """
 
 from __future__ import annotations
@@ -103,15 +106,20 @@ class KarelGrid:
             self, "markers", {tuple(c): n for c, n in dict(self.markers).items()}
         )
         object.__setattr__(self, "karel_pos", tuple(self.karel_pos))
-        if not (MIN_SIDE <= self.width <= MAX_SIDE and MIN_SIDE <= self.height <= MAX_SIDE):
-            raise ValueError(f"grid sides must be in {MIN_SIDE}..{MAX_SIDE}")
+        width, height = self.width, self.height
+        if not (type(width) is type(height) is int
+                and MIN_SIDE <= width <= MAX_SIDE and MIN_SIDE <= height <= MAX_SIDE):
+            raise ValueError(f"grid sides must be ints in {MIN_SIDE}..{MAX_SIDE}")
+        for i, j in (*self.walls, *self.markers, self.karel_pos):
+            if not (type(i) is type(j) is int):
+                raise ValueError(f"cell {(i, j)} must have int coordinates")
         for cell in self.walls:
             if not self.in_bounds(cell):
                 raise ValueError(f"wall {cell} is out of bounds")
         for cell, count in self.markers.items():
             if not self.in_bounds(cell):
                 raise ValueError(f"markers at {cell} are out of bounds")
-            if not (isinstance(count, int) and 1 <= count <= MAX_MARKERS):
+            if not (type(count) is int and 1 <= count <= MAX_MARKERS):
                 raise ValueError(f"marker count at {cell} must be in 1..{MAX_MARKERS}")
             if cell in self.walls:
                 raise ValueError(f"cell {cell} holds both a wall and markers")

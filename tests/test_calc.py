@@ -8,7 +8,6 @@ from homogen.calc import (
     Bal,
     BinOp,
     CalcParseError,
-    CalcSalients,
     Dcfg,
     Digit,
     Rcfg,
@@ -233,21 +232,19 @@ def test_salients_worked_example():
     s = calc_salients("(1+2)*(3-4)+5")
     # 13 chars -> 14; digit depths 1,1,1,1,0 -> mean 0.8 -> bin 3; the
     # operator characters are +, *, -, + -> 4.
-    assert s == CalcSalients(
-        length_even=14, num_ops=4, num_paren_pairs=2, mean_depth_bin=3, max_depth=1
-    )
+    assert s == {"length": 14, "num_ops": 4, "num_parens": 2, "mean_depth": 3, "max_depth": 1}
 
 
 def test_salients_flat_expression():
-    assert calc_salients("1+2*3") == CalcSalients(
-        length_even=6, num_ops=2, num_paren_pairs=0, mean_depth_bin=0, max_depth=0
-    )
+    assert calc_salients("1+2*3") == {
+        "length": 6, "num_ops": 2, "num_parens": 0, "mean_depth": 0, "max_depth": 0
+    }
 
 
 def test_salients_single_digit():
-    assert calc_salients("7") == CalcSalients(
-        length_even=2, num_ops=0, num_paren_pairs=0, mean_depth_bin=0, max_depth=0
-    )
+    assert calc_salients("7") == {
+        "length": 2, "num_ops": 0, "num_parens": 0, "mean_depth": 0, "max_depth": 0
+    }
 
 
 def test_salients_reject_malformed_text():
@@ -260,10 +257,10 @@ def test_salients_clamp_to_domains():
     rng = random.Random(7)
     expr = sample_expr(rng, Bal(depths=(10,)))
     s = calc_salients(render(expr))
-    assert s.length_even == 120
-    assert s.num_ops == 60
-    assert s.num_paren_pairs == 30
-    assert s.max_depth <= 15
+    assert s["length"] == 120
+    assert s["num_ops"] == 60
+    assert s["num_parens"] == 30
+    assert s["max_depth"] <= 15
 
 
 def test_salients_depend_only_on_the_rendered_text():
@@ -288,11 +285,9 @@ def test_salient_spec_extractors_match_calc_salients():
     for expr in fuzz_exprs(300, seed=108):
         text = render(expr)
         s = calc_salients(text)
-        assert specs["length"].extract(text) == s.length_even
-        assert specs["num_ops"].extract(text) == s.num_ops
-        assert specs["num_parens"].extract(text) == s.num_paren_pairs
-        assert specs["mean_depth"].extract(text) == s.mean_depth_bin
-        assert specs["max_depth"].extract(text) == s.max_depth
+        assert s.keys() == specs.keys()
+        for name, spec in specs.items():
+            assert spec.extract(text) == s[name], name
 
 
 # ---------------------------------------------------------------------------

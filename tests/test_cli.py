@@ -143,6 +143,12 @@ def test_generate_missing_narrow_rates_is_usage_error(tmp_path, monkeypatch, cap
         ["generate", "calc", "--dist", "dcfg", "--p", "0.499", "--seed", "10"], "--p 0.499",
         id="dcfg-too-deep",
     ),
+    pytest.param(
+        ["homogenize", "calc", "--var", "length", "--eps", "nan"], "epsilon", id="eps-nan"
+    ),
+    pytest.param(
+        ["homogenize", "calc", "--var", "length", "--eps", "inf"], "epsilon", id="eps-inf"
+    ),
 ])
 def test_negative_step_limit_is_usage_error_and_writes_nothing(
     argv, fragment, tmp_path, monkeypatch, capsys
@@ -520,11 +526,20 @@ def test_stats_accepts_deeply_nested_calc_record(tmp_path, monkeypatch, capsys):
     assert variables["length"]["histogram"] == {"120": 1}
 
 
+def _with_input_grid(record, **changes):
+    grid = {"w": 4, "h": 4, "walls": [], "markers": [], "karel": {"pos": [1, 1], "dir": "E"}}
+    record["pairs"][0]["in"] = grid | changes
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda r: r.update(program="def run(): move()"),
     lambda r: r.update(pairs=[]),
     lambda r: r["held_out"].pop("in"),
-], ids=["bad-program", "no-pairs", "no-held-out-input"])
+    lambda r: _with_input_grid(r, w=2.5),
+    lambda r: _with_input_grid(r, markers=[[0, 0, True]]),
+    lambda r: _with_input_grid(r, karel={"pos": [0.0, 1.5], "dir": "E"}),
+], ids=["bad-program", "no-pairs", "no-held-out-input", "float-side", "pile-of-true",
+        "float-position"])
 def test_stats_malformed_karel_record_reports_line_number(
     corrupt, tmp_path, monkeypatch, capsys
 ):

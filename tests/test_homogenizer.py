@@ -188,6 +188,12 @@ def test_config_rejects_bad_parameters():
         HomogenizerConfig(epsilon=0.1, target_size=10, max_draws=0)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_epsilon(epsilon):
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        HomogenizerConfig(epsilon=epsilon, target_size=10)
+
+
 def test_config_epsilon_zero_needs_opt_in():
     with pytest.raises(ValueError):
         HomogenizerConfig(epsilon=0.0, target_size=10)

@@ -19,6 +19,7 @@ from homogen.karel import (
     Repeat,
     Seq,
     NARROW_SWEEP_PARAMS,
+    SynthesisTask,
     UncoverableProgramError,
     While,
     augment_action_only,
@@ -26,6 +27,7 @@ from homogen.karel import (
     emit_tokens,
     enumerate_action_only,
     execute,
+    grid_salients,
     has_nested,
     make_task,
     parse_program,
@@ -40,7 +42,8 @@ from homogen.karel import (
     task_source,
     task_to_json,
 )
-from homogen.karel.gen import salient_specs
+from homogen.karel.gen import _sample_cond, salient_specs
+from homogen.karel.lang import MAX_REPEAT, IfElse
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +276,91 @@ def test_repeat_counts_stay_in_range():
     assert min(seen) >= 0 and max(seen) <= 19
 
 
+class _ReferenceOversize(Exception):
+    pass
+
+
+def reference_sample_program(rng, table):
+    """The sampler that draws sequences nested any which way, then rebuilds
+    every program right-nested; the one in use nests them as it draws."""
+    for _ in range(10_000):
+        budget = [table.token_cap]
+        try:
+            body = _reference_stmt(rng, table, budget)
+        except _ReferenceOversize:
+            continue
+        program = KarelProgram(_reference_right_nest(body))
+        if len(emit_tokens(program)) <= table.token_cap:
+            return program
+    raise RuntimeError("no program under the token cap")
+
+
+def _reference_stmt(rng, table, budget):
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise _ReferenceOversize
+    roll = rng.random()
+    edge = table.action_p
+    if roll < edge:
+        return Action(ACTIONS[rng.randrange(len(ACTIONS))])
+    edge += table.seq_p
+    if roll < edge:
+        first = _reference_stmt(rng, table, budget)
+        rest = _reference_stmt(rng, table, budget)
+        return Seq(first, rest)
+    edge += table.if_p
+    if roll < edge:
+        return If(_sample_cond(rng, table), _reference_stmt(rng, table, budget))
+    edge += table.if_else_p
+    if roll < edge:
+        cond = _sample_cond(rng, table)
+        then_body = _reference_stmt(rng, table, budget)
+        else_body = _reference_stmt(rng, table, budget)
+        return IfElse(cond, then_body, else_body)
+    edge += table.while_p
+    if roll < edge:
+        return While(_sample_cond(rng, table), _reference_stmt(rng, table, budget))
+    return Repeat(rng.randrange(MAX_REPEAT + 1), _reference_stmt(rng, table, budget))
+
+
+def _reference_right_nest(stmt):
+    match stmt:
+        case Action():
+            return stmt
+        case Seq():
+            parts = _reference_seq_parts(stmt)
+            node = parts[-1]
+            for part in reversed(parts[:-1]):
+                node = Seq(part, node)
+            return node
+        case If(cond=cond, body=body):
+            return If(cond, _reference_right_nest(body))
+        case IfElse(cond=cond, then_body=then_body, else_body=else_body):
+            return IfElse(cond, _reference_right_nest(then_body), _reference_right_nest(else_body))
+        case While(cond=cond, body=body):
+            return While(cond, _reference_right_nest(body))
+        case Repeat(times=times, body=body):
+            return Repeat(times, _reference_right_nest(body))
+    raise TypeError(f"not a statement: {stmt!r}")
+
+
+def _reference_seq_parts(stmt):
+    if isinstance(stmt, Seq):
+        return _reference_seq_parts(stmt.first) + _reference_seq_parts(stmt.rest)
+    return [_reference_right_nest(stmt)]
+
+
+@pytest.mark.parametrize(
+    "table", [ProductionTable(), ProductionTable(token_cap=200)], ids=["default", "cap200"]
+)
+def test_sample_program_matches_reference_draw_for_draw(table):
+    for seed in range(300):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            assert sample_program(fast, table) == reference_sample_program(slow, table)
+        assert fast.getstate() == slow.getstate()
+
+
 # ---------------------------------------------------------------------------
 # action-only programs
 
@@ -422,16 +510,27 @@ def test_task_salients_fields():
     program = parse_program("def main(): while(markersPresent()): pickMarker()")
     task = make_task(program, sample_uniform_grid, random.Random(70), n_pairs=4)
     s = task_salients(task)
+    assert s.keys() == salient_specs().keys()
     assert s["number_of_grids"] == 4
     assert s["size"] == len(emit_tokens(program))
     assert s["control_flow_count"] == 1
     assert s["nesting_depth"] == 1
     assert 0 <= s["marker_ratio_decile"] <= 9
     assert 0 <= s["wall_ratio_decile"] <= 9
-    assert len(s["grids"]) == 4
     # The deciles bin the mean ratio over shown inputs.
-    mean_marker = sum(g["marker_ratio"] for g in s["grids"]) / 4
+    shown = [grid_salients(grid) for grid, _ in task.pairs]
+    assert len(shown) == 4
+    mean_marker = sum(g["marker_ratio"] for g in shown) / 4
     assert s["marker_ratio_decile"] == min(int(mean_marker * 10 + 1e-12), 9)
+
+
+def test_task_salients_clamp_into_their_domains():
+    program = parse_program("def main(): " + " ; ".join(["move()"] * 60))
+    assert len(emit_tokens(program)) == 244
+    grid = KarelGrid(width=4, height=4)
+    task = SynthesisTask(program=program, pairs=((grid, grid),), held_out=(grid, grid))
+    assert task_salients(task)["size"] == 160
+    assert salient_specs()["size"].extract(task) == 160
 
 
 def test_task_json_round_trip():

@@ -44,10 +44,26 @@ def test_grid_validation():
             dict(walls=frozenset({(1, 1)}), markers={(1, 1): 3}),
             "cell (1, 1) holds both a wall and markers",
         ),
+        # Sides, coordinates and pile sizes are exact ints.
+        (dict(width=2.5), "grid sides must be ints in 2..16"),
+        (dict(markers={(0, 0): True}), "marker count at (0, 0) must be in 1..9"),
+        (dict(karel_pos=(0.0, 1.5)), "cell (0.0, 1.5) must have int coordinates"),
+        # A wall list takes the per-cell path; a frozenset holding (1.0, 1)
+        # passes the set checks (the exception in the world module's docstring).
+        (dict(walls=[(1.0, 1)]), "cell (1.0, 1) must have int coordinates"),
+        (dict(markers={(1, 2.5): 1}), "cell (1, 2.5) must have int coordinates"),
     ]
     for fields, message in rejected:
         with pytest.raises(ValueError, match=re.escape(message)):
-            KarelGrid(width=4, height=4, **fields)
+            KarelGrid(**(dict(width=4, height=4) | fields))
+    for obj in (
+        {"w": 2.5, "h": 4, "walls": [], "markers": [], "karel": {"pos": [0, 0], "dir": "E"}},
+        {"w": 4, "h": 4, "walls": [], "markers": [[0, 0, True]],
+         "karel": {"pos": [1, 1], "dir": "E"}},
+        {"w": 4, "h": 4, "walls": [], "markers": [], "karel": {"pos": [0.0, 1.5], "dir": "E"}},
+    ):
+        with pytest.raises(ValueError):
+            grid_from_json(obj)
 
     # List cells normalise to tuple cells.
     grid = KarelGrid(
