@@ -8,6 +8,13 @@ labels always land in 0..9. ``render`` emits the minimal parenthesisation:
 a child is wrapped only when its operator binds looser than its parent's,
 or, for the right child, equally loose (which preserves the tree through a
 re-parse). ``parse_expr(render(e)) == e`` holds for every expression.
+
+Rendering, evaluation, parsing and salient measurement all walk with
+explicit stacks, so they follow any nesting depth. ``expr_record`` builds a
+dataset row's text and label in one walk, and ``expr_salients`` measures the
+salients of the text a tree renders to without rendering it, so a caller
+that rejects most draws renders only the ones it keeps. The samplers stop at
+``MAX_NESTING`` levels with a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -52,47 +59,65 @@ _DIGITS = tuple(Digit(v) for v in range(10))
 
 def eval_mod10(expr: CalcExpr) -> int:
     """Value of the expression with every intermediate reduced mod 10."""
-    match expr:
-        case Digit(value=v):
-            return v
-        case BinOp(op="+", left=l, right=r):
-            return (eval_mod10(l) + eval_mod10(r)) % 10
-        case BinOp(op="-", left=l, right=r):
-            return (eval_mod10(l) - eval_mod10(r)) % 10
-        case BinOp(op="*", left=l, right=r):
-            return (eval_mod10(l) * eval_mod10(r)) % 10
-    raise TypeError(f"not a calculator expression: {expr!r}")
+    return expr_record(expr)["label"]
 
 
 def render(expr: CalcExpr) -> str:
     """Minimal-parenthesis text for the expression."""
+    return expr_record(expr)["expr"]
+
+
+# Operator codes for the record walk's apply markers.
+_APPLY = {"+": 0, "-": 1, "*": 2}
+
+
+def expr_record(expr: CalcExpr) -> dict:
+    """One dataset row for the expression: its minimal-parenthesis text and
+    its mod-10 label, built together in one walk.
+
+    The walk keeps an explicit stack of subtrees still to visit, the text
+    between them and a marker after each operator node, so nesting depth is
+    bounded by memory, not by Python's recursion limit. A left child is
+    wrapped when it binds looser than its parent, a right child when it
+    binds looser or equally loose.
+    """
+    if type(expr) is Digit:
+        return {"expr": str(expr.value), "label": expr.value}
     parts: list[str] = []
-    _render(expr, parts)
-    return "".join(parts)
-
-
-def _render(expr: CalcExpr, out: list[str]) -> None:
-    if isinstance(expr, Digit):
-        out.append(str(expr.value))
-        return
-    prec = _PRECEDENCE[expr.op]
-    _render_child(expr.left, out, needs_parens=_child_prec(expr.left) < prec)
-    out.append(expr.op)
-    _render_child(expr.right, out, needs_parens=_child_prec(expr.right) <= prec)
-
-
-def _child_prec(expr: CalcExpr) -> int:
-    # Digits never need wrapping; treat them as binding tightest.
-    return _PRECEDENCE[expr.op] if isinstance(expr, BinOp) else 3
-
-
-def _render_child(expr: CalcExpr, out: list[str], needs_parens: bool) -> None:
-    if needs_parens:
-        out.append("(")
-        _render(expr, out)
-        out.append(")")
-    else:
-        _render(expr, out)
+    values: list[int] = []
+    todo: list = [expr]
+    while todo:
+        item = todo.pop()
+        kind = type(item)
+        if kind is Digit:
+            parts.append(str(item.value))
+            values.append(item.value)
+        elif kind is BinOp:
+            op = item.op
+            prec = _PRECEDENCE[op]
+            left, right = item.left, item.right
+            todo.append(_APPLY[op])
+            if type(right) is BinOp and _PRECEDENCE[right.op] <= prec:
+                todo += (")", right, op + "(")
+            else:
+                todo += (right, op)
+            if type(left) is BinOp and _PRECEDENCE[left.op] < prec:
+                todo += (")", left, "(")
+            else:
+                todo.append(left)
+        elif kind is str:
+            parts.append(item)
+        elif kind is int:
+            right_value = values.pop()
+            if item == 0:
+                values[-1] = (values[-1] + right_value) % 10
+            elif item == 1:
+                values[-1] = (values[-1] - right_value) % 10
+            else:
+                values[-1] = (values[-1] * right_value) % 10
+        else:
+            raise TypeError(f"not a calculator expression: {item!r}")
+    return {"expr": "".join(parts), "label": values[0]}
 
 
 class CalcParseError(ValueError):
@@ -157,6 +182,12 @@ def parse_expr(text: str) -> CalcExpr:
 # ---------------------------------------------------------------------------
 # Samplers. Each documents its RNG call order so runs are reproducible.
 
+# Deepest nesting a sampled tree may reach. ``Dcfg`` and ``Rcfg`` raise
+# ``ValueError`` on a draw that would nest deeper; ``T2t`` and ``Bal``
+# reject depths above it when built.
+MAX_NESTING = 500
+_TOO_DEEP = f"a sampled expression nested deeper than {MAX_NESTING} levels"
+
 
 @dataclass(frozen=True)
 class Dcfg:
@@ -164,7 +195,7 @@ class Dcfg:
     two recursive children. RNG order per node: the branch coin, then either
     the digit value or (operator, left subtree, right subtree). Values of p
     at 0.5 or above make the expected size infinite; the default stays well
-    below that.
+    below that, and near 0.5 a draw may pass :data:`MAX_NESTING`.
     """
 
     p: float = 0.3
@@ -187,10 +218,10 @@ class T2t:
     depth: int | None = None
 
     def __post_init__(self) -> None:
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.depth is not None and self.depth < 0:
-            raise ValueError("depth must be >= 0 when pinned")
+        if not 1 <= self.max_depth <= MAX_NESTING:
+            raise ValueError(f"max_depth must be in 1..{MAX_NESTING}")
+        if self.depth is not None and not 0 <= self.depth <= MAX_NESTING:
+            raise ValueError(f"depth must be in 0..{MAX_NESTING} when pinned")
 
 
 @dataclass(frozen=True)
@@ -199,7 +230,9 @@ class Rcfg:
     operator; ``+`` and ``*`` expand to a run of k children (k drawn from
     ``run_lengths``) combined left-associatively, ``-`` stays binary. RNG
     order per node: the branch coin, then either the digit value or
-    (operator, run length when applicable, children left to right).
+    (operator, run length when applicable, children left to right). Toward
+    :data:`MAX_NESTING`, every child of a run counts one level below its
+    operator, however deep the run's left-associative chain makes it.
     """
 
     p: float = 0.3
@@ -222,8 +255,8 @@ class Bal:
     depths: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
 
     def __post_init__(self) -> None:
-        if not self.depths or any(d < 0 for d in self.depths):
-            raise ValueError("depths must be non-negative")
+        if not self.depths or any(not 0 <= d <= MAX_NESTING for d in self.depths):
+            raise ValueError(f"depths must be in 0..{MAX_NESTING}")
 
 
 CalcSampler = Dcfg | T2t | Rcfg | Bal
@@ -240,23 +273,26 @@ def sample_expr(rng: random.Random, sampler: CalcSampler) -> CalcExpr:
     coin, bits = rng.random, rng.getrandbits
     match sampler:
         case Dcfg(p=p):
-            return _sample_dcfg(coin, bits, p)
+            return _sample_dcfg(coin, bits, p, MAX_NESTING)
         case T2t(max_depth=max_depth, depth=depth):
             d = depth if depth is not None else 1 + randbelow(bits, max_depth)
             return _sample_t2t(coin, bits, d)
         case Rcfg(p=p, run_lengths=runs):
-            return _sample_rcfg(coin, bits, p, runs)
+            return _sample_rcfg(coin, bits, p, runs, MAX_NESTING)
         case Bal(depths=depths):
             return _sample_bal(bits, depths[randbelow(bits, len(depths))])
     raise TypeError(f"unknown sampler: {sampler!r}")
 
 
-def _sample_dcfg(coin: Coin, bits: Bits, p: float) -> CalcExpr:
+# ``room`` counts the levels a draw may still nest below the current node.
+def _sample_dcfg(coin: Coin, bits: Bits, p: float, room: int) -> CalcExpr:
     if coin() >= p:
         return _DIGITS[randbelow(bits, 10)]
+    if not room:
+        raise ValueError(_TOO_DEEP)
     op = OPS[randbelow(bits, 3)]
-    left = _sample_dcfg(coin, bits, p)
-    right = _sample_dcfg(coin, bits, p)
+    left = _sample_dcfg(coin, bits, p, room - 1)
+    right = _sample_dcfg(coin, bits, p, room - 1)
     return BinOp(op, left, right)
 
 
@@ -271,16 +307,22 @@ def _sample_t2t(coin: Coin, bits: Bits, depth: int) -> CalcExpr:
     return BinOp(op, _sample_t2t(coin, bits, other_depth), _sample_t2t(coin, bits, depth - 1))
 
 
-def _sample_rcfg(coin: Coin, bits: Bits, p: float, runs: tuple[int, ...]) -> CalcExpr:
+def _sample_rcfg(
+    coin: Coin, bits: Bits, p: float, runs: tuple[int, ...], room: int
+) -> CalcExpr:
     if coin() >= p:
         return _DIGITS[randbelow(bits, 10)]
+    if not room:
+        raise ValueError(_TOO_DEEP)
+    room -= 1
     op = OPS[randbelow(bits, 3)]
     if op == "-":
-        return BinOp("-", _sample_rcfg(coin, bits, p, runs), _sample_rcfg(coin, bits, p, runs))
+        left = _sample_rcfg(coin, bits, p, runs, room)
+        return BinOp("-", left, _sample_rcfg(coin, bits, p, runs, room))
     k = runs[randbelow(bits, len(runs))]
-    node = _sample_rcfg(coin, bits, p, runs)
+    node = _sample_rcfg(coin, bits, p, runs, room)
     for _ in range(k - 1):
-        node = BinOp(op, node, _sample_rcfg(coin, bits, p, runs))
+        node = BinOp(op, node, _sample_rcfg(coin, bits, p, runs, room))
     return node
 
 
@@ -295,12 +337,11 @@ def _sample_bal(bits: Bits, depth: int) -> CalcExpr:
 
 def sample_record(rng: random.Random, sampler: CalcSampler) -> dict:
     """One dataset row: rendered expression plus its mod-10 label."""
-    expr = sample_expr(rng, sampler)
-    return {"expr": render(expr), "label": eval_mod10(expr)}
+    return expr_record(sample_expr(rng, sampler))
 
 
 # ---------------------------------------------------------------------------
-# Salient features of the rendered text.
+# Salient features of the rendered text, measured on text or on the tree.
 
 _SALIENT_DOMAINS = {
     "length": tuple(range(2, 121, 2)),
@@ -327,16 +368,15 @@ def calc_salients(text: str) -> dict[str, int]:
 def _salients_of_text(text: str) -> dict[str, int]:
     """The :func:`calc_salients` features, without parsing.
 
-    Shared with the salient-spec extractors and the CLI, which skip
-    re-validating strings they just rendered. Depths need a scan only when
-    the text has an opening parenthesis; without one no digit sits deeper
-    than 0.
+    Shared with the salient-spec extractors and ``stats``, which read text
+    that may carry redundant parentheses no tree keeps. Depths need a scan
+    only when the text has an opening parenthesis; without one no digit sits
+    deeper than 0.
     """
-    length = len(text)
     parens = text.count("(")
-    mean_depth_bin = max_depth = 0
+    depth_sum = digits = max_depth = 0
     if parens:
-        depth = depth_sum = digits = 0
+        depth = 0
         for ch in text:
             if ch == "(":
                 depth += 1
@@ -347,15 +387,62 @@ def _salients_of_text(text: str) -> dict[str, int]:
                 depth_sum += depth
                 if depth > max_depth:
                     max_depth = depth
-        if digits:
-            mean_depth_bin = min(max(round(4.0 * (depth_sum / digits)), 0), 40)
+    ops = text.count("+") + text.count("-") + text.count("*")
+    return _clamped(len(text), ops, parens, depth_sum, digits, max_depth)
+
+
+def _clamped(
+    length: int, ops: int, parens: int, depth_sum: int, digits: int, max_depth: int
+) -> dict[str, int]:
+    # The salients keyed by spec name, each clamped into its domain.
     return {
         "length": min(max(length + length % 2, 2), 120),
-        "num_ops": min(text.count("+") + text.count("-") + text.count("*"), 60),
+        "num_ops": min(ops, 60),
         "num_parens": min(parens, 30),
-        "mean_depth": mean_depth_bin,
+        "mean_depth": min(max(round(4.0 * (depth_sum / digits)), 0), 40) if depth_sum else 0,
         "max_depth": min(max_depth, 15),
     }
+
+
+# The salients of every bare digit; shared, so callers must not modify it.
+_DIGIT_SALIENTS = _clamped(1, 0, 0, 0, 1, 0)
+
+
+def expr_salients(expr: CalcExpr) -> dict[str, int]:
+    """``_salients_of_text(render(expr))``, measured on the tree.
+
+    A walk with an explicit stack applies :func:`expr_record`'s parenthesis
+    rule: each wrapped node adds a pair of parentheses around every digit
+    below it, and the text has one character per digit and operator plus two
+    per pair. A bare digit returns one shared dict, which callers must treat
+    as read-only.
+    """
+    if type(expr) is Digit:
+        return _DIGIT_SALIENTS
+    ops = parens = depth_sum = max_depth = 0
+    # Operator nodes still to visit, each with its count of wrapped nodes
+    # from the root down to and including itself.
+    todo = [(expr, 0)]
+    while todo:
+        node, depth = todo.pop()
+        ops += 1
+        if depth > max_depth:
+            max_depth = depth
+        prec = _PRECEDENCE[node.op]
+        left, right = node.left, node.right
+        if type(left) is BinOp:
+            wrapped = _PRECEDENCE[left.op] < prec
+            parens += wrapped
+            todo.append((left, depth + wrapped))
+        else:
+            depth_sum += depth
+        if type(right) is BinOp:
+            wrapped = _PRECEDENCE[right.op] <= prec
+            parens += wrapped
+            todo.append((right, depth + wrapped))
+        else:
+            depth_sum += depth
+    return _clamped(2 * (ops + parens) + 1, ops, parens, depth_sum, ops + 1, max_depth)
 
 
 def salient_specs() -> dict[str, SalientSpec]:

@@ -6,8 +6,9 @@ out over one salient variable, with a before/after report), ``stats``
 ``karel-run`` (execute one program on one grid).
 
 Both domains, calc and karel, are :class:`Domain` entries of one table,
-``DOMAINS``, and the subcommands never branch on the domain. Karel tasks are
-sampled, homogenized and measured as tasks, and serialized once, when written.
+``DOMAINS``, and the subcommands never branch on the domain. Calc expressions
+and Karel tasks are sampled, homogenized and measured as trees and tasks, and
+serialized once, when written.
 
 Datasets are JSON Lines with LF newlines and a fixed key order, so a given
 command line and seed reproduce files byte for byte. Every written dataset
@@ -188,16 +189,14 @@ def _calc_arguments(parser: argparse.ArgumentParser) -> None:
 def _calc_source(args: argparse.Namespace) -> tuple[Source, dict[str, Any]]:
     sampler = _CALC_SAMPLERS[args.dist](args)
     params = {"domain": "calc", "dist": args.dist, "sampler": repr(sampler)}
-    flag = f"--max-depth {args.max_depth}" if args.dist == "t2t" else f"--p {args.p}"
 
-    def draw(rng: random.Random) -> dict[str, Any]:
+    # Only dcfg and rcfg can pass the nesting cap while drawing; t2t and bal
+    # depths above it are rejected when the sampler is built.
+    def draw(rng: random.Random) -> calc.CalcExpr:
         try:
-            return calc.sample_record(rng, sampler)
-        except RecursionError:
-            raise UsageError(
-                f"{flag}: a sampled expression nested deeper than the calc sampler "
-                "can follow; choose a smaller value"
-            ) from None
+            return calc.sample_expr(rng, sampler)
+        except ValueError as exc:
+            raise UsageError(f"--p {sampler.p}: {exc}; choose a smaller value") from None
 
     return draw, params
 
@@ -263,8 +262,8 @@ DOMAINS = {
             key="expr",
             add_arguments=_calc_arguments,
             source=_calc_source,
-            to_record=lambda record: record,
-            salients=lambda record: calc._salients_of_text(record["expr"]),
+            to_record=lambda expr: calc.expr_record(expr),
+            salients=lambda expr: calc.expr_salients(expr),
             read=lambda record: calc.calc_salients(record["expr"]),
             salient_specs=calc.salient_specs,
         ),

@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homogen.calc import (
     _SALIENT_DOMAINS as DOMAINS,
+    MAX_NESTING,
     OPS,
     Bal,
     BinOp,
@@ -15,6 +18,8 @@ from homogen.calc import (
     _salients_of_text,
     calc_salients,
     eval_mod10,
+    expr_record,
+    expr_salients,
     parse_expr,
     render,
     salient_specs,
@@ -215,6 +220,56 @@ def test_sample_record_labels_match_expr():
         rec = sample_record(rng, Dcfg())
         assert rec["label"] == eval_mod10(parse_expr(rec["expr"]))
         assert 0 <= rec["label"] <= 9
+
+
+class _ScriptedRng:
+    """Branches on the first ``branches`` coins, then draws digits only;
+    every other draw is 0, so operators are ``+`` and runs are 2 long."""
+
+    def __init__(self, branches):
+        self.branches = branches
+
+    def random(self):
+        self.branches -= 1
+        return 0.0 if self.branches >= 0 else 0.99
+
+    def getrandbits(self, k):
+        return 0
+
+
+def left_chain_depth(expr):
+    depth = 0
+    while isinstance(expr, BinOp):
+        expr = expr.left
+        depth += 1
+    return depth
+
+
+@pytest.mark.parametrize("sampler", [Dcfg(p=0.5), Rcfg(p=0.5)], ids=repr)
+def test_grammar_walks_stop_at_the_nesting_cap(sampler):
+    # The first MAX_NESTING coins nest operators down the left spine.
+    assert left_chain_depth(sample_expr(_ScriptedRng(MAX_NESTING), sampler)) == MAX_NESTING
+    with pytest.raises(ValueError, match=f"nested deeper than {MAX_NESTING} levels"):
+        sample_expr(_ScriptedRng(MAX_NESTING + 1), sampler)
+
+
+def test_near_critical_dcfg_raises_value_error():
+    rng = random.Random(10)
+    sample_expr(rng, Dcfg(p=0.499))
+    # The second tree would nest 1,310 levels deep.
+    with pytest.raises(ValueError, match="nested deeper"):
+        sample_expr(rng, Dcfg(p=0.499))
+
+
+def test_fixed_depth_samplers_reject_depths_past_the_cap():
+    with pytest.raises(ValueError, match="max_depth"):
+        T2t(max_depth=MAX_NESTING + 1)
+    with pytest.raises(ValueError, match="depth"):
+        T2t(depth=MAX_NESTING + 1)
+    with pytest.raises(ValueError, match="depths"):
+        Bal(depths=(2, MAX_NESTING + 1))
+    T2t(max_depth=MAX_NESTING)
+    Bal(depths=(MAX_NESTING,))
 
 
 def test_samplers_are_deterministic_given_seed():
@@ -482,6 +537,133 @@ def test_parser_matches_the_recursive_reference():
         outcomes.add(new[1].split(" at ")[0] if isinstance(new, tuple) else "ok")
     assert {"ok", "unexpected end of input", "expected ')'"} <= outcomes
     assert any(o.startswith("unexpected character") for o in outcomes)
+
+
+# ---------------------------------------------------------------------------
+# references: the recursive render and evaluation the record walk replaced
+
+_REFERENCE_PRECEDENCE = {"+": 1, "-": 1, "*": 2}
+
+
+def _reference_eval(expr):
+    match expr:
+        case Digit(value=v):
+            return v
+        case BinOp(op="+", left=l, right=r):
+            return (_reference_eval(l) + _reference_eval(r)) % 10
+        case BinOp(op="-", left=l, right=r):
+            return (_reference_eval(l) - _reference_eval(r)) % 10
+        case BinOp(op="*", left=l, right=r):
+            return (_reference_eval(l) * _reference_eval(r)) % 10
+    raise TypeError(f"not a calculator expression: {expr!r}")
+
+
+def _reference_render(expr):
+    parts = []
+    _reference_render_into(expr, parts)
+    return "".join(parts)
+
+
+def _reference_render_into(expr, out):
+    if isinstance(expr, Digit):
+        out.append(str(expr.value))
+        return
+    prec = _REFERENCE_PRECEDENCE[expr.op]
+    _reference_render_child(expr.left, out, needs_parens=_reference_child_prec(expr.left) < prec)
+    out.append(expr.op)
+    _reference_render_child(
+        expr.right, out, needs_parens=_reference_child_prec(expr.right) <= prec
+    )
+
+
+def _reference_child_prec(expr):
+    return _REFERENCE_PRECEDENCE[expr.op] if isinstance(expr, BinOp) else 3
+
+
+def _reference_render_child(expr, out, needs_parens):
+    if needs_parens:
+        out.append("(")
+        _reference_render_into(expr, out)
+        out.append(")")
+    else:
+        _reference_render_into(expr, out)
+
+
+def check_against_the_recursive_reference(expr):
+    text, label = _reference_render(expr), _reference_eval(expr)
+    assert expr_record(expr) == {"expr": text, "label": label}
+    assert render(expr) == text
+    assert eval_mod10(expr) == label
+    assert expr_salients(expr) == _salients_of_text(text), text
+
+
+def _hand_built_trees():
+    """Every operator over every child pairing (digit or each operator, on
+    either side), alone and as either child of each operator."""
+    digits = iter(range(10**6))
+
+    def digit():
+        return Digit(next(digits) % 10)
+
+    def child(kind):
+        return digit() if kind is None else BinOp(kind, digit(), digit())
+
+    kinds = (None, *OPS)
+    pairs = [BinOp(op, child(l), child(r)) for op in OPS for l in kinds for r in kinds]
+    trees = [digit(), *pairs]
+    for op in OPS:
+        for tree in pairs:
+            trees += [BinOp(op, tree, digit()), BinOp(op, digit(), tree)]
+    return trees
+
+
+def test_record_walk_matches_the_reference_on_every_precedence_pairing():
+    trees = _hand_built_trees()
+    assert len(trees) == 1 + 48 + 288
+    for expr in trees:
+        check_against_the_recursive_reference(expr)
+    # A looser left child is wrapped, an equally loose right child too.
+    product = BinOp("*", Digit(3), Digit(4))
+    assert render(BinOp("*", BinOp("-", Digit(1), Digit(2)), product)) == "(1-2)*(3*4)"
+    assert render(BinOp("*", product, BinOp("-", Digit(1), Digit(2)))) == "3*4*(1-2)"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    sampler=st.sampled_from(REFERENCE_SAMPLERS),
+)
+def test_record_walk_and_tree_salients_match_the_recursive_reference(seed, sampler):
+    rng = random.Random(seed)
+    for _ in range(40):
+        check_against_the_recursive_reference(sample_expr(rng, sampler))
+
+
+def exact_op(op, left, right):
+    return left + right if op == "+" else left - right if op == "-" else left * right
+
+
+def test_render_and_eval_follow_nesting_past_the_recursion_limit():
+    text = "1+(" * 600 + "1+1" + ")" * 600
+    assert render(parse_expr(text)) == text
+    # The innermost pair around a lone digit is redundant and not kept.
+    assert render(parse_expr("1+(" * 600 + "1" + ")" * 600)) == "1+(" * 599 + "1+1" + ")" * 599
+
+    # A 5,000-level chain that alternates sides and cycles the operators,
+    # built together with its exact value.
+    expr, value = Digit(7), 7
+    for i in range(5000):
+        op, d = OPS[i % 3], i % 10
+        if i % 2:
+            expr, value = BinOp(op, Digit(d), expr), exact_op(op, d, value)
+        else:
+            expr, value = BinOp(op, expr, Digit(d)), exact_op(op, value, d)
+    assert eval_mod10(expr) == value % 10
+    rendered = render(expr)
+    # Tree equality recurses, so the round trip compares texts.
+    assert render(parse_expr(rendered)) == rendered
+    assert expr_salients(expr) == _salients_of_text(rendered)
+    assert expr_salients(expr)["max_depth"] == max(DOMAINS["max_depth"])
 
 
 def test_parser_follows_nesting_past_the_recursion_limit():

@@ -5,14 +5,21 @@ checks the installed console script. All runs chdir into a tmp dir so the
 recorded command lines (and therefore the manifests) are reproducible.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from homogen import cli
+from homogen import calc, cli
 from homogen.karel import grid_to_json
 from karel_fixtures import (
     COLLECTOR_A_EXPECTED,
@@ -177,6 +184,49 @@ def test_failed_run_leaves_no_file(argv, exit_code, tmp_path, monkeypatch, capsy
     assert code == exit_code
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@st.composite
+def calc_argv(draw):
+    command = draw(st.sampled_from(["generate", "homogenize"]))
+    argv = [command, "calc", "--dist", draw(st.sampled_from(["dcfg", "t2t", "rcfg", "bal"]))]
+    p = draw(st.none() | st.just(0.499) | st.floats(min_value=0.0, max_value=0.499))
+    if p is not None:
+        argv += ["--p", repr(p)]
+    # t2t trees grow too fast to draw much past depth 10; deeper values are
+    # past the nesting cap and rejected before drawing.
+    max_depth = draw(st.none() | st.integers(-1, 10) | st.integers(calc.MAX_NESTING + 1, 10**6))
+    if max_depth is not None:
+        argv += ["--max-depth", str(max_depth)]
+    if command == "homogenize":
+        argv += ["--var", draw(st.sampled_from(sorted(calc.salient_specs())))]
+        eps = draw(st.sampled_from([0.0, math.nan, math.inf, -0.5]) | st.floats(0.02, 1.0))
+        argv += ["--eps", repr(eps)]
+        max_draws = draw(st.none() | st.integers(1, 200))
+        if max_draws is not None:
+            argv += ["--max-draws", str(max_draws)]
+    return argv + ["--count", str(draw(st.integers(0, 20))),
+                   "--seed", str(draw(st.integers(0, 2**32 - 1)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=calc_argv())
+def test_calc_commands_exit_cleanly(argv):
+    # In-process: every exit is documented, no traceback reaches stderr, and
+    # a failed run leaves no file behind, temporary siblings included.
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--out", str(Path(tmp) / "c.jsonl")])
+        event(f"exit {code}")
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        left = sorted(path.name for path in Path(tmp).iterdir())
+        if code:
+            assert left == []
+        else:
+            assert "c.jsonl" in left
+            assert not [name for name in left if name.endswith(".tmp")]
 
 
 def test_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys):

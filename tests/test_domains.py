@@ -11,6 +11,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homogen import calc
 from homogen.cli import DOMAINS, build_parser
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -36,7 +37,7 @@ def check_one_pass_salients(domain_name, argv, seed, spec_input):
 @settings(max_examples=40, deadline=None)
 @given(seed=SEEDS, dist=st.sampled_from(["dcfg", "t2t", "rcfg", "bal"]))
 def test_calc_one_pass_salients_match_every_spec(seed, dist):
-    check_one_pass_salients("calc", ["--dist", dist], seed, lambda record: record["expr"])
+    check_one_pass_salients("calc", ["--dist", dist], seed, calc.render)
 
 
 @settings(max_examples=10, deadline=None)
