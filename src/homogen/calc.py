@@ -14,7 +14,7 @@ explicit stacks, so they follow any nesting depth. ``expr_record`` builds a
 dataset row's text and label in one walk, and ``expr_salients`` measures the
 salients of the text a tree renders to without rendering it, so a caller
 that rejects most draws renders only the ones it keeps. The samplers stop at
-``MAX_NESTING`` levels with a ``ValueError``.
+``MAX_NESTING`` levels or ``MAX_NODES`` nodes with a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -188,6 +188,14 @@ def parse_expr(text: str) -> CalcExpr:
 MAX_NESTING = 500
 _TOO_DEEP = f"a sampled expression nested deeper than {MAX_NESTING} levels"
 
+# Most nodes a fixed-depth tree may hold. A t2t tree's size grows about as
+# e^(1.8 sqrt(d)) with its depth d, so ``T2t`` raises ``ValueError`` on a
+# draw that grows past it; a complete ``Bal`` tree of depth d has
+# 2^(d+1) - 1 nodes, so ``Bal`` rejects deeper depths when built.
+MAX_NODES = 100_000
+_TOO_BIG = f"a sampled expression grew past {MAX_NODES} nodes"
+_MAX_BAL_DEPTH = (MAX_NODES + 1).bit_length() - 2
+
 
 @dataclass(frozen=True)
 class Dcfg:
@@ -212,6 +220,7 @@ class T2t:
     side to depth d-1 while the other side gets an independent depth from
     U{0..d-1}; depth 0 is a digit. RNG order per node: digit value at depth
     0, else (operator, side coin, other-side depth, forced side, other side).
+    A draw stops with ``ValueError`` once it passes :data:`MAX_NODES`.
     """
 
     max_depth: int = 8
@@ -249,14 +258,18 @@ class Rcfg:
 class Bal:
     """Complete binary tree of a depth drawn uniformly from ``depths``;
     every internal node gets an independent uniform operator. RNG order:
-    the depth, then nodes in root-left-right order.
+    the depth, then nodes in root-left-right order. A depth whose tree would
+    pass :data:`MAX_NODES` is rejected.
     """
 
     depths: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
 
     def __post_init__(self) -> None:
-        if not self.depths or any(not 0 <= d <= MAX_NESTING for d in self.depths):
-            raise ValueError(f"depths must be in 0..{MAX_NESTING}")
+        if not self.depths or any(not 0 <= d <= _MAX_BAL_DEPTH for d in self.depths):
+            raise ValueError(
+                f"depths must be in 0..{_MAX_BAL_DEPTH}; a tree of depth d has "
+                f"2^(d+1) - 1 nodes, at most {MAX_NODES}"
+            )
 
 
 CalcSampler = Dcfg | T2t | Rcfg | Bal
@@ -276,7 +289,7 @@ def sample_expr(rng: random.Random, sampler: CalcSampler) -> CalcExpr:
             return _sample_dcfg(coin, bits, p, MAX_NESTING)
         case T2t(max_depth=max_depth, depth=depth):
             d = depth if depth is not None else 1 + randbelow(bits, max_depth)
-            return _sample_t2t(coin, bits, d)
+            return _sample_t2t(coin, bits, d, [MAX_NODES])
         case Rcfg(p=p, run_lengths=runs):
             return _sample_rcfg(coin, bits, p, runs, MAX_NESTING)
         case Bal(depths=depths):
@@ -296,15 +309,21 @@ def _sample_dcfg(coin: Coin, bits: Bits, p: float, room: int) -> CalcExpr:
     return BinOp(op, left, right)
 
 
-def _sample_t2t(coin: Coin, bits: Bits, depth: int) -> CalcExpr:
+# ``room`` holds the nodes a t2t draw may still add.
+def _sample_t2t(coin: Coin, bits: Bits, depth: int, room: list[int]) -> CalcExpr:
+    room[0] -= 1
+    if room[0] < 0:
+        raise ValueError(_TOO_BIG)
     if depth == 0:
         return _DIGITS[randbelow(bits, 10)]
     op = OPS[randbelow(bits, 3)]
     force_left = coin() < 0.5
     other_depth = randbelow(bits, depth)
     if force_left:
-        return BinOp(op, _sample_t2t(coin, bits, depth - 1), _sample_t2t(coin, bits, other_depth))
-    return BinOp(op, _sample_t2t(coin, bits, other_depth), _sample_t2t(coin, bits, depth - 1))
+        left = _sample_t2t(coin, bits, depth - 1, room)
+        return BinOp(op, left, _sample_t2t(coin, bits, other_depth, room))
+    left = _sample_t2t(coin, bits, other_depth, room)
+    return BinOp(op, left, _sample_t2t(coin, bits, depth - 1, room))
 
 
 def _sample_rcfg(

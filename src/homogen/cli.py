@@ -190,13 +190,14 @@ def _calc_source(args: argparse.Namespace) -> tuple[Source, dict[str, Any]]:
     sampler = _CALC_SAMPLERS[args.dist](args)
     params = {"domain": "calc", "dist": args.dist, "sampler": repr(sampler)}
 
-    # Only dcfg and rcfg can pass the nesting cap while drawing; t2t and bal
-    # depths above it are rejected when the sampler is built.
+    # A dcfg or rcfg draw can pass the nesting cap, and a t2t draw the node
+    # bound; bal depths past the bound are rejected when the sampler is built.
     def draw(rng: random.Random) -> calc.CalcExpr:
         try:
             return calc.sample_expr(rng, sampler)
         except ValueError as exc:
-            raise UsageError(f"--p {sampler.p}: {exc}; choose a smaller value") from None
+            flag = f"--max-depth {args.max_depth}" if args.dist == "t2t" else f"--p {sampler.p}"
+            raise UsageError(f"{flag}: {exc}; choose a smaller value") from None
 
     return draw, params
 

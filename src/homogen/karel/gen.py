@@ -8,6 +8,11 @@ A :class:`SynthesisTask` bundles a program with input/output grid pairs plus
 one held-out pair; task assembly resamples grids until every shown execution
 succeeds and the shown runs jointly cover every conditional arm of the
 program.
+
+The grid samplers return unvalidated :class:`GridDraw` tuples, and task
+assembly runs programs on them directly. Most draws are thrown away, so a
+validated :class:`KarelGrid` is built only for the inputs and outputs of
+the tasks :func:`make_task` returns.
 """
 
 from __future__ import annotations
@@ -44,14 +49,16 @@ from .world import (
     DIRECTIONS,
     MAX_SIDE,
     MIN_SIDE,
+    GridDraw,
     KarelGrid,
+    _cell_set,
     grid_cells,
     grid_from_json,
     grid_salients,
     grid_to_json,
 )
 
-GridSampler = Callable[[random.Random], KarelGrid]
+GridSampler = Callable[[random.Random], GridDraw | KarelGrid]
 
 
 class MarkerCountDist(enum.Enum):
@@ -78,8 +85,8 @@ def sample_marker_count(rng: random.Random, dist: MarkerCountDist) -> int:
     return max(10 - count, 1)
 
 
-def sample_uniform_grid(rng: random.Random) -> KarelGrid:
-    """Broad grid distribution.
+def sample_uniform_grid(rng: random.Random) -> GridDraw:
+    """Broad grid distribution, as an unvalidated draw.
 
     Draw order: width, height uniform over 2..16; marker and wall cell rates
     uniform over [0,1); per cell in row-major order a marker coin then a
@@ -88,7 +95,8 @@ def sample_uniform_grid(rng: random.Random) -> KarelGrid:
     cells and a uniform facing. All-wall grids are redrawn from scratch.
 
     The draws consume the generator exactly as ``rng.randint`` and
-    ``rng.randrange`` would, in the order above.
+    ``rng.randrange`` would, in the order above. ``KarelGrid(*draw)``
+    validates the result.
     """
     coin = rng.random
     getrandbits = rng.getrandbits
@@ -98,33 +106,25 @@ def sample_uniform_grid(rng: random.Random) -> KarelGrid:
         height = MIN_SIDE + randbelow(getrandbits, side_span)
         marker_rate = coin()
         wall_rate = coin()
-        walls = []
         free = []
         markers = {}
         for cell in grid_cells(width, height):
-            wants_marker = coin() < marker_rate
-            if coin() < wall_rate:
-                walls.append(cell)
-                continue
-            free.append(cell)
-            if wants_marker:
-                # randint(1, 9): four bits per try, redrawn above 8.
-                pile = getrandbits(4)
-                while pile >= 9:
+            if coin() < marker_rate:
+                if coin() >= wall_rate:
+                    free.append(cell)
+                    # randint(1, 9): four bits per try, redrawn above 8.
                     pile = getrandbits(4)
-                markers[cell] = pile + 1
+                    while pile >= 9:
+                        pile = getrandbits(4)
+                    markers[cell] = pile + 1
+            elif coin() >= wall_rate:
+                free.append(cell)
         if not free:
             continue
         pos = free[randbelow(getrandbits, len(free))]
         direction = DIRECTIONS[randbelow(getrandbits, 4)]
-        return KarelGrid(
-            width=width,
-            height=height,
-            walls=frozenset(walls),
-            markers=markers,
-            karel_pos=pos,
-            karel_dir=direction,
-        )
+        walls = _cell_set(width, height).difference(free)
+        return GridDraw(width, height, walls, markers, pos, direction)
 
 
 @dataclass(frozen=True)
@@ -153,14 +153,15 @@ NARROW_SWEEP_PARAMS = tuple(
 )
 
 
-def sample_narrow_grid(rng: random.Random, params: NarrowGridParams) -> KarelGrid:
-    """Narrow grid distribution.
+def sample_narrow_grid(rng: random.Random, params: NarrowGridParams) -> GridDraw:
+    """Narrow grid distribution, as an unvalidated draw.
 
     Draw order: width, height uniform over 10..16; exactly
     floor(cells * r_wall) wall cells sampled without replacement, then
     exactly floor(cells * r_marker) marker cells from the remainder, then a
     pile size per marker cell in sampled order, then the agent cell uniform
-    over non-wall cells and a uniform facing.
+    over non-wall cells and a uniform facing. ``KarelGrid(*draw)``
+    validates the result.
     """
     width = rng.randint(10, MAX_SIDE)
     height = rng.randint(10, MAX_SIDE)
@@ -176,14 +177,7 @@ def sample_narrow_grid(rng: random.Random, params: NarrowGridParams) -> KarelGri
     markers = {cell: sample_marker_count(rng, params.marker_dist) for cell in marker_cells}
     pos = remaining[rng.randrange(len(remaining))]
     direction = DIRECTIONS[rng.randrange(4)]
-    return KarelGrid(
-        width=width,
-        height=height,
-        walls=frozenset(walls),
-        markers=markers,
-        karel_pos=pos,
-        karel_dir=direction,
-    )
+    return GridDraw(width, height, frozenset(walls), markers, pos, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +440,10 @@ def make_task(
     crash on any of them, or a conditional arm no shown run reaches, discards
     the whole batch. After ``retry_limit`` failed batches the program is
     reported uncoverable, with counts of what kept failing.
+
+    Programs run on the sampler's draws as they are; only the returned
+    task's ``n_pairs + 1`` inputs and their outputs are built, as validated
+    ``KarelGrid`` objects, whatever the sampler returns.
     """
     if not 1 <= n_pairs <= 5:
         raise ValueError("n_pairs must be in 1..5")
@@ -459,30 +457,36 @@ def make_task(
     for _ in range(retry_limit):
         # Sample and run one grid at a time; the whole batch is discarded on
         # the first crash, so later grids need not be drawn at all.
-        grids = []
+        draws = []
         results = []
         for _k in range(n_pairs + 1):
-            grid = grid_sampler(rng)
-            result = execute(compiled, grid, step_limit)
+            draw = grid_sampler(rng)
+            result = execute(compiled, draw, step_limit)
             if not result.success:
                 crash_counts[result.crash.value] += 1
                 break
-            grids.append(grid)
+            draws.append(draw)
             results.append(result)
-        if len(grids) != n_pairs + 1:
+        if len(draws) != n_pairs + 1:
             continue
         covered = frozenset().union(*(r.branches_taken for r in results[:n_pairs]))
         if not required <= covered:
             missing_counts.update(required - covered)
             continue
-        pairs = tuple((grid, r.output) for grid, r in zip(grids[:n_pairs], results[:n_pairs]))
-        return SynthesisTask(program=program, pairs=pairs, held_out=(grids[-1], results[-1].output))
+        pairs = tuple((_validated(d), r.output) for d, r in zip(draws, results))
+        return SynthesisTask(program=program, pairs=pairs[:n_pairs], held_out=pairs[-1])
     raise UncoverableProgramError(
         f"no valid task in {retry_limit} grid batches "
         f"(crashes: {dict(crash_counts)}, uncovered arms: {dict(missing_counts)})",
         attempts=retry_limit,
         crash_counts=dict(crash_counts),
         missing_arm_counts=dict(missing_counts),
+    )
+
+
+def _validated(draw: GridDraw | KarelGrid) -> KarelGrid:
+    return KarelGrid(
+        draw.width, draw.height, draw.walls, draw.markers, draw.karel_pos, draw.karel_dir
     )
 
 

@@ -18,16 +18,22 @@ branch. The pairs a program could ever produce come from
 :func:`compile_program` turns a program into closures once; callers that
 run one program on many grids pass its result to :func:`execute` and
 :func:`branch_arms` in place of the program.
+
+:func:`execute` runs on a :class:`KarelGrid` or an unvalidated
+:class:`GridDraw` alike. A run keeps its final world as a ``GridDraw``, and
+:attr:`ExecResult.output` validates it into a ``KarelGrid`` on first use,
+so a run whose output nobody reads never builds one.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
 from .lang import Action, Cond, If, IfElse, KarelProgram, Not, Pred, Repeat, Seq, Stmt, While
-from .world import DIR_DELTA, LEFT_OF, MAX_MARKERS, RIGHT_OF, KarelGrid
+from .world import DIR_DELTA, LEFT_OF, MAX_MARKERS, RIGHT_OF, GridDraw, KarelGrid
 
 DEFAULT_STEP_LIMIT = 200
 
@@ -43,14 +49,24 @@ class CrashReason(enum.Enum):
 
 @dataclass(frozen=True)
 class ExecResult:
-    output: KarelGrid | None
+    """One run: its crash (``None`` on success), the arms it took, its
+    steps, and on success the final world, unvalidated.
+    """
+
     crash: CrashReason | None
     branches_taken: frozenset[BranchArm]
     steps: int
+    final: GridDraw | None = None
 
     @property
     def success(self) -> bool:
         return self.crash is None
+
+    @functools.cached_property
+    def output(self) -> KarelGrid | None:
+        """The final world as a validated grid, built on first use; ``None``
+        after a crash."""
+        return None if self.final is None else KarelGrid(*self.final)
 
 
 class _Crash(Exception):
@@ -64,7 +80,7 @@ class _Run:
     __slots__ = ("width", "height", "walls", "markers", "pos", "direction",
                  "step_limit", "steps", "taken")
 
-    def __init__(self, grid: KarelGrid, step_limit: int):
+    def __init__(self, grid: GridDraw | KarelGrid, step_limit: int):
         self.width = grid.width
         self.height = grid.height
         self.walls = grid.walls
@@ -300,7 +316,7 @@ def _compile_cond(cond: Cond) -> CondCode:
 
 def execute(
     program: KarelProgram | CompiledProgram,
-    grid: KarelGrid,
+    grid: GridDraw | KarelGrid,
     step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> ExecResult:
     """Run the program on the grid. Never raises for in-world failures.
@@ -315,20 +331,6 @@ def execute(
     try:
         code(run)
     except _Crash as crash:
-        return ExecResult(
-            output=None,
-            crash=crash.reason,
-            branches_taken=frozenset(run.taken),
-            steps=run.steps,
-        )
-    output = KarelGrid(
-        width=run.width,
-        height=run.height,
-        walls=run.walls,
-        markers=run.markers,
-        karel_pos=run.pos,
-        karel_dir=run.direction,
-    )
-    return ExecResult(
-        output=output, crash=None, branches_taken=frozenset(run.taken), steps=run.steps
-    )
+        return ExecResult(crash.reason, frozenset(run.taken), run.steps)
+    final = GridDraw(run.width, run.height, run.walls, run.markers, run.pos, run.direction)
+    return ExecResult(None, frozenset(run.taken), run.steps, final)

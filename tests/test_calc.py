@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homogen import calc
 from homogen.calc import (
     _SALIENT_DOMAINS as DOMAINS,
     MAX_NESTING,
+    MAX_NODES,
     OPS,
     Bal,
     BinOp,
@@ -269,7 +271,33 @@ def test_fixed_depth_samplers_reject_depths_past_the_cap():
     with pytest.raises(ValueError, match="depths"):
         Bal(depths=(2, MAX_NESTING + 1))
     T2t(max_depth=MAX_NESTING)
-    Bal(depths=(MAX_NESTING,))
+
+
+def test_bal_rejects_depths_whose_tree_passes_the_node_bound():
+    # A complete tree of depth d has 2^(d+1) - 1 nodes.
+    deepest = max(d for d in range(64) if 2 ** (d + 1) - 1 <= MAX_NODES)
+    Bal(depths=(0, deepest))
+    for depth in (deepest + 1, MAX_NESTING):
+        with pytest.raises(ValueError, match="depths"):
+            Bal(depths=(depth,))
+
+
+def test_t2t_draws_stop_at_the_node_bound(monkeypatch):
+    # Scripted coins force the left side and every other side gets depth 0:
+    # a depth-10 draw is a left spine of 10 operators, 21 nodes in all.
+    expr = sample_expr(_ScriptedRng(10), T2t(depth=10))
+    assert left_chain_depth(expr) == 10
+    monkeypatch.setattr(calc, "MAX_NODES", 21)
+    assert sample_expr(_ScriptedRng(10), T2t(depth=10)) == expr
+    monkeypatch.setattr(calc, "MAX_NODES", 20)
+    with pytest.raises(ValueError, match="nodes"):
+        sample_expr(_ScriptedRng(10), T2t(depth=10))
+
+
+def test_deep_t2t_draws_raise_value_error():
+    rng = random.Random(3)
+    with pytest.raises(ValueError, match=f"grew past {MAX_NODES} nodes"):
+        sample_expr(rng, T2t(depth=MAX_NESTING))
 
 
 def test_samplers_are_deterministic_given_seed():

@@ -10,9 +10,11 @@ import hashlib
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from homogen import calc, cli
+from homogen.karel import gen as karel_gen
 from homogen.karel import grid_to_json
 from karel_fixtures import (
     COLLECTOR_A_EXPECTED,
@@ -186,6 +189,60 @@ def test_failed_run_leaves_no_file(argv, exit_code, tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+def test_t2t_past_the_node_bound_exits_2_quickly(tmp_path, monkeypatch, capsys):
+    # Tree size grows about as e^(1.8 sqrt(d)); the node bound stops the
+    # first draw that passes it instead of letting it run for minutes.
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        ["generate", "calc", "--dist", "t2t", "--max-depth", "500", "--count", "5",
+         "--seed", "3", "--out", "t.jsonl"],
+        capsys,
+    )
+    assert time.perf_counter() - start < 10.0
+    assert code == 2
+    assert "--max-depth 500" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def run_in(directory, argv):
+    """``cli.main`` run in ``directory``; returns the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.chdir(directory), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def written(directory):
+    return {path.name: path.read_bytes() for path in sorted(Path(directory).iterdir())}
+
+
+def assert_clean_and_deterministic(argv, inputs=None):
+    """Run ``argv`` in two fresh directories holding ``inputs``: every exit is
+    documented, no traceback reaches stderr, a failure leaves only the inputs
+    behind, and a success writes the same bytes both times. Returns the files
+    a success leaves, or None after a failure."""
+    inputs = inputs or {}
+    runs = []
+    for _ in range(2):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, data in inputs.items():
+                (Path(tmp) / name).write_bytes(data)
+            code, out, err = run_in(tmp, argv)
+            event(f"exit {code}")
+            assert code in (0, 2, 3), err
+            assert "Traceback" not in err
+            left = written(tmp)
+            if code:
+                assert left == inputs
+                return None
+            assert not [name for name in left if name.endswith(".tmp")]
+            runs.append((out, left))
+    assert runs[0] == runs[1]
+    return runs[0][1]
+
+
 @st.composite
 def calc_argv(draw):
     command = draw(st.sampled_from(["generate", "homogenize"]))
@@ -193,9 +250,13 @@ def calc_argv(draw):
     p = draw(st.none() | st.just(0.499) | st.floats(min_value=0.0, max_value=0.499))
     if p is not None:
         argv += ["--p", repr(p)]
-    # t2t trees grow too fast to draw much past depth 10; deeper values are
-    # past the nesting cap and rejected before drawing.
-    max_depth = draw(st.none() | st.integers(-1, 10) | st.integers(calc.MAX_NESTING + 1, 10**6))
+    # t2t trees grow too fast to draw much past depth 10; at the nesting cap
+    # a draw soon passes the node bound, and deeper values are rejected
+    # before drawing.
+    max_depth = draw(
+        st.none() | st.integers(-1, 10) | st.just(calc.MAX_NESTING)
+        | st.integers(calc.MAX_NESTING + 1, 10**6)
+    )
     if max_depth is not None:
         argv += ["--max-depth", str(max_depth)]
     if command == "homogenize":
@@ -212,21 +273,99 @@ def calc_argv(draw):
 @settings(max_examples=60, deadline=None)
 @given(argv=calc_argv())
 def test_calc_commands_exit_cleanly(argv):
-    # In-process: every exit is documented, no traceback reaches stderr, and
-    # a failed run leaves no file behind, temporary siblings included.
-    with tempfile.TemporaryDirectory() as tmp:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv + ["--out", str(Path(tmp) / "c.jsonl")])
-        event(f"exit {code}")
-        assert code in (0, 2, 3), err.getvalue()
-        assert "Traceback" not in err.getvalue()
-        left = sorted(path.name for path in Path(tmp).iterdir())
-        if code:
-            assert left == []
-        else:
-            assert "c.jsonl" in left
-            assert not [name for name in left if name.endswith(".tmp")]
+    # In-process: every exit is documented, no traceback reaches stderr, a
+    # failed run leaves no file behind, temporary siblings included, and a
+    # successful one writes the same bytes when run again.
+    files = assert_clean_and_deterministic(argv + ["--out", "c.jsonl"])
+    if files is not None:
+        assert "c.jsonl" in files
+
+
+KAREL_RATES = st.none() | st.sampled_from(["0.05", "0.25", "0.65", "-0.1", "1.0", "nan", "x"])
+
+
+@st.composite
+def karel_argv(draw):
+    command = draw(st.sampled_from(["generate", "homogenize"]))
+    argv = [command, "karel"]
+    grids = draw(st.sampled_from([None, "uniform", "narrow"]))
+    if grids:
+        argv += ["--grids", grids]
+    for flag in ("--r-wall", "--r-marker"):
+        rate = draw(KAREL_RATES)
+        if rate is not None:
+            argv += [flag, rate]
+    if grids == "narrow":
+        argv += ["--marker-dist", draw(st.sampled_from(["geom", "uniform", "antigeom"]))]
+    pairs = draw(st.none() | st.sampled_from(["1", "2", "3", "4", "5", "uniform", "0", "x"]))
+    if pairs is not None:
+        argv += ["--pairs", pairs]
+    step_limit = draw(st.none() | st.sampled_from([-1, 8, 200]))
+    if step_limit is not None:
+        argv += ["--step-limit", str(step_limit)]
+    if draw(st.booleans()):
+        argv.append("--classic-prune")
+    if command == "homogenize":
+        argv += ["--var", draw(st.sampled_from(sorted(karel_gen.salient_specs()) + ["bogus"]))]
+        # Draws per accept stay under 1 + 1/eps, so valid eps stay large.
+        eps = draw(st.sampled_from([0.0, math.nan, -0.5]) | st.floats(0.25, 1.0))
+        argv += ["--eps", repr(eps)]
+        max_draws = draw(st.none() | st.integers(1, 20))
+        if max_draws is not None:
+            argv += ["--max-draws", str(max_draws)]
+    return argv + ["--count", str(draw(st.integers(0, 3))),
+                   "--seed", str(draw(st.integers(0, 2**32 - 1))), "--out", "k.jsonl"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=karel_argv())
+def test_karel_commands_exit_cleanly_and_deterministically(argv):
+    assert_clean_and_deterministic(argv)
+
+
+def _stats_lines():
+    rng = random.Random(6)
+    source = karel_gen.task_source(karel_gen.sample_uniform_grid, n_pairs="uniform")
+    karel = [json.dumps(karel_gen.task_to_json(source(rng))) for _ in range(3)]
+    return {
+        "karel": karel,
+        "calc": ['{"expr":"1+2*3","label":7}', '{"expr":"(1-2)*3","label":7}'],
+        "malformed": [
+            '{"program": ',
+            '{"expr":"1+","label":1}',
+            '{"program":"def main(","pairs":[],"held_out":{}}',
+            "[1, 2]",
+        ],
+        "blank": [""],
+    }
+
+
+STATS_LINES = _stats_lines()
+STATS_VARS = sorted(set(karel_gen.salient_specs()) | set(calc.salient_specs())) + ["bogus"]
+
+
+@st.composite
+def stats_case(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(STATS_LINES)), max_size=4))
+    lines = [draw(st.sampled_from(STATS_LINES[kind])) for kind in kinds]
+    argv = ["stats", "d.jsonl"]
+    variables = draw(st.none() | st.lists(st.sampled_from(STATS_VARS), min_size=1, max_size=3))
+    if variables is not None:
+        argv += ["--vars", ",".join(variables)]
+    fmt = draw(st.none() | st.sampled_from(["json", "csv"]))
+    if fmt is not None:
+        argv += ["--format", fmt]
+    if draw(st.booleans()):
+        argv += ["--out", "s.out"]
+    data = "".join(line + "\n" for line in lines).encode()
+    return argv, {"d.jsonl": data}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=stats_case())
+def test_stats_commands_exit_cleanly_and_deterministically(case):
+    argv, inputs = case
+    assert_clean_and_deterministic(argv, inputs)
 
 
 def test_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,6 +10,7 @@ from homogen.karel import (
     ACTIONS,
     DIRECTIONS,
     Action,
+    GridDraw,
     If,
     KarelGrid,
     KarelProgram,
@@ -42,8 +44,13 @@ from homogen.karel import (
     task_source,
     task_to_json,
 )
+from homogen.karel import gen
 from homogen.karel.gen import _sample_cond, salient_specs
+from homogen.karel.interp import DEFAULT_STEP_LIMIT, compile_program
 from homogen.karel.lang import MAX_REPEAT, IfElse
+from homogen.karel.world import grid_cells
+from homogen.rng import randbelow
+from karel_fixtures import CRASH_GRID, CRASH_TEXT
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +170,10 @@ def reference_uniform_grid(rng):
 def test_uniform_grid_sampler_matches_reference_draw_for_draw(seed):
     fast, slow = random.Random(seed), random.Random(seed)
     for _ in range(2500):
-        grid = sample_uniform_grid(fast)
+        draw = sample_uniform_grid(fast)
         expected = reference_uniform_grid(slow)
+        # Building the grid validates the draw.
+        grid = KarelGrid(*draw)
         assert grid == expected
         assert list(grid.markers.items()) == list(expected.markers.items())
     assert fast.getstate() == slow.getstate()
@@ -180,6 +189,16 @@ def test_narrow_grid_exact_counts():
         assert len(grid.walls) == int(cells * 0.25)
         assert len(grid.markers) == int(cells * 0.65)
         assert grid.karel_pos not in grid.walls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_narrow_draw_builds_a_valid_grid(seed):
+    rng = random.Random(seed)
+    for params in NARROW_SWEEP_PARAMS:
+        for _ in range(10):
+            draw = sample_narrow_grid(rng, params)
+            grid = KarelGrid(*draw)
+            assert GridDraw(*(getattr(grid, name) for name in GridDraw._fields)) == draw
 
 
 def test_narrow_grid_zero_rates_give_empty_grids():
@@ -463,6 +482,144 @@ def test_uncoverable_program_reports_diagnostics():
     err = excinfo.value
     assert err.attempts == 50
     assert err.missing_arm_counts.get((0, "then")) == 50
+
+
+def eager_uniform_grid(rng):
+    """The uniform sampler as it was when every draw was a validated grid."""
+    coin = rng.random
+    getrandbits = rng.getrandbits
+    while True:
+        width = 2 + randbelow(getrandbits, 15)
+        height = 2 + randbelow(getrandbits, 15)
+        marker_rate = coin()
+        wall_rate = coin()
+        walls = []
+        free = []
+        markers = {}
+        for cell in grid_cells(width, height):
+            wants_marker = coin() < marker_rate
+            if coin() < wall_rate:
+                walls.append(cell)
+                continue
+            free.append(cell)
+            if wants_marker:
+                pile = getrandbits(4)
+                while pile >= 9:
+                    pile = getrandbits(4)
+                markers[cell] = pile + 1
+        if not free:
+            continue
+        pos = free[randbelow(getrandbits, len(free))]
+        direction = DIRECTIONS[randbelow(getrandbits, 4)]
+        return KarelGrid(
+            width=width,
+            height=height,
+            walls=frozenset(walls),
+            markers=markers,
+            karel_pos=pos,
+            karel_dir=direction,
+        )
+
+
+def eager_make_task(program, grid_sampler, rng, n_pairs, retry_limit,
+                    step_limit=DEFAULT_STEP_LIMIT):
+    """Task assembly as it was when every successful run built its output."""
+    compiled = compile_program(program)
+    required = branch_arms(compiled)
+    crash_counts = Counter()
+    missing_counts = Counter()
+    for _ in range(retry_limit):
+        grids, outputs, taken = [], [], []
+        for _k in range(n_pairs + 1):
+            grid = grid_sampler(rng)
+            result = execute(compiled, grid, step_limit)
+            if not result.success:
+                crash_counts[result.crash.value] += 1
+                break
+            grids.append(grid)
+            outputs.append(result.output)
+            taken.append(result.branches_taken)
+        if len(grids) != n_pairs + 1:
+            continue
+        covered = frozenset().union(*taken[:n_pairs])
+        if not required <= covered:
+            missing_counts.update(required - covered)
+            continue
+        pairs = tuple(zip(grids, outputs))
+        return SynthesisTask(program=program, pairs=pairs[:n_pairs], held_out=pairs[-1])
+    raise UncoverableProgramError(
+        f"no valid task in {retry_limit} grid batches "
+        f"(crashes: {dict(crash_counts)}, uncovered arms: {dict(missing_counts)})",
+        attempts=retry_limit,
+        crash_counts=dict(crash_counts),
+        missing_arm_counts=dict(missing_counts),
+    )
+
+
+def assemble(make, *args, **kwargs):
+    try:
+        return make(*args, **kwargs)
+    except UncoverableProgramError as exc:
+        return exc
+
+
+def test_task_assembly_matches_the_eager_reference_draw_for_draw():
+    programs = random.Random(74)
+    outcomes = Counter()
+    for index in range(200):
+        program = sample_program(programs)
+        for n_pairs in range(1, 6):
+            fast, slow = random.Random(index * 5 + n_pairs), random.Random(index * 5 + n_pairs)
+            got = assemble(make_task, program, sample_uniform_grid, fast,
+                           n_pairs=n_pairs, retry_limit=8)
+            expected = assemble(eager_make_task, program, eager_uniform_grid, slow,
+                                n_pairs=n_pairs, retry_limit=8)
+            assert fast.getstate() == slow.getstate()
+            if isinstance(expected, UncoverableProgramError):
+                outcomes["uncoverable"] += 1
+                assert isinstance(got, UncoverableProgramError)
+                assert (got.attempts, got.crash_counts, got.missing_arm_counts, str(got)) == (
+                    expected.attempts, expected.crash_counts, expected.missing_arm_counts,
+                    str(expected))
+                continue
+            outcomes["task"] += 1
+            assert got == expected
+            for got_pair, expected_pair in zip(got.pairs + (got.held_out,),
+                                               expected.pairs + (expected.held_out,)):
+                for grid, expected_grid in zip(got_pair, expected_pair):
+                    assert type(grid) is KarelGrid
+                    assert list(grid.markers.items()) == list(expected_grid.markers.items())
+    # Both ends of assembly get exercised: at seed 74 the split is 587/413.
+    assert outcomes["task"] > 400 and outcomes["uncoverable"] > 300
+
+
+def test_task_assembly_validates_only_the_grids_it_keeps(monkeypatch):
+    # The bench traces these three names; each must keep seeing every call.
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(gen, "sample_uniform_grid", counted("sample", gen.sample_uniform_grid))
+    monkeypatch.setattr(gen, "execute", counted("execute", gen.execute))
+    monkeypatch.setattr(KarelGrid, "__post_init__", counted("validate", KarelGrid.__post_init__))
+    source = task_source(gen.sample_uniform_grid, n_pairs="uniform")
+    rng = random.Random(75)
+    for _ in range(6):
+        before = counts["validate"]
+        task = source(rng)
+        assert counts["validate"] - before == 2 * (len(task.pairs) + 1)
+        for pair in task.pairs + (task.held_out,):
+            assert all(type(grid) is KarelGrid for grid in pair)
+    assert counts["sample"] == counts["execute"] > 6 * 2
+    before = counts["validate"]
+    crashed = execute(parse_program(CRASH_TEXT), CRASH_GRID)
+    assert crashed.crash is not None and crashed.output is None
+    assert counts["validate"] == before
 
 
 def test_make_task_argument_validation():
