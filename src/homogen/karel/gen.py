@@ -54,7 +54,6 @@ from .world import (
     _cell_set,
     grid_cells,
     grid_from_json,
-    grid_salients,
     grid_to_json,
 )
 
@@ -551,19 +550,24 @@ _SALIENT_DOMAINS = {
 def task_salients(task: SynthesisTask) -> dict[str, int]:
     """Every salient variable of the task, clamped into its domain, in one pass.
 
-    The marker and wall ratios average over the shown inputs only, then fall
+    The marker and wall ratios (marker or wall cells over all cells, as in
+    :func:`grid_salients`) average over the shown inputs only, then fall
     into deciles 0..9.
     """
     program = program_salients(task.program)
-    shown = [grid_salients(grid) for grid, _ in task.pairs]
+    shown = [grid for grid, _ in task.pairs]
     n = len(shown)
     values = {
         "number_of_grids": n,
         "size": program["size"],
         "control_flow_count": program["control_flow_count"],
         "nesting_depth": program["nesting_depth"],
-        "marker_ratio_decile": _ratio_decile(sum(g["marker_ratio"] for g in shown) / n),
-        "wall_ratio_decile": _ratio_decile(sum(g["wall_ratio"] for g in shown) / n),
+        "marker_ratio_decile": _ratio_decile(
+            sum(len(g.markers) / (g.width * g.height) for g in shown) / n
+        ),
+        "wall_ratio_decile": _ratio_decile(
+            sum(len(g.walls) / (g.width * g.height) for g in shown) / n
+        ),
     }
     return {
         name: min(max(values[name], domain[0]), domain[-1])

@@ -293,12 +293,15 @@ def parse_program(text: str | list[str] | tuple[str, ...]) -> KarelProgram:
     """Parse program text or a pre-tokenized sequence.
 
     Errors carry a character offset for text input and a token index for
-    token input.
+    token input. Every token of a sequence must be a string.
     """
     if isinstance(text, str):
         tokens = _lex(text)
     else:
         tokens = [(tok, i) for i, tok in enumerate(text)]
+        for tok, i in tokens:
+            if not isinstance(tok, str):
+                raise KarelSyntaxError(f"expected a string token, found {tok!r}", i)
     return _Parser(tokens).program()
 
 

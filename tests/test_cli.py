@@ -6,6 +6,7 @@ recorded command lines (and therefore the manifests) are reproducible.
 """
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -158,6 +159,16 @@ def test_generate_missing_narrow_rates_is_usage_error(tmp_path, monkeypatch, cap
     ),
     pytest.param(
         ["homogenize", "calc", "--var", "length", "--eps", "inf"], "epsilon", id="eps-inf"
+    ),
+    # The library needs a warm-up or a cold-start opt-in at epsilon 0, and
+    # the command line sets neither.
+    pytest.param(
+        ["homogenize", "calc", "--var", "length", "--eps", "0"], "--eps must be positive",
+        id="eps-zero-calc",
+    ),
+    pytest.param(
+        ["homogenize", "karel", "--var", "size", "--eps", "0"], "--eps must be positive",
+        id="eps-zero-karel",
     ),
 ])
 def test_negative_step_limit_is_usage_error_and_writes_nothing(
@@ -715,6 +726,10 @@ def test_stats_accepts_deeply_nested_calc_record(tmp_path, monkeypatch, capsys):
     assert variables["length"]["histogram"] == {"120": 1}
 
 
+def _repeat_program(count):
+    return ["def", "main", "(", ")", ":", "repeat", "(", count, ")", ":", "move", "(", ")"]
+
+
 def _with_input_grid(record, **changes):
     grid = {"w": 4, "h": 4, "walls": [], "markers": [], "karel": {"pos": [1, 1], "dir": "E"}}
     record["pairs"][0]["in"] = grid | changes
@@ -727,8 +742,11 @@ def _with_input_grid(record, **changes):
     lambda r: _with_input_grid(r, w=2.5),
     lambda r: _with_input_grid(r, markers=[[0, 0, True]]),
     lambda r: _with_input_grid(r, karel={"pos": [0.0, 1.5], "dir": "E"}),
+    lambda r: r.update(program=_repeat_program(5)),
+    lambda r: r.update(program=_repeat_program([5])),
+    lambda r: r.update(program=_repeat_program(None)),
 ], ids=["bad-program", "no-pairs", "no-held-out-input", "float-side", "pile-of-true",
-        "float-position"])
+        "float-position", "int-repeat-count", "list-token", "null-token"])
 def test_stats_malformed_karel_record_reports_line_number(
     corrupt, tmp_path, monkeypatch, capsys
 ):
@@ -741,6 +759,39 @@ def test_stats_malformed_karel_record_reports_line_number(
     code, _, err = run_cli(["stats", "k.jsonl"], capsys)
     assert code == 2
     assert "line 2: bad record" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("bad_record", [False, True], ids=["exit-0", "exit-2"])
+def test_stats_leaves_the_collector_as_it_found_it(
+    collecting, bad_record, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    run_cli(["generate", "karel", "--count", "3", "--seed", "1", "--out", "k.jsonl"], capsys)
+    if bad_record:
+        with (tmp_path / "k.jsonl").open("a") as fp:
+            fp.write(json.dumps({"program": "def run(): move()"}) + "\n")
+    was_collecting = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        code, _, _ = run_cli(["stats", "k.jsonl"], capsys)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was_collecting else gc.disable)()
+    assert code == (2 if bad_record else 0)
+
+
+@pytest.mark.parametrize("domain", ["calc", "karel"])
+def test_reading_a_dataset_creates_no_reference_cycles(domain, tmp_path, monkeypatch, capsys):
+    # The stats read loop runs with the cyclic collector paused, so any cycle
+    # it made would outlive the loop.
+    monkeypatch.chdir(tmp_path)
+    run_cli(["generate", domain, "--count", "40", "--seed", "3", "--out", "d.jsonl"], capsys)
+    gc.collect()
+    columns = cli._dataset_columns(Path("d.jsonl"), None)
+    assert gc.collect() == 0
+    assert all(len(values) == 40 for _, values in columns)
 
 
 def test_stats_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,11 @@
+import json
 import math
 import random
 from collections import Counter
 
 import pytest
 
+from homogen import cli
 from homogen.homogenizer import HomogenizerConfig, homogenize
 from homogen.diagnostics import Histogram, kl_to_uniform
 from homogen.karel import (
@@ -29,10 +31,12 @@ from homogen.karel import (
     emit_tokens,
     enumerate_action_only,
     execute,
+    grid_from_json,
     grid_salients,
     has_nested,
     make_task,
     parse_program,
+    program_salients,
     sample_action_only,
     sample_marker_count,
     sample_narrow_grid,
@@ -45,7 +49,7 @@ from homogen.karel import (
     task_to_json,
 )
 from homogen.karel import gen
-from homogen.karel.gen import _sample_cond, salient_specs
+from homogen.karel.gen import _SALIENT_DOMAINS, _ratio_decile, _sample_cond, salient_specs
 from homogen.karel.interp import DEFAULT_STEP_LIMIT, compile_program
 from homogen.karel.lang import MAX_REPEAT, IfElse
 from homogen.karel.world import grid_cells
@@ -698,6 +702,90 @@ def test_task_json_round_trip():
     assert task_from_json(obj) == task
     with pytest.raises(ValueError):
         task_from_json({"program": ["def"]})
+
+
+# The read path before walls were built with map(tuple, ...) and before the
+# ratio deciles were measured without a grid_salients dict per shown grid.
+
+
+def reference_grid_from_json(obj):
+    try:
+        return KarelGrid(
+            width=obj["w"],
+            height=obj["h"],
+            walls=frozenset((i, j) for i, j in obj["walls"]),
+            markers={(i, j): n for i, j, n in obj["markers"]},
+            karel_pos=tuple(obj["karel"]["pos"]),
+            karel_dir=obj["karel"]["dir"],
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed grid object: {exc}") from None
+
+
+def reference_task_salients(task):
+    program = program_salients(task.program)
+    shown = [grid_salients(grid) for grid, _ in task.pairs]
+    n = len(shown)
+    values = {
+        "number_of_grids": n,
+        "size": program["size"],
+        "control_flow_count": program["control_flow_count"],
+        "nesting_depth": program["nesting_depth"],
+        "marker_ratio_decile": _ratio_decile(sum(g["marker_ratio"] for g in shown) / n),
+        "wall_ratio_decile": _ratio_decile(sum(g["wall_ratio"] for g in shown) / n),
+    }
+    return {
+        name: min(max(values[name], domain[0]), domain[-1])
+        for name, domain in _SALIENT_DOMAINS.items()
+    }
+
+
+@pytest.mark.parametrize("grids", [
+    [], ["--grids", "narrow", "--r-wall", "0.3", "--r-marker", "0.25"],
+], ids=["uniform", "narrow"])
+@pytest.mark.parametrize("seed", [5, 6])
+def test_read_path_matches_the_reference_on_generated_records(
+    grids, seed, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    argv = ["generate", "karel", *grids, "--pairs", "uniform", "--count", "30",
+            "--seed", str(seed), "--out", "k.jsonl"]
+    assert cli.main(argv) == 0
+    records = [json.loads(line) for line in (tmp_path / "k.jsonl").read_text().splitlines()]
+    assert len(records) == 30
+    for record in records:
+        task = task_from_json(record)
+        grid_objects = [g for pair in (*record["pairs"], record["held_out"]) for g in pair.values()]
+        grids_read = [g for pair in (*task.pairs, task.held_out) for g in pair]
+        for obj, grid in zip(grid_objects, grids_read, strict=True):
+            expected = reference_grid_from_json(obj)
+            assert grid == expected == grid_from_json(obj)
+            assert all(type(cell) is tuple for cell in grid.walls)
+        assert task_salients(task) == reference_task_salients(task)
+
+
+@pytest.mark.parametrize("changes, same_message", [
+    ({"walls": [[1, 2, 3]]}, True),
+    ({"walls": [[1]]}, True),
+    ({"walls": ["ab"]}, True),
+    ({"walls": ["abc"]}, True),
+    ({"walls": [5]}, False),
+    ({"markers": [[1, 2]]}, True),
+], ids=["3-element-wall", "1-element-wall", "string-wall", "long-string-wall",
+        "non-iterable-wall", "short-marker-triple"])
+def test_grid_from_json_rejects_malformed_cells_like_the_reference(changes, same_message):
+    obj = {"w": 4, "h": 4, "walls": [], "markers": [], "karel": {"pos": [1, 1], "dir": "E"}}
+    obj |= changes
+    with pytest.raises(ValueError) as got:
+        grid_from_json(obj)
+    with pytest.raises(ValueError) as expected:
+        reference_grid_from_json(obj)
+    assert type(got.value) is type(expected.value)
+    if same_message:
+        assert str(got.value) == str(expected.value)
+    else:
+        assert str(expected.value) == "malformed grid object: cannot unpack non-iterable int object"
+        assert str(got.value) == "malformed grid object: 'int' object is not iterable"
 
 
 def test_task_salient_specs_stay_in_domain():

@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homogen.karel import (
+    ACTIONS,
+    PREDICATES,
     Action,
     If,
     IfElse,
@@ -19,6 +23,7 @@ from homogen.karel import (
     program_to_text,
     sample_program,
 )
+from homogen.karel.lang import MAX_REPEAT
 
 
 def test_parse_minimal_program():
@@ -75,6 +80,16 @@ def test_parse_accepts_token_sequences():
     assert parse_program(tokens) == KarelProgram(Action("move"))
 
 
+@pytest.mark.parametrize("bad", [5, [5], None, 5.0, b"move"], ids=repr)
+def test_token_sequences_reject_non_string_tokens(bad):
+    tokens = ["def", "main", "(", ")", ":", "repeat", "(", "5", ")", ":", "move", "(", ")"]
+    for index in (0, 7, len(tokens) - 1):
+        with pytest.raises(KarelSyntaxError) as excinfo:
+            parse_program(tokens[:index] + [bad] + tokens[index + 1:])
+        assert excinfo.value.position == index
+        assert str(excinfo.value) == f"expected a string token, found {bad!r} at {index}"
+
+
 def test_syntax_errors_carry_positions():
     with pytest.raises(KarelSyntaxError) as excinfo:
         parse_program("def main(): move(")
@@ -125,6 +140,45 @@ def test_round_trip_through_text():
     for _ in range(300):
         program = sample_program(rng)
         assert parse_program(program_to_text(program)) == program
+
+
+def _then(first, rest):
+    # Sequences nest to the right, as the parser builds them.
+    if isinstance(first, Seq):
+        return Seq(first.first, _then(first.rest, rest))
+    return Seq(first, rest)
+
+
+def _nest(shells, body):
+    # Wrap the body in each (node kind, condition or count) shell, innermost last.
+    for kind, arg in reversed(shells):
+        body = kind(arg, body)
+    return body
+
+
+CONDITIONS = st.recursive(st.sampled_from(PREDICATES).map(Pred), lambda inner: inner.map(Not))
+SHELLS = st.tuples(st.sampled_from((If, While)), CONDITIONS) | st.tuples(
+    st.just(Repeat), st.integers(0, MAX_REPEAT)
+)
+STATEMENTS = st.recursive(
+    st.sampled_from(ACTIONS).map(Action),
+    lambda inner: st.one_of(
+        st.builds(_then, inner, inner),
+        st.builds(IfElse, CONDITIONS, inner, inner),
+        st.builds(_nest, st.lists(SHELLS, min_size=1, max_size=8), inner),
+    ),
+    max_leaves=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=STATEMENTS)
+def test_round_trip_property(body):
+    # Any right-nested program of every node kind, depth and repeat count,
+    # past the sampler's production table and token cap.
+    program = KarelProgram(body)
+    assert parse_program(emit_tokens(program)) == program
+    assert parse_program(program_to_text(program)) == program
 
 
 def test_program_salients_examples():
