@@ -9,11 +9,12 @@ a child is wrapped only when its operator binds looser than its parent's,
 or, for the right child, equally loose (which preserves the tree through a
 re-parse). ``parse_expr(render(e)) == e`` holds for every expression.
 
-Rendering, evaluation, parsing and salient measurement all walk with
-explicit stacks, so they follow any nesting depth. ``expr_record`` builds a
-dataset row's text and label in one walk, and ``expr_salients`` measures the
-salients of the text a tree renders to without rendering it, so a caller
-that rejects most draws renders only the ones it keeps. The samplers stop at
+Rendering, evaluation, parsing, salient measurement and the equality, hash
+and ``repr`` of a tree all walk with explicit stacks, so they follow any
+nesting depth. ``expr_record`` builds a dataset row's text and label in one
+walk, and ``expr_salients`` measures the salients of the text a tree renders
+to without rendering it, so a caller that rejects most draws renders only
+the ones it keeps. The samplers stop at
 ``MAX_NESTING`` levels or ``MAX_NODES`` nodes with a ``ValueError``.
 """
 
@@ -39,8 +40,11 @@ class Digit:
             raise ValueError("digit must be an int in 0..9")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class BinOp:
+    """An operator node. Equality and ``repr`` give what the
+    dataclass-generated methods would, without recursing."""
+
     op: str
     left: "CalcExpr"
     right: "CalcExpr"
@@ -48,6 +52,57 @@ class BinOp:
     def __post_init__(self) -> None:
         if self.op not in OPS:
             raise ValueError(f"unknown operator {self.op!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # Pairs of subtrees still to compare, left children first.
+        todo: list = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if isinstance(a, BinOp) and a.__class__ is b.__class__:
+                if a.op != b.op:
+                    return False
+                todo += ((a.right, b.right), (a.left, b.left))
+            elif a != b:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        # hash((op, hash(left), hash(right))), bottom up, so equal trees
+        # hash equal.
+        hashes: list[int] = []
+        todo: list = [(self, False)]
+        while todo:
+            node, children_done = todo.pop()
+            if children_done:
+                right = hashes.pop()
+                hashes[-1] = hash((node.op, hashes[-1], right))
+            elif isinstance(node, BinOp):
+                todo += ((node, True), (node.right, False), (node.left, False))
+            else:
+                hashes.append(hash(node))
+        return hashes[0]
+
+    def __repr__(self) -> str:
+        # Text still to emit, and operator nodes still to expand.
+        parts: list[str] = []
+        todo: list = [self]
+        while todo:
+            item = todo.pop()
+            if type(item) is str:
+                parts.append(item)
+                continue
+            parts.append(f"{item.__class__.__qualname__}(op={item.op!r}, left=")
+            todo += (
+                ")",
+                item.right if isinstance(item.right, BinOp) else repr(item.right),
+                ", right=",
+                item.left if isinstance(item.left, BinOp) else repr(item.left),
+            )
+        return "".join(parts)
 
 
 CalcExpr = Digit | BinOp
@@ -276,8 +331,13 @@ CalcSampler = Dcfg | T2t | Rcfg | Bal
 
 
 # The samplers draw with ``rng.random`` (``coin``) and ``rng.getrandbits``
-# (``bits``, through ``randbelow``), consuming the generator exactly as
-# ``rng.randrange``/``rng.randint`` would in the documented order.
+# (``bits``), consuming the generator exactly as ``rng.randrange``/
+# ``rng.randint`` would in the documented order. A digit is drawn inline as
+# ``bits(4)``, redrawn while >= 10, and an operator index as ``bits(2)``,
+# redrawn while == 3: the bits ``randbelow(bits, 10)`` and
+# ``randbelow(bits, 3)`` draw, without a call per node. Bounds that vary
+# (the t2t depths, the rcfg run length, the bal depth index) go through
+# ``randbelow``.
 Coin = Callable[[], float]
 Bits = Callable[[int], int]
 
@@ -300,13 +360,17 @@ def sample_expr(rng: random.Random, sampler: CalcSampler) -> CalcExpr:
 # ``room`` counts the levels a draw may still nest below the current node.
 def _sample_dcfg(coin: Coin, bits: Bits, p: float, room: int) -> CalcExpr:
     if coin() >= p:
-        return _DIGITS[randbelow(bits, 10)]
+        digit = bits(4)
+        while digit >= 10:
+            digit = bits(4)
+        return _DIGITS[digit]
     if not room:
         raise ValueError(_TOO_DEEP)
-    op = OPS[randbelow(bits, 3)]
+    op = bits(2)
+    while op == 3:
+        op = bits(2)
     left = _sample_dcfg(coin, bits, p, room - 1)
-    right = _sample_dcfg(coin, bits, p, room - 1)
-    return BinOp(op, left, right)
+    return BinOp(OPS[op], left, _sample_dcfg(coin, bits, p, room - 1))
 
 
 # ``room`` holds the nodes a t2t draw may still add.
@@ -315,43 +379,57 @@ def _sample_t2t(coin: Coin, bits: Bits, depth: int, room: list[int]) -> CalcExpr
     if room[0] < 0:
         raise ValueError(_TOO_BIG)
     if depth == 0:
-        return _DIGITS[randbelow(bits, 10)]
-    op = OPS[randbelow(bits, 3)]
+        digit = bits(4)
+        while digit >= 10:
+            digit = bits(4)
+        return _DIGITS[digit]
+    op = bits(2)
+    while op == 3:
+        op = bits(2)
     force_left = coin() < 0.5
     other_depth = randbelow(bits, depth)
     if force_left:
         left = _sample_t2t(coin, bits, depth - 1, room)
-        return BinOp(op, left, _sample_t2t(coin, bits, other_depth, room))
+        return BinOp(OPS[op], left, _sample_t2t(coin, bits, other_depth, room))
     left = _sample_t2t(coin, bits, other_depth, room)
-    return BinOp(op, left, _sample_t2t(coin, bits, depth - 1, room))
+    return BinOp(OPS[op], left, _sample_t2t(coin, bits, depth - 1, room))
 
 
 def _sample_rcfg(
     coin: Coin, bits: Bits, p: float, runs: tuple[int, ...], room: int
 ) -> CalcExpr:
     if coin() >= p:
-        return _DIGITS[randbelow(bits, 10)]
+        digit = bits(4)
+        while digit >= 10:
+            digit = bits(4)
+        return _DIGITS[digit]
     if not room:
         raise ValueError(_TOO_DEEP)
     room -= 1
-    op = OPS[randbelow(bits, 3)]
-    if op == "-":
+    op = bits(2)
+    while op == 3:
+        op = bits(2)
+    if OPS[op] == "-":
         left = _sample_rcfg(coin, bits, p, runs, room)
         return BinOp("-", left, _sample_rcfg(coin, bits, p, runs, room))
     k = runs[randbelow(bits, len(runs))]
     node = _sample_rcfg(coin, bits, p, runs, room)
     for _ in range(k - 1):
-        node = BinOp(op, node, _sample_rcfg(coin, bits, p, runs, room))
+        node = BinOp(OPS[op], node, _sample_rcfg(coin, bits, p, runs, room))
     return node
 
 
 def _sample_bal(bits: Bits, depth: int) -> CalcExpr:
     if depth == 0:
-        return _DIGITS[randbelow(bits, 10)]
-    op = OPS[randbelow(bits, 3)]
+        digit = bits(4)
+        while digit >= 10:
+            digit = bits(4)
+        return _DIGITS[digit]
+    op = bits(2)
+    while op == 3:
+        op = bits(2)
     left = _sample_bal(bits, depth - 1)
-    right = _sample_bal(bits, depth - 1)
-    return BinOp(op, left, right)
+    return BinOp(OPS[op], left, _sample_bal(bits, depth - 1))
 
 
 def sample_record(rng: random.Random, sampler: CalcSampler) -> dict:
@@ -423,8 +501,10 @@ def _clamped(
     }
 
 
-# The salients of every bare digit; shared, so callers must not modify it.
+# The salients of every bare digit and of every operator over two digits
+# ("3*4"); shared, so callers must not modify them.
 _DIGIT_SALIENTS = _clamped(1, 0, 0, 0, 1, 0)
+_ONE_OP_SALIENTS = _clamped(3, 1, 0, 0, 2, 0)
 
 
 def expr_salients(expr: CalcExpr) -> dict[str, int]:
@@ -433,11 +513,13 @@ def expr_salients(expr: CalcExpr) -> dict[str, int]:
     A walk with an explicit stack applies :func:`expr_record`'s parenthesis
     rule: each wrapped node adds a pair of parentheses around every digit
     below it, and the text has one character per digit and operator plus two
-    per pair. A bare digit returns one shared dict, which callers must treat
-    as read-only.
+    per pair. A bare digit, and an operator over two digits, each return one
+    shared dict, which callers must treat as read-only.
     """
     if type(expr) is Digit:
         return _DIGIT_SALIENTS
+    if type(expr.left) is Digit and type(expr.right) is Digit:
+        return _ONE_OP_SALIENTS
     ops = parens = depth_sum = max_depth = 0
     # Operator nodes still to visit, each with its count of wrapped nodes
     # from the root down to and including itself.

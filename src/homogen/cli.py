@@ -75,8 +75,12 @@ def resolve_seed(value: int | None) -> int:
     return 0
 
 
+# ``json.dumps`` with separators builds a new encoder on every call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _json_line(obj: Any) -> str:
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+    return _ENCODER.encode(obj) + "\n"
 
 
 class _Outputs:
@@ -253,6 +257,13 @@ def _karel_source(args: argparse.Namespace) -> tuple[Source, dict[str, Any]]:
     return source, params
 
 
+def _read_calc(record: dict[str, Any]) -> dict[str, Any]:
+    text = record["expr"]
+    if not isinstance(text, str):
+        raise TypeError(f"'expr' must be a string, not {type(text).__name__}")
+    return calc.calc_salients(text)
+
+
 # Record-level calls go through the module attributes at call time, so that
 # wrappers installed on those attributes see every call.
 DOMAINS = {
@@ -266,7 +277,7 @@ DOMAINS = {
             source=_calc_source,
             to_record=lambda expr: calc.expr_record(expr),
             salients=lambda expr: calc.expr_salients(expr),
-            read=lambda record: calc.calc_salients(record["expr"]),
+            read=_read_calc,
             salient_specs=calc.salient_specs,
         ),
         Domain(
@@ -297,7 +308,7 @@ def _salient_specs(domain: Domain, names: list[str]) -> list[SalientSpec]:
     specs = domain.salient_specs()
     if unknown := [name for name in names if name not in specs]:
         raise UsageError(
-            f"unknown {domain.name} variable(s) {', '.join(unknown)}; "
+            f"unknown {domain.name} variable(s) {', '.join(map(repr, unknown))}; "
             f"choose from {', '.join(sorted(specs))}"
         )
     return [specs[name] for name in names]
@@ -422,8 +433,14 @@ def _dataset_columns(path: Path, variables: list[str] | None) -> list[tuple[Sali
                     names = variables or sorted(domain.salient_specs())
                     columns = [(spec, []) for spec in _salient_specs(domain, names)]
                 try:
+                    if not isinstance(record, dict):
+                        raise TypeError("not a JSON object")
                     values = domain.read(record)
-                except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                except KeyError as exc:
+                    raise UsageError(
+                        f"{path}: line {lineno}: bad record (missing key {exc})"
+                    ) from None
+                except (TypeError, ValueError, RecursionError) as exc:
                     raise UsageError(f"{path}: line {lineno}: bad record ({exc})") from None
                 for spec, column in columns:
                     column.append(values[spec.name])
@@ -490,7 +507,7 @@ def cmd_karel_run(args: argparse.Namespace, argv: list[str]) -> int:
     arms = branch_arms(program)
     coverage = f"coverage: {len(result.branches_taken)}/{len(arms)} arms"
     if result.success:
-        print(json.dumps(grid_to_json(result.output), separators=(",", ":")))
+        sys.stdout.write(_json_line(grid_to_json(result.output)))
         print(coverage)
         return EXIT_OK
     print(f"crash: {result.crash.value}")

@@ -605,7 +605,9 @@ def task_from_json(obj: dict[str, Any]) -> SynthesisTask:
             (grid_from_json(p["in"]), grid_from_json(p["out"])) for p in obj["pairs"]
         )
         held = (grid_from_json(obj["held_out"]["in"]), grid_from_json(obj["held_out"]["out"]))
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"malformed task object: missing key {exc}") from None
+    except TypeError as exc:
         raise ValueError(f"malformed task object: {exc}") from None
     if not pairs:
         raise ValueError("malformed task object: no shown pairs")

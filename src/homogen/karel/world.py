@@ -182,7 +182,9 @@ def grid_from_json(obj: dict[str, Any]) -> KarelGrid:
             karel_pos=tuple(obj["karel"]["pos"]),
             karel_dir=obj["karel"]["dir"],
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"malformed grid object: missing key {exc}") from None
+    except TypeError as exc:
         raise ValueError(f"malformed grid object: {exc}") from None
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homogen import calc
+from homogen.rng import randbelow
 from homogen.calc import (
     _SALIENT_DOMAINS as DOMAINS,
     MAX_NESTING,
@@ -363,6 +364,16 @@ def test_salient_specs_cover_their_domains():
             assert spec.extract(text) in spec.domain
 
 
+def test_one_operator_trees_share_one_salient_dict():
+    trees = [BinOp(op, Digit(a), Digit(b)) for op in OPS for a in range(10) for b in range(10)]
+    assert len(trees) == 300
+    for expr in trees:
+        salients = expr_salients(expr)
+        assert salients is calc._ONE_OP_SALIENTS
+        assert salients == _salients_of_text(render(expr))
+    assert expr_salients(Digit(4)) == _salients_of_text("4")
+
+
 def test_salient_spec_extractors_match_calc_salients():
     specs = salient_specs()
     for expr in fuzz_exprs(300, seed=108):
@@ -441,6 +452,111 @@ def test_samplers_match_the_randrange_reference(sampler, seed):
     for _ in range(2500):
         assert sample_expr(new, sampler) == _reference_sample(old, sampler)
     assert new.getstate() == old.getstate()
+
+
+def _randbelow_reference_sample(rng, sampler):
+    """The samplers as they drew before digits and operators were drawn
+    inline: every bounded draw through ``randbelow``, with the nesting and
+    node bounds."""
+    coin, bits = rng.random, rng.getrandbits
+
+    def dcfg(p, room):
+        if coin() >= p:
+            return Digit(randbelow(bits, 10))
+        if not room:
+            raise ValueError(calc._TOO_DEEP)
+        op = OPS[randbelow(bits, 3)]
+        left = dcfg(p, room - 1)
+        right = dcfg(p, room - 1)
+        return BinOp(op, left, right)
+
+    def t2t(depth, room):
+        room[0] -= 1
+        if room[0] < 0:
+            raise ValueError(calc._TOO_BIG)
+        if depth == 0:
+            return Digit(randbelow(bits, 10))
+        op = OPS[randbelow(bits, 3)]
+        force_left = coin() < 0.5
+        other_depth = randbelow(bits, depth)
+        if force_left:
+            left = t2t(depth - 1, room)
+            return BinOp(op, left, t2t(other_depth, room))
+        left = t2t(other_depth, room)
+        return BinOp(op, left, t2t(depth - 1, room))
+
+    def rcfg(p, runs, room):
+        if coin() >= p:
+            return Digit(randbelow(bits, 10))
+        if not room:
+            raise ValueError(calc._TOO_DEEP)
+        room -= 1
+        op = OPS[randbelow(bits, 3)]
+        if op == "-":
+            left = rcfg(p, runs, room)
+            return BinOp("-", left, rcfg(p, runs, room))
+        k = runs[randbelow(bits, len(runs))]
+        node = rcfg(p, runs, room)
+        for _ in range(k - 1):
+            node = BinOp(op, node, rcfg(p, runs, room))
+        return node
+
+    def bal(depth):
+        if depth == 0:
+            return Digit(randbelow(bits, 10))
+        op = OPS[randbelow(bits, 3)]
+        left = bal(depth - 1)
+        right = bal(depth - 1)
+        return BinOp(op, left, right)
+
+    if isinstance(sampler, Dcfg):
+        return dcfg(sampler.p, MAX_NESTING)
+    if isinstance(sampler, T2t):
+        depth = sampler.depth
+        if depth is None:
+            depth = 1 + randbelow(bits, sampler.max_depth)
+        return t2t(depth, [calc.MAX_NODES])
+    if isinstance(sampler, Rcfg):
+        return rcfg(sampler.p, sampler.run_lengths, MAX_NESTING)
+    return bal(sampler.depths[randbelow(bits, len(sampler.depths))])
+
+
+def _outcome(sample, rng, sampler):
+    try:
+        return sample(rng, sampler)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _errors_drawing_like_the_randbelow_reference(sampler):
+    """Draws 10 trees on each of 200 seeds with both versions, asserting
+    equal trees (or equal errors) and equal generator states; returns the
+    number of errors."""
+    errors = 0
+    for seed in range(200):
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(10):
+            drawn = _outcome(sample_expr, new, sampler)
+            assert drawn == _outcome(_randbelow_reference_sample, old, sampler), seed
+            assert new.getstate() == old.getstate(), seed
+            errors += isinstance(drawn, str)
+    return errors
+
+
+@pytest.mark.parametrize(
+    "sampler", (*REFERENCE_SAMPLERS, Rcfg(p=0.45, run_lengths=(2,))), ids=repr
+)
+def test_inline_draws_match_the_randbelow_reference(sampler):
+    assert _errors_drawing_like_the_randbelow_reference(sampler) == 0
+
+
+def test_inline_draws_stop_like_the_randbelow_reference(monkeypatch):
+    # The near-critical walk passes the nesting cap on some seeds, and both
+    # versions stop it with the same error after the same draws.
+    assert _errors_drawing_like_the_randbelow_reference(Dcfg(p=0.499)) > 0
+    # So do t2t draws that pass a lowered node bound.
+    monkeypatch.setattr(calc, "MAX_NODES", 60)
+    assert _errors_drawing_like_the_randbelow_reference(T2t(max_depth=9)) > 0
 
 
 def _reference_salients(text):
@@ -688,8 +804,7 @@ def test_render_and_eval_follow_nesting_past_the_recursion_limit():
             expr, value = BinOp(op, expr, Digit(d)), exact_op(op, value, d)
     assert eval_mod10(expr) == value % 10
     rendered = render(expr)
-    # Tree equality recurses, so the round trip compares texts.
-    assert render(parse_expr(rendered)) == rendered
+    assert parse_expr(rendered) == expr
     assert expr_salients(expr) == _salients_of_text(rendered)
     assert expr_salients(expr)["max_depth"] == max(DOMAINS["max_depth"])
 
@@ -699,3 +814,70 @@ def test_parser_follows_nesting_past_the_recursion_limit():
     assert parse_expr(deep) == BinOp("+", Digit(1), Digit(2))
     with pytest.raises(CalcParseError, match=r"expected '\)' at position 10002"):
         parse_expr(deep[:-1])
+
+
+def _reference_repr(expr):
+    if isinstance(expr, Digit):
+        return repr(expr)
+    left, right = _reference_repr(expr.left), _reference_repr(expr.right)
+    return f"BinOp(op={expr.op!r}, left={left}, right={right})"
+
+
+def _reference_equal(a, b):
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Digit):
+        return a.value == b.value
+    return a.op == b.op and _reference_equal(a.left, b.left) and _reference_equal(a.right, b.right)
+
+
+def test_tree_equality_hash_and_repr_match_the_recursive_reference():
+    # Small trees so that distinct draws are often equal.
+    exprs = [e for e, _ in zip(fuzz_exprs(100, seed=109), range(100))]
+    rng = random.Random(110)
+    exprs += [sample_expr(rng, Dcfg(p=0.2)) for _ in range(200)]
+    for expr in exprs:
+        assert repr(expr) == _reference_repr(expr)
+        copy = parse_expr(render(expr))
+        assert copy == expr and not copy != expr
+        assert hash(copy) == hash(expr)
+    equal_pairs = 0
+    for a, b in zip(exprs, exprs[1:] + exprs[:1]):
+        assert (a == b) is _reference_equal(a, b), (a, b)
+        assert (a != b) is not _reference_equal(a, b)
+        equal_pairs += a == b
+    assert 0 < equal_pairs < len(exprs)
+    assert BinOp("+", Digit(1), Digit(2)) != Digit(1)
+    assert Digit(1) != BinOp("+", Digit(1), Digit(2))
+    assert BinOp("+", Digit(1), Digit(2)) != BinOp("-", Digit(1), Digit(2))
+    assert len({BinOp("*", Digit(3), Digit(4)), BinOp("*", Digit(3), Digit(4))}) == 1
+
+
+def test_tree_equality_hash_and_repr_follow_nesting_past_the_recursion_limit():
+    # Two separately built 5,000-level chains that alternate sides and cycle
+    # the operators; the repr is built alongside from both ends.
+    def chain(last_leaf):
+        expr = Digit(7)
+        prefix, suffix = [], []
+        for i in range(5000):
+            op, d = OPS[i % 3], i % 10
+            if i % 2:
+                expr = BinOp(op, Digit(d), expr)
+                prefix.append(f"BinOp(op={op!r}, left=Digit(value={d}), right=")
+                suffix.append(")")
+            else:
+                expr = BinOp(op, expr, Digit(d if i else last_leaf))
+                prefix.append(f"BinOp(op={op!r}, left=")
+                suffix.append(f", right=Digit(value={d if i else last_leaf}))")
+        return expr, "".join(reversed(prefix)) + "Digit(value=7)" + "".join(suffix)
+
+    expr, text = chain(0)
+    same, _ = chain(0)
+    other, _ = chain(1)
+    assert expr == same and hash(expr) == hash(same)
+    assert expr != other and not expr == other
+    assert repr(expr) == text
+    deep = parse_expr("1*(" * 1200 + "1" + ")" * 1200)
+    assert deep == parse_expr("1*(" * 1200 + "1" + ")" * 1200)
+    assert hash(deep) == hash(parse_expr(render(deep)))
+    assert repr(deep).count("BinOp(") == 1200

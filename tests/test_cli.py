@@ -843,6 +843,59 @@ def test_stats_unknown_variable_is_usage_error(tmp_path, monkeypatch, capsys):
     assert "entropy" in err
 
 
+def test_stats_empty_variable_name_is_named(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run_cli(["generate", "calc", "--count", "5", "--seed", "1", "--out", "c.jsonl"], capsys)
+    code, _, err = run_cli(["stats", "c.jsonl", "--vars", "length,"], capsys)
+    assert code == 2
+    assert err.startswith("error: unknown calc variable(s) ''; choose from ")
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"program":"def run(): move()"}', "bad record (missing key 'expr')"),
+    ('{"expr":5,"label":5}', "bad record ('expr' must be a string, not int)"),
+    ('[1, 2]', "bad record (not a JSON object)"),
+], ids=["karel-in-calc", "int-expr", "list"])
+def test_stats_bad_calc_record_messages(line, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.jsonl").write_text('{"expr":"1+2","label":3}\n' + line + "\n")
+    code, _, err = run_cli(["stats", "bad.jsonl"], capsys)
+    assert code == 2
+    assert err == f"error: bad.jsonl: line 2: {message}\n"
+
+
+def _without_width(record):
+    del record["held_out"]["in"]["w"]
+    return record
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda r: {"expr": "1+2", "label": 3}, "malformed task object: missing key 'program'"),
+    (_without_width, "malformed grid object: missing key 'w'"),
+], ids=["calc-in-karel", "grid-without-width"])
+def test_stats_bad_karel_record_names_the_missing_key(
+    corrupt, message, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    run_cli(["generate", "karel", "--count", "2", "--seed", "1", "--out", "k.jsonl"], capsys)
+    first, second = (tmp_path / "k.jsonl").read_text().splitlines()
+    bad = json.dumps(corrupt(json.loads(second)))
+    (tmp_path / "k.jsonl").write_text(first + "\n" + bad + "\n")
+    code, _, err = run_cli(["stats", "k.jsonl"], capsys)
+    assert code == 2
+    assert err == f"error: k.jsonl: line 2: bad record ({message})\n"
+
+
+def test_json_line_matches_json_dumps():
+    rng = random.Random(8)
+    source = karel_gen.task_source(karel_gen.sample_uniform_grid, n_pairs="uniform")
+    objects = [calc.sample_record(rng, calc.Dcfg()) for _ in range(20)]
+    objects += [karel_gen.task_to_json(source(rng)) for _ in range(2)]
+    objects.append({"expr": 'a"b\\c\n\t\u00e9\u2028\x00\ud83d\ude00', "label": -0.5})
+    for obj in objects:
+        assert cli._json_line(obj) == json.dumps(obj, separators=(",", ":")) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # karel-run
 
