@@ -493,7 +493,7 @@ def cmd_karel_run(args: argparse.Namespace, argv: list[str]) -> int:
     grid_path = Path(args.grid)
     try:
         program = parse_program(program_path.read_text(encoding="utf-8"))
-    except (OSError, KarelSyntaxError) as exc:
+    except (OSError, KarelSyntaxError, RecursionError) as exc:
         raise UsageError(f"{program_path}: {exc}") from None
     try:
         grid = grid_from_json(json.loads(grid_path.read_text(encoding="utf-8")))

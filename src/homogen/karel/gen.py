@@ -236,6 +236,7 @@ class ProductionTable:
 DEFAULT_PRODUCTIONS = ProductionTable()
 
 _MAX_SAMPLE_ATTEMPTS = 10_000
+_MAX_PROGRAM_ATTEMPTS = 100
 
 
 class _Oversize(Exception):
@@ -628,7 +629,6 @@ def task_source(
     table: ProductionTable = DEFAULT_PRODUCTIONS,
     retry_limit: int = 400,
     step_limit: int = DEFAULT_STEP_LIMIT,
-    max_program_attempts: int = 100,
     program_filter: Callable[[KarelProgram], bool] | None = None,
 ) -> Callable[[random.Random], SynthesisTask]:
     """A task-per-call sampler suitable for generation and homogenization.
@@ -639,7 +639,7 @@ def task_source(
     are dropped and redrawn. The stream's ``retry_limit`` is deliberately
     lower than :func:`make_task`'s default so hard-to-exercise programs get
     replaced instead of eating the grid budget. After
-    ``max_program_attempts`` consecutive failures the stream reports a stall
+    ``_MAX_PROGRAM_ATTEMPTS`` consecutive failures the stream reports a stall
     instead of spinning.
     """
     if isinstance(n_pairs, str):
@@ -650,7 +650,7 @@ def task_source(
     _check_step_limit(step_limit)
 
     def draw(rng: random.Random) -> SynthesisTask:
-        for _ in range(max_program_attempts):
+        for _ in range(_MAX_PROGRAM_ATTEMPTS):
             program = sample_program(rng, table)
             if program_filter is not None and not program_filter(program):
                 continue
@@ -667,7 +667,7 @@ def task_source(
             except UncoverableProgramError:
                 continue
         raise GenerationStallError(
-            f"{max_program_attempts} consecutive programs failed task assembly; "
+            f"{_MAX_PROGRAM_ATTEMPTS} consecutive programs failed task assembly; "
             "the grid distribution likely cannot exercise the sampled programs"
         )
 

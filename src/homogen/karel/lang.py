@@ -11,6 +11,12 @@ unbraced. The parser also accepts an unbraced single-statement body, and it
 nests sequences to the right, so ``parse_program(emit_tokens(p)) == p`` for
 any program built from right-nested sequences (everything this package
 samples or parses).
+
+Emission walks the tree with an explicit stack, and ``program_salients``
+reads size, control-flow count and nesting depth off the emitted tokens, so
+neither recurses on program length or depth. Parsing still recurses once
+per nesting level: text nested past Python's recursion limit raises
+``RecursionError``, which the CLI reports as a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -98,78 +104,57 @@ class KarelSyntaxError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+|[(){}:;]|\S")
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+|[(){}:;]|(?P<stray>\S)")
 
 
 def _lex(text: str) -> list[tuple[str, int]]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        tok = m.group()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*|\d+|[(){}:;]", tok):
-            raise KarelSyntaxError(f"unexpected character {tok!r}", m.start())
-        tokens.append((tok, m.start()))
+        if m.lastgroup == "stray":
+            raise KarelSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.group(), m.start()))
     return tokens
 
 
 def emit_tokens(program: KarelProgram) -> list[str]:
-    """Canonical token sequence for the program."""
+    """Canonical token sequence for the program.
+
+    One explicit stack holds statements, conditions and pending tokens, so
+    long sequences and deep nesting never reach the recursion limit.
+    """
     out = ["def", "main", "(", ")", ":"]
-    _emit_stmt(program.body, out)
+    stack: list[Stmt | Cond | str] = [program.body]
+    while stack:
+        node = stack.pop()
+        match node:
+            case str():
+                out.append(node)
+            case Action(name=name) | Pred(name=name):
+                out += [name, "(", ")"]
+            case Seq(first=first, rest=rest):
+                stack += [rest, ";", first]
+            case If(cond=cond, body=body):
+                out += ["if", "("]
+                stack += ["}", body, "{", ":", ")", cond]
+            case IfElse(cond=cond, then_body=then_body, else_body=else_body):
+                out += ["if", "("]
+                stack += ["}", else_body, "{", ":", "else", "}", then_body, "{", ":", ")", cond]
+            case While(cond=cond, body=body):
+                out += ["while", "("]
+                stack += ["}", body, "{", ":", ")", cond]
+            case Repeat(times=times, body=body):
+                out += ["repeat", "(", str(times), ")", ":", "{"]
+                stack += ["}", body]
+            case Not(cond=inner):
+                out += ["not", "("]
+                stack += [")", inner]
+            case _:
+                raise TypeError(f"not a statement or condition: {node!r}")
     return out
 
 
 def program_to_text(program: KarelProgram) -> str:
     return " ".join(emit_tokens(program))
-
-
-def _emit_stmt(stmt: Stmt, out: list[str]) -> None:
-    match stmt:
-        case Action(name=name):
-            out += [name, "(", ")"]
-        case Seq(first=first, rest=rest):
-            _emit_stmt(first, out)
-            out.append(";")
-            _emit_stmt(rest, out)
-        case If(cond=cond, body=body):
-            out += ["if", "("]
-            _emit_cond(cond, out)
-            out += [")", ":"]
-            _emit_block(body, out)
-        case IfElse(cond=cond, then_body=then_body, else_body=else_body):
-            out += ["if", "("]
-            _emit_cond(cond, out)
-            out += [")", ":"]
-            _emit_block(then_body, out)
-            out += ["else", ":"]
-            _emit_block(else_body, out)
-        case While(cond=cond, body=body):
-            out += ["while", "("]
-            _emit_cond(cond, out)
-            out += [")", ":"]
-            _emit_block(body, out)
-        case Repeat(times=times, body=body):
-            out += ["repeat", "(", str(times), ")", ":"]
-            _emit_block(body, out)
-        case _:
-            raise TypeError(f"not a statement: {stmt!r}")
-
-
-def _emit_block(stmt: Stmt, out: list[str]) -> None:
-    out.append("{")
-    _emit_stmt(stmt, out)
-    out.append("}")
-
-
-def _emit_cond(cond: Cond, out: list[str]) -> None:
-    match cond:
-        case Pred(name=name):
-            out += [name, "(", ")"]
-        case Not(cond=inner):
-            out += ["not", "("]
-            _emit_cond(inner, out)
-            out.append(")")
-        case _:
-            raise TypeError(f"not a condition: {cond!r}")
 
 
 class _Parser:
@@ -305,36 +290,26 @@ def parse_program(text: str | list[str] | tuple[str, ...]) -> KarelProgram:
     return _Parser(tokens).program()
 
 
+_CONTROL_KEYWORDS = frozenset(("if", "while", "repeat"))
+
+
 def program_salients(program: KarelProgram) -> dict[str, int]:
-    """Size in tokens, control-flow node count, and control-flow nesting depth."""
-    return {
-        "size": len(emit_tokens(program)),
-        "control_flow_count": _count_control(program.body),
-        "nesting_depth": _control_depth(program.body),
-    }
+    """Size in tokens, control-flow node count, and control-flow nesting depth.
 
+    All three are read off the canonical tokens: each control node emits one
+    ``if``, ``while`` or ``repeat`` (an if-else emits a single ``if``), and
+    only control bodies are braced, so the deepest ``{`` is the nesting depth.
+    """
+    tokens = emit_tokens(program)
+    depth = deepest = control = 0
+    for tok in tokens:
+        if tok == "{":
+            depth += 1
+            if depth > deepest:
+                deepest = depth
+        elif tok == "}":
+            depth -= 1
+        elif tok in _CONTROL_KEYWORDS:
+            control += 1
+    return {"size": len(tokens), "control_flow_count": control, "nesting_depth": deepest}
 
-def _count_control(stmt: Stmt) -> int:
-    match stmt:
-        case Action():
-            return 0
-        case Seq(first=first, rest=rest):
-            return _count_control(first) + _count_control(rest)
-        case If(body=body) | While(body=body) | Repeat(body=body):
-            return 1 + _count_control(body)
-        case IfElse(then_body=then_body, else_body=else_body):
-            return 1 + _count_control(then_body) + _count_control(else_body)
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
-def _control_depth(stmt: Stmt) -> int:
-    match stmt:
-        case Action():
-            return 0
-        case Seq(first=first, rest=rest):
-            return max(_control_depth(first), _control_depth(rest))
-        case If(body=body) | While(body=body) | Repeat(body=body):
-            return 1 + _control_depth(body)
-        case IfElse(then_body=then_body, else_body=else_body):
-            return 1 + max(_control_depth(then_body), _control_depth(else_body))
-    raise TypeError(f"not a statement: {stmt!r}")

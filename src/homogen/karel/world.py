@@ -157,9 +157,6 @@ class KarelGrid:
         i, j = cell
         return 0 <= i < self.width and 0 <= j < self.height
 
-    def marker_count(self, cell: Cell) -> int:
-        return self.markers.get(cell, 0)
-
 
 def grid_to_json(grid: KarelGrid) -> dict[str, Any]:
     """JSON-ready dict with a fixed key order and sorted cell lists."""

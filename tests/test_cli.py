@@ -726,6 +726,22 @@ def test_stats_accepts_deeply_nested_calc_record(tmp_path, monkeypatch, capsys):
     assert variables["length"]["histogram"] == {"120": 1}
 
 
+def test_stats_accepts_long_karel_record(tmp_path, monkeypatch, capsys):
+    # 1,500 statements parse to sequence nodes nested far past Python's
+    # recursion limit.
+    monkeypatch.chdir(tmp_path)
+    run_cli(["generate", "karel", "--count", "1", "--seed", "1", "--out", "k.jsonl"], capsys)
+    record = json.loads((tmp_path / "k.jsonl").read_text())
+    record["program"] = ("def main ( ) : " + " ; ".join(["turnLeft ( )"] * 1500)).split()
+    (tmp_path / "k.jsonl").write_text(json.dumps(record) + "\n")
+    code, out, err = run_cli(["stats", "k.jsonl"], capsys)
+    assert code == 0, err
+    variables = json.loads(out)["variables"]
+    assert variables["size"]["histogram"] == {"160": 1}
+    assert variables["control_flow_count"]["histogram"] == {"0": 1}
+    assert variables["nesting_depth"]["histogram"] == {"0": 1}
+
+
 def _repeat_program(count):
     return ["def", "main", "(", ")", ":", "repeat", "(", count, ")", ":", "move", "(", ")"]
 
@@ -943,6 +959,16 @@ def test_karel_run_bad_program_is_usage_error(tmp_path, capsys):
         ["karel-run", str(tmp_path / "prog.txt"), str(tmp_path / "grid.json")], capsys
     )
     assert code == 2
+
+
+def test_karel_run_program_nested_past_parser_depth_is_usage_error(tmp_path, capsys):
+    text = "def main(): " + "repeat ( 1 ) : { " * 1200 + "move ( )" + " }" * 1200
+    prog, grid = write_run_inputs(tmp_path, text, CRASH_GRID)
+    code, out, err = run_cli(["karel-run", prog, grid], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {prog}: ")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

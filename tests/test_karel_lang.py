@@ -13,6 +13,7 @@ from homogen.karel import (
     KarelProgram,
     KarelSyntaxError,
     Not,
+    ProductionTable,
     Pred,
     Repeat,
     Seq,
@@ -100,8 +101,9 @@ def test_syntax_errors_carry_positions():
         parse_program("def main(): move() extra()")
     with pytest.raises(KarelSyntaxError):
         parse_program("def main(): while(markersPresent): move()")
-    with pytest.raises(KarelSyntaxError):
+    with pytest.raises(KarelSyntaxError, match="unexpected character '@'") as excinfo:
         parse_program("def main(): move() @")
+    assert excinfo.value.position == len("def main(): move() ")
     with pytest.raises(KarelSyntaxError):
         parse_program("")
 
@@ -200,6 +202,139 @@ def test_program_salients_examples():
     )
     assert program_salients(siblings)["control_flow_count"] == 2
     assert program_salients(siblings)["nesting_depth"] == 1
+
+
+# The recursive walkers that emission and the program measures replaced,
+# kept as the reference the explicit-stack versions must match.
+def _reference_emit_stmt(stmt, out):
+    match stmt:
+        case Action(name=name):
+            out += [name, "(", ")"]
+        case Seq(first=first, rest=rest):
+            _reference_emit_stmt(first, out)
+            out.append(";")
+            _reference_emit_stmt(rest, out)
+        case If(cond=cond, body=body):
+            out += ["if", "("]
+            _reference_emit_cond(cond, out)
+            out += [")", ":"]
+            _reference_emit_block(body, out)
+        case IfElse(cond=cond, then_body=then_body, else_body=else_body):
+            out += ["if", "("]
+            _reference_emit_cond(cond, out)
+            out += [")", ":"]
+            _reference_emit_block(then_body, out)
+            out += ["else", ":"]
+            _reference_emit_block(else_body, out)
+        case While(cond=cond, body=body):
+            out += ["while", "("]
+            _reference_emit_cond(cond, out)
+            out += [")", ":"]
+            _reference_emit_block(body, out)
+        case Repeat(times=times, body=body):
+            out += ["repeat", "(", str(times), ")", ":"]
+            _reference_emit_block(body, out)
+        case _:
+            raise TypeError(f"not a statement: {stmt!r}")
+
+
+def _reference_emit_block(stmt, out):
+    out.append("{")
+    _reference_emit_stmt(stmt, out)
+    out.append("}")
+
+
+def _reference_emit_cond(cond, out):
+    match cond:
+        case Pred(name=name):
+            out += [name, "(", ")"]
+        case Not(cond=inner):
+            out += ["not", "("]
+            _reference_emit_cond(inner, out)
+            out.append(")")
+        case _:
+            raise TypeError(f"not a condition: {cond!r}")
+
+
+def _reference_count_control(stmt):
+    match stmt:
+        case Action():
+            return 0
+        case Seq(first=first, rest=rest):
+            return _reference_count_control(first) + _reference_count_control(rest)
+        case If(body=body) | While(body=body) | Repeat(body=body):
+            return 1 + _reference_count_control(body)
+        case IfElse(then_body=then_body, else_body=else_body):
+            return 1 + _reference_count_control(then_body) + _reference_count_control(else_body)
+    raise TypeError(f"not a statement: {stmt!r}")
+
+
+def _reference_control_depth(stmt):
+    match stmt:
+        case Action():
+            return 0
+        case Seq(first=first, rest=rest):
+            return max(_reference_control_depth(first), _reference_control_depth(rest))
+        case If(body=body) | While(body=body) | Repeat(body=body):
+            return 1 + _reference_control_depth(body)
+        case IfElse(then_body=then_body, else_body=else_body):
+            return 1 + max(
+                _reference_control_depth(then_body), _reference_control_depth(else_body)
+            )
+    raise TypeError(f"not a statement: {stmt!r}")
+
+
+def _assert_matches_reference(program):
+    tokens = ["def", "main", "(", ")", ":"]
+    _reference_emit_stmt(program.body, tokens)
+    assert emit_tokens(program) == tokens
+    assert program_salients(program) == {
+        "size": len(tokens),
+        "control_flow_count": _reference_count_control(program.body),
+        "nesting_depth": _reference_control_depth(program.body),
+    }
+
+
+@pytest.mark.parametrize("table", [ProductionTable(), ProductionTable(token_cap=200)],
+                         ids=["default", "cap-200"])
+def test_emit_and_salients_match_recursive_reference_on_sampled_programs(table):
+    for seed in range(300):
+        rng = random.Random(seed)
+        for _ in range(20):
+            _assert_matches_reference(sample_program(rng, table))
+
+
+@pytest.mark.parametrize("body", [
+    Seq(
+        Seq(Action("move"), Action("turnLeft")),
+        Seq(Seq(Action("putMarker"), Action("pickMarker")), Action("turnRight")),
+    ),
+    If(Not(Not(Pred("frontIsClear"))), Action("move")),
+    While(
+        Pred("markersPresent"),
+        Seq(
+            IfElse(Not(Pred("leftIsClear")), Action("turnLeft"), Repeat(2, Action("move"))),
+            Action("pickMarker"),
+        ),
+    ),
+    Repeat(0, Action("putMarker")),
+], ids=["left-nested-seq", "double-not", "if-else-in-while", "repeat-zero"])
+def test_emit_and_salients_match_recursive_reference_on_hand_built_programs(body):
+    _assert_matches_reference(KarelProgram(body))
+
+
+def test_emit_and_salients_walk_past_the_recursion_limit():
+    body = Action("move")
+    for _ in range(3000):
+        body = Repeat(1, Seq(Action("turnLeft"), body))
+    tokens = emit_tokens(KarelProgram(body))
+    assert tokens[5:12] == ["repeat", "(", "1", ")", ":", "{", "turnLeft"]
+    assert tokens[-3003:] == ["move", "(", ")"] + ["}"] * 3000
+    assert program_salients(KarelProgram(body)) == {
+        "size": 5 + 3 + 3000 * 11,
+        "control_flow_count": 3000,
+        "nesting_depth": 3000,
+    }
 
 
 def test_size_counts_every_token():
