@@ -46,7 +46,7 @@ from .homogenizer import (
     expected_tries_bound,
 )
 from .karel import gen as karel_gen
-from .karel.interp import branch_arms, execute
+from .karel.interp import branch_arms, compile_program, execute
 from .karel.lang import KarelSyntaxError, parse_program
 from .karel.world import grid_from_json, grid_to_json
 
@@ -311,6 +311,11 @@ def _salient_specs(domain: Domain, names: list[str]) -> list[SalientSpec]:
             f"unknown {domain.name} variable(s) {', '.join(map(repr, unknown))}; "
             f"choose from {', '.join(sorted(specs))}"
         )
+    if repeated := dict.fromkeys(name for name in names if names.count(name) > 1):
+        raise UsageError(
+            f"repeated {domain.name} variable(s) {', '.join(map(repr, repeated))}; "
+            "name each variable once"
+        )
     return [specs[name] for name in names]
 
 
@@ -386,7 +391,7 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
             kl_after=kl_after,
             reduction_pct=reduction,
             draws_per_accept=run.draws_used / args.count,
-            bound=expected_tries_bound(args.eps) if args.eps > 0 else None,
+            bound=expected_tries_bound(args.eps),
         )
         with outputs.open(out_path.with_name(out_path.name + ".report.json")) as fp:
             write_report_json([row], fp)
@@ -424,9 +429,11 @@ def _dataset_columns(path: Path, variables: list[str] | None) -> list[tuple[Sali
                     continue
                 try:
                     record = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:
+                    # A JSON value nested past the decoder's depth raises
+                    # RecursionError, which has no ``msg``.
                     raise UsageError(
-                        f"{path}: line {lineno}: invalid JSON ({exc.msg})"
+                        f"{path}: line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})"
                     ) from None
                 if columns is None:
                     domain = _domain_of(path, record)
@@ -493,18 +500,19 @@ def cmd_karel_run(args: argparse.Namespace, argv: list[str]) -> int:
     grid_path = Path(args.grid)
     try:
         program = parse_program(program_path.read_text(encoding="utf-8"))
-    except (OSError, KarelSyntaxError, RecursionError) as exc:
+    except (OSError, UnicodeDecodeError, KarelSyntaxError, RecursionError) as exc:
         raise UsageError(f"{program_path}: {exc}") from None
     try:
         grid = grid_from_json(json.loads(grid_path.read_text(encoding="utf-8")))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"{grid_path}: {exc}") from None
 
+    compiled = compile_program(program)
     try:
-        result = execute(program, grid, step_limit=args.step_limit)
+        result = execute(compiled, grid, step_limit=args.step_limit)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    arms = branch_arms(program)
+    arms = branch_arms(compiled)
     coverage = f"coverage: {len(result.branches_taken)}/{len(arms)} arms"
     if result.success:
         sys.stdout.write(_json_line(grid_to_json(result.output)))

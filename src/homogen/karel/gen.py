@@ -33,13 +33,13 @@ from .lang import (
     MAX_REPEAT,
     PREDICATES,
     Action,
+    Body,
     If,
     IfElse,
     KarelProgram,
     Not,
     Pred,
     Repeat,
-    Seq,
     Stmt,
     While,
     emit_tokens,
@@ -248,13 +248,14 @@ def sample_program(
 ) -> KarelProgram:
     """Draw a program from the grammar walk, rejecting oversize draws.
 
-    Sequences are built right-nested as they are drawn, matching what the
-    parser builds, so emitted programs parse back to equal ASTs.
+    A seq production joins the statement tuples of its two halves, so every
+    body is one flat tuple, as the parser builds it, and emitted programs
+    parse back to equal ASTs.
     """
     for _ in range(_MAX_SAMPLE_ATTEMPTS):
         budget = [table.token_cap]  # loose node bound; exact token check below
         try:
-            body = _sample_stmt(rng, table, budget)
+            body = _sample_body(rng, table, budget)
         except _Oversize:
             continue
         program = KarelProgram(body)
@@ -266,38 +267,31 @@ def sample_program(
     )
 
 
-def _sample_stmt(rng: random.Random, table: ProductionTable, budget: list[int]) -> Stmt:
+def _sample_body(rng: random.Random, table: ProductionTable, budget: list[int]) -> Body:
     budget[0] -= 1
     if budget[0] < 0:
         raise _Oversize
     roll = rng.random()
     edge = table.action_p
     if roll < edge:
-        return Action(ACTIONS[rng.randrange(len(ACTIONS))])
+        return (Action(ACTIONS[rng.randrange(len(ACTIONS))]),)
     edge += table.seq_p
     if roll < edge:
-        first = _sample_stmt(rng, table, budget)
-        return _chain(first, _sample_stmt(rng, table, budget))
+        first = _sample_body(rng, table, budget)
+        return first + _sample_body(rng, table, budget)
     edge += table.if_p
     if roll < edge:
-        return If(_sample_cond(rng, table), _sample_stmt(rng, table, budget))
+        return (If(_sample_cond(rng, table), _sample_body(rng, table, budget)),)
     edge += table.if_else_p
     if roll < edge:
         cond = _sample_cond(rng, table)
-        then_body = _sample_stmt(rng, table, budget)
-        else_body = _sample_stmt(rng, table, budget)
-        return IfElse(cond, then_body, else_body)
+        then_body = _sample_body(rng, table, budget)
+        else_body = _sample_body(rng, table, budget)
+        return (IfElse(cond, then_body, else_body),)
     edge += table.while_p
     if roll < edge:
-        return While(_sample_cond(rng, table), _sample_stmt(rng, table, budget))
-    return Repeat(rng.randrange(MAX_REPEAT + 1), _sample_stmt(rng, table, budget))
-
-
-def _chain(first: Stmt, rest: Stmt) -> Stmt:
-    """``first``'s statements followed by ``rest``, right-nested like both."""
-    if isinstance(first, Seq):
-        return Seq(first.first, _chain(first.rest, rest))
-    return Seq(first, rest)
+        return (While(_sample_cond(rng, table), _sample_body(rng, table, budget)),)
+    return (Repeat(rng.randrange(MAX_REPEAT + 1), _sample_body(rng, table, budget)),)
 
 
 def _sample_cond(rng: random.Random, table: ProductionTable) -> Pred | Not:
@@ -311,15 +305,7 @@ def sample_action_only(rng: random.Random, length: int) -> KarelProgram:
     """Uniform action token string of the given length, as a program."""
     if not 1 <= length <= 20:
         raise ValueError("length must be in 1..20")
-    names = [ACTIONS[rng.randrange(len(ACTIONS))] for _ in range(length)]
-    return _actions_to_program(names)
-
-
-def _actions_to_program(names: Sequence[str]) -> KarelProgram:
-    node: Stmt = Action(names[-1])
-    for name in reversed(names[:-1]):
-        node = Seq(Action(name), node)
-    return KarelProgram(node)
+    return KarelProgram(tuple(Action(ACTIONS[rng.randrange(len(ACTIONS))]) for _ in range(length)))
 
 
 def enumerate_action_only(rng: random.Random, length: int, limit: int) -> list[KarelProgram]:
@@ -335,7 +321,7 @@ def enumerate_action_only(rng: random.Random, length: int, limit: int) -> list[K
     total = len(ACTIONS) ** length
     if total <= limit:
         combos: Iterable[tuple[str, ...]] = itertools.product(ACTIONS, repeat=length)
-        return [_actions_to_program(combo) for combo in combos]
+        return [KarelProgram(tuple(map(Action, combo))) for combo in combos]
     seen: set[tuple[str, ...]] = set()
     ordered: list[tuple[str, ...]] = []
     while len(ordered) < limit:
@@ -343,7 +329,7 @@ def enumerate_action_only(rng: random.Random, length: int, limit: int) -> list[K
         if combo not in seen:
             seen.add(combo)
             ordered.append(combo)
-    return [_actions_to_program(combo) for combo in ordered]
+    return [KarelProgram(tuple(map(Action, combo))) for combo in ordered]
 
 
 _NODE_KINDS = {"if": If, "ifElse": IfElse, "while": While, "repeat": Repeat}
@@ -360,24 +346,22 @@ def has_nested(program: KarelProgram, outer: str, inner: str) -> bool:
     return _scan_nested(program.body, outer_t, inner_t, inside=False)
 
 
-def _scan_nested(stmt: Stmt, outer_t: type, inner_t: type, inside: bool) -> bool:
-    if inside and isinstance(stmt, inner_t):
+def _scan_nested(node: Body | Stmt, outer_t: type, inner_t: type, inside: bool) -> bool:
+    if inside and isinstance(node, inner_t):
         return True
-    entered = inside or isinstance(stmt, outer_t)
-    match stmt:
+    entered = inside or isinstance(node, outer_t)
+    match node:
+        case tuple():
+            return any(_scan_nested(stmt, outer_t, inner_t, inside) for stmt in node)
         case Action():
             return False
-        case Seq(first=first, rest=rest):
-            return _scan_nested(first, outer_t, inner_t, inside) or _scan_nested(
-                rest, outer_t, inner_t, inside
-            )
         case If(body=body) | While(body=body) | Repeat(body=body):
             return _scan_nested(body, outer_t, inner_t, entered)
         case IfElse(then_body=then_body, else_body=else_body):
             return _scan_nested(then_body, outer_t, inner_t, entered) or _scan_nested(
                 else_body, outer_t, inner_t, entered
             )
-    raise TypeError(f"not a statement: {stmt!r}")
+    raise TypeError(f"not a statement: {node!r}")
 
 
 def satisfies_action_pruning(program: KarelProgram) -> bool:
@@ -640,7 +624,8 @@ def task_source(
     lower than :func:`make_task`'s default so hard-to-exercise programs get
     replaced instead of eating the grid budget. After
     ``_MAX_PROGRAM_ATTEMPTS`` consecutive failures the stream reports a stall
-    instead of spinning.
+    instead of spinning, with how many of those programs the filter rejected
+    and the crash reasons summed over the uncoverable ones.
     """
     if isinstance(n_pairs, str):
         if n_pairs != "uniform":
@@ -650,9 +635,12 @@ def task_source(
     _check_step_limit(step_limit)
 
     def draw(rng: random.Random) -> SynthesisTask:
+        filtered = 0
+        crash_counts: Counter[str] = Counter()
         for _ in range(_MAX_PROGRAM_ATTEMPTS):
             program = sample_program(rng, table)
             if program_filter is not None and not program_filter(program):
+                filtered += 1
                 continue
             pairs = rng.randint(1, 5) if n_pairs == "uniform" else n_pairs
             try:
@@ -664,10 +652,12 @@ def task_source(
                     retry_limit=retry_limit,
                     step_limit=step_limit,
                 )
-            except UncoverableProgramError:
-                continue
+            except UncoverableProgramError as exc:
+                crash_counts.update(exc.crash_counts)
         raise GenerationStallError(
-            f"{_MAX_PROGRAM_ATTEMPTS} consecutive programs failed task assembly; "
+            f"{_MAX_PROGRAM_ATTEMPTS} consecutive programs failed task assembly "
+            f"({filtered} rejected by the program filter; crashes of the rest: "
+            f"{dict(crash_counts)}); "
             "the grid distribution likely cannot exercise the sampled programs"
         )
 

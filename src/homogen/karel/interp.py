@@ -32,7 +32,7 @@ import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .lang import Action, Cond, If, IfElse, KarelProgram, Not, Pred, Repeat, Seq, Stmt, While
+from .lang import Action, Body, Cond, If, IfElse, KarelProgram, Not, Pred, Repeat, Stmt, While
 from .world import DIR_DELTA, LEFT_OF, MAX_MARKERS, RIGHT_OF, GridDraw, KarelGrid
 
 DEFAULT_STEP_LIMIT = 200
@@ -127,17 +127,14 @@ def branch_arms(program: KarelProgram | CompiledProgram) -> frozenset[BranchArm]
     return _compiled(program).arms
 
 
-def _compile(stmt: Stmt, arms: list[BranchArm]) -> Code:
+def _compile(stmt: Body | Stmt, arms: list[BranchArm]) -> Code:
     match stmt:
+        case (single,):
+            return _compile(single, arms)
+        case tuple():
+            return _seq(tuple([_compile(part, arms) for part in stmt]))
         case Action(name=name):
             return _ACTIONS[name]
-        case Seq():
-            parts = []
-            while isinstance(stmt, Seq):
-                parts.append(_compile(stmt.first, arms))
-                stmt = stmt.rest
-            parts.append(_compile(stmt, arms))
-            return _seq(tuple(parts))
         case If(cond=cond, body=body):
             then_arm, else_arm = _new_branch(arms, "then", "else")
             return _if_else(_compile_cond(cond), _compile(body, arms), _skip, then_arm, else_arm)

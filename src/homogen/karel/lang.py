@@ -1,16 +1,16 @@
 """Karel program syntax: AST, tokenization, parsing and emission.
 
-Programs are a single ``def main ( ) :`` followed by one statement.
-Statements are actions, sequences joined by ``;``, conditionals, ``while``
-loops and ``repeat`` loops with a constant trip count in 0..19. Conditions
-are four sensor predicates, optionally wrapped in ``not``.
+Programs are a single ``def main ( ) :`` followed by a body: a tuple of
+statements joined by ``;``. Statements are actions, conditionals, ``while``
+loops and ``repeat`` loops with a constant trip count in 0..19, and every
+conditional or loop body is again a statement tuple. Conditions are four
+sensor predicates, optionally wrapped in ``not``.
 
 ``emit_tokens`` produces a canonical form: compound bodies are always braced
-``{ ... }``, sequence chains are emitted flat, and the top-level statement is
-unbraced. The parser also accepts an unbraced single-statement body, and it
-nests sequences to the right, so ``parse_program(emit_tokens(p)) == p`` for
-any program built from right-nested sequences (everything this package
-samples or parses).
+``{ ... }`` and the top-level body is unbraced. The parser also accepts an
+unbraced single-statement body, which it reads as a 1-tuple, so
+``parse_program(emit_tokens(p)) == p`` for every program whose bodies are
+non-empty statement tuples.
 
 Emission walks the tree with an explicit stack, and ``program_salients``
 reads size, control-flow count and nesting depth off the emitted tokens, so
@@ -56,46 +56,41 @@ class Action:
 
 
 @dataclass(frozen=True)
-class Seq:
-    first: "Stmt"
-    rest: "Stmt"
-
-
-@dataclass(frozen=True)
 class If:
     cond: Cond
-    body: "Stmt"
+    body: "Body"
 
 
 @dataclass(frozen=True)
 class IfElse:
     cond: Cond
-    then_body: "Stmt"
-    else_body: "Stmt"
+    then_body: "Body"
+    else_body: "Body"
 
 
 @dataclass(frozen=True)
 class While:
     cond: Cond
-    body: "Stmt"
+    body: "Body"
 
 
 @dataclass(frozen=True)
 class Repeat:
     times: int
-    body: "Stmt"
+    body: "Body"
 
     def __post_init__(self) -> None:
         if not (isinstance(self.times, int) and 0 <= self.times <= MAX_REPEAT):
             raise ValueError(f"repeat count must be in 0..{MAX_REPEAT}")
 
 
-Stmt = Action | Seq | If | IfElse | While | Repeat
+Stmt = Action | If | IfElse | While | Repeat
+Body = tuple[Stmt, ...]
 
 
 @dataclass(frozen=True)
 class KarelProgram:
-    body: Stmt
+    body: Body
 
 
 class KarelSyntaxError(ValueError):
@@ -119,20 +114,23 @@ def _lex(text: str) -> list[tuple[str, int]]:
 def emit_tokens(program: KarelProgram) -> list[str]:
     """Canonical token sequence for the program.
 
-    One explicit stack holds statements, conditions and pending tokens, so
-    long sequences and deep nesting never reach the recursion limit.
+    One explicit stack holds bodies, statements, conditions and pending
+    tokens, so long bodies and deep nesting never reach the recursion limit.
     """
     out = ["def", "main", "(", ")", ":"]
-    stack: list[Stmt | Cond | str] = [program.body]
+    stack: list[Body | Stmt | Cond | str] = [program.body]
     while stack:
         node = stack.pop()
         match node:
             case str():
                 out.append(node)
+            case tuple():
+                # Pushed last statement first, with ";" between statements.
+                stack.append(node[-1])
+                for stmt in node[-2::-1]:
+                    stack += [";", stmt]
             case Action(name=name) | Pred(name=name):
                 out += [name, "(", ")"]
-            case Seq(first=first, rest=rest):
-                stack += [rest, ";", first]
             case If(cond=cond, body=body):
                 out += ["if", "("]
                 stack += ["}", body, "{", ":", ")", cond]
@@ -192,15 +190,12 @@ class _Parser:
             raise KarelSyntaxError(f"unexpected token {self.peek()!r}", self.here())
         return KarelProgram(body)
 
-    def stmt_seq(self) -> Stmt:
+    def stmt_seq(self) -> Body:
         stmts = [self.stmt()]
         while self.peek() == ";":
             self.index += 1
             stmts.append(self.stmt())
-        node = stmts[-1]
-        for s in reversed(stmts[:-1]):
-            node = Seq(s, node)
-        return node
+        return tuple(stmts)
 
     def stmt(self) -> Stmt:
         tok = self.peek()
@@ -238,14 +233,14 @@ class _Parser:
         found = "end of program" if tok is None else repr(tok)
         raise KarelSyntaxError(f"expected a statement, found {found}", self.here())
 
-    def body(self) -> Stmt:
+    def body(self) -> Body:
         # Braced bodies may hold a sequence; an unbraced body is one statement.
         if self.peek() == "{":
             self.index += 1
             inner = self.stmt_seq()
             self.expect("}")
             return inner
-        return self.stmt()
+        return (self.stmt(),)
 
     def repeat_count(self) -> int:
         pos = self.here()

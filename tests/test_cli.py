@@ -695,6 +695,17 @@ def test_stats_corrupt_line_reports_line_number(tmp_path, monkeypatch, capsys):
     assert "line 2" in err
 
 
+def test_stats_json_nested_past_the_decoder_depth_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    deep = '{"expr": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    (tmp_path / "deep.jsonl").write_text('{"expr":"1+2","label":3}\n' + deep + "\n")
+    code, out, err = run_cli(["stats", "deep.jsonl"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: deep.jsonl: line 2: invalid JSON (")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("line", [
     '{"expr":"1++2","label":3}',
     '{"expr":"((((","label":0}',
@@ -727,8 +738,7 @@ def test_stats_accepts_deeply_nested_calc_record(tmp_path, monkeypatch, capsys):
 
 
 def test_stats_accepts_long_karel_record(tmp_path, monkeypatch, capsys):
-    # 1,500 statements parse to sequence nodes nested far past Python's
-    # recursion limit.
+    # A body of 1,500 statements, more than Python's recursion limit.
     monkeypatch.chdir(tmp_path)
     run_cli(["generate", "karel", "--count", "1", "--seed", "1", "--out", "k.jsonl"], capsys)
     record = json.loads((tmp_path / "k.jsonl").read_text())
@@ -867,6 +877,17 @@ def test_stats_empty_variable_name_is_named(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: unknown calc variable(s) ''; choose from ")
 
 
+def test_stats_repeated_variable_is_named(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run_cli(["generate", "calc", "--count", "5", "--seed", "1", "--out", "c.jsonl"], capsys)
+    code, out, err = run_cli(
+        ["stats", "c.jsonl", "--vars", "length,num_ops,length", "--format", "csv"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: repeated calc variable(s) 'length'; name each variable once\n"
+
+
 @pytest.mark.parametrize("line, message", [
     ('{"program":"def run(): move()"}', "bad record (missing key 'expr')"),
     ('{"expr":5,"label":5}', "bad record ('expr' must be a string, not int)"),
@@ -968,6 +989,25 @@ def test_karel_run_program_nested_past_parser_depth_is_usage_error(tmp_path, cap
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {prog}: ")
+    assert "Traceback" not in err
+
+
+def test_karel_run_undecodable_program_is_usage_error(tmp_path, capsys):
+    prog, grid = write_run_inputs(tmp_path, CRASH_TEXT, CRASH_GRID)
+    Path(prog).write_bytes(CRASH_TEXT.encode() + b"\xff")
+    code, out, err = run_cli(["karel-run", prog, grid], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {prog}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_karel_run_grid_nested_past_the_decoder_depth_is_usage_error(tmp_path, capsys):
+    prog, grid = write_run_inputs(tmp_path, CRASH_TEXT, CRASH_GRID)
+    Path(grid).write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(["karel-run", prog, grid], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {grid}: ")
     assert "Traceback" not in err
 
 

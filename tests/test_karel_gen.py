@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -12,6 +13,7 @@ from homogen.karel import (
     ACTIONS,
     DIRECTIONS,
     Action,
+    GenerationStallError,
     GridDraw,
     If,
     KarelGrid,
@@ -21,7 +23,6 @@ from homogen.karel import (
     Pred,
     ProductionTable,
     Repeat,
-    Seq,
     NARROW_SWEEP_PARAMS,
     SynthesisTask,
     UncoverableProgramError,
@@ -246,7 +247,8 @@ def test_all_action_table_yields_single_actions():
     rng = random.Random(59)
     for _ in range(50):
         program = sample_program(rng, table)
-        assert isinstance(program.body, Action)
+        (stmt,) = program.body
+        assert isinstance(stmt, Action)
 
 
 def test_sampled_programs_respect_the_token_cap():
@@ -304,15 +306,16 @@ class _ReferenceOversize(Exception):
 
 
 def reference_sample_program(rng, table):
-    """The sampler that draws sequences nested any which way, then rebuilds
-    every program right-nested; the one in use nests them as it draws."""
+    """The sampler that draws a tree of binary seq productions, each a pair
+    of nodes, then flattens every body into one statement tuple; the one in
+    use joins tuples as it draws."""
     for _ in range(10_000):
         budget = [table.token_cap]
         try:
             body = _reference_stmt(rng, table, budget)
         except _ReferenceOversize:
             continue
-        program = KarelProgram(_reference_right_nest(body))
+        program = KarelProgram(_reference_flatten(body))
         if len(emit_tokens(program)) <= table.token_cap:
             return program
     raise RuntimeError("no program under the token cap")
@@ -330,7 +333,7 @@ def _reference_stmt(rng, table, budget):
     if roll < edge:
         first = _reference_stmt(rng, table, budget)
         rest = _reference_stmt(rng, table, budget)
-        return Seq(first, rest)
+        return (first, rest)
     edge += table.if_p
     if roll < edge:
         return If(_sample_cond(rng, table), _reference_stmt(rng, table, budget))
@@ -346,31 +349,21 @@ def _reference_stmt(rng, table, budget):
     return Repeat(rng.randrange(MAX_REPEAT + 1), _reference_stmt(rng, table, budget))
 
 
-def _reference_right_nest(stmt):
-    match stmt:
+def _reference_flatten(node):
+    match node:
+        case (first, rest):
+            return _reference_flatten(first) + _reference_flatten(rest)
         case Action():
-            return stmt
-        case Seq():
-            parts = _reference_seq_parts(stmt)
-            node = parts[-1]
-            for part in reversed(parts[:-1]):
-                node = Seq(part, node)
-            return node
+            return (node,)
         case If(cond=cond, body=body):
-            return If(cond, _reference_right_nest(body))
+            return (If(cond, _reference_flatten(body)),)
         case IfElse(cond=cond, then_body=then_body, else_body=else_body):
-            return IfElse(cond, _reference_right_nest(then_body), _reference_right_nest(else_body))
+            return (IfElse(cond, _reference_flatten(then_body), _reference_flatten(else_body)),)
         case While(cond=cond, body=body):
-            return While(cond, _reference_right_nest(body))
+            return (While(cond, _reference_flatten(body)),)
         case Repeat(times=times, body=body):
-            return Repeat(times, _reference_right_nest(body))
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
-def _reference_seq_parts(stmt):
-    if isinstance(stmt, Seq):
-        return _reference_seq_parts(stmt.first) + _reference_seq_parts(stmt.rest)
-    return [_reference_right_nest(stmt)]
+            return (Repeat(times, _reference_flatten(body)),)
+    raise TypeError(f"not a statement: {node!r}")
 
 
 @pytest.mark.parametrize(
@@ -421,11 +414,10 @@ def test_has_nested_examples():
         "def main(): while(frontIsClear()): { while(markersPresent()): pickMarker() }"
     )
     assert has_nested(w_in_w, "while", "while")
-    siblings = KarelProgram(
-        Seq(While(Pred("frontIsClear"), Action("move")), While(Pred("leftIsClear"), Action("move")))
-    )
+    move = (Action("move"),)
+    siblings = KarelProgram((While(Pred("frontIsClear"), move), While(Pred("leftIsClear"), move)))
     assert not has_nested(siblings, "while", "while")
-    r_in_i = KarelProgram(If(Pred("frontIsClear"), Repeat(3, Action("move"))))
+    r_in_i = KarelProgram((If(Pred("frontIsClear"), (Repeat(3, move),)),))
     assert has_nested(r_in_i, "if", "repeat")
     assert not has_nested(r_in_i, "repeat", "if")
     with pytest.raises(ValueError):
@@ -824,6 +816,35 @@ def test_task_source_honors_program_filter():
     rng = random.Random(74)
     for _ in range(20):
         assert satisfies_action_pruning(src(rng).program)
+
+
+def test_stall_message_counts_filtered_programs_and_crash_reasons():
+    rejected = 0
+
+    def counting_filter(program):
+        nonlocal rejected
+        keep = satisfies_action_pruning(program)
+        rejected += not keep
+        return keep
+
+    # With no step allowed, any run that reaches an action crashes, so
+    # every program the filter keeps is uncoverable in one grid batch.
+    for seed in range(5):
+        rejected = 0
+        src = task_source(
+            sample_uniform_grid, step_limit=0, retry_limit=1, program_filter=counting_filter
+        )
+        with pytest.raises(GenerationStallError) as excinfo:
+            src(random.Random(seed))
+        message = str(excinfo.value)
+        assert message.startswith(
+            f"100 consecutive programs failed task assembly ({rejected} rejected by the "
+            "program filter; crashes of the rest: {'StepLimit': "
+        )
+        assert 0 < int(re.search(r"'StepLimit': (\d+)", message)[1]) <= 100 - rejected
+        assert message.endswith(
+            "; the grid distribution likely cannot exercise the sampled programs"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from homogen.karel import (
     Not,
     Pred,
     Repeat,
-    Seq,
     While,
     branch_arms,
     compile_program,
@@ -218,13 +217,13 @@ def test_branch_arms_enumerates_every_arm():
 
 
 def test_branch_numbering_is_preorder():
-    program = KarelProgram(
+    program = KarelProgram((
         IfElse(
             Pred("frontIsClear"),
-            If(Pred("markersPresent"), Action("pickMarker")),
-            While(Pred("leftIsClear"), Action("turnLeft")),
-        )
-    )
+            (If(Pred("markersPresent"), (Action("pickMarker"),)),),
+            (While(Pred("leftIsClear"), (Action("turnLeft"),)),),
+        ),
+    ))
     # Outer ifElse is 0, the then-side if is 1, the else-side while is 2.
     result = execute(program, open_grid(markers={(4, 4): 1}))
     assert (0, "then") in result.branches_taken
@@ -299,7 +298,7 @@ def test_execution_is_deterministic():
 
 def test_step_limit_validation():
     with pytest.raises(ValueError):
-        execute(KarelProgram(Action("move")), open_grid(), step_limit=-1)
+        execute(KarelProgram((Action("move"),)), open_grid(), step_limit=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +320,9 @@ class ReferenceRun:
 
     def number(self, stmt, path):
         match stmt:
-            case Seq(first=first, rest=rest):
-                self.number(first, path + (0,))
-                self.number(rest, path + (1,))
+            case tuple():
+                for i, part in enumerate(stmt):
+                    self.number(part, path + (i,))
             case If(body=body) | While(body=body):
                 self.numbering[path] = len(self.numbering)
                 self.number(body, path + (0,))
@@ -341,9 +340,9 @@ class ReferenceRun:
                     raise ReferenceCrash(CrashReason.STEP_LIMIT)
                 self.act(name)
                 self.steps += 1
-            case Seq(first=first, rest=rest):
-                self.exec(first, path + (0,))
-                self.exec(rest, path + (1,))
+            case tuple():
+                for i, part in enumerate(stmt):
+                    self.exec(part, path + (i,))
             case If(cond=cond, body=body):
                 arm = "then" if self.holds(cond) else "else"
                 self.taken.add((self.numbering[path], arm))

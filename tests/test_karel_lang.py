@@ -16,7 +16,6 @@ from homogen.karel import (
     ProductionTable,
     Pred,
     Repeat,
-    Seq,
     While,
     emit_tokens,
     parse_program,
@@ -27,58 +26,59 @@ from homogen.karel import (
 from homogen.karel.lang import MAX_REPEAT
 
 
+MOVE = (Action("move"),)
+
+
 def test_parse_minimal_program():
-    assert parse_program("def main(): move()") == KarelProgram(Action("move"))
+    assert parse_program("def main(): move()") == KarelProgram(MOVE)
 
 
 def test_parse_while_with_unbraced_body():
     program = parse_program("def main(): while(frontIsClear()): move()")
-    assert program == KarelProgram(While(Pred("frontIsClear"), Action("move")))
+    assert program == KarelProgram((While(Pred("frontIsClear"), MOVE),))
 
 
-def test_parse_sequences_nest_right():
+def test_parse_sequences_into_one_tuple():
     program = parse_program("def main(): move() ; turnLeft() ; putMarker()")
-    assert program == KarelProgram(
-        Seq(Action("move"), Seq(Action("turnLeft"), Action("putMarker")))
-    )
+    assert program == KarelProgram((Action("move"), Action("turnLeft"), Action("putMarker")))
 
 
 def test_parse_if_else_and_not():
     text = "def main(): if(not(markersPresent())): putMarker() else: pickMarker()"
     program = parse_program(text)
     assert program == KarelProgram(
-        IfElse(Not(Pred("markersPresent")), Action("putMarker"), Action("pickMarker"))
+        (IfElse(Not(Pred("markersPresent")), (Action("putMarker"),), (Action("pickMarker"),)),)
     )
 
 
 def test_dangling_else_binds_to_the_inner_if():
     text = "def main(): if(leftIsClear()): if(rightIsClear()): move() else: turnLeft()"
     program = parse_program(text)
-    assert program == KarelProgram(
-        If(Pred("leftIsClear"), IfElse(Pred("rightIsClear"), Action("move"), Action("turnLeft")))
-    )
+    inner = IfElse(Pred("rightIsClear"), MOVE, (Action("turnLeft"),))
+    assert program == KarelProgram((If(Pred("leftIsClear"), (inner,)),))
 
 
 def test_braces_delimit_the_else_owner():
     text = "def main(): if(leftIsClear()): { if(rightIsClear()): move() } else: turnLeft()"
     program = parse_program(text)
+    inner = If(Pred("rightIsClear"), MOVE)
     assert program == KarelProgram(
-        IfElse(Pred("leftIsClear"), If(Pred("rightIsClear"), Action("move")), Action("turnLeft"))
+        (IfElse(Pred("leftIsClear"), (inner,), (Action("turnLeft"),)),)
     )
 
 
 def test_repeat_count_bounds():
     program = parse_program("def main(): repeat(19): move()")
-    assert program == KarelProgram(Repeat(19, Action("move")))
+    assert program == KarelProgram((Repeat(19, MOVE),))
     with pytest.raises(KarelSyntaxError):
         parse_program("def main(): repeat(20): move()")
     with pytest.raises(ValueError):
-        Repeat(20, Action("move"))
+        Repeat(20, MOVE)
 
 
 def test_parse_accepts_token_sequences():
     tokens = ["def", "main", "(", ")", ":", "move", "(", ")"]
-    assert parse_program(tokens) == KarelProgram(Action("move"))
+    assert parse_program(tokens) == KarelProgram(MOVE)
 
 
 @pytest.mark.parametrize("bad", [5, [5], None, 5.0, b"move"], ids=repr)
@@ -109,25 +109,23 @@ def test_syntax_errors_carry_positions():
 
 
 def test_emit_minimal_program_tokens():
-    tokens = emit_tokens(KarelProgram(Action("move")))
+    tokens = emit_tokens(KarelProgram(MOVE))
     assert tokens == ["def", "main", "(", ")", ":", "move", "(", ")"]
 
 
 def test_emit_orders_sequences_and_braces_bodies():
-    program = KarelProgram(
-        Seq(Action("move"), While(Pred("frontIsClear"), Action("turnLeft")))
-    )
+    program = KarelProgram((Action("move"), While(Pred("frontIsClear"), (Action("turnLeft"),))))
     assert program_to_text(program) == (
         "def main ( ) : move ( ) ; while ( frontIsClear ( ) ) : { turnLeft ( ) }"
     )
 
 
 def test_emit_flattens_left_nested_sequences():
-    left = KarelProgram(Seq(Seq(Action("move"), Action("turnLeft")), Action("putMarker")))
-    right = KarelProgram(Seq(Action("move"), Seq(Action("turnLeft"), Action("putMarker"))))
-    assert emit_tokens(left) == emit_tokens(right)
-    # The parser rebuilds the right-nested form.
-    assert parse_program(emit_tokens(left)) == right
+    nested = KarelProgram(((Action("move"), Action("turnLeft")), Action("putMarker")))
+    flat = KarelProgram((Action("move"), Action("turnLeft"), Action("putMarker")))
+    assert emit_tokens(nested) == emit_tokens(flat)
+    # The parser rebuilds the flat form.
+    assert parse_program(emit_tokens(nested)) == flat
 
 
 def test_round_trip_on_sampled_programs():
@@ -144,62 +142,57 @@ def test_round_trip_through_text():
         assert parse_program(program_to_text(program)) == program
 
 
-def _then(first, rest):
-    # Sequences nest to the right, as the parser builds them.
-    if isinstance(first, Seq):
-        return Seq(first.first, _then(first.rest, rest))
-    return Seq(first, rest)
-
-
 def _nest(shells, body):
-    # Wrap the body in each (node kind, condition or count) shell, innermost last.
+    # Wrap the body in each (node kind, condition or count) shell, innermost
+    # last, and return the outermost statement.
     for kind, arg in reversed(shells):
-        body = kind(arg, body)
-    return body
+        stmt = kind(arg, body)
+        body = (stmt,)
+    return stmt
 
 
 CONDITIONS = st.recursive(st.sampled_from(PREDICATES).map(Pred), lambda inner: inner.map(Not))
 SHELLS = st.tuples(st.sampled_from((If, While)), CONDITIONS) | st.tuples(
     st.just(Repeat), st.integers(0, MAX_REPEAT)
 )
-STATEMENTS = st.recursive(
-    st.sampled_from(ACTIONS).map(Action),
-    lambda inner: st.one_of(
-        st.builds(_then, inner, inner),
-        st.builds(IfElse, CONDITIONS, inner, inner),
-        st.builds(_nest, st.lists(SHELLS, min_size=1, max_size=8), inner),
-    ),
+ACTION_STATEMENTS = st.sampled_from(ACTIONS).map(Action)
+BODIES = st.recursive(
+    st.lists(ACTION_STATEMENTS, min_size=1).map(tuple),
+    lambda inner: st.lists(
+        st.one_of(
+            ACTION_STATEMENTS,
+            st.builds(IfElse, CONDITIONS, inner, inner),
+            st.builds(_nest, st.lists(SHELLS, min_size=1, max_size=8), inner),
+        ),
+        min_size=1,
+    ).map(tuple),
     max_leaves=60,
 )
 
 
 @settings(max_examples=300, deadline=None)
-@given(body=STATEMENTS)
+@given(body=BODIES)
 def test_round_trip_property(body):
-    # Any right-nested program of every node kind, depth and repeat count,
-    # past the sampler's production table and token cap.
+    # Any program of every node kind, depth and repeat count, past the
+    # sampler's production table and token cap.
     program = KarelProgram(body)
     assert parse_program(emit_tokens(program)) == program
     assert parse_program(program_to_text(program)) == program
 
 
 def test_program_salients_examples():
-    assert program_salients(KarelProgram(Action("move"))) == {
+    assert program_salients(KarelProgram(MOVE)) == {
         "size": 8,
         "control_flow_count": 0,
         "nesting_depth": 0,
     }
-    nested = KarelProgram(
-        While(Pred("frontIsClear"), If(Pred("markersPresent"), Action("move")))
-    )
+    nested = KarelProgram((While(Pred("frontIsClear"), (If(Pred("markersPresent"), MOVE),)),))
     assert program_salients(nested)["control_flow_count"] == 2
     assert program_salients(nested)["nesting_depth"] == 2
-    siblings = KarelProgram(
-        Seq(
-            While(Pred("frontIsClear"), Action("move")),
-            If(Pred("markersPresent"), Action("pickMarker")),
-        )
-    )
+    siblings = KarelProgram((
+        While(Pred("frontIsClear"), MOVE),
+        If(Pred("markersPresent"), (Action("pickMarker"),)),
+    ))
     assert program_salients(siblings)["control_flow_count"] == 2
     assert program_salients(siblings)["nesting_depth"] == 1
 
@@ -208,12 +201,13 @@ def test_program_salients_examples():
 # kept as the reference the explicit-stack versions must match.
 def _reference_emit_stmt(stmt, out):
     match stmt:
+        case tuple():
+            for i, part in enumerate(stmt):
+                if i:
+                    out.append(";")
+                _reference_emit_stmt(part, out)
         case Action(name=name):
             out += [name, "(", ")"]
-        case Seq(first=first, rest=rest):
-            _reference_emit_stmt(first, out)
-            out.append(";")
-            _reference_emit_stmt(rest, out)
         case If(cond=cond, body=body):
             out += ["if", "("]
             _reference_emit_cond(cond, out)
@@ -258,10 +252,10 @@ def _reference_emit_cond(cond, out):
 
 def _reference_count_control(stmt):
     match stmt:
+        case tuple():
+            return sum(map(_reference_count_control, stmt))
         case Action():
             return 0
-        case Seq(first=first, rest=rest):
-            return _reference_count_control(first) + _reference_count_control(rest)
         case If(body=body) | While(body=body) | Repeat(body=body):
             return 1 + _reference_count_control(body)
         case IfElse(then_body=then_body, else_body=else_body):
@@ -271,10 +265,10 @@ def _reference_count_control(stmt):
 
 def _reference_control_depth(stmt):
     match stmt:
+        case tuple():
+            return max(map(_reference_control_depth, stmt))
         case Action():
             return 0
-        case Seq(first=first, rest=rest):
-            return max(_reference_control_depth(first), _reference_control_depth(rest))
         case If(body=body) | While(body=body) | Repeat(body=body):
             return 1 + _reference_control_depth(body)
         case IfElse(then_body=then_body, else_body=else_body):
@@ -305,28 +299,28 @@ def test_emit_and_salients_match_recursive_reference_on_sampled_programs(table):
 
 
 @pytest.mark.parametrize("body", [
-    Seq(
-        Seq(Action("move"), Action("turnLeft")),
-        Seq(Seq(Action("putMarker"), Action("pickMarker")), Action("turnRight")),
+    (
+        (Action("move"), Action("turnLeft")),
+        ((Action("putMarker"), Action("pickMarker")), Action("turnRight")),
     ),
-    If(Not(Not(Pred("frontIsClear"))), Action("move")),
-    While(
+    (If(Not(Not(Pred("frontIsClear"))), MOVE),),
+    (While(
         Pred("markersPresent"),
-        Seq(
-            IfElse(Not(Pred("leftIsClear")), Action("turnLeft"), Repeat(2, Action("move"))),
+        (
+            IfElse(Not(Pred("leftIsClear")), (Action("turnLeft"),), (Repeat(2, MOVE),)),
             Action("pickMarker"),
         ),
-    ),
-    Repeat(0, Action("putMarker")),
+    ),),
+    (Repeat(0, (Action("putMarker"),)),),
 ], ids=["left-nested-seq", "double-not", "if-else-in-while", "repeat-zero"])
 def test_emit_and_salients_match_recursive_reference_on_hand_built_programs(body):
     _assert_matches_reference(KarelProgram(body))
 
 
 def test_emit_and_salients_walk_past_the_recursion_limit():
-    body = Action("move")
+    body = MOVE
     for _ in range(3000):
-        body = Repeat(1, Seq(Action("turnLeft"), body))
+        body = (Repeat(1, (Action("turnLeft"),) + body),)
     tokens = emit_tokens(KarelProgram(body))
     assert tokens[5:12] == ["repeat", "(", "1", ")", ":", "{", "turnLeft"]
     assert tokens[-3003:] == ["move", "(", ")"] + ["}"] * 3000
