@@ -95,6 +95,9 @@ class _Outputs:
         self._pending: list[tuple[Path, Path]] = []
 
     def open(self, path: Path) -> TextIO:
+        # os.replace would fail on it only after moving the outputs opened before it.
+        if path.is_dir():
+            raise UsageError(f"{path}: Is a directory")
         temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             fp = temp.open("w", encoding="utf-8", newline="\n")
@@ -345,13 +348,10 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
     params |= {"variable": args.var, "epsilon": args.eps, "count": args.count}
     if args.max_draws is not None:
         params["max_draws"] = args.max_draws
-    if args.eps == 0:
-        # The library accepts epsilon=0 only after a warm-up or with an
-        # explicit cold start, and neither is a command-line setting.
-        raise UsageError(
-            "--eps must be positive on the command line: at 0 nothing is accepted "
-            "until every domain value has been seen"
-        )
+    try:
+        bound = expected_tries_bound(args.eps)
+    except ValueError as exc:
+        raise UsageError(f"--eps {args.eps}: {exc}") from None
     try:
         config = HomogenizerConfig(
             epsilon=args.eps, target_size=args.count, seed=seed, max_draws=args.max_draws
@@ -391,7 +391,7 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
             kl_after=kl_after,
             reduction_pct=reduction,
             draws_per_accept=run.draws_used / args.count,
-            bound=expected_tries_bound(args.eps),
+            bound=bound,
         )
         with outputs.open(out_path.with_name(out_path.name + ".report.json")) as fp:
             write_report_json([row], fp)

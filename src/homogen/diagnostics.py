@@ -130,7 +130,7 @@ class ReportRow:
     kl_after: float
     reduction_pct: float
     draws_per_accept: float
-    bound: float | None
+    bound: float
 
 
 def write_report_csv(rows: Iterable[ReportRow], fp: TextIO) -> None:
@@ -138,7 +138,7 @@ def write_report_csv(rows: Iterable[ReportRow], fp: TextIO) -> None:
     writer.writerow(REPORT_COLUMNS)
     for row in rows:
         record = asdict(row)
-        writer.writerow([record[c] if record[c] is not None else "" for c in REPORT_COLUMNS])
+        writer.writerow([record[c] for c in REPORT_COLUMNS])
 
 
 def write_report_json(rows: Iterable[ReportRow], fp: TextIO) -> None:

@@ -13,7 +13,8 @@ rejected more often, so the accepted stream's marginal over the domain moves
 toward uniform. ``epsilon`` trades throughput for residual bias: each
 accepted sample costs at most ``1 + 1/epsilon`` source draws in expectation,
 and at ``epsilon = 0`` the accepted marginal converges to exactly uniform but
-nothing is accepted until every domain value has been seen at least once.
+nothing is accepted until every domain value has been seen at least once, so
+such a run must set its draw budget, ``max_draws``.
 """
 
 from __future__ import annotations
@@ -164,12 +165,10 @@ def _acceptance(min_count: int, count: int, total: int, epsilon: float) -> float
 class HomogenizerConfig:
     """Knobs for one homogenization run.
 
-    ``max_draws`` of None means "pick a default": unlimited when
-    ``epsilon == 0``, otherwise ``target_size * ceil(1 + 1/epsilon) * 20``,
-    twenty times the expected need. ``warm_up`` draws are counted before any
-    acceptance starts; with ``epsilon == 0`` a run from completely empty
-    counts accepts nothing until every domain value has appeared, so that
-    combination must be opted into via ``allow_cold_start``.
+    ``max_draws`` bounds the source draws, warm-up included; None picks
+    ``target_size * ceil(1 + 1/epsilon) * 20``, twenty times the expected
+    need. An ``epsilon == 0`` run has no expected need and must set it.
+    ``warm_up`` draws are counted before any acceptance starts.
     """
 
     epsilon: float
@@ -177,7 +176,6 @@ class HomogenizerConfig:
     seed: int = 0
     max_draws: int | None = None
     warm_up: int = 0
-    allow_cold_start: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
@@ -188,17 +186,15 @@ class HomogenizerConfig:
             raise ValueError("warm_up must be >= 0")
         if self.max_draws is not None and self.max_draws < 1:
             raise ValueError("max_draws must be >= 1 when given")
-        if self.epsilon == 0 and self.warm_up == 0 and not self.allow_cold_start:
+        if self.epsilon == 0 and self.max_draws is None:
             raise ValueError(
-                "epsilon=0 with no warm-up accepts nothing until every domain value "
-                "has been seen; set warm_up > 0 or allow_cold_start=True"
+                "epsilon=0 accepts nothing until every domain value has been seen; "
+                "set max_draws to bound the run"
             )
 
-    def resolved_max_draws(self) -> int | None:
+    def resolved_max_draws(self) -> int:
         if self.max_draws is not None:
             return self.max_draws
-        if self.epsilon == 0:
-            return None
         return self.target_size * math.ceil(1.0 + 1.0 / self.epsilon) * 20
 
 
@@ -252,12 +248,12 @@ class HomogenizerRun:
         cap = self.config.resolved_max_draws()
 
         try:
-            for _ in range(self.config.warm_up):
+            for _ in range(min(self.config.warm_up, cap)):
                 increment(extract(source(rng)))
                 self.draws_used += 1
 
             while self.accepted < target:
-                if cap is not None and self.draws_used >= cap:
+                if self.draws_used >= cap:
                     raise BudgetExhaustedError(
                         f"used {self.draws_used} draws but accepted only "
                         f"{self.accepted} of {target} samples",

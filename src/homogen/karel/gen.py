@@ -43,6 +43,7 @@ from .lang import (
     Stmt,
     While,
     emit_tokens,
+    parse_program,
     program_salients,
 )
 from .world import (
@@ -170,8 +171,6 @@ def sample_narrow_grid(rng: random.Random, params: NarrowGridParams) -> GridDraw
     walls = rng.sample(cells, n_walls)
     wall_set = set(walls)
     remaining = [c for c in cells if c not in wall_set]
-    if not remaining:
-        raise ValueError("no non-wall cell left for the agent")
     marker_cells = rng.sample(remaining, n_markers)
     markers = {cell: sample_marker_count(rng, params.marker_dist) for cell in marker_cells}
     pos = remaining[rng.randrange(len(remaining))]
@@ -343,25 +342,25 @@ def has_nested(program: KarelProgram, outer: str, inner: str) -> bool:
     except KeyError as exc:
         raise ValueError(f"unknown node kind {exc.args[0]!r}; expected one of "
                          f"{sorted(_NODE_KINDS)}") from None
-    return _scan_nested(program.body, outer_t, inner_t, inside=False)
-
-
-def _scan_nested(node: Body | Stmt, outer_t: type, inner_t: type, inside: bool) -> bool:
-    if inside and isinstance(node, inner_t):
-        return True
-    entered = inside or isinstance(node, outer_t)
-    match node:
-        case tuple():
-            return any(_scan_nested(stmt, outer_t, inner_t, inside) for stmt in node)
-        case Action():
-            return False
-        case If(body=body) | While(body=body) | Repeat(body=body):
-            return _scan_nested(body, outer_t, inner_t, entered)
-        case IfElse(then_body=then_body, else_body=else_body):
-            return _scan_nested(then_body, outer_t, inner_t, entered) or _scan_nested(
-                else_body, outer_t, inner_t, entered
-            )
-    raise TypeError(f"not a statement: {node!r}")
+    # An explicit stack of (node, inside an outer) pairs, first statement on top.
+    stack: list[tuple[Body | Stmt, bool]] = [(program.body, False)]
+    while stack:
+        node, inside = stack.pop()
+        if inside and isinstance(node, inner_t):
+            return True
+        entered = inside or isinstance(node, outer_t)
+        match node:
+            case tuple():
+                stack += [(stmt, inside) for stmt in reversed(node)]
+            case Action():
+                pass
+            case If(body=body) | While(body=body) | Repeat(body=body):
+                stack.append((body, entered))
+            case IfElse(then_body=then_body, else_body=else_body):
+                stack += [(else_body, entered), (then_body, entered)]
+            case _:
+                raise TypeError(f"not a statement: {node!r}")
+    return False
 
 
 def satisfies_action_pruning(program: KarelProgram) -> bool:
@@ -582,8 +581,6 @@ def task_to_json(task: SynthesisTask) -> dict[str, Any]:
 
 
 def task_from_json(obj: dict[str, Any]) -> SynthesisTask:
-    from .lang import parse_program
-
     try:
         program = parse_program(obj["program"])
         pairs = tuple(

@@ -171,7 +171,7 @@ def grid_to_json(grid: KarelGrid) -> dict[str, Any]:
 
 def grid_from_json(obj: dict[str, Any]) -> KarelGrid:
     try:
-        return KarelGrid(
+        grid = KarelGrid(
             width=obj["w"],
             height=obj["h"],
             walls=frozenset(map(tuple, obj["walls"])),
@@ -179,6 +179,11 @@ def grid_from_json(obj: dict[str, Any]) -> KarelGrid:
             karel_pos=tuple(obj["karel"]["pos"]),
             karel_dir=obj["karel"]["dir"],
         )
+        if len(grid.walls) != len(obj["walls"]):
+            raise ValueError("malformed grid object: a cell is listed twice in 'walls'")
+        if len(grid.markers) != len(obj["markers"]):
+            raise ValueError("malformed grid object: a cell is listed twice in 'markers'")
+        return grid
     except KeyError as exc:
         raise ValueError(f"malformed grid object: missing key {exc}") from None
     except TypeError as exc:

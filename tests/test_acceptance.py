@@ -107,9 +107,7 @@ def test_01_supplement_exact_uniformity_at_eps_zero():
     t0 = time.perf_counter()
     source = categorical_source(BIASED_PROBS)
     spec = SalientSpec("value", tuple(range(10)), lambda s: s)
-    config = HomogenizerConfig(
-        epsilon=0.0, target_size=20_000, seed=5, allow_cold_start=True, max_draws=4_000_000
-    )
+    config = HomogenizerConfig(epsilon=0.0, target_size=20_000, seed=5, max_draws=4_000_000)
     data = homogenize(source, spec, config)
     counts = Counter(data.items)
     freqs = [counts[v] / 20_000 for v in range(10)]

@@ -160,15 +160,18 @@ def test_generate_missing_narrow_rates_is_usage_error(tmp_path, monkeypatch, cap
     pytest.param(
         ["homogenize", "calc", "--var", "length", "--eps", "inf"], "epsilon", id="eps-inf"
     ),
-    # The library needs a warm-up or a cold-start opt-in at epsilon 0, and
-    # the command line sets neither.
+    # The report's draw bound, 1 + 1/eps, needs a positive eps.
     pytest.param(
-        ["homogenize", "calc", "--var", "length", "--eps", "0"], "--eps must be positive",
+        ["homogenize", "calc", "--var", "length", "--eps", "0"], "--eps 0.0",
         id="eps-zero-calc",
     ),
     pytest.param(
-        ["homogenize", "karel", "--var", "size", "--eps", "0"], "--eps must be positive",
+        ["homogenize", "karel", "--var", "size", "--eps", "0"], "--eps 0.0",
         id="eps-zero-karel",
+    ),
+    pytest.param(
+        ["homogenize", "calc", "--var", "length", "--eps", "-0.5"],
+        "error: --eps -0.5: the draw bound requires epsilon > 0", id="eps-negative",
     ),
 ])
 def test_negative_step_limit_is_usage_error_and_writes_nothing(
@@ -198,6 +201,27 @@ def test_failed_run_leaves_no_file(argv, exit_code, tmp_path, monkeypatch, capsy
     assert code == exit_code
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, directory", [
+    (["homogenize", "calc", "--var", "length", "--count", "20", "--seed", "1"],
+     "h.jsonl.report.csv"),
+    (["generate", "calc", "--count", "20", "--seed", "1"], "h.jsonl.manifest.json"),
+], ids=["homogenize-report", "generate-manifest"])
+def test_directory_at_an_output_path_leaves_the_old_dataset(
+    argv, directory, tmp_path, monkeypatch, capsys
+):
+    # The directory is found before its file would be written, so nothing is
+    # moved into place: the dataset written first stays as it was.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / directory).mkdir()
+    (tmp_path / "h.jsonl").write_text("old\n")
+    code, _, err = run_cli(argv + ["--out", "h.jsonl"], capsys)
+    assert code == 2
+    assert err == f"error: {directory}: Is a directory\n"
+    assert (tmp_path / "h.jsonl").read_text() == "old\n"
+    assert {p.name for p in tmp_path.iterdir()} == {directory, "h.jsonl"}
+    assert list((tmp_path / directory).iterdir()) == []
 
 
 def test_t2t_past_the_node_bound_exits_2_quickly(tmp_path, monkeypatch, capsys):
@@ -906,10 +930,22 @@ def _without_width(record):
     return record
 
 
+def _repeated_cell(key, cell):
+    def corrupt(record):
+        grid = record["pairs"][0]["in"]
+        grid |= {"walls": [], "markers": [], "karel": {"pos": [0, 0], "dir": "E"}}
+        grid[key] = [cell, cell]
+        return record
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda r: {"expr": "1+2", "label": 3}, "malformed task object: missing key 'program'"),
     (_without_width, "malformed grid object: missing key 'w'"),
-], ids=["calc-in-karel", "grid-without-width"])
+    (_repeated_cell("walls", [1, 1]), "malformed grid object: a cell is listed twice in 'walls'"),
+    (_repeated_cell("markers", [1, 1, 2]),
+     "malformed grid object: a cell is listed twice in 'markers'"),
+], ids=["calc-in-karel", "grid-without-width", "wall-listed-twice", "pile-listed-twice"])
 def test_stats_bad_karel_record_names_the_missing_key(
     corrupt, message, tmp_path, monkeypatch, capsys
 ):
@@ -999,6 +1035,17 @@ def test_karel_run_undecodable_program_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {prog}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_karel_run_grid_listing_a_cell_twice_is_usage_error(tmp_path, capsys):
+    prog, grid = write_run_inputs(tmp_path, CRASH_TEXT, CRASH_GRID)
+    obj = json.loads(Path(grid).read_text())
+    obj["markers"] = [[0, 0, 1], [0, 0, 7]]
+    Path(grid).write_text(json.dumps(obj))
+    code, out, err = run_cli(["karel-run", prog, grid], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {grid}: malformed grid object: a cell is listed twice in 'markers'\n"
 
 
 def test_karel_run_grid_nested_past_the_decoder_depth_is_usage_error(tmp_path, capsys):

@@ -141,7 +141,10 @@ def test_run_matches_the_reference_loop(epsilon, warm_up):
     domain = list(range(8))
     source = weighted_source({v: (v + 1.0) ** 2 for v in domain})
     spec = identity_spec("value", domain)
-    config = HomogenizerConfig(epsilon=epsilon, target_size=1500, seed=31, warm_up=warm_up)
+    config = HomogenizerConfig(
+        epsilon=epsilon, target_size=1500, seed=31, warm_up=warm_up,
+        max_draws=None if epsilon else 1_000_000,
+    )
     data = homogenize(source, spec, config)
     items, draws, counts = _reference_run(source, spec, config)
     assert list(data.items) == items
@@ -195,10 +198,12 @@ def test_config_rejects_non_finite_epsilon(epsilon):
 
 
 def test_config_epsilon_zero_needs_opt_in():
-    with pytest.raises(ValueError):
+    # At epsilon 0 no default budget exists, and a warm-up bounds nothing.
+    with pytest.raises(ValueError, match="max_draws"):
         HomogenizerConfig(epsilon=0.0, target_size=10)
-    HomogenizerConfig(epsilon=0.0, target_size=10, warm_up=5)
-    HomogenizerConfig(epsilon=0.0, target_size=10, allow_cold_start=True)
+    with pytest.raises(ValueError, match="max_draws"):
+        HomogenizerConfig(epsilon=0.0, target_size=1, warm_up=1)
+    assert HomogenizerConfig(epsilon=0.0, target_size=10, max_draws=5).resolved_max_draws() == 5
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +229,7 @@ def test_epsilon_zero_evens_out_a_biased_source():
     domain = (0, 1)
     source = weighted_source({0: 0.9, 1: 0.1})
     spec = identity_spec("value", domain)
-    config = HomogenizerConfig(epsilon=0.0, target_size=10_000, seed=9, allow_cold_start=True)
+    config = HomogenizerConfig(epsilon=0.0, target_size=10_000, seed=9, max_draws=1_000_000)
     data = homogenize(source, spec, config)
     freq_rare = sum(1 for item in data.items if item == 1) / len(data.items)
     assert 0.45 <= freq_rare <= 0.55
@@ -304,6 +309,26 @@ def test_budget_exhaustion_is_an_error_with_statistics():
     assert err.counts.total == 50
 
 
+def test_epsilon_zero_run_over_a_value_never_drawn_stops_at_its_budget():
+    # Value 2 is never drawn, so the minimum count stays 0 and every
+    # acceptance probability stays 0.
+    spec = identity_spec("value", (0, 1, 2))
+    config = HomogenizerConfig(epsilon=0.0, target_size=1, seed=3, max_draws=500)
+    with pytest.raises(BudgetExhaustedError) as excinfo:
+        homogenize(weighted_source({0: 0.5, 1: 0.5}), spec, config)
+    assert excinfo.value.draws_used == 500
+    assert excinfo.value.accepted == 0
+
+
+def test_warm_up_stops_at_the_draw_budget():
+    spec = identity_spec("value", (0, 1))
+    config = HomogenizerConfig(epsilon=0.1, target_size=5, seed=3, max_draws=10, warm_up=100)
+    with pytest.raises(BudgetExhaustedError) as excinfo:
+        homogenize(weighted_source({0: 0.5, 1: 0.5}), spec, config)
+    assert excinfo.value.draws_used == 10
+    assert excinfo.value.counts.total == 10
+
+
 def test_extractor_outside_domain_raises():
     spec = SalientSpec(name="bad", domain=(0, 1), extract=lambda s: 2)
     config = HomogenizerConfig(epsilon=0.1, target_size=10, seed=1)
@@ -328,7 +353,9 @@ def test_warm_up_draws_are_counted_but_not_emitted():
     domain = (0, 1)
     source = weighted_source({0: 0.5, 1: 0.5})
     spec = identity_spec("value", domain)
-    config = HomogenizerConfig(epsilon=0.0, target_size=100, seed=6, warm_up=200)
+    config = HomogenizerConfig(
+        epsilon=0.0, target_size=100, seed=6, warm_up=200, max_draws=10_000
+    )
     data = homogenize(source, spec, config)
     assert len(data.items) == 100
     assert data.draws_used >= 300

@@ -422,6 +422,18 @@ def test_has_nested_examples():
     assert not has_nested(r_in_i, "repeat", "if")
     with pytest.raises(ValueError):
         has_nested(r_in_i, "loop", "if")
+    # A statement tuple nested in a body is walked like the body itself.
+    assert has_nested(KarelProgram((If(Pred("frontIsClear"), ((Repeat(3, move),),)),)),
+                      "if", "repeat")
+    with pytest.raises(TypeError, match="not a statement"):
+        has_nested(KarelProgram((If(Pred("frontIsClear"), (Pred("leftIsClear"),)),)),
+                   "if", "repeat")
+
+
+def test_has_nested_follows_nesting_past_the_recursion_limit():
+    program = parse_program("def main(): " + "repeat ( 1 ) : { " * 300 + "move ( )" + " }" * 300)
+    assert has_nested(program, "repeat", "repeat")
+    assert not has_nested(program, "while", "repeat")
 
 
 def test_action_pruning_predicate():

@@ -98,6 +98,17 @@ def test_grid_json_rejects_malformed_objects():
         grid_from_json({"w": 4, "h": 4, "walls": [], "markers": [], "karel": {"pos": [0, 0]}})
 
 
+@pytest.mark.parametrize("key, cells", [
+    ("walls", [[1, 1], [1, 1]]),
+    ("markers", [[0, 0, 1], [0, 0, 7]]),
+])
+def test_grid_json_rejects_a_cell_listed_twice(key, cells):
+    obj = {"w": 4, "h": 4, "walls": [], "markers": [], "karel": {"pos": [3, 3], "dir": "E"}}
+    obj[key] = cells
+    with pytest.raises(ValueError, match=f"a cell is listed twice in '{key}'"):
+        grid_from_json(obj)
+
+
 def test_grid_salients_empty_grid():
     s = grid_salients(KarelGrid(width=4, height=4))
     assert s["marker_ratio"] == 0.0
