@@ -9,6 +9,13 @@ a child is wrapped only when its operator binds looser than its parent's,
 or, for the right child, equally loose (which preserves the tree through a
 re-parse). ``parse_expr(render(e)) == e`` holds for every expression.
 
+Trees are immutable and validated when built. A leaf is a ``Digit``
+dataclass. An operator node is a ``BinOp``, the tuple ``(op, left, right)``,
+whose constructor checks the operator; it is a tuple because a draw builds
+one per node and a tuple is cheaper to build than a dataclass. The ``len``,
+indexing, iteration and ordering a node inherits from ``tuple`` exist but
+mean nothing for a tree.
+
 Rendering, evaluation, parsing, salient measurement and the equality, hash
 and ``repr`` of a tree all walk with explicit stacks, so they follow any
 nesting depth. ``expr_record`` builds a dataset row's text and label in one
@@ -23,12 +30,14 @@ from __future__ import annotations
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .homogenizer import SalientSpec
 from .rng import randbelow
 
 OPS = ("+", "-", "*")
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2}
+_new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -40,22 +49,37 @@ class Digit:
             raise ValueError("digit must be an int in 0..9")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class BinOp:
-    """An operator node. Equality and ``repr`` give what the
-    dataclass-generated methods would, without recursing."""
+class BinOp(tuple):
+    """An operator node: the validated tuple ``(op, left, right)``.
 
-    op: str
-    left: "CalcExpr"
-    right: "CalcExpr"
+    Every construction checks the operator, and ``op``, ``left`` and
+    ``right`` are read-only attributes that class patterns match on.
+    ``==``, ``!=`` and ``repr`` give what a frozen dataclass of the three
+    fields would, ``hash`` agrees with ``==``, and all of them walk with
+    explicit stacks; a node never equals the plain tuple of its fields.
+    ``len``, indexing, iteration and the ordering operators are inherited
+    from ``tuple`` and mean nothing for a tree.
+    """
 
-    def __post_init__(self) -> None:
-        if self.op not in OPS:
-            raise ValueError(f"unknown operator {self.op!r}")
+    __slots__ = ()
+    __match_args__ = ("op", "left", "right")
+
+    op = property(itemgetter(0))
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
+
+    def __new__(cls, op: str, left: "CalcExpr", right: "CalcExpr") -> "BinOp":
+        if op not in OPS:
+            raise ValueError(f"unknown operator {op!r}")
+        return _new_tuple(cls, (op, left, right))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
-            return NotImplemented
+            # The reflected ``tuple.__eq__`` would compare a tuple by its items.
+            return False if isinstance(other, tuple) else NotImplemented
         # Pairs of subtrees still to compare, left children first.
         todo: list = [(self, other)]
         while todo:
@@ -63,12 +87,17 @@ class BinOp:
             if a is b:
                 continue
             if isinstance(a, BinOp) and a.__class__ is b.__class__:
-                if a.op != b.op:
+                if a[0] != b[0]:
                     return False
-                todo += ((a.right, b.right), (a.left, b.left))
+                todo += ((a[2], b[2]), (a[1], b[1]))
             elif a != b:
                 return False
         return True
+
+    def __ne__(self, other: object) -> bool:
+        # ``tuple.__ne__`` would compare item by item, recursing.
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def __hash__(self) -> int:
         # hash((op, hash(left), hash(right))), bottom up, so equal trees
@@ -79,9 +108,9 @@ class BinOp:
             node, children_done = todo.pop()
             if children_done:
                 right = hashes.pop()
-                hashes[-1] = hash((node.op, hashes[-1], right))
+                hashes[-1] = hash((node[0], hashes[-1], right))
             elif isinstance(node, BinOp):
-                todo += ((node, True), (node.right, False), (node.left, False))
+                todo += ((node, True), (node[2], False), (node[1], False))
             else:
                 hashes.append(hash(node))
         return hashes[0]
@@ -95,12 +124,13 @@ class BinOp:
             if type(item) is str:
                 parts.append(item)
                 continue
-            parts.append(f"{item.__class__.__qualname__}(op={item.op!r}, left=")
+            op, left, right = item
+            parts.append(f"{item.__class__.__qualname__}(op={op!r}, left=")
             todo += (
                 ")",
-                item.right if isinstance(item.right, BinOp) else repr(item.right),
+                right if isinstance(right, BinOp) else repr(right),
                 ", right=",
-                item.left if isinstance(item.left, BinOp) else repr(item.left),
+                left if isinstance(left, BinOp) else repr(left),
             )
         return "".join(parts)
 
@@ -148,15 +178,14 @@ def expr_record(expr: CalcExpr) -> dict:
             parts.append(str(item.value))
             values.append(item.value)
         elif kind is BinOp:
-            op = item.op
+            op, left, right = item
             prec = _PRECEDENCE[op]
-            left, right = item.left, item.right
             todo.append(_APPLY[op])
-            if type(right) is BinOp and _PRECEDENCE[right.op] <= prec:
+            if type(right) is BinOp and _PRECEDENCE[right[0]] <= prec:
                 todo += (")", right, op + "(")
             else:
                 todo += (right, op)
-            if type(left) is BinOp and _PRECEDENCE[left.op] < prec:
+            if type(left) is BinOp and _PRECEDENCE[left[0]] < prec:
                 todo += (")", left, "(")
             else:
                 todo.append(left)
@@ -343,18 +372,12 @@ Bits = Callable[[int], int]
 
 
 def sample_expr(rng: random.Random, sampler: CalcSampler) -> CalcExpr:
-    coin, bits = rng.random, rng.getrandbits
-    match sampler:
-        case Dcfg(p=p):
-            return _sample_dcfg(coin, bits, p, MAX_NESTING)
-        case T2t(max_depth=max_depth, depth=depth):
-            d = depth if depth is not None else 1 + randbelow(bits, max_depth)
-            return _sample_t2t(coin, bits, d, [MAX_NODES])
-        case Rcfg(p=p, run_lengths=runs):
-            return _sample_rcfg(coin, bits, p, runs, MAX_NESTING)
-        case Bal(depths=depths):
-            return _sample_bal(bits, depths[randbelow(bits, len(depths))])
-    raise TypeError(f"unknown sampler: {sampler!r}")
+    """One tree from the sampler, drawn by the entry of ``_DRAWS`` for its
+    exact type; any other object is a ``TypeError``."""
+    draw = _DRAWS.get(sampler.__class__)
+    if draw is None:
+        raise TypeError(f"unknown sampler: {sampler!r}")
+    return draw(rng.random, rng.getrandbits, sampler)
 
 
 # ``room`` counts the levels a draw may still nest below the current node.
@@ -430,6 +453,18 @@ def _sample_bal(bits: Bits, depth: int) -> CalcExpr:
         op = bits(2)
     left = _sample_bal(bits, depth - 1)
     return BinOp(OPS[op], left, _sample_bal(bits, depth - 1))
+
+
+# ``sample_expr``'s draw for each sampler type.
+_DRAWS: dict[type, Callable[[Coin, Bits, CalcSampler], CalcExpr]] = {
+    Dcfg: lambda coin, bits, s: _sample_dcfg(coin, bits, s.p, MAX_NESTING),
+    T2t: lambda coin, bits, s: _sample_t2t(
+        coin, bits, s.depth if s.depth is not None else 1 + randbelow(bits, s.max_depth),
+        [MAX_NODES],
+    ),
+    Rcfg: lambda coin, bits, s: _sample_rcfg(coin, bits, s.p, s.run_lengths, MAX_NESTING),
+    Bal: lambda coin, bits, s: _sample_bal(bits, s.depths[randbelow(bits, len(s.depths))]),
+}
 
 
 def sample_record(rng: random.Random, sampler: CalcSampler) -> dict:
@@ -518,7 +553,8 @@ def expr_salients(expr: CalcExpr) -> dict[str, int]:
     """
     if type(expr) is Digit:
         return _DIGIT_SALIENTS
-    if type(expr.left) is Digit and type(expr.right) is Digit:
+    _, left, right = expr
+    if type(left) is Digit and type(right) is Digit:
         return _ONE_OP_SALIENTS
     ops = parens = depth_sum = max_depth = 0
     # Operator nodes still to visit, each with its count of wrapped nodes
@@ -529,16 +565,16 @@ def expr_salients(expr: CalcExpr) -> dict[str, int]:
         ops += 1
         if depth > max_depth:
             max_depth = depth
-        prec = _PRECEDENCE[node.op]
-        left, right = node.left, node.right
+        op, left, right = node
+        prec = _PRECEDENCE[op]
         if type(left) is BinOp:
-            wrapped = _PRECEDENCE[left.op] < prec
+            wrapped = _PRECEDENCE[left[0]] < prec
             parens += wrapped
             todo.append((left, depth + wrapped))
         else:
             depth_sum += depth
         if type(right) is BinOp:
-            wrapped = _PRECEDENCE[right.op] <= prec
+            wrapped = _PRECEDENCE[right[0]] <= prec
             parens += wrapped
             todo.append((right, depth + wrapped))
         else:

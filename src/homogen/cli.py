@@ -75,29 +75,49 @@ def resolve_seed(value: int | None) -> int:
     return 0
 
 
-# ``json.dumps`` with separators builds a new encoder on every call.
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
+def _line_encoder() -> Callable[[Any], str]:
+    """``json.dumps(obj, separators=(",", ":")) + "\\n"`` as one function.
+
+    ``JSONEncoder.encode`` builds a new C encoder on every call, so one is
+    built here and reused. It skips the check for circular references, as
+    no record has one (a cyclic object raises ``RecursionError``). Where the
+    C accelerator, an interpreter detail, is missing, the encoder's own
+    ``encode`` serves.
+    """
+    encoder = json.JSONEncoder(separators=(",", ":"))
+    make_encoder = json.encoder.c_make_encoder
+    if make_encoder is None:
+        return lambda obj: encoder.encode(obj) + "\n"
+    encode = make_encoder(
+        None, encoder.default, json.encoder.encode_basestring_ascii, None,
+        encoder.key_separator, encoder.item_separator, encoder.sort_keys,
+        encoder.skipkeys, encoder.allow_nan,
+    )
+    return lambda obj: "".join(encode(obj, 0)) + "\n"
 
 
-def _json_line(obj: Any) -> str:
-    return _ENCODER.encode(obj) + "\n"
+_json_line = _line_encoder()
 
 
 class _Outputs:
     """The files one command writes, each first to a temporary sibling.
 
-    On success the files are moved into place in the order they were opened,
-    so the manifest, opened last, lands last; on failure every temporary file
-    is removed and no output path is touched.
+    Every path the command will write is named when the object is made,
+    which rejects a directory at any of them, before anything is drawn or
+    written: ``os.replace`` would fail on it only after moving the outputs
+    before it, at the end of the run. On success the files are moved into
+    place in the order they were opened, so the manifest, opened last, lands
+    last; on failure every temporary file is removed and no output path is
+    touched.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, *paths: Path) -> None:
+        for path in paths:
+            if path.is_dir():
+                raise UsageError(f"{path}: Is a directory")
         self._pending: list[tuple[Path, Path]] = []
 
     def open(self, path: Path) -> TextIO:
-        # os.replace would fail on it only after moving the outputs opened before it.
-        if path.is_dir():
-            raise UsageError(f"{path}: Is a directory")
         temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             fp = temp.open("w", encoding="utf-8", newline="\n")
@@ -146,8 +166,13 @@ def _write_manifest(
         "params": params,
         "outputs": outputs.digests(),
     }
-    with outputs.open(out_path.with_name(out_path.name + ".manifest.json")) as fp:
+    with outputs.open(_sibling(out_path, ".manifest.json")) as fp:
         fp.write(json.dumps(manifest, indent=2) + "\n")
+
+
+def _sibling(out_path: Path, suffix: str) -> Path:
+    """The path of the dataset's manifest or report with this suffix."""
+    return out_path.with_name(out_path.name + suffix)
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +353,12 @@ def _salient_specs(domain: Domain, names: list[str]) -> list[SalientSpec]:
 
 def cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
     seed = resolve_seed(args.seed)
+    out_path = Path(args.out)
+    outputs = _Outputs(out_path, _sibling(out_path, ".manifest.json"))
     domain, source, params = _domain_source(args)
     params |= {"count": args.count}
     rng = random.Random(seed)
-    out_path = Path(args.out)
-    with _Outputs() as outputs:
+    with outputs:
         with outputs.open(out_path) as fp:
             for _ in range(args.count):
                 fp.write(_json_line(domain.to_record(source(rng))))
@@ -343,6 +369,10 @@ def cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
 
 def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
     seed = resolve_seed(args.seed)
+    out_path = Path(args.out)
+    report_json = _sibling(out_path, ".report.json")
+    report_csv = _sibling(out_path, ".report.csv")
+    outputs = _Outputs(out_path, report_json, report_csv, _sibling(out_path, ".manifest.json"))
     domain, source, params = _domain_source(args)
     (base,) = _salient_specs(domain, [args.var])
     params |= {"variable": args.var, "epsilon": args.eps, "count": args.count}
@@ -367,10 +397,9 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
 
     name = base.name
     spec = SalientSpec(name, base.domain, lambda drawn: drawn[1][name])
-    out_path = Path(args.out)
     run = HomogenizerRun(measured, spec, config)
     after_values = []
-    with _Outputs() as outputs:
+    with outputs:
         with outputs.open(out_path) as fp:
             for item, values in run:
                 fp.write(_json_line(domain.to_record(item)))
@@ -393,9 +422,9 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
             draws_per_accept=run.draws_used / args.count,
             bound=bound,
         )
-        with outputs.open(out_path.with_name(out_path.name + ".report.json")) as fp:
+        with outputs.open(report_json) as fp:
             write_report_json([row], fp)
-        with outputs.open(out_path.with_name(out_path.name + ".report.csv")) as fp:
+        with outputs.open(report_csv) as fp:
             write_report_csv([row], fp)
         _write_manifest(
             outputs, out_path, argv, seed, params,
@@ -488,7 +517,7 @@ def cmd_stats(args: argparse.Namespace, argv: list[str]) -> int:
     else:
         text = "\n".join(csv_lines) + "\n"
     if args.out:
-        with _Outputs() as outputs, outputs.open(Path(args.out)) as fp:
+        with _Outputs(Path(args.out)) as outputs, outputs.open(Path(args.out)) as fp:
             fp.write(text)
     else:
         sys.stdout.write(text)

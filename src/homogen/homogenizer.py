@@ -294,6 +294,8 @@ def homogenize(
 
 def expected_tries_bound(epsilon: float) -> float:
     """Upper bound on expected source draws per accepted sample."""
+    if not math.isfinite(epsilon):
+        raise ValueError("the draw bound requires a finite epsilon")
     if epsilon <= 0:
         raise ValueError("the draw bound requires epsilon > 0")
     return 1.0 + 1.0 / epsilon

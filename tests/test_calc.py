@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -678,7 +680,7 @@ def test_parser_matches_the_recursive_reference():
     for text in texts:
         new = _parse_outcome(parse_expr, text)
         assert new == _parse_outcome(_reference_parse, text), text
-        outcomes.add(new[1].split(" at ")[0] if isinstance(new, tuple) else "ok")
+        outcomes.add(new[1].split(" at ")[0] if type(new) is tuple else "ok")
     assert {"ok", "unexpected end of input", "expected ')'"} <= outcomes
     assert any(o.startswith("unexpected character") for o in outcomes)
 
@@ -881,3 +883,72 @@ def test_tree_equality_hash_and_repr_follow_nesting_past_the_recursion_limit():
     assert deep == parse_expr("1*(" * 1200 + "1" + ")" * 1200)
     assert hash(deep) == hash(parse_expr(render(deep)))
     assert repr(deep).count("BinOp(") == 1200
+
+
+# ---------------------------------------------------------------------------
+# node and dispatch contracts
+
+
+def test_binop_checks_its_operator_on_every_construction():
+    d = Digit(1)
+    for op in ("/", "", "++", None, ["+"]):
+        with pytest.raises(ValueError, match="unknown operator"):
+            BinOp(op, d, d)
+    assert BinOp(op="*", left=d, right=Digit(2)) == BinOp("*", d, Digit(2))
+
+
+def test_binop_fields_are_read_only():
+    node = BinOp("+", Digit(1), Digit(2))
+    for field in ("op", "left", "right"):
+        with pytest.raises(AttributeError):
+            setattr(node, field, Digit(3))
+    with pytest.raises(AttributeError):
+        node.extra = 1
+    assert (node.op, node.left, node.right) == ("+", Digit(1), Digit(2))
+
+
+def test_binop_never_equals_the_tuple_of_its_fields():
+    d1, d2 = Digit(1), Digit(2)
+    node = BinOp("+", d1, d2)
+    fields = ("+", d1, d2)
+    assert node != fields and fields != node
+    assert not node == fields and not fields == node
+    assert BinOp("*", node, d1) != ("*", node, d1)
+    assert BinOp("*", node, d1) != BinOp("*", fields, d1)
+    assert BinOp("*", fields, d1) != BinOp("*", node, d1)
+
+
+def test_binop_pickles_and_deep_copies_to_an_equal_tree():
+    rng = random.Random(17)
+    trees = [sample_expr(rng, sampler) for sampler in ALL_SAMPLERS for _ in range(5)]
+    trees += [parse_expr("1*(" * 40 + "1" + ")" * 40)]
+    for tree in trees:
+        for clone in [pickle.loads(pickle.dumps(tree, protocol)) for protocol in range(6)] + [
+            copy.deepcopy(tree), copy.copy(tree)
+        ]:
+            assert type(clone) is type(tree)
+            assert clone == tree and hash(clone) == hash(tree)
+            assert render(clone) == render(tree)
+
+
+def test_binop_class_patterns_match_by_position_and_keyword():
+    node = BinOp("+", Digit(1), BinOp("*", Digit(2), Digit(3)))
+    match node:
+        case BinOp(op, l, r):
+            assert (op, l, r) == ("+", Digit(1), BinOp("*", Digit(2), Digit(3)))
+        case _:
+            pytest.fail("positional class pattern did not match")
+    match node:
+        case BinOp(op="+", left=l):
+            assert l == Digit(1)
+        case _:
+            pytest.fail("keyword class pattern did not match")
+    match node:
+        case BinOp(op="-"):
+            pytest.fail("a pattern on another operator matched")
+
+
+def test_sample_expr_rejects_an_unknown_sampler():
+    for sampler in (object(), None, "dcfg", (Dcfg(),)):
+        with pytest.raises(TypeError, match="unknown sampler"):
+            sample_expr(random.Random(1), sampler)

@@ -224,6 +224,41 @@ def test_directory_at_an_output_path_leaves_the_old_dataset(
     assert list((tmp_path / directory).iterdir()) == []
 
 
+def _fail_on_call(*args, **kwargs):
+    raise AssertionError("the source was built or drawn from before the output paths were checked")
+
+
+@pytest.mark.parametrize("domain", ["calc", "karel"])
+@pytest.mark.parametrize("command, suffix", [
+    ("generate", ""),
+    ("generate", ".manifest.json"),
+    ("homogenize", ""),
+    ("homogenize", ".report.json"),
+    ("homogenize", ".report.csv"),
+    ("homogenize", ".manifest.json"),
+])
+def test_directory_at_any_output_path_exits_2_before_the_first_draw(
+    command, suffix, domain, tmp_path, monkeypatch, capsys
+):
+    # Every path the command will write is checked before its source is
+    # built, so a run that would fail at the end fails at once.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_domain_source", _fail_on_call)
+    monkeypatch.setattr(calc, "sample_expr", _fail_on_call)
+    monkeypatch.setattr(karel_gen, "task_source", _fail_on_call)
+    directory = "h.jsonl" + suffix
+    (tmp_path / directory).mkdir()
+    argv = [command, domain, "--count", "50000", "--seed", "1", "--out", "h.jsonl"]
+    if command == "homogenize":
+        argv += ["--var", "length" if domain == "calc" else "size"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {directory}: Is a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == [directory]
+    assert list((tmp_path / directory).iterdir()) == []
+
+
 def test_t2t_past_the_node_bound_exits_2_quickly(tmp_path, monkeypatch, capsys):
     # Tree size grows about as e^(1.8 sqrt(d)); the node bound stops the
     # first draw that passes it instead of letting it run for minutes.
@@ -959,14 +994,21 @@ def test_stats_bad_karel_record_names_the_missing_key(
     assert err == f"error: k.jsonl: line 2: bad record ({message})\n"
 
 
-def test_json_line_matches_json_dumps():
+def test_json_line_matches_json_dumps(monkeypatch):
     rng = random.Random(8)
     source = karel_gen.task_source(karel_gen.sample_uniform_grid, n_pairs="uniform")
     objects = [calc.sample_record(rng, calc.Dcfg()) for _ in range(20)]
     objects += [karel_gen.task_to_json(source(rng)) for _ in range(2)]
     objects.append({"expr": 'a"b\\c\n\t\u00e9\u2028\x00\ud83d\ude00', "label": -0.5})
-    for obj in objects:
-        assert cli._json_line(obj) == json.dumps(obj, separators=(",", ":")) + "\n"
+    # The prebuilt C encoder, then the fallback for an interpreter without one.
+    assert json.encoder.c_make_encoder is not None
+    encoders = [cli._json_line]
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    encoders.append(cli._line_encoder())
+    monkeypatch.undo()
+    for json_line in encoders:
+        for obj in objects:
+            assert json_line(obj) == json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,9 @@ def test_expected_tries_bound():
         expected_tries_bound(0.0)
     with pytest.raises(ValueError):
         expected_tries_bound(-1.0)
+    for epsilon in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite epsilon"):
+            expected_tries_bound(epsilon)
 
 
 def test_required_presamples_formula():
