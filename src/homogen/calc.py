@@ -45,7 +45,7 @@ class Digit:
     value: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.value, int) and 0 <= self.value <= 9):
+        if not (type(self.value) is int and 0 <= self.value <= 9):
             raise ValueError("digit must be an int in 0..9")
 
 

@@ -25,6 +25,7 @@ Exit codes: 0 success, 1 crash reported by ``karel-run``, 2 usage errors,
 from __future__ import annotations
 
 import argparse
+import csv
 import gc
 import hashlib
 import json
@@ -37,7 +38,7 @@ from pathlib import Path
 from typing import Any, TextIO
 
 from . import __version__, calc
-from .diagnostics import Histogram, ReportRow, kl_to_uniform, write_report_csv, write_report_json
+from .diagnostics import Histogram, kl_to_uniform
 from .homogenizer import (
     BudgetExhaustedError,
     HomogenizerConfig,
@@ -46,7 +47,7 @@ from .homogenizer import (
     expected_tries_bound,
 )
 from .karel import gen as karel_gen
-from .karel.interp import branch_arms, compile_program, execute
+from .karel.interp import DEFAULT_STEP_LIMIT, branch_arms, compile_program, execute
 from .karel.lang import KarelSyntaxError, parse_program
 from .karel.world import grid_from_json, grid_to_json
 
@@ -249,7 +250,9 @@ def _karel_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--pairs", default="5", help="shown pairs per task: 1..5 or 'uniform' for a per-task draw"
     )
-    parser.add_argument("--step-limit", type=int, default=200, help="action budget per execution")
+    parser.add_argument(
+        "--step-limit", type=int, default=DEFAULT_STEP_LIMIT, help="action budget per execution"
+    )
     parser.add_argument(
         "--classic-prune", action="store_true",
         help="only keep programs with two or more actions including a move",
@@ -413,26 +416,27 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
         kl_before = kl_to_uniform(before)
         kl_after = kl_to_uniform(after)
         reduction = 100.0 * (1.0 - kl_after / kl_before) if kl_before > 0 else 0.0
-        row = ReportRow(
-            variable=spec.name,
-            epsilon=args.eps,
-            kl_before=kl_before,
-            kl_after=kl_after,
-            reduction_pct=reduction,
-            draws_per_accept=run.draws_used / args.count,
-            bound=bound,
-        )
+        # The report's one row; its key order is the CSV column order.
+        row = {
+            "variable": spec.name,
+            "epsilon": args.eps,
+            "kl_before": kl_before,
+            "kl_after": kl_after,
+            "reduction_pct": reduction,
+            "draws_per_accept": run.draws_used / args.count,
+            "bound": bound,
+        }
         with outputs.open(report_json) as fp:
-            write_report_json([row], fp)
+            fp.write(json.dumps([row], indent=2) + "\n")
         with outputs.open(report_csv) as fp:
-            write_report_csv([row], fp)
+            csv.writer(fp, lineterminator="\n").writerows([row.keys(), row.values()])
         _write_manifest(
             outputs, out_path, argv, seed, params,
             substreams={"main": seed, "baseline": baseline_seed},
         )
     print(
         f"wrote {args.count} records to {out_path} "
-        f"(draws/accept {row.draws_per_accept:.2f}, KL {kl_before:.4f} -> {kl_after:.4f})"
+        f"(draws/accept {row['draws_per_accept']:.2f}, KL {kl_before:.4f} -> {kl_after:.4f})"
     )
     return EXIT_OK
 
@@ -498,6 +502,7 @@ def _domain_of(path: Path, record: Any) -> Domain:
 
 
 def cmd_stats(args: argparse.Namespace, argv: list[str]) -> int:
+    outputs = _Outputs(Path(args.out)) if args.out else None
     variables = args.vars.split(",") if args.vars else None
     report: dict[str, Any] = {"dataset": args.dataset, "variables": {}}
     csv_lines = ["variable,kl_to_uniform,value,count"]
@@ -516,8 +521,8 @@ def cmd_stats(args: argparse.Namespace, argv: list[str]) -> int:
         text = json.dumps(report, indent=2) + "\n"
     else:
         text = "\n".join(csv_lines) + "\n"
-    if args.out:
-        with _Outputs(Path(args.out)) as outputs, outputs.open(Path(args.out)) as fp:
+    if outputs is not None:
+        with outputs, outputs.open(Path(args.out)) as fp:
             fp.write(text)
     else:
         sys.stdout.write(text)
@@ -614,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     karel_run = sub.add_parser("karel-run", help="run one program on one grid")
     karel_run.add_argument("program", help="program text file")
     karel_run.add_argument("grid", help="grid JSON file")
-    karel_run.add_argument("--step-limit", type=int, default=200)
+    karel_run.add_argument("--step-limit", type=int, default=DEFAULT_STEP_LIMIT)
     karel_run.set_defaults(func=cmd_karel_run)
 
     return parser

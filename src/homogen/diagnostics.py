@@ -7,13 +7,11 @@ value is ``log(K) - H(P)`` for a ``K``-value domain.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import random
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import asdict, dataclass
-from typing import Any, TextIO
+from dataclasses import dataclass
+from typing import Any
 
 from .homogenizer import HomogenizerConfig, SalientSpec, expected_tries_bound, homogenize
 
@@ -107,39 +105,3 @@ def acceptance_curve(
             CurvePoint(epsilon=epsilon, draws_per_accept=measured, bound=bound, stderr=stderr)
         )
     return points
-
-
-REPORT_COLUMNS = (
-    "variable",
-    "epsilon",
-    "kl_before",
-    "kl_after",
-    "reduction_pct",
-    "draws_per_accept",
-    "bound",
-)
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    """One homogenization run's before/after summary for a single variable."""
-
-    variable: str
-    epsilon: float
-    kl_before: float
-    kl_after: float
-    reduction_pct: float
-    draws_per_accept: float
-    bound: float
-
-
-def write_report_csv(rows: Iterable[ReportRow], fp: TextIO) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for row in rows:
-        record = asdict(row)
-        writer.writerow([record[c] for c in REPORT_COLUMNS])
-
-
-def write_report_json(rows: Iterable[ReportRow], fp: TextIO) -> None:
-    fp.write(json.dumps([asdict(row) for row in rows], indent=2) + "\n")

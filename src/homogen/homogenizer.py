@@ -195,7 +195,7 @@ class HomogenizerConfig:
     def resolved_max_draws(self) -> int:
         if self.max_draws is not None:
             return self.max_draws
-        return self.target_size * math.ceil(1.0 + 1.0 / self.epsilon) * 20
+        return self.target_size * math.ceil(expected_tries_bound(self.epsilon)) * 20
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,13 @@ def test_eval_examples():
     assert eval_mod10(parse_expr("1-2")) == 9
 
 
+@pytest.mark.parametrize("value", [True, False, 1.0], ids=["true", "false", "float"])
+def test_digit_requires_an_exact_int(value):
+    # A bool is an int subclass, so it would render as "True" yet evaluate as 1.
+    with pytest.raises(ValueError, match=r"^digit must be an int in 0\.\.9$"):
+        Digit(value)
+
+
 def test_eval_matches_exact_arithmetic():
     for expr in fuzz_exprs(2000, seed=101):
         assert eval_mod10(expr) == exact_value(expr) % 10

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from homogen import calc, cli
 from homogen.karel import gen as karel_gen
 from homogen.karel import grid_to_json
+from homogen.karel.interp import DEFAULT_STEP_LIMIT
 from karel_fixtures import (
     COLLECTOR_A_EXPECTED,
     COLLECTOR_GRID_A,
@@ -679,6 +680,16 @@ def test_homogenize_default_epsilon():
     assert args.eps == 0.025
 
 
+def test_step_limit_defaults_to_the_interpreter_default():
+    parser = cli.build_parser()
+    for argv in (
+        ["generate", "karel", "--count", "1", "--out", "x.jsonl"],
+        ["homogenize", "karel", "--var", "size", "--count", "1", "--out", "x.jsonl"],
+        ["karel-run", "p.txt", "g.json"],
+    ):
+        assert parser.parse_args(argv).step_limit == DEFAULT_STEP_LIMIT
+
+
 def test_homogenize_unknown_variable_is_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(
@@ -886,6 +897,25 @@ def test_stats_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert err.startswith("error: nodir/x.json: ")
     assert "Traceback" not in err
+
+
+def test_stats_directory_at_out_exits_2_before_reading(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run_cli(["generate", "calc", "--count", "5", "--seed", "1", "--out", "c.jsonl"], capsys)
+    (tmp_path / "report").mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+
+    def read_too_early(*args):
+        raise AssertionError("the dataset was read before the output path was checked")
+
+    monkeypatch.setattr(cli, "_dataset_columns", read_too_early)
+    code, out, err = run_cli(["stats", "c.jsonl", "--out", "report"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: report: Is a directory\n"
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert list((tmp_path / "report").iterdir()) == []
 
 
 def test_stats_missing_file_is_usage_error(tmp_path, monkeypatch, capsys):

@@ -1,21 +1,14 @@
-import io
-import json
 import math
 import random
 
 import pytest
 
 from homogen.diagnostics import (
-    CurvePoint,
     Histogram,
-    ReportRow,
     acceptance_curve,
     kl_reduction,
     kl_to_uniform,
-    write_report_csv,
-    write_report_json,
 )
-from homogen.homogenizer import SalientSpec
 
 from test_homogenizer import identity_spec, weighted_source
 
@@ -110,21 +103,3 @@ def test_acceptance_curve_validates_arguments():
         acceptance_curve(source, spec, [0.0], 10, random.Random(0))
     with pytest.raises(ValueError):
         acceptance_curve(source, spec, [0.1], 0, random.Random(0))
-
-
-def test_report_writers():
-    rows = [
-        ReportRow("length", 0.025, 1.5, 0.75, 50.0, 12.5, 41.0),
-        ReportRow("num_ops", 0.5, 1.0, 0.0, 100.0, 2.5, 3.0),
-    ]
-    csv_buf = io.StringIO()
-    write_report_csv(rows, csv_buf)
-    lines = csv_buf.getvalue().splitlines()
-    assert lines[0] == "variable,epsilon,kl_before,kl_after,reduction_pct,draws_per_accept,bound"
-    assert lines[1].startswith("length,0.025,1.5,0.75,50.0,12.5,41.0")
-
-    json_buf = io.StringIO()
-    write_report_json(rows, json_buf)
-    parsed = json.loads(json_buf.getvalue())
-    assert parsed[0]["variable"] == "length"
-    assert parsed[1]["bound"] == 3.0

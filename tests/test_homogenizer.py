@@ -206,6 +206,12 @@ def test_config_epsilon_zero_needs_opt_in():
     assert HomogenizerConfig(epsilon=0.0, target_size=10, max_draws=5).resolved_max_draws() == 5
 
 
+def test_default_budget_is_twenty_times_the_expected_need():
+    # target_size * ceil(1 + 1/epsilon) * 20: ceil(41.0) = 41 and ceil(4.33) = 5.
+    assert HomogenizerConfig(epsilon=0.025, target_size=7).resolved_max_draws() == 5_740
+    assert HomogenizerConfig(epsilon=0.3, target_size=7).resolved_max_draws() == 700
+
+
 # ---------------------------------------------------------------------------
 # homogenize
 
