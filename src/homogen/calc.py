@@ -500,8 +500,8 @@ def calc_salients(text: str) -> dict[str, int]:
 def _salients_of_text(text: str) -> dict[str, int]:
     """The :func:`calc_salients` features, without parsing.
 
-    Shared with the salient-spec extractors and ``stats``, which read text
-    that may carry redundant parentheses no tree keeps. Depths need a scan
+    ``stats`` reads text through :func:`calc_salients`, and that text may
+    carry redundant parentheses no tree keeps. Depths need a scan
     only when the text has an opening parenthesis; without one no digit sits
     deeper than 0.
     """
@@ -583,8 +583,10 @@ def expr_salients(expr: CalcExpr) -> dict[str, int]:
 
 
 def salient_specs() -> dict[str, SalientSpec]:
-    """Named salient variables over rendered expression strings."""
+    """Named salient variables over expression trees, measured by
+    :func:`expr_salients`; :func:`calc_salients` measures the same names on
+    text."""
     return {
-        name: SalientSpec(name, domain, lambda s, name=name: _salients_of_text(s)[name])
+        name: SalientSpec(name, domain, lambda expr, name=name: expr_salients(expr)[name])
         for name, domain in _SALIENT_DOMAINS.items()
     }

@@ -25,14 +25,17 @@ Exit codes: 0 success, 1 crash reported by ``karel-run``, 2 usage errors,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
 import gc
 import hashlib
 import json
 import os
 import random
+import stat
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, TextIO
@@ -104,28 +107,36 @@ class _Outputs:
     """The files one command writes, each first to a temporary sibling.
 
     Every path the command will write is named when the object is made,
-    which rejects a directory at any of them, before anything is drawn or
-    written: ``os.replace`` would fail on it only after moving the outputs
-    before it, at the end of the run. On success the files are moved into
-    place in the order they were opened, so the manifest, opened last, lands
-    last; on failure every temporary file is removed and no output path is
-    touched.
+    which rejects a directory at any of them and a parent that is missing or
+    not a directory, before anything is drawn or read: ``os.replace`` would
+    fail on a directory only after moving the outputs before it, and opening
+    a temporary file would find a bad parent only after the run's work. On
+    success the files are moved into place in the order they were opened, so
+    the manifest, opened last, lands last; on failure every temporary file
+    is removed and no output path is touched. A failed open, write, close or
+    move is reported against the output path it was for.
     """
 
     def __init__(self, *paths: Path) -> None:
         for path in paths:
             if path.is_dir():
                 raise UsageError(f"{path}: Is a directory")
+            try:
+                if not stat.S_ISDIR(path.parent.stat().st_mode):
+                    raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+            except OSError as exc:
+                raise UsageError(f"{path}: {exc.strerror or exc}") from None
         self._pending: list[tuple[Path, Path]] = []
 
-    def open(self, path: Path) -> TextIO:
+    @contextlib.contextmanager
+    def open(self, path: Path) -> Iterator[TextIO]:
         temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            fp = temp.open("w", encoding="utf-8", newline="\n")
+            with temp.open("w", encoding="utf-8", newline="\n") as fp:
+                self._pending.append((temp, path))
+                yield fp
         except OSError as exc:
             raise UsageError(f"{path}: {exc.strerror or exc}") from None
-        self._pending.append((temp, path))
-        return fp
 
     def digests(self) -> dict[str, str]:
         """SHA-256 of every file written so far, keyed by its final name."""

@@ -58,16 +58,6 @@ def kl_to_uniform(hist: Histogram) -> float:
     return max(acc, 0.0)
 
 
-def kl_reduction(before: Histogram, after: Histogram) -> float:
-    """Percent drop in KL-to-uniform going from ``before`` to ``after``."""
-    if before.domain != after.domain:
-        raise ValueError("histograms must share a domain")
-    d_before = kl_to_uniform(before)
-    if d_before == 0.0:
-        raise ValueError("baseline is already uniform; reduction is undefined")
-    return 100.0 * (1.0 - kl_to_uniform(after) / d_before)
-
-
 @dataclass(frozen=True)
 class CurvePoint:
     epsilon: float

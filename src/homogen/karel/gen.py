@@ -2,8 +2,7 @@
 
 Two grid distributions: a broad one covering every legal grid shape and a
 narrow one concentrated on large grids with exact wall/marker cell counts.
-Programs come from a weighted grammar walk (with a token cap) or, for
-curriculum-style augmentation, from uniform action-only token strings.
+Programs come from a weighted grammar walk with a token cap.
 A :class:`SynthesisTask` bundles a program with input/output grid pairs plus
 one held-out pair; task assembly resamples grids until every shown execution
 succeeds and the shown runs jointly cover every conditional arm of the
@@ -18,10 +17,9 @@ the tasks :func:`make_task` returns.
 from __future__ import annotations
 
 import enum
-import itertools
 import random
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -300,37 +298,6 @@ def _sample_cond(rng: random.Random, table: ProductionTable) -> Pred | Not:
     return pred
 
 
-def sample_action_only(rng: random.Random, length: int) -> KarelProgram:
-    """Uniform action token string of the given length, as a program."""
-    if not 1 <= length <= 20:
-        raise ValueError("length must be in 1..20")
-    return KarelProgram(tuple(Action(ACTIONS[rng.randrange(len(ACTIONS))]) for _ in range(length)))
-
-
-def enumerate_action_only(rng: random.Random, length: int, limit: int) -> list[KarelProgram]:
-    """Distinct action-only programs of one length, at most ``limit`` of them.
-
-    All 5**length programs in lexicographic action order when they fit under
-    the limit; otherwise ``limit`` distinct programs drawn uniformly.
-    """
-    if not 1 <= length <= 20:
-        raise ValueError("length must be in 1..20")
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    total = len(ACTIONS) ** length
-    if total <= limit:
-        combos: Iterable[tuple[str, ...]] = itertools.product(ACTIONS, repeat=length)
-        return [KarelProgram(tuple(map(Action, combo))) for combo in combos]
-    seen: set[tuple[str, ...]] = set()
-    ordered: list[tuple[str, ...]] = []
-    while len(ordered) < limit:
-        combo = tuple(ACTIONS[rng.randrange(len(ACTIONS))] for _ in range(length))
-        if combo not in seen:
-            seen.add(combo)
-            ordered.append(combo)
-    return [KarelProgram(tuple(map(Action, combo))) for combo in ordered]
-
-
 _NODE_KINDS = {"if": If, "ifElse": IfElse, "while": While, "repeat": Repeat}
 
 
@@ -471,43 +438,6 @@ def _validated(draw: GridDraw | KarelGrid) -> KarelGrid:
     return KarelGrid(
         draw.width, draw.height, draw.walls, draw.markers, draw.karel_pos, draw.karel_dir
     )
-
-
-DEFAULT_AUGMENT_PER_LENGTH = 20_000
-DEFAULT_AUGMENT_LENGTHS = tuple(range(1, 21))
-
-
-def augment_action_only(
-    base: Sequence[SynthesisTask],
-    grid_sampler: GridSampler,
-    rng: random.Random,
-    per_length: int = DEFAULT_AUGMENT_PER_LENGTH,
-    lengths: Sequence[int] = DEFAULT_AUGMENT_LENGTHS,
-    n_pairs: int = 5,
-    retry_limit: int = 1000,
-    step_limit: int = DEFAULT_STEP_LIMIT,
-) -> list[SynthesisTask]:
-    """Append tasks for uniform action-only programs of each given length.
-
-    With the defaults that is 20 000 tasks for each length 1..20, i.e.
-    400 000 appended tasks. The base tasks are preserved, in order, at the
-    front of the returned list.
-    """
-    out = list(base)
-    for length in lengths:
-        for _ in range(per_length):
-            program = sample_action_only(rng, length)
-            out.append(
-                make_task(
-                    program,
-                    grid_sampler,
-                    rng,
-                    n_pairs=n_pairs,
-                    retry_limit=retry_limit,
-                    step_limit=step_limit,
-                )
-            )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -132,8 +132,7 @@ def test_02_sampling_cost_bound_curve():
     # Trees are drawn and measured as `homogenize calc` does; their salients
     # equal those of the rendered text.
     source = lambda rng: calc.sample_expr(rng, sampler)  # noqa: E731
-    base = calc.salient_specs()["length"]
-    spec = SalientSpec(base.name, base.domain, lambda e: calc.expr_salients(e)["length"])
+    spec = calc.salient_specs()["length"]
     points = acceptance_curve(
         source, spec, (0.025, 0.05, 0.1, 0.2), draws_per_point=4000, rng=random.Random(31)
     )
@@ -168,8 +167,7 @@ def test_03_kl_reduction_for_all_salient_variables():
     reductions = {}
     for dist_name, sampler in (("dcfg", calc.Dcfg()), ("t2t", calc.T2t())):
         source = lambda rng: calc.sample_expr(rng, sampler)  # noqa: E731
-        for var, base in calc.salient_specs().items():
-            spec = SalientSpec(var, base.domain, lambda e, v=var: calc.expr_salients(e)[v])
+        for var, spec in calc.salient_specs().items():
             config = HomogenizerConfig(epsilon=eps, target_size=n, seed=101)
             data = homogenize(source, spec, config)
             raw_rng = random.Random(102)

@@ -368,9 +368,8 @@ def test_salient_specs_cover_their_domains():
     specs = salient_specs()
     assert set(specs) == {"length", "num_ops", "num_parens", "mean_depth", "max_depth"}
     for expr in fuzz_exprs(500, seed=107):
-        text = render(expr)
         for spec in specs.values():
-            assert spec.extract(text) in spec.domain
+            assert spec.extract(expr) in spec.domain
 
 
 def test_one_operator_trees_share_one_salient_dict():
@@ -386,11 +385,10 @@ def test_one_operator_trees_share_one_salient_dict():
 def test_salient_spec_extractors_match_calc_salients():
     specs = salient_specs()
     for expr in fuzz_exprs(300, seed=108):
-        text = render(expr)
-        s = calc_salients(text)
+        s = calc_salients(render(expr))
         assert s.keys() == specs.keys()
         for name, spec in specs.items():
-            assert spec.extract(text) == s[name], name
+            assert spec.extract(expr) == s[name], name
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ recorded command lines (and therefore the manifests) are reproducible.
 """
 
 import contextlib
+import errno
 import gc
 import hashlib
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -204,6 +206,47 @@ def test_failed_run_leaves_no_file(argv, exit_code, tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+class _NoSpaceOnWrite(io.TextIOWrapper):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class _NoSpaceOnClose(io.TextIOWrapper):
+    def close(self):
+        super().close()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("failing", [_NoSpaceOnWrite, _NoSpaceOnClose], ids=["write", "close"])
+@pytest.mark.parametrize("argv, target", [
+    (["generate", "calc", "--count", "5", "--out", "h.jsonl"], "h.jsonl"),
+    (["generate", "calc", "--count", "5", "--out", "h.jsonl"], "h.jsonl.manifest.json"),
+    (["homogenize", "calc", "--var", "length", "--count", "20", "--out", "h.jsonl"],
+     "h.jsonl.report.csv"),
+    (["stats", "c.jsonl", "--out", "s.json"], "s.json"),
+], ids=["generate", "generate-manifest", "homogenize-report", "stats"])
+def test_failed_write_is_usage_error_and_leaves_no_file(
+    argv, target, failing, tmp_path, monkeypatch, capsys
+):
+    # A full disk, simulated on the temporary file behind one output, is
+    # reported against that output; no file is left behind.
+    monkeypatch.chdir(tmp_path)
+    run_cli(["generate", "calc", "--count", "5", "--seed", "1", "--out", "c.jsonl"], capsys)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    real_open = Path.open
+
+    def open_on_full_disk(self, mode="r", *args, **kwargs):
+        if self.name.startswith(f".{target}.") and self.name.endswith(".tmp"):
+            return failing(real_open(self, "wb"), encoding="utf-8", newline="\n")
+        return real_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_on_full_disk)
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err == f"error: {target}: No space left on device\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("argv, directory", [
     (["homogenize", "calc", "--var", "length", "--count", "20", "--seed", "1"],
      "h.jsonl.report.csv"),
@@ -229,35 +272,53 @@ def _fail_on_call(*args, **kwargs):
     raise AssertionError("the source was built or drawn from before the output paths were checked")
 
 
+# Each case runs with ``--out <out>`` after putting ``blocker`` in the way:
+# a directory when it ends in "/", a file otherwise.
 @pytest.mark.parametrize("domain", ["calc", "karel"])
-@pytest.mark.parametrize("command, suffix", [
-    ("generate", ""),
-    ("generate", ".manifest.json"),
-    ("homogenize", ""),
-    ("homogenize", ".report.json"),
-    ("homogenize", ".report.csv"),
-    ("homogenize", ".manifest.json"),
+@pytest.mark.parametrize("command, out, blocker, error", [
+    pytest.param("generate", "h.jsonl", "h.jsonl/", "h.jsonl: Is a directory",
+                 id="generate-"),
+    pytest.param("generate", "h.jsonl", "h.jsonl.manifest.json/",
+                 "h.jsonl.manifest.json: Is a directory", id="generate-.manifest.json"),
+    pytest.param("homogenize", "h.jsonl", "h.jsonl/", "h.jsonl: Is a directory",
+                 id="homogenize-"),
+    pytest.param("homogenize", "h.jsonl", "h.jsonl.report.json/",
+                 "h.jsonl.report.json: Is a directory", id="homogenize-.report.json"),
+    pytest.param("homogenize", "h.jsonl", "h.jsonl.report.csv/",
+                 "h.jsonl.report.csv: Is a directory", id="homogenize-.report.csv"),
+    pytest.param("homogenize", "h.jsonl", "h.jsonl.manifest.json/",
+                 "h.jsonl.manifest.json: Is a directory", id="homogenize-.manifest.json"),
+    pytest.param("generate", "nodir/h.jsonl", None,
+                 "nodir/h.jsonl: No such file or directory", id="generate-missing-parent"),
+    pytest.param("homogenize", "nodir/h.jsonl", None,
+                 "nodir/h.jsonl: No such file or directory", id="homogenize-missing-parent"),
+    pytest.param("generate", "c.jsonl/h.jsonl", "c.jsonl",
+                 "c.jsonl/h.jsonl: Not a directory", id="generate-file-parent"),
+    pytest.param("homogenize", "c.jsonl/h.jsonl", "c.jsonl",
+                 "c.jsonl/h.jsonl: Not a directory", id="homogenize-file-parent"),
 ])
 def test_directory_at_any_output_path_exits_2_before_the_first_draw(
-    command, suffix, domain, tmp_path, monkeypatch, capsys
+    command, out, blocker, error, domain, tmp_path, monkeypatch, capsys
 ):
-    # Every path the command will write is checked before its source is
-    # built, so a run that would fail at the end fails at once.
+    # Every path the command will write, and its parent, is checked before
+    # its source is built, so a run that would fail later fails at once.
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "_domain_source", _fail_on_call)
     monkeypatch.setattr(calc, "sample_expr", _fail_on_call)
     monkeypatch.setattr(karel_gen, "task_source", _fail_on_call)
-    directory = "h.jsonl" + suffix
-    (tmp_path / directory).mkdir()
-    argv = [command, domain, "--count", "50000", "--seed", "1", "--out", "h.jsonl"]
+    if blocker and blocker.endswith("/"):
+        (tmp_path / blocker).mkdir()
+    elif blocker:
+        (tmp_path / blocker).write_text("old\n")
+    before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+    argv = [command, domain, "--count", "50000", "--seed", "1", "--out", out]
     if command == "homogenize":
         argv += ["--var", "length" if domain == "calc" else "size"]
-    code, out, err = run_cli(argv, capsys)
+    code, stdout, err = run_cli(argv, capsys)
     assert code == 2
-    assert out == ""
-    assert err == f"error: {directory}: Is a directory\n"
-    assert [p.name for p in tmp_path.iterdir()] == [directory]
-    assert list((tmp_path / directory).iterdir()) == []
+    assert stdout == ""
+    assert err == f"error: {error}\n"
+    assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
 
 
 def test_t2t_past_the_node_bound_exits_2_quickly(tmp_path, monkeypatch, capsys):
@@ -900,6 +961,8 @@ def test_stats_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys):
 
 
 def test_stats_directory_at_out_exits_2_before_reading(tmp_path, monkeypatch, capsys):
+    # A directory at the path, a missing parent and a file as the parent are
+    # each found before the dataset is read.
     monkeypatch.chdir(tmp_path)
     run_cli(["generate", "calc", "--count", "5", "--seed", "1", "--out", "c.jsonl"], capsys)
     (tmp_path / "report").mkdir()
@@ -909,12 +972,16 @@ def test_stats_directory_at_out_exits_2_before_reading(tmp_path, monkeypatch, ca
         raise AssertionError("the dataset was read before the output path was checked")
 
     monkeypatch.setattr(cli, "_dataset_columns", read_too_early)
-    code, out, err = run_cli(["stats", "c.jsonl", "--out", "report"], capsys)
-    assert code == 2
-    assert out == ""
-    assert err == "error: report: Is a directory\n"
-    assert "Traceback" not in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    for path, error in [
+        ("report", "Is a directory"),
+        ("nodir/x.json", "No such file or directory"),
+        ("c.jsonl/x.json", "Not a directory"),
+    ]:
+        code, out, err = run_cli(["stats", "c.jsonl", "--out", path], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: {error}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
     assert list((tmp_path / "report").iterdir()) == []
 
 

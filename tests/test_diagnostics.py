@@ -6,7 +6,6 @@ import pytest
 from homogen.diagnostics import (
     Histogram,
     acceptance_curve,
-    kl_reduction,
     kl_to_uniform,
 )
 
@@ -60,20 +59,6 @@ def test_histogram_from_values_and_domain_check():
         Histogram.from_values((0, 1), [5])
     with pytest.raises(ValueError):
         Histogram.from_values((), [])
-
-
-def test_kl_reduction_endpoints():
-    before = hist({0: 3, 1: 1})
-    assert kl_reduction(before, before) == pytest.approx(0.0)
-    assert kl_reduction(before, hist({0: 2, 1: 2})) == pytest.approx(100.0)
-
-
-def test_kl_reduction_errors():
-    uniform = hist({0: 2, 1: 2})
-    with pytest.raises(ValueError):
-        kl_reduction(uniform, uniform)
-    with pytest.raises(ValueError):
-        kl_reduction(hist({0: 3, 1: 1}), hist({0: 3, 1: 1, 2: 0}))
 
 
 def test_acceptance_curve_huge_epsilon_costs_one_draw():

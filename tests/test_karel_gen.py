@@ -27,10 +27,8 @@ from homogen.karel import (
     SynthesisTask,
     UncoverableProgramError,
     While,
-    augment_action_only,
     branch_arms,
     emit_tokens,
-    enumerate_action_only,
     execute,
     grid_from_json,
     grid_salients,
@@ -38,7 +36,6 @@ from homogen.karel import (
     make_task,
     parse_program,
     program_salients,
-    sample_action_only,
     sample_marker_count,
     sample_narrow_grid,
     sample_program,
@@ -377,38 +374,6 @@ def test_sample_program_matches_reference_draw_for_draw(table):
         assert fast.getstate() == slow.getstate()
 
 
-# ---------------------------------------------------------------------------
-# action-only programs
-
-
-def test_enumerate_small_lengths_exhaustively():
-    rng = random.Random(63)
-    assert len(enumerate_action_only(rng, 1, 500)) == 5
-    programs = enumerate_action_only(rng, 2, 500)
-    assert len(programs) == 25
-    assert len({tuple(emit_tokens(p)) for p in programs}) == 25
-
-
-def test_enumerate_caps_at_the_limit_with_distinct_programs():
-    rng = random.Random(64)
-    programs = enumerate_action_only(rng, 4, 500)
-    assert len(programs) == 500
-    token_strings = {tuple(emit_tokens(p)) for p in programs}
-    assert len(token_strings) == 500
-    for program in programs[:20]:
-        names = [t for t in emit_tokens(program) if t in ACTIONS]
-        assert len(names) == 4
-
-
-def test_sample_action_only_has_exact_length_and_no_control_flow():
-    rng = random.Random(65)
-    for length in (1, 7, 20):
-        program = sample_action_only(rng, length)
-        tokens = emit_tokens(program)
-        assert sum(tokens.count(a) for a in ACTIONS) == length
-        assert not any(t in ("if", "else", "while", "repeat") for t in tokens)
-
-
 def test_has_nested_examples():
     w_in_w = parse_program(
         "def main(): while(frontIsClear()): { while(markersPresent()): pickMarker() }"
@@ -643,28 +608,6 @@ def test_make_task_argument_validation():
     with pytest.raises(ValueError, match="step_limit"):
         make_task(program, sample_uniform_grid, rng, step_limit=-1)
     assert rng.getstate() == state  # rejected before any grid is drawn
-
-
-def test_augment_appends_action_only_tasks():
-    rng = random.Random(69)
-    base_program = parse_program("def main(): if(markersPresent()): pickMarker()")
-    base = [make_task(base_program, sample_uniform_grid, rng)]
-    out = augment_action_only(
-        base, sample_uniform_grid, rng, per_length=2, lengths=(1, 2), n_pairs=2
-    )
-    assert out[0] == base[0]
-    assert len(out) == 1 + 2 * 2
-    for task in out[1:]:
-        tokens = emit_tokens(task.program)
-        assert not any(t in ("if", "else", "while", "repeat") for t in tokens)
-        assert len(task.pairs) == 2
-
-
-def test_augment_defaults_describe_the_full_curriculum():
-    from homogen.karel.gen import DEFAULT_AUGMENT_LENGTHS, DEFAULT_AUGMENT_PER_LENGTH
-
-    assert DEFAULT_AUGMENT_PER_LENGTH * len(DEFAULT_AUGMENT_LENGTHS) == 400_000
-    assert DEFAULT_AUGMENT_LENGTHS == tuple(range(1, 21))
 
 
 # ---------------------------------------------------------------------------
