@@ -455,17 +455,8 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
 def _dataset_columns(path: Path, variables: list[str] | None) -> list[tuple[SalientSpec, list]]:
     """Recognise the dataset's domain by its first record, then validate and
     measure each record once, keeping only the chosen salient values.
-
-    The cyclic garbage collector is paused for the loop and restored after
-    it. A Karel record holds about a thousand containers at once (JSON lists
-    and dicts, cell tuples), enough to start a young-generation pass more
-    than once per record, yet no record forms a reference cycle: reference
-    counting frees each one before the next is read, so those passes find
-    nothing to collect and only cost time.
     """
     columns: list[tuple[SalientSpec, list]] | None = None
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         with path.open("r", encoding="utf-8") as fp:
             for lineno, line in enumerate(fp, start=1):
@@ -497,9 +488,6 @@ def _dataset_columns(path: Path, variables: list[str] | None) -> list[tuple[Sali
                     column.append(values[spec.name])
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
-    finally:
-        if collecting:
-            gc.enable()
     if columns is None:
         raise UsageError(f"{path}: empty dataset")
     return columns
@@ -637,6 +625,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    The cyclic garbage collector is paused while the command runs and
+    restored after it. A Karel record holds about a thousand containers at
+    once (JSON lists and dicts, cell tuples, run states), enough to start a
+    young-generation pass more than once per record, yet no record forms a
+    reference cycle: reference counting frees each one, so those passes find
+    nothing to collect and only cost time.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
@@ -644,6 +641,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help/--version and 2 for usage errors.
         return int(exc.code or 0)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args, argv)
     except UsageError as exc:
@@ -659,6 +658,9 @@ def main(argv: list[str] | None = None) -> int:
     except karel_gen.GenerationStallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STALL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

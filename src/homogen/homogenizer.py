@@ -298,7 +298,10 @@ def expected_tries_bound(epsilon: float) -> float:
         raise ValueError("the draw bound requires a finite epsilon")
     if epsilon <= 0:
         raise ValueError("the draw bound requires epsilon > 0")
-    return 1.0 + 1.0 / epsilon
+    bound = 1.0 + 1.0 / epsilon
+    if not math.isfinite(bound):
+        raise ValueError("the draw bound 1 + 1/epsilon overflows a float")
+    return bound
 
 
 def required_presamples(

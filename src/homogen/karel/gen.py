@@ -25,7 +25,7 @@ from typing import Any
 
 from ..homogenizer import SalientSpec
 from ..rng import randbelow
-from .interp import DEFAULT_STEP_LIMIT, branch_arms, compile_program, execute
+from .interp import DEFAULT_STEP_LIMIT, CrashReason, branch_arms, compile_program, execute
 from .lang import (
     ACTIONS,
     MAX_REPEAT,
@@ -402,7 +402,7 @@ def make_task(
     _check_step_limit(step_limit)
     compiled = compile_program(program)
     required = branch_arms(compiled)
-    crash_counts: Counter[str] = Counter()
+    crash_counts: dict[CrashReason, int] = {}
     missing_counts: Counter[tuple[int, str]] = Counter()
     for _ in range(retry_limit):
         # Sample and run one grid at a time; the whole batch is discarded on
@@ -412,24 +412,24 @@ def make_task(
         for _k in range(n_pairs + 1):
             draw = grid_sampler(rng)
             result = execute(compiled, draw, step_limit)
-            if not result.success:
-                crash_counts[result.crash.value] += 1
+            crash = result.crash
+            if crash is not None:
+                crash_counts[crash] = crash_counts.get(crash, 0) + 1
                 break
             draws.append(draw)
             results.append(result)
-        if len(draws) != n_pairs + 1:
-            continue
-        covered = frozenset().union(*(r.branches_taken for r in results[:n_pairs]))
-        if not required <= covered:
+        else:
+            covered = set().union(*(r.taken for r in results[:n_pairs]))
+            if required <= covered:
+                pairs = tuple((_validated(d), r.output) for d, r in zip(draws, results))
+                return SynthesisTask(program=program, pairs=pairs[:n_pairs], held_out=pairs[-1])
             missing_counts.update(required - covered)
-            continue
-        pairs = tuple((_validated(d), r.output) for d, r in zip(draws, results))
-        return SynthesisTask(program=program, pairs=pairs[:n_pairs], held_out=pairs[-1])
+    crashes = {reason.value: n for reason, n in crash_counts.items()}
     raise UncoverableProgramError(
         f"no valid task in {retry_limit} grid batches "
-        f"(crashes: {dict(crash_counts)}, uncovered arms: {dict(missing_counts)})",
+        f"(crashes: {crashes}, uncovered arms: {dict(missing_counts)})",
         attempts=retry_limit,
-        crash_counts=dict(crash_counts),
+        crash_counts=crashes,
         missing_arm_counts=dict(missing_counts),
     )
 

@@ -20,15 +20,15 @@ run one program on many grids pass its result to :func:`execute` and
 :func:`branch_arms` in place of the program.
 
 :func:`execute` runs on a :class:`KarelGrid` or an unvalidated
-:class:`GridDraw` alike. A run keeps its final world as a ``GridDraw``, and
-:attr:`ExecResult.output` validates it into a ``KarelGrid`` on first use,
-so a run whose output nobody reads never builds one.
+:class:`GridDraw` alike, and returns the run's own state as its result: an
+:class:`ExecResult` builds its ``frozenset`` of arms and its validated
+output grid only when they are read, so a run whose output nobody reads
+never builds either.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -47,38 +47,23 @@ class CrashReason(enum.Enum):
     STEP_LIMIT = "StepLimit"
 
 
-@dataclass(frozen=True)
+class _Crash(Exception):
+    """A run stopped; ``args[0]`` is its :class:`CrashReason`."""
+
+
 class ExecResult:
-    """One run: its crash (``None`` on success), the arms it took, its
-    steps, and on success the final world, unvalidated.
+    """One run: the mutable world while it executes, read-only once
+    :func:`execute` returns it.
+
+    ``crash`` is ``None`` on success; ``steps`` counts completed actions and
+    ``taken`` holds the arms the run recorded. ``branches_taken`` and
+    ``output`` (the final world as a validated grid, ``None`` after a crash)
+    are built anew on every read. Two results are equal when their crash,
+    arms, steps and, on success, final worlds are.
     """
 
-    crash: CrashReason | None
-    branches_taken: frozenset[BranchArm]
-    steps: int
-    final: GridDraw | None = None
-
-    @property
-    def success(self) -> bool:
-        return self.crash is None
-
-    @functools.cached_property
-    def output(self) -> KarelGrid | None:
-        """The final world as a validated grid, built on first use; ``None``
-        after a crash."""
-        return None if self.final is None else KarelGrid(*self.final)
-
-
-class _Crash(Exception):
-    def __init__(self, reason: CrashReason):
-        self.reason = reason
-
-
-class _Run:
-    """The mutable world of one execution, plus its step count and arms."""
-
     __slots__ = ("width", "height", "walls", "markers", "pos", "direction",
-                 "step_limit", "steps", "taken")
+                 "step_limit", "steps", "taken", "crash")
 
     def __init__(self, grid: GridDraw | KarelGrid, step_limit: int):
         self.width = grid.width
@@ -90,10 +75,39 @@ class _Run:
         self.step_limit = step_limit
         self.steps = 0
         self.taken: set[BranchArm] = set()
+        self.crash: CrashReason | None = None
+
+    @property
+    def success(self) -> bool:
+        return self.crash is None
+
+    @property
+    def branches_taken(self) -> frozenset[BranchArm]:
+        return frozenset(self.taken)
+
+    @property
+    def output(self) -> KarelGrid | None:
+        if self.crash is not None:
+            return None
+        return KarelGrid(self.width, self.height, self.walls, self.markers, self.pos,
+                         self.direction)
+
+    def _key(self) -> tuple:
+        world = None if self.crash is not None else (
+            self.width, self.height, self.walls, self.markers, self.pos, self.direction)
+        return self.crash, self.taken, self.steps, world
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExecResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return f"ExecResult{self._key()!r}"
 
 
-Code = Callable[[_Run], None]
-CondCode = Callable[[_Run], bool]
+Code = Callable[[ExecResult], None]
+CondCode = Callable[[ExecResult], bool]
 
 
 @dataclass(frozen=True)
@@ -163,21 +177,21 @@ def _new_branch(arms: list[BranchArm], yes: str, no: str) -> tuple[BranchArm, Br
 
 
 def _seq(parts: tuple[Code, ...]) -> Code:
-    def seq(run: _Run) -> None:
+    def seq(run: ExecResult) -> None:
         for part in parts:
             part(run)
 
     return seq
 
 
-def _skip(run: _Run) -> None:
+def _skip(run: ExecResult) -> None:
     pass
 
 
 def _if_else(
     cond: CondCode, then_body: Code, else_body: Code, then_arm: BranchArm, else_arm: BranchArm
 ) -> Code:
-    def if_else(run: _Run) -> None:
+    def if_else(run: ExecResult) -> None:
         if cond(run):
             run.taken.add(then_arm)
             then_body(run)
@@ -189,7 +203,7 @@ def _if_else(
 
 
 def _while(cond: CondCode, body: Code, enter_arm: BranchArm, skip_arm: BranchArm) -> Code:
-    def while_(run: _Run) -> None:
+    def while_(run: ExecResult) -> None:
         taken = run.taken
         while cond(run):
             taken.add(enter_arm)
@@ -205,14 +219,14 @@ def _while(cond: CondCode, body: Code, enter_arm: BranchArm, skip_arm: BranchArm
 
 
 def _repeat(times: int, body: Code) -> Code:
-    def repeat(run: _Run) -> None:
+    def repeat(run: ExecResult) -> None:
         for _ in range(times):
             body(run)
 
     return repeat
 
 
-def _move(run: _Run) -> None:
+def _move(run: ExecResult) -> None:
     if run.steps >= run.step_limit:
         raise _Crash(CrashReason.STEP_LIMIT)
     if not _clear_toward(run, run.direction):
@@ -222,21 +236,17 @@ def _move(run: _Run) -> None:
     run.steps += 1
 
 
-def _turn_left(run: _Run) -> None:
-    if run.steps >= run.step_limit:
-        raise _Crash(CrashReason.STEP_LIMIT)
-    run.direction = LEFT_OF[run.direction]
-    run.steps += 1
+def _turn(table: dict[str, str]) -> Code:
+    def turn(run: ExecResult) -> None:
+        if run.steps >= run.step_limit:
+            raise _Crash(CrashReason.STEP_LIMIT)
+        run.direction = table[run.direction]
+        run.steps += 1
+
+    return turn
 
 
-def _turn_right(run: _Run) -> None:
-    if run.steps >= run.step_limit:
-        raise _Crash(CrashReason.STEP_LIMIT)
-    run.direction = RIGHT_OF[run.direction]
-    run.steps += 1
-
-
-def _pick_marker(run: _Run) -> None:
+def _pick_marker(run: ExecResult) -> None:
     if run.steps >= run.step_limit:
         raise _Crash(CrashReason.STEP_LIMIT)
     markers, pos = run.markers, run.pos
@@ -250,7 +260,7 @@ def _pick_marker(run: _Run) -> None:
     run.steps += 1
 
 
-def _put_marker(run: _Run) -> None:
+def _put_marker(run: ExecResult) -> None:
     if run.steps >= run.step_limit:
         raise _Crash(CrashReason.STEP_LIMIT)
     markers, pos = run.markers, run.pos
@@ -263,41 +273,25 @@ def _put_marker(run: _Run) -> None:
 
 _ACTIONS: dict[str, Code] = {
     "move": _move,
-    "turnLeft": _turn_left,
-    "turnRight": _turn_right,
+    "turnLeft": _turn(LEFT_OF),
+    "turnRight": _turn(RIGHT_OF),
     "pickMarker": _pick_marker,
     "putMarker": _put_marker,
 }
 
 
-def _clear_toward(run: _Run, direction: str) -> bool:
+def _clear_toward(run: ExecResult, direction: str) -> bool:
     di, dj = DIR_DELTA[direction]
     i = run.pos[0] + di
     j = run.pos[1] + dj
     return 0 <= i < run.width and 0 <= j < run.height and (i, j) not in run.walls
 
 
-def _markers_present(run: _Run) -> bool:
-    return run.markers.get(run.pos, 0) > 0
-
-
-def _front_is_clear(run: _Run) -> bool:
-    return _clear_toward(run, run.direction)
-
-
-def _left_is_clear(run: _Run) -> bool:
-    return _clear_toward(run, LEFT_OF[run.direction])
-
-
-def _right_is_clear(run: _Run) -> bool:
-    return _clear_toward(run, RIGHT_OF[run.direction])
-
-
 _PREDICATES: dict[str, CondCode] = {
-    "markersPresent": _markers_present,
-    "frontIsClear": _front_is_clear,
-    "leftIsClear": _left_is_clear,
-    "rightIsClear": _right_is_clear,
+    "markersPresent": lambda run: run.markers.get(run.pos, 0) > 0,
+    "frontIsClear": lambda run: _clear_toward(run, run.direction),
+    "leftIsClear": lambda run: _clear_toward(run, LEFT_OF[run.direction]),
+    "rightIsClear": lambda run: _clear_toward(run, RIGHT_OF[run.direction]),
 }
 
 
@@ -324,10 +318,9 @@ def execute(
     if step_limit < 0:
         raise ValueError("step_limit must be >= 0")
     code = _compiled(program).code
-    run = _Run(grid, step_limit)
+    run = ExecResult(grid, step_limit)
     try:
         code(run)
     except _Crash as crash:
-        return ExecResult(crash.reason, frozenset(run.taken), run.steps)
-    final = GridDraw(run.width, run.height, run.walls, run.markers, run.pos, run.direction)
-    return ExecResult(None, frozenset(run.taken), run.steps, final)
+        run.crash = crash.args[0]
+    return run

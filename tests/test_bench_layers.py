@@ -8,12 +8,14 @@ undone.
 """
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
 import homogen.cli  # noqa: F401  (imports every module the tracer patches)
 from homogen.diagnostics import Histogram
 from homogen.homogenizer import HomogenizerRun
+from homogen.karel import UncoverableProgramError, gen, sample_program
 from homogen.karel.world import KarelGrid
 
 LAYERS_PATH = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
@@ -67,3 +69,32 @@ def test_every_traced_layer_exists_and_is_restored(monkeypatch):
             assert after[attr] is value, f"{name}.{attr} was not restored"
     for (cls, attr), original in zip(PATCHED_CLASS_ATTRIBUTES, class_attributes):
         assert cls.__dict__[attr] is original, f"{cls.__name__}.{attr} was not restored"
+
+
+def test_the_traced_execute_layer_sees_every_grid_task_assembly_draws(monkeypatch):
+    # The karel.interp.execute layer times task assembly's runs, so
+    # make_task must run each grid it draws through the module's execute.
+    layers = load_layers(monkeypatch)
+    tracer = layers.Tracer()
+    patches, _ = layers.install(tracer, homogen_modules())
+    draws = 0
+
+    def sampler(rng):
+        nonlocal draws
+        draws += 1
+        return gen.sample_uniform_grid(rng)
+
+    rng = random.Random(76)
+    outcomes = set()
+    try:
+        for _ in range(40):
+            try:
+                gen.make_task(sample_program(rng), sampler, rng, retry_limit=20)
+                outcomes.add("task")
+            except UncoverableProgramError:
+                outcomes.add("uncoverable")
+    finally:
+        patches.restore()
+    assert outcomes == {"task", "uncoverable"}
+    assert tracer.summary()["karel.interp.execute"]["calls"] == draws > 40
+    assert 0 < tracer.counters["karel.interp.execute.crashed"] < draws

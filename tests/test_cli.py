@@ -176,6 +176,16 @@ def test_generate_missing_narrow_rates_is_usage_error(tmp_path, monkeypatch, cap
         ["homogenize", "calc", "--var", "length", "--eps", "-0.5"],
         "error: --eps -0.5: the draw bound requires epsilon > 0", id="eps-negative",
     ),
+    # 1/eps overflows a float, with or without a draw budget of its own.
+    pytest.param(
+        ["homogenize", "calc", "--var", "length", "--eps", "1e-320"],
+        "error: --eps 1e-320: the draw bound 1 + 1/epsilon overflows", id="eps-subnormal",
+    ),
+    pytest.param(
+        ["homogenize", "karel", "--var", "size", "--eps", "1e-320", "--max-draws", "9"],
+        "error: --eps 1e-320: the draw bound 1 + 1/epsilon overflows",
+        id="eps-subnormal-budget",
+    ),
 ])
 def test_negative_step_limit_is_usage_error_and_writes_nothing(
     argv, fragment, tmp_path, monkeypatch, capsys
@@ -939,16 +949,59 @@ def test_stats_leaves_the_collector_as_it_found_it(
     assert code == (2 if bad_record else 0)
 
 
+@contextlib.contextmanager
+def collector_paused():
+    was_collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_collecting:
+            gc.enable()
+
+
 @pytest.mark.parametrize("domain", ["calc", "karel"])
 def test_reading_a_dataset_creates_no_reference_cycles(domain, tmp_path, monkeypatch, capsys):
-    # The stats read loop runs with the cyclic collector paused, so any cycle
-    # it made would outlive the loop.
+    # Commands run with the cyclic collector paused, so any cycle the stats
+    # read loop made would outlive the loop.
     monkeypatch.chdir(tmp_path)
     run_cli(["generate", domain, "--count", "40", "--seed", "3", "--out", "d.jsonl"], capsys)
-    gc.collect()
-    columns = cli._dataset_columns(Path("d.jsonl"), None)
-    assert gc.collect() == 0
+    with collector_paused():
+        gc.collect()
+        columns = cli._dataset_columns(Path("d.jsonl"), None)
+        assert gc.collect() == 0
     assert all(len(values) == 40 for _, values in columns)
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "karel"],
+    ["homogenize", "calc", "--var", "length"],
+    ["homogenize", "karel", "--var", "size", "--eps", "0.5"],
+    ["stats"],
+], ids=["generate-karel", "homogenize-calc", "homogenize-karel", "stats"])
+def test_paused_collector_leaves_garbage_that_does_not_grow_with_count(
+    command, tmp_path, monkeypatch, capsys
+):
+    # main() pauses the cyclic collector for the whole command. That is safe
+    # only if no record forms a reference cycle: the cyclic garbage one
+    # command leaves behind (argparse's parser) must not depend on --count.
+    monkeypatch.chdir(tmp_path)
+    run_cli(["generate", "karel", "--count", "20", "--seed", "4", "--out", "k.jsonl"], capsys)
+    records = (tmp_path / "k.jsonl").read_text().splitlines(keepends=True)
+
+    def garbage_after(count):
+        if command == ["stats"]:
+            (tmp_path / f"in{count}.jsonl").write_text("".join(records[:count]))
+            argv = ["stats", f"in{count}.jsonl", "--out", f"stats{count}.json"]
+        else:
+            argv = command + ["--count", str(count), "--seed", "5", "--out", f"out{count}.jsonl"]
+        assert run_cli(argv, capsys)[0] == 0
+        return gc.collect()
+
+    with collector_paused():
+        gc.collect()
+        garbage_after(2)  # warms every cache first
+        assert garbage_after(2) == garbage_after(20)
 
 
 def test_stats_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys):

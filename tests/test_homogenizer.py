@@ -388,6 +388,12 @@ def test_expected_tries_bound():
     for epsilon in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite epsilon"):
             expected_tries_bound(epsilon)
+    # A subnormal epsilon is finite and positive, but 1/epsilon overflows.
+    assert math.isfinite(expected_tries_bound(1e-308))
+    with pytest.raises(ValueError, match="overflows"):
+        expected_tries_bound(1e-320)
+    with pytest.raises(ValueError, match="overflows"):
+        HomogenizerConfig(epsilon=1e-320, target_size=5).resolved_max_draws()
 
 
 def test_required_presamples_formula():

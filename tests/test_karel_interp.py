@@ -5,6 +5,8 @@ import pytest
 from homogen.karel import (
     Action,
     CrashReason,
+    ExecResult,
+    GridDraw,
     If,
     IfElse,
     KarelGrid,
@@ -20,6 +22,7 @@ from homogen.karel import (
     sample_program,
     sample_uniform_grid,
 )
+from homogen.karel.interp import DEFAULT_STEP_LIMIT
 from homogen.karel.world import DIR_DELTA, LEFT_OF, RIGHT_OF
 
 from karel_fixtures import (
@@ -438,3 +441,58 @@ def test_compiled_programs_match_the_reference_interpreter():
             assert (result.output, result.crash, result.branches_taken, result.steps) == expected
             crashes.add(result.crash)
     assert crashes == {None, *CrashReason}
+
+
+# ---------------------------------------------------------------------------
+# the ExecResult contract: a run's own state, read-only once returned
+
+
+MARKER_TEXT = "def main(): putMarker() ; move() ; pickMarker() ; pickMarker() ; putMarker()"
+
+
+@pytest.mark.parametrize("as_draw", [False, True], ids=["grid", "draw"])
+def test_a_run_leaves_its_input_markers_alone(as_draw):
+    grid = open_grid(markers={(4, 4): 3, (5, 4): 2})
+    markers = dict(grid.markers)
+    source = GridDraw(*(getattr(grid, name) for name in GridDraw._fields)) if as_draw else grid
+    result = run_text(MARKER_TEXT, source)
+    assert result.success
+    assert source.markers == markers
+    assert grid.markers == markers
+    assert result.output.markers == {(4, 4): 4, (5, 4): 1}
+
+
+def test_exec_result_matches_the_reference_and_compares_by_value():
+    rng = random.Random(45)
+    crashed = succeeded = 0
+    for _ in range(300):
+        program = sample_program(rng)
+        grid = sample_uniform_grid(rng)
+        result = execute(program, grid)
+        assert type(result) is ExecResult
+        assert type(result.branches_taken) is frozenset
+        output, crash, taken, steps = reference_execute(program, grid, DEFAULT_STEP_LIMIT)
+        assert result.output == output
+        assert result.branches_taken == taken
+        again = execute(compile_program(program), grid)
+        assert again == result
+        assert not again != result
+        if crash is None:
+            succeeded += 1
+            assert type(result.output) is KarelGrid
+            assert result.output is not result.output  # built on each read
+        else:
+            crashed += 1
+            assert result.output is None
+    assert crashed > 50 and succeeded > 50
+
+
+def test_exec_results_differ_when_runs_differ():
+    grid = open_grid()
+    turned = run_text("def main(): turnLeft()", grid)
+    assert turned != run_text("def main(): turnRight()", grid)
+    assert turned != run_text("def main(): turnLeft() ; move()", grid)
+    assert turned != "not a result"
+    crashed = run_text(CRASH_TEXT, CRASH_GRID)
+    assert crashed == run_text(CRASH_TEXT, CRASH_GRID)
+    assert crashed != turned
