@@ -13,10 +13,8 @@ from .homogenizer import (
     HomogenizerConfig,
     HomogenizerRun,
     SalientSpec,
-    acceptance_probability,
     expected_tries_bound,
     homogenize,
-    required_presamples,
 )
 
 __version__ = "0.1.0"
@@ -29,9 +27,7 @@ __all__ = [
     "HomogenizerConfig",
     "HomogenizerRun",
     "SalientSpec",
-    "acceptance_probability",
     "expected_tries_bound",
     "homogenize",
-    "required_presamples",
     "__version__",
 ]

@@ -38,7 +38,6 @@ from .lang import (
     Not,
     Pred,
     Repeat,
-    Stmt,
     While,
     emit_tokens,
     parse_program,
@@ -296,38 +295,6 @@ def _sample_cond(rng: random.Random, table: ProductionTable) -> Pred | Not:
     if rng.random() < table.negate_p:
         return Not(pred)
     return pred
-
-
-_NODE_KINDS = {"if": If, "ifElse": IfElse, "while": While, "repeat": Repeat}
-
-
-def has_nested(program: KarelProgram, outer: str, inner: str) -> bool:
-    """Whether a node of kind ``inner`` sits inside the body of an ``outer``."""
-    try:
-        outer_t = _NODE_KINDS[outer]
-        inner_t = _NODE_KINDS[inner]
-    except KeyError as exc:
-        raise ValueError(f"unknown node kind {exc.args[0]!r}; expected one of "
-                         f"{sorted(_NODE_KINDS)}") from None
-    # An explicit stack of (node, inside an outer) pairs, first statement on top.
-    stack: list[tuple[Body | Stmt, bool]] = [(program.body, False)]
-    while stack:
-        node, inside = stack.pop()
-        if inside and isinstance(node, inner_t):
-            return True
-        entered = inside or isinstance(node, outer_t)
-        match node:
-            case tuple():
-                stack += [(stmt, inside) for stmt in reversed(node)]
-            case Action():
-                pass
-            case If(body=body) | While(body=body) | Repeat(body=body):
-                stack.append((body, entered))
-            case IfElse(then_body=then_body, else_body=else_body):
-                stack += [(else_body, entered), (then_body, entered)]
-            case _:
-                raise TypeError(f"not a statement: {node!r}")
-    return False
 
 
 def satisfies_action_pruning(program: KarelProgram) -> bool:

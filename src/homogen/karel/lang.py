@@ -151,10 +151,6 @@ def emit_tokens(program: KarelProgram) -> list[str]:
     return out
 
 
-def program_to_text(program: KarelProgram) -> str:
-    return " ".join(emit_tokens(program))
-
-
 class _Parser:
     def __init__(self, tokens: list[tuple[str, int]]):
         self.tokens = tokens

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from homogen import homogenizer
 from homogen.homogenizer import (
     BudgetExhaustedError,
     CountTable,
@@ -11,10 +10,8 @@ from homogen.homogenizer import (
     HomogenizerConfig,
     HomogenizerRun,
     SalientSpec,
-    acceptance_probability,
     expected_tries_bound,
     homogenize,
-    required_presamples,
 )
 
 
@@ -42,114 +39,46 @@ def identity_spec(name, domain):
 
 
 # ---------------------------------------------------------------------------
-# acceptance_probability
-
-
-def test_acceptance_probability_balanced_counts():
-    counts = CountTable.from_counts({"a": 1, "b": 1})
-    assert acceptance_probability(counts, "a", 0.0) == 1.0
-
-
-def test_acceptance_probability_overrepresented_value():
-    counts = CountTable.from_counts({"a": 3, "b": 1})
-    assert acceptance_probability(counts, "a", 0.0) == pytest.approx(1.0 / 3.0)
-    assert acceptance_probability(counts, "a", 0.25) == pytest.approx(0.5)
-
-
-def test_acceptance_probability_requires_counted_value():
-    counts = CountTable.from_counts({"a": 2, "b": 0})
-    with pytest.raises(ValueError):
-        acceptance_probability(counts, "b", 0.1)
-
-
-def test_acceptance_probability_rejects_empty_table():
-    counts = CountTable(["a", "b"])
-    with pytest.raises(ValueError):
-        acceptance_probability(counts, "a", 0.1)
-
-
-def test_acceptance_probability_monotone_in_epsilon():
-    rng = random.Random(7)
-    for _ in range(200):
-        counts = CountTable.from_counts(
-            {k: rng.randint(0, 50) for k in "abcde"} | {"f": rng.randint(1, 50)}
-        )
-        e1 = rng.uniform(0.0, 2.0)
-        e2 = e1 + rng.uniform(0.001, 3.0)
-        g1 = acceptance_probability(counts, "f", e1)
-        g2 = acceptance_probability(counts, "f", e2)
-        assert g2 >= g1
-        assert 0.0 <= g1 <= 1.0
-
-
-def test_acceptance_probability_lower_bound_during_run():
-    # Drive the counting loop by hand and check every draw's probability
-    # against the epsilon/(1+epsilon) floor.
-    rng = random.Random(11)
-    source = weighted_source({0: 0.7, 1: 0.2, 2: 0.09, 3: 0.01})
-    for epsilon in (0.01, 0.1, 0.5, 2.0):
-        counts = CountTable([0, 1, 2, 3])
-        floor = epsilon / (1.0 + epsilon)
-        for _ in range(3000):
-            v = source(rng)
-            counts.increment(v)
-            g = acceptance_probability(counts, v, epsilon)
-            assert floor <= g <= 1.0
-
-
-def test_run_acceptance_equals_acceptance_probability_bit_for_bit():
-    # The run computes the acceptance from the count ``increment`` returns
-    # instead of calling acceptance_probability; on random count tables both
-    # give the same float as the pre-change formula, to the last bit.
-    rng = random.Random(12)
-    for _ in range(40):
-        domain = range(rng.randint(1, 30))
-        table = CountTable.from_counts({x: rng.randint(0, 50) for x in domain})
-        for epsilon in (0.0, 1e-9, 0.025, 0.1, rng.random(), 3.0):
-            for _ in range(50):
-                v = rng.choice(domain)
-                count = table.increment(v)
-                assert count == table.counts[v]
-                inlined = homogenizer._acceptance(table.min_count, count, table.total, epsilon)
-                old = (table.min_frequency + epsilon) / (table.frequency(v) + epsilon)
-                assert inlined.hex() == acceptance_probability(table, v, epsilon).hex()
-                assert inlined.hex() == old.hex()
+# the run loop against an independent reference
 
 
 def _reference_run(source, spec, config):
-    """The pre-change run loop, calling acceptance_probability on every draw."""
+    """The paper's loop written out: plain dict counts, the minimum
+    recomputed on every draw, and the acceptance formula inline."""
     rng = random.Random(config.seed)
-    counts = CountTable(spec.domain)
+    counts = {x: 0 for x in spec.domain}
+    eps = config.epsilon
     draws = 0
-    for _ in range(config.warm_up):
-        counts.increment(spec.extract(source(rng)))
-        draws += 1
     items = []
     cap = config.resolved_max_draws()
-    while len(items) < config.target_size and (cap is None or draws < cap):
+    while len(items) < config.target_size and draws < cap:
         sample = source(rng)
         value = spec.extract(sample)
-        counts.increment(value)
+        counts[value] += 1
         draws += 1
-        if rng.random() < acceptance_probability(counts, value, config.epsilon):
+        keep = (min(counts.values()) / draws + eps) / (counts[value] / draws + eps)
+        if eps > 0:
+            # An over-represented value is still kept at this floor.
+            assert eps / (1 + eps) <= keep <= 1
+        if rng.random() < keep:
             items.append(sample)
     return items, draws, counts
 
 
-@pytest.mark.parametrize("epsilon, warm_up", [(0.025, 0), (0.3, 0), (0.0, 50), (2.0, 10)])
-def test_run_matches_the_reference_loop(epsilon, warm_up):
+@pytest.mark.parametrize("epsilon", [0.025, 0.3, 0.0, 2.0])
+def test_run_matches_the_reference_loop(epsilon):
     domain = list(range(8))
     source = weighted_source({v: (v + 1.0) ** 2 for v in domain})
     spec = identity_spec("value", domain)
     config = HomogenizerConfig(
-        epsilon=epsilon, target_size=1500, seed=31, warm_up=warm_up,
-        max_draws=None if epsilon else 1_000_000,
+        epsilon=epsilon, target_size=1500, seed=31, max_draws=None if epsilon else 1_000_000,
     )
     data = homogenize(source, spec, config)
     items, draws, counts = _reference_run(source, spec, config)
     assert list(data.items) == items
     assert data.draws_used == draws
-    assert data.final_counts == counts
+    assert data.final_counts.counts == counts
+    assert data.final_counts.total == draws
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +115,6 @@ def test_config_rejects_bad_parameters():
     with pytest.raises(ValueError):
         HomogenizerConfig(epsilon=0.1, target_size=0)
     with pytest.raises(ValueError):
-        HomogenizerConfig(epsilon=0.1, target_size=10, warm_up=-1)
-    with pytest.raises(ValueError):
         HomogenizerConfig(epsilon=0.1, target_size=10, max_draws=0)
 
 
@@ -198,11 +125,9 @@ def test_config_rejects_non_finite_epsilon(epsilon):
 
 
 def test_config_epsilon_zero_needs_opt_in():
-    # At epsilon 0 no default budget exists, and a warm-up bounds nothing.
+    # At epsilon 0 no default budget exists.
     with pytest.raises(ValueError, match="max_draws"):
         HomogenizerConfig(epsilon=0.0, target_size=10)
-    with pytest.raises(ValueError, match="max_draws"):
-        HomogenizerConfig(epsilon=0.0, target_size=1, warm_up=1)
     assert HomogenizerConfig(epsilon=0.0, target_size=10, max_draws=5).resolved_max_draws() == 5
 
 
@@ -254,10 +179,11 @@ def test_counts_cover_every_draw_including_rejections():
     domain = (0, 1, 2)
     source = weighted_source({0: 0.8, 1: 0.15, 2: 0.05})
     spec = identity_spec("value", domain)
-    config = HomogenizerConfig(epsilon=0.05, target_size=500, seed=13, warm_up=50)
+    config = HomogenizerConfig(epsilon=0.05, target_size=500, seed=13)
     data = homogenize(source, spec, config)
     assert data.final_counts.total == data.draws_used
-    assert data.draws_used >= len(data.items) + 50
+    assert sum(data.final_counts.counts.values()) == data.draws_used
+    assert data.draws_used > len(data.items)
     assert len(data.items) == 500
 
 
@@ -297,7 +223,8 @@ def test_same_seed_reproduces_the_run_exactly():
     b = homogenize(source, spec, config)
     assert a.items == b.items
     assert a.draws_used == b.draws_used
-    assert a.final_counts == b.final_counts
+    assert a.final_counts.counts == b.final_counts.counts
+    assert a.final_counts.total == b.final_counts.total
     c = homogenize(source, spec, HomogenizerConfig(epsilon=0.02, target_size=2000, seed=78))
     assert c.items != a.items
 
@@ -307,11 +234,14 @@ def test_budget_exhaustion_is_an_error_with_statistics():
     source = weighted_source({0: 0.5, 1: 0.5})
     spec = identity_spec("value", domain)
     config = HomogenizerConfig(epsilon=0.1, target_size=10_000, seed=4, max_draws=50)
+    run = HomogenizerRun(source, spec, config)
     with pytest.raises(BudgetExhaustedError) as excinfo:
-        homogenize(source, spec, config)
+        list(run)
     err = excinfo.value
     assert err.draws_used == 50
     assert 0 <= err.accepted < 10_000
+    # The error carries the run's own final table.
+    assert err.counts is run.counts
     assert err.counts.total == 50
 
 
@@ -324,15 +254,6 @@ def test_epsilon_zero_run_over_a_value_never_drawn_stops_at_its_budget():
         homogenize(weighted_source({0: 0.5, 1: 0.5}), spec, config)
     assert excinfo.value.draws_used == 500
     assert excinfo.value.accepted == 0
-
-
-def test_warm_up_stops_at_the_draw_budget():
-    spec = identity_spec("value", (0, 1))
-    config = HomogenizerConfig(epsilon=0.1, target_size=5, seed=3, max_draws=10, warm_up=100)
-    with pytest.raises(BudgetExhaustedError) as excinfo:
-        homogenize(weighted_source({0: 0.5, 1: 0.5}), spec, config)
-    assert excinfo.value.draws_used == 10
-    assert excinfo.value.counts.total == 10
 
 
 def test_extractor_outside_domain_raises():
@@ -353,18 +274,6 @@ def test_run_is_single_use():
     list(run)
     with pytest.raises(RuntimeError):
         iter(run)
-
-
-def test_warm_up_draws_are_counted_but_not_emitted():
-    domain = (0, 1)
-    source = weighted_source({0: 0.5, 1: 0.5})
-    spec = identity_spec("value", domain)
-    config = HomogenizerConfig(
-        epsilon=0.0, target_size=100, seed=6, warm_up=200, max_draws=10_000
-    )
-    data = homogenize(source, spec, config)
-    assert len(data.items) == 100
-    assert data.draws_used >= 300
 
 
 def test_salient_spec_validation():
@@ -393,28 +302,5 @@ def test_expected_tries_bound():
     with pytest.raises(ValueError, match="overflows"):
         expected_tries_bound(1e-320)
     with pytest.raises(ValueError, match="overflows"):
-        HomogenizerConfig(epsilon=1e-320, target_size=5).resolved_max_draws()
+        HomogenizerConfig(epsilon=1e-320, target_size=5)
 
-
-def test_required_presamples_formula():
-    # Oracle: direct evaluation of 48 ln(2K/delta) / (p K^2 xi^2).
-    value = required_presamples(2, 0.1, 0.1, 0.5)
-    assert value == pytest.approx(48.0 * math.log(40.0) / (0.5 * 4 * 0.01))
-    assert value == pytest.approx(8853.3, abs=0.5)
-
-
-def test_required_presamples_scaling():
-    base = required_presamples(8, 0.05, 0.2, 0.1)
-    assert required_presamples(8, 0.05, 0.4, 0.1) == pytest.approx(base / 4.0)
-    assert required_presamples(8, 0.05, 0.2, 0.05) == pytest.approx(base * 2.0)
-
-
-def test_required_presamples_validation():
-    with pytest.raises(ValueError):
-        required_presamples(0, 0.1, 0.1, 0.5)
-    with pytest.raises(ValueError):
-        required_presamples(2, 0.0, 0.1, 0.5)
-    with pytest.raises(ValueError):
-        required_presamples(2, 0.1, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        required_presamples(2, 0.1, 0.1, 0.0)

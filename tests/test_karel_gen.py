@@ -20,7 +20,6 @@ from homogen.karel import (
     KarelProgram,
     MarkerCountDist,
     NarrowGridParams,
-    Pred,
     ProductionTable,
     Repeat,
     NARROW_SWEEP_PARAMS,
@@ -32,7 +31,6 @@ from homogen.karel import (
     execute,
     grid_from_json,
     grid_salients,
-    has_nested,
     make_task,
     parse_program,
     program_salients,
@@ -265,12 +263,13 @@ def test_sampled_programs_parse_back_to_equal_asts():
 def test_nested_control_flow_share():
     # Regression pin: measured 0.094 on the default table over 10^4 draws;
     # anything under 1% would mean the sampler stopped nesting.
+    # Only control bodies are braced, so a brace depth of 2 or more means a
+    # control node sits inside another's body.
     rng = random.Random(7)
-    kinds = ("if", "ifElse", "while", "repeat")
     hits = 0
     for _ in range(10_000):
         program = sample_program(rng)
-        if any(has_nested(program, o, i) for o in kinds for i in kinds):
+        if program_salients(program)["nesting_depth"] >= 2:
             hits += 1
     share = hits / 10_000
     assert share >= 0.01
@@ -372,33 +371,6 @@ def test_sample_program_matches_reference_draw_for_draw(table):
         for _ in range(20):
             assert sample_program(fast, table) == reference_sample_program(slow, table)
         assert fast.getstate() == slow.getstate()
-
-
-def test_has_nested_examples():
-    w_in_w = parse_program(
-        "def main(): while(frontIsClear()): { while(markersPresent()): pickMarker() }"
-    )
-    assert has_nested(w_in_w, "while", "while")
-    move = (Action("move"),)
-    siblings = KarelProgram((While(Pred("frontIsClear"), move), While(Pred("leftIsClear"), move)))
-    assert not has_nested(siblings, "while", "while")
-    r_in_i = KarelProgram((If(Pred("frontIsClear"), (Repeat(3, move),)),))
-    assert has_nested(r_in_i, "if", "repeat")
-    assert not has_nested(r_in_i, "repeat", "if")
-    with pytest.raises(ValueError):
-        has_nested(r_in_i, "loop", "if")
-    # A statement tuple nested in a body is walked like the body itself.
-    assert has_nested(KarelProgram((If(Pred("frontIsClear"), ((Repeat(3, move),),)),)),
-                      "if", "repeat")
-    with pytest.raises(TypeError, match="not a statement"):
-        has_nested(KarelProgram((If(Pred("frontIsClear"), (Pred("leftIsClear"),)),)),
-                   "if", "repeat")
-
-
-def test_has_nested_follows_nesting_past_the_recursion_limit():
-    program = parse_program("def main(): " + "repeat ( 1 ) : { " * 300 + "move ( )" + " }" * 300)
-    assert has_nested(program, "repeat", "repeat")
-    assert not has_nested(program, "while", "repeat")
 
 
 def test_action_pruning_predicate():

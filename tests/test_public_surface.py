@@ -1,6 +1,8 @@
-"""The documented public surface: every exported name resolves, and the
-README's library example runs as written."""
+"""The documented public surface: every exported name resolves, the
+README's library example runs as written, and no module imports a name it
+never uses."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -9,7 +11,11 @@ import pytest
 import homogen
 import homogen.karel
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+MODULES = sorted(
+    path for path in (ROOT / "src" / "homogen").rglob("*.py") if path.name != "__init__.py"
+)
 
 
 @pytest.mark.parametrize("package", [homogen, homogen.karel], ids=lambda p: p.__name__)
@@ -31,3 +37,39 @@ def test_readme_library_example_runs(capsys):
     # At epsilon 0.025 an accepted sample costs at most 1 + 1/0.025 = 41
     # draws in expectation.
     assert 1.0 <= float(match.group(1)) <= 41.0
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    # A string annotation names its types in text, so parse it too.
+    annotations = [
+        ast.parse(ann.value)
+        for node in ast.walk(tree)
+        for ann in (getattr(node, "annotation", None), getattr(node, "returns", None))
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str)
+    ]
+    used = {
+        node.id
+        for root in (tree, *annotations)
+        for node in ast.walk(root)
+        if isinstance(node, ast.Name)
+    }
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT / "src")))
+def test_module_uses_every_name_it_imports(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_check_sees_string_annotations():
+    assert _unused_imports("import os\nimport re\nx: 'os.PathLike' = 1\n") == ["line 2: re"]
+    assert _unused_imports("from __future__ import annotations\n") == []
