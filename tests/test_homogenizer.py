@@ -81,6 +81,22 @@ def test_run_matches_the_reference_loop(epsilon):
     assert data.final_counts.total == draws
 
 
+@pytest.mark.parametrize("epsilon", [0.01, 0.1, 0.5, 2.0])
+def test_run_keeps_the_acceptance_floor_on_a_skewed_source(epsilon):
+    # A value drawn 1% of the time holds the minimum down, so the common
+    # values sit near the eps/(1+eps) floor that the reference asserts on
+    # every draw.
+    domain = [0, 1, 2, 3]
+    source = weighted_source({0: 0.7, 1: 0.2, 2: 0.09, 3: 0.01})
+    spec = identity_spec("value", domain)
+    config = HomogenizerConfig(epsilon=epsilon, target_size=1000, seed=11)
+    data = homogenize(source, spec, config)
+    items, draws, counts = _reference_run(source, spec, config)
+    assert list(data.items) == items
+    assert data.draws_used == draws
+    assert data.final_counts.counts == counts
+
+
 # ---------------------------------------------------------------------------
 # CountTable
 
@@ -303,4 +319,22 @@ def test_expected_tries_bound():
         expected_tries_bound(1e-320)
     with pytest.raises(ValueError, match="overflows"):
         HomogenizerConfig(epsilon=1e-320, target_size=5)
+
+
+def test_config_that_constructs_always_resolves_its_budget():
+    # Construction checks the default budget, so a run never fails on it:
+    # every epsilon either is refused up front or resolves to a draw count.
+    epsilons = [10.0 ** -k for k in range(0, 324, 3)] + [5e-324, 2.0 ** -1024, 2.0 ** -1022]
+    assert all(epsilon > 0 for epsilon in epsilons)
+    refused = 0
+    for epsilon in epsilons:
+        try:
+            config = HomogenizerConfig(epsilon=epsilon, target_size=5)
+        except ValueError as exc:
+            assert "overflows" in str(exc)
+            refused += 1
+            continue
+        budget = config.resolved_max_draws()
+        assert isinstance(budget, int) and budget >= 5 * 20
+    assert 0 < refused < len(epsilons)
 

@@ -20,6 +20,7 @@ from homogen.karel import (
     KarelProgram,
     MarkerCountDist,
     NarrowGridParams,
+    Pred,
     ProductionTable,
     Repeat,
     NARROW_SWEEP_PARAMS,
@@ -274,6 +275,24 @@ def test_nested_control_flow_share():
     share = hits / 10_000
     assert share >= 0.01
     assert share == pytest.approx(0.094, abs=0.03)
+
+
+def test_nesting_depth_examples():
+    # The cases the share above depends on: a control node inside another's
+    # body reaches depth 2, siblings stay at 1, and a statement tuple nested
+    # in a body is walked like the body itself.
+    w_in_w = parse_program(
+        "def main(): while(frontIsClear()): { while(markersPresent()): pickMarker() }"
+    )
+    assert program_salients(w_in_w)["nesting_depth"] == 2
+    move = (Action("move"),)
+    siblings = KarelProgram((While(Pred("frontIsClear"), move), While(Pred("leftIsClear"), move)))
+    assert program_salients(siblings)["nesting_depth"] == 1
+    r_in_i = KarelProgram((If(Pred("frontIsClear"), (Repeat(3, move),)),))
+    assert program_salients(r_in_i)["nesting_depth"] == 2
+    tuple_in_i = KarelProgram((If(Pred("frontIsClear"), ((Repeat(3, move),),)),))
+    assert program_salients(tuple_in_i)["nesting_depth"] == 2
+    assert program_salients(KarelProgram(move))["nesting_depth"] == 0
 
 
 def test_expansion_heavy_tables_are_rejected():
