@@ -235,7 +235,7 @@ def parse_expr(text: str) -> CalcExpr:
             total, total_op, product = None, "", None
             pos += 1
             continue
-        if not ch.isdigit():
+        if not "0" <= ch <= "9":
             raise CalcParseError(f"unexpected character {ch!r}", pos)
         node: CalcExpr = _DIGITS[int(ch)]
         pos += 1
@@ -514,7 +514,7 @@ def _salients_of_text(text: str) -> dict[str, int]:
                 depth += 1
             elif ch == ")":
                 depth -= 1
-            elif ch.isdigit():
+            elif "0" <= ch <= "9":
                 digits += 1
                 depth_sum += depth
                 if depth > max_depth:

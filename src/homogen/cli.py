@@ -14,9 +14,10 @@ Datasets are JSON Lines with LF newlines and a fixed key order, so a given
 command line and seed reproduce files byte for byte. Every written dataset
 gets a sibling ``<out>.manifest.json`` recording the command, the resolved
 seed and parameters, and SHA-256 digests of all outputs. When ``--seed`` is
-absent the ``HOMOGEN_SEED`` environment variable is used, then 0. Outputs
-are written to temporary siblings and moved into place only when the command
-succeeds, the manifest last, so a failed run leaves no file behind.
+absent the ``HOMOGEN_SEED`` environment variable is used, then 0; a
+negative seed is a usage error. Outputs are written to temporary siblings
+and moved into place only when the command succeeds, the manifest last, so
+a failed run leaves no file behind.
 
 Exit codes: 0 success, 1 crash reported by ``karel-run``, 2 usage errors,
 3 sampling stalls (draw budget or grid retries exhausted).
@@ -68,15 +69,21 @@ class UsageError(ValueError):
 
 
 def resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("HOMOGEN_SEED")
-    if env is not None:
+    # random.Random seeds with abs(n), so a negative seed would write the
+    # bytes of its absolute value under a manifest that records the sign.
+    name = "--seed"
+    if value is None:
+        name = "HOMOGEN_SEED"
+        env = os.environ.get(name)
+        if env is None:
+            return 0
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
             raise UsageError(f"HOMOGEN_SEED must be an integer, got {env!r}") from None
-    return 0
+    if value < 0:
+        raise UsageError(f"{name} must be 0 or more, got {value}")
+    return value
 
 
 def _line_encoder() -> Callable[[Any], str]:

@@ -2,7 +2,7 @@
 
 Two grid distributions: a broad one covering every legal grid shape and a
 narrow one concentrated on large grids with exact wall/marker cell counts.
-Programs come from a weighted grammar walk with a token cap.
+Programs come from one fixed weighted grammar walk with a 60-token cap.
 A :class:`SynthesisTask` bundles a program with input/output grid pairs plus
 one held-out pair; task assembly resamples grids until every shown execution
 succeeds and the shown runs jointly cover every conditional arm of the
@@ -179,59 +179,16 @@ def sample_narrow_grid(rng: random.Random, params: NarrowGridParams) -> GridDraw
 # Program sampling.
 
 
-@dataclass(frozen=True)
-class ProductionTable:
-    """Statement-kind weights for the grammar walk.
+# Statement weights of the grammar walk; repeat takes the remaining 0.04.
+# A statement has 0.74 children on average, below 1, so the walk ends.
+_ACTION_P = 0.55
+_SEQ_P = 0.25
+_IF_P = 0.06
+_IF_ELSE_P = 0.04
+_WHILE_P = 0.06
+_NEGATE_P = 0.2  # chance a condition gets wrapped in not()
+_TOKEN_CAP = 60
 
-    The mean number of child statements per statement
-    (2*seq + if + 2*if_else + while + repeat) must stay below 1, otherwise
-    the walk's expected size is infinite. ``token_cap`` bounds the emitted
-    token count of the whole program; oversize draws are rejected and
-    redrawn. ``negate_p`` is the chance a condition gets wrapped in not().
-    """
-
-    action_p: float = 0.55
-    seq_p: float = 0.25
-    if_p: float = 0.06
-    if_else_p: float = 0.04
-    while_p: float = 0.06
-    repeat_p: float = 0.04
-    negate_p: float = 0.2
-    token_cap: int = 60
-
-    def __post_init__(self) -> None:
-        weights = (
-            self.action_p,
-            self.seq_p,
-            self.if_p,
-            self.if_else_p,
-            self.while_p,
-            self.repeat_p,
-        )
-        if any(w < 0 for w in weights):
-            raise ValueError("statement weights must be non-negative")
-        if abs(sum(weights) - 1.0) > 1e-9:
-            raise ValueError("statement weights must sum to 1")
-        if not 0.0 <= self.negate_p <= 1.0:
-            raise ValueError("negate_p must be in [0, 1]")
-        if self.mean_children >= 1.0:
-            raise ValueError(
-                "expected children per statement must stay below 1 "
-                f"(got {self.mean_children:.3f}); the walk would not terminate"
-            )
-        if self.token_cap < 8:
-            raise ValueError("token_cap must be at least 8 (the smallest program)")
-
-    @property
-    def mean_children(self) -> float:
-        return (
-            2 * self.seq_p + self.if_p + 2 * self.if_else_p + self.while_p + self.repeat_p
-        )
-
-
-DEFAULT_PRODUCTIONS = ProductionTable()
-
-_MAX_SAMPLE_ATTEMPTS = 10_000
 _MAX_PROGRAM_ATTEMPTS = 100
 
 
@@ -239,60 +196,58 @@ class _Oversize(Exception):
     pass
 
 
-def sample_program(
-    rng: random.Random, table: ProductionTable = DEFAULT_PRODUCTIONS
-) -> KarelProgram:
-    """Draw a program from the grammar walk, rejecting oversize draws.
+def sample_program(rng: random.Random) -> KarelProgram:
+    """Draw a program from the grammar walk, redrawing any over 60 tokens.
 
-    A seq production joins the statement tuples of its two halves, so every
-    body is one flat tuple, as the parser builds it, and emitted programs
-    parse back to equal ASTs.
+    A statement is an action (probability 0.55), a seq of two statements
+    (0.25), an if (0.06), an if-else (0.04), a while (0.06) or a repeat
+    (0.04, count uniform over 0..19); a condition is a uniform predicate,
+    negated with probability 0.2. About 5% of draws run over the cap. A seq
+    joins the statement tuples of its halves, so every body is one flat
+    tuple, as the parser builds it, and emitted programs parse back to
+    equal ASTs.
     """
-    for _ in range(_MAX_SAMPLE_ATTEMPTS):
-        budget = [table.token_cap]  # loose node bound; exact token check below
+    while True:
+        budget = [_TOKEN_CAP]  # loose node bound; exact token check below
         try:
-            body = _sample_body(rng, table, budget)
+            body = _sample_body(rng, budget)
         except _Oversize:
             continue
         program = KarelProgram(body)
-        if len(emit_tokens(program)) <= table.token_cap:
+        if len(emit_tokens(program)) <= _TOKEN_CAP:
             return program
-    raise RuntimeError(
-        f"no program under {table.token_cap} tokens in {_MAX_SAMPLE_ATTEMPTS} attempts; "
-        "the production table is too expansion-heavy"
-    )
 
 
-def _sample_body(rng: random.Random, table: ProductionTable, budget: list[int]) -> Body:
+def _sample_body(rng: random.Random, budget: list[int]) -> Body:
     budget[0] -= 1
     if budget[0] < 0:
         raise _Oversize
     roll = rng.random()
-    edge = table.action_p
+    edge = _ACTION_P
     if roll < edge:
         return (Action(ACTIONS[rng.randrange(len(ACTIONS))]),)
-    edge += table.seq_p
+    edge += _SEQ_P
     if roll < edge:
-        first = _sample_body(rng, table, budget)
-        return first + _sample_body(rng, table, budget)
-    edge += table.if_p
+        first = _sample_body(rng, budget)
+        return first + _sample_body(rng, budget)
+    edge += _IF_P
     if roll < edge:
-        return (If(_sample_cond(rng, table), _sample_body(rng, table, budget)),)
-    edge += table.if_else_p
+        return (If(_sample_cond(rng), _sample_body(rng, budget)),)
+    edge += _IF_ELSE_P
     if roll < edge:
-        cond = _sample_cond(rng, table)
-        then_body = _sample_body(rng, table, budget)
-        else_body = _sample_body(rng, table, budget)
+        cond = _sample_cond(rng)
+        then_body = _sample_body(rng, budget)
+        else_body = _sample_body(rng, budget)
         return (IfElse(cond, then_body, else_body),)
-    edge += table.while_p
+    edge += _WHILE_P
     if roll < edge:
-        return (While(_sample_cond(rng, table), _sample_body(rng, table, budget)),)
-    return (Repeat(rng.randrange(MAX_REPEAT + 1), _sample_body(rng, table, budget)),)
+        return (While(_sample_cond(rng), _sample_body(rng, budget)),)
+    return (Repeat(rng.randrange(MAX_REPEAT + 1), _sample_body(rng, budget)),)
 
 
-def _sample_cond(rng: random.Random, table: ProductionTable) -> Pred | Not:
+def _sample_cond(rng: random.Random) -> Pred | Not:
     pred = Pred(PREDICATES[rng.randrange(len(PREDICATES))])
-    if rng.random() < table.negate_p:
+    if rng.random() < _NEGATE_P:
         return Not(pred)
     return pred
 
@@ -504,7 +459,6 @@ class GenerationStallError(RuntimeError):
 def task_source(
     grid_sampler: GridSampler,
     n_pairs: int | str = 5,
-    table: ProductionTable = DEFAULT_PRODUCTIONS,
     retry_limit: int = 400,
     step_limit: int = DEFAULT_STEP_LIMIT,
     program_filter: Callable[[KarelProgram], bool] | None = None,
@@ -532,7 +486,7 @@ def task_source(
         filtered = 0
         crash_counts: Counter[str] = Counter()
         for _ in range(_MAX_PROGRAM_ATTEMPTS):
-            program = sample_program(rng, table)
+            program = sample_program(rng)
             if program_filter is not None and not program_filter(program):
                 filtered += 1
                 continue

@@ -80,7 +80,7 @@ class Repeat:
     body: "Body"
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.times, int) and 0 <= self.times <= MAX_REPEAT):
+        if not (type(self.times) is int and 0 <= self.times <= MAX_REPEAT):
             raise ValueError(f"repeat count must be in 0..{MAX_REPEAT}")
 
 
@@ -99,7 +99,7 @@ class KarelSyntaxError(ValueError):
         self.position = position
 
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|\d+|[(){}:;]|(?P<stray>\S)")
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|[0-9]+|[(){}:;]|(?P<stray>\S)")
 
 
 def _lex(text: str) -> list[tuple[str, int]]:
@@ -241,7 +241,7 @@ class _Parser:
     def repeat_count(self) -> int:
         pos = self.here()
         tok = self.advance()
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             raise KarelSyntaxError(f"expected a repeat count, found {tok!r}", pos)
         times = int(tok)
         if times > MAX_REPEAT:

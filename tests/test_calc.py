@@ -141,6 +141,20 @@ def test_parse_errors_carry_positions():
         parse_expr("")
 
 
+@pytest.mark.parametrize("text, position", [
+    ("\u0663+\u0664", 0),  # Arabic-Indic 3 and 4: str.isdigit() accepts both
+    ("\u00b2", 0),  # superscript 2: a digit to str.isdigit(), not to int()
+    ("1+\uff12", 2),  # fullwidth 2
+], ids=["arabic-indic", "superscript", "fullwidth"])
+def test_parse_accepts_only_ascii_digits(text, position):
+    with pytest.raises(CalcParseError) as excinfo:
+        parse_expr(text)
+    assert excinfo.value.position == position
+    assert str(excinfo.value) == f"unexpected character {text[position]!r} at position {position}"
+    with pytest.raises(CalcParseError):
+        calc_salients(text)
+
+
 def test_round_trip_over_all_samplers():
     for expr in fuzz_exprs(2000, seed=104):
         assert parse_expr(render(expr)) == expr
@@ -642,7 +656,7 @@ class _ReferenceParser:
         ch = self.peek()
         if ch is None:
             raise CalcParseError("unexpected end of input", self.pos)
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             self.pos += 1
             return Digit(int(ch))
         if ch == "(":
@@ -674,7 +688,8 @@ def test_parser_matches_the_recursive_reference():
     # Rendered texts, then each with one character deleted, duplicated or
     # replaced, so every error message and position is exercised.
     rng = random.Random(64)
-    texts = ["", "(", ")", "()", "1)", "(1", "1 + 2", "12", "x", "1*", "((1)", "(1))"]
+    texts = ["", "(", ")", "()", "1)", "(1", "1 + 2", "12", "x", "1*", "((1)", "(1))",
+             "\u0663+\u0664", "\u00b2", "1+\uff12"]
     for sampler in REFERENCE_SAMPLERS:
         for _ in range(150):
             text = render(sample_expr(rng, sampler))

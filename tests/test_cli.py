@@ -710,6 +710,24 @@ def test_bad_env_seed_is_usage_error(tmp_path, monkeypatch, capsys):
     assert "HOMOGEN_SEED" in err
 
 
+@pytest.mark.parametrize("args, env, message", [
+    (["--seed=-1"], None, "--seed must be 0 or more, got -1"),
+    ([], "-1", "HOMOGEN_SEED must be 0 or more, got -1"),
+], ids=["flag", "env"])
+def test_negative_seed_is_usage_error(args, env, message, tmp_path, monkeypatch, capsys):
+    # random.Random(-1) draws what random.Random(1) draws, so a negative
+    # seed would alias its absolute value.
+    monkeypatch.chdir(tmp_path)
+    if env is None:
+        monkeypatch.delenv("HOMOGEN_SEED", raising=False)
+    else:
+        monkeypatch.setenv("HOMOGEN_SEED", env)
+    code, out, err = run_cli(["generate", "calc", "--count", "5", *args, "--out", "x.jsonl"],
+                             capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # homogenize
 
@@ -1108,6 +1126,17 @@ def test_stats_bad_calc_record_messages(line, message, tmp_path, monkeypatch, ca
     code, _, err = run_cli(["stats", "bad.jsonl"], capsys)
     assert code == 2
     assert err == f"error: bad.jsonl: line 2: {message}\n"
+
+
+def test_stats_rejects_non_ascii_digits(tmp_path, monkeypatch, capsys):
+    # str.isdigit() accepts Arabic-Indic digits; the parser must not.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.jsonl").write_text('{"expr":"\u0663+\u0664","label":7}\n', "utf-8")
+    code, out, err = run_cli(["stats", "bad.jsonl"], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: bad.jsonl: line 1: bad record (unexpected character '\u0663' at position 0)\n"
+    )
 
 
 def _without_width(record):

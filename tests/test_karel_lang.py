@@ -13,7 +13,6 @@ from homogen.karel import (
     KarelProgram,
     KarelSyntaxError,
     Not,
-    ProductionTable,
     Pred,
     Repeat,
     While,
@@ -107,6 +106,21 @@ def test_syntax_errors_carry_positions():
         parse_program("")
 
 
+@pytest.mark.parametrize("digit", ["\u0663", "\u00b2", "\uff12"],
+                         ids=["arabic-indic", "superscript", "fullwidth"])
+def test_repeat_counts_take_only_ascii_digits(digit):
+    text = f"def main(): repeat({digit}): move()"
+    with pytest.raises(KarelSyntaxError) as excinfo:
+        parse_program(text)
+    assert excinfo.value.position == text.index(digit)
+    assert str(excinfo.value).startswith(f"unexpected character {digit!r}")
+    tokens = ["def", "main", "(", ")", ":", "repeat", "(", digit, ")", ":", "move", "(", ")"]
+    with pytest.raises(KarelSyntaxError) as excinfo:
+        parse_program(tokens)
+    assert excinfo.value.position == 7
+    assert str(excinfo.value) == f"expected a repeat count, found {digit!r} at 7"
+
+
 def test_emit_minimal_program_tokens():
     tokens = emit_tokens(KarelProgram(MOVE))
     assert tokens == ["def", "main", "(", ")", ":", "move", "(", ")"]
@@ -173,7 +187,7 @@ BODIES = st.recursive(
 @given(body=BODIES)
 def test_round_trip_property(body):
     # Any program of every node kind, depth and repeat count, past the
-    # sampler's production table and token cap.
+    # sampler's grammar and token cap.
     program = KarelProgram(body)
     assert parse_program(emit_tokens(program)) == program
     assert parse_program(" ".join(emit_tokens(program))) == program
@@ -288,13 +302,48 @@ def _assert_matches_reference(program):
     }
 
 
-@pytest.mark.parametrize("table", [ProductionTable(), ProductionTable(token_cap=200)],
-                         ids=["default", "cap-200"])
-def test_emit_and_salients_match_recursive_reference_on_sampled_programs(table):
+def test_emit_and_salients_match_recursive_reference_on_sampled_programs():
     for seed in range(300):
         rng = random.Random(seed)
         for _ in range(20):
-            _assert_matches_reference(sample_program(rng, table))
+            _assert_matches_reference(sample_program(rng))
+
+
+def _assembled_program(rng):
+    """Sampled bodies nested under random control nodes or joined in
+    sequence, so programs run past the sampler's 60-token cap."""
+    body = sample_program(rng).body
+    for _ in range(rng.randrange(5)):
+        other = sample_program(rng).body
+        cond = Pred(rng.choice(PREDICATES))
+        kind = rng.randrange(4)
+        if kind == 0:
+            body = other + body
+        elif kind == 1:
+            body = other + (While(cond, body),)
+        elif kind == 2:
+            body = (IfElse(Not(cond), body, other),)
+        else:
+            body = (Repeat(rng.randrange(MAX_REPEAT + 1), body),) + other
+    return KarelProgram(body)
+
+
+def test_emit_and_salients_match_recursive_reference_past_the_token_cap():
+    over_cap = 0
+    reach = {"size": 0, "control_flow_count": 0, "nesting_depth": 0}
+    for seed in range(300):
+        rng = random.Random(seed)
+        for _ in range(20):
+            program = _assembled_program(rng)
+            _assert_matches_reference(program)
+            salients = program_salients(program)
+            over_cap += salients["size"] > 60
+            reach = {name: max(top, salients[name]) for name, top in reach.items()}
+    # At least what 6,000 draws under a 200-token cap reached.
+    assert over_cap >= 302
+    assert reach["size"] >= 197
+    assert reach["nesting_depth"] >= 7
+    assert reach["control_flow_count"] >= 13
 
 
 @pytest.mark.parametrize("body", [
@@ -342,3 +391,8 @@ def test_ast_validation():
         Action("jump")
     with pytest.raises(ValueError):
         Pred("isHome")
+    # A bool is an int to isinstance; Repeat(True, ...) would emit
+    # "repeat ( True )", which the parser rejects.
+    for times in (True, False, -1, MAX_REPEAT + 1, 3.0, "3"):
+        with pytest.raises(ValueError):
+            Repeat(times, MOVE)

@@ -1,6 +1,6 @@
 """The documented public surface: every exported name resolves, the
-README's library example runs as written, and no module imports a name it
-never uses."""
+README's library example runs as written, no module imports a name it
+never uses, and every private module-level name is read somewhere."""
 
 import ast
 import re
@@ -13,9 +13,8 @@ import homogen.karel
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
-MODULES = sorted(
-    path for path in (ROOT / "src" / "homogen").rglob("*.py") if path.name != "__init__.py"
-)
+SOURCES = sorted((ROOT / "src" / "homogen").rglob("*.py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 
 
 @pytest.mark.parametrize("package", [homogen, homogen.karel], ids=lambda p: p.__name__)
@@ -73,3 +72,45 @@ def test_module_uses_every_name_it_imports(path):
 def test_unused_import_check_sees_string_annotations():
     assert _unused_imports("import os\nimport re\nx: 'os.PathLike' = 1\n") == ["line 2: re"]
     assert _unused_imports("from __future__ import annotations\n") == []
+
+
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name``s (one leading underscore) that a module
+    defines and no module loads, by name or as an attribute."""
+    defined = {}
+    loaded = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.setdefault(name, module)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    return [f"{module}: {name}" for name, module in defined.items() if name not in loaded]
+
+
+def test_every_private_name_is_read():
+    sources = {
+        str(path.relative_to(ROOT / "src")): path.read_text(encoding="utf-8")
+        for path in SOURCES
+    }
+    assert _dead_private_names(sources) == []
+
+
+def test_dead_private_name_check_sees_every_module():
+    sources = {
+        "a.py": "_A = 1\n_B = 2\n_C, _D = 3, 4\ndef _f(): return _B\n",
+        "b.py": "from a import _C\nimport a\nprint(_C, a._D, _f())\n__x__ = 5\n",
+    }
+    assert _dead_private_names(sources) == ["a.py: _A"]
