@@ -582,6 +582,20 @@ def expr_salients(expr: CalcExpr) -> dict[str, int]:
     return _clamped(2 * (ops + parens) + 1, ops, parens, depth_sum, ops + 1, max_depth)
 
 
+def measured_source(sampler: CalcSampler, name: str) -> Callable[[random.Random], tuple]:
+    """Per call, the tree ``sample_expr(rng, sampler)`` would draw and its
+    salient ``name``: one Python frame around the sampler's own draw."""
+    draw = _DRAWS.get(sampler.__class__)
+    if draw is None:
+        raise TypeError(f"unknown sampler: {sampler!r}")
+
+    def measured(rng: random.Random) -> tuple[CalcExpr, int]:
+        tree = draw(rng.random, rng.getrandbits, sampler)
+        return tree, expr_salients(tree)[name]
+
+    return measured
+
+
 def salient_specs() -> dict[str, SalientSpec]:
     """Named salient variables over expression trees, measured by
     :func:`expr_salients`; :func:`calc_salients` measures the same names on

@@ -8,14 +8,16 @@ out over one salient variable, with a before/after report), ``stats``
 Both domains, calc and karel, are :class:`Domain` entries of one table,
 ``DOMAINS``, and the subcommands never branch on the domain. Calc expressions
 and Karel tasks are sampled, homogenized and measured as trees and tasks, and
-serialized once, when written.
+serialized once, when written. A ``homogenize`` run draws from one function
+per run, which returns each item with its value of the chosen variable.
 
 Datasets are JSON Lines with LF newlines and a fixed key order, so a given
 command line and seed reproduce files byte for byte. Every written dataset
 gets a sibling ``<out>.manifest.json`` recording the command, the resolved
 seed and parameters, and SHA-256 digests of all outputs. When ``--seed`` is
-absent the ``HOMOGEN_SEED`` environment variable is used, then 0; a
-negative seed is a usage error. Outputs are written to temporary siblings
+absent the ``HOMOGEN_SEED`` environment variable is used, then 0. A seed is
+written in ASCII decimal digits; anything else, a negative seed included, is
+a usage error. Outputs are written to temporary siblings
 and moved into place only when the command succeeds, the manifest last, so
 a failed run leaves no file behind.
 
@@ -29,6 +31,7 @@ import argparse
 import contextlib
 import csv
 import errno
+import functools
 import gc
 import hashlib
 import json
@@ -38,6 +41,7 @@ import stat
 import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, TextIO
 
@@ -45,6 +49,7 @@ from . import __version__, calc
 from .diagnostics import Histogram, kl_to_uniform
 from .homogenizer import (
     BudgetExhaustedError,
+    DomainViolationError,
     HomogenizerConfig,
     HomogenizerRun,
     SalientSpec,
@@ -68,46 +73,32 @@ class UsageError(ValueError):
     pass
 
 
-def resolve_seed(value: int | None) -> int:
-    # random.Random seeds with abs(n), so a negative seed would write the
-    # bytes of its absolute value under a manifest that records the sign.
+def resolve_seed(text: str | None) -> int:
+    # int() also takes "1_0", padding and other scripts' digits. Random seeds
+    # with abs(n), so a negative seed would write the bytes of its absolute
+    # value under a manifest that records the sign.
     name = "--seed"
-    if value is None:
+    if text is None:
         name = "HOMOGEN_SEED"
-        env = os.environ.get(name)
-        if env is None:
+        text = os.environ.get(name)
+        if text is None:
             return 0
-        try:
-            value = int(env)
-        except ValueError:
-            raise UsageError(f"HOMOGEN_SEED must be an integer, got {env!r}") from None
-    if value < 0:
-        raise UsageError(f"{name} must be 0 or more, got {value}")
+    digits = text.removeprefix("-")
+    try:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
+        value = int(digits)
+    except ValueError:  # also past sys.get_int_max_str_digits()
+        raise UsageError(f"{name} must be ASCII decimal digits, got {text!r}") from None
+    if digits != text:
+        raise UsageError(f"{name} must be 0 or more, got {text}")
     return value
 
 
-def _line_encoder() -> Callable[[Any], str]:
-    """``json.dumps(obj, separators=(",", ":")) + "\\n"`` as one function.
-
-    ``JSONEncoder.encode`` builds a new C encoder on every call, so one is
-    built here and reused. It skips the check for circular references, as
-    no record has one (a cyclic object raises ``RecursionError``). Where the
-    C accelerator, an interpreter detail, is missing, the encoder's own
-    ``encode`` serves.
-    """
-    encoder = json.JSONEncoder(separators=(",", ":"))
-    make_encoder = json.encoder.c_make_encoder
-    if make_encoder is None:
-        return lambda obj: encoder.encode(obj) + "\n"
-    encode = make_encoder(
-        None, encoder.default, json.encoder.encode_basestring_ascii, None,
-        encoder.key_separator, encoder.item_separator, encoder.sort_keys,
-        encoder.skipkeys, encoder.allow_nan,
-    )
-    return lambda obj: "".join(encode(obj, 0)) + "\n"
-
-
-_json_line = _line_encoder()
+def _json_line(obj: Any) -> str:
+    # No record holds a reference cycle (a cyclic object raises
+    # RecursionError), so the encoder skips its check for one.
+    return json.dumps(obj, separators=(",", ":"), check_circular=False) + "\n"
 
 
 class _Outputs:
@@ -205,19 +196,24 @@ Source = Callable[[random.Random], Any]
 class Domain:
     """One dataset domain as the subcommands see it.
 
-    ``source`` builds a seeded item sampler and the manifest parameters,
-    raising ``ValueError`` before any output is opened; ``salients`` measures
-    every salient variable of an item in one pass; ``read`` validates and
-    measures a stored record, which belongs to the domain whose ``key`` it has.
+    ``sampler`` builds a sampler and the manifest parameters, raising
+    ``ValueError`` before any output is opened. Of a sampler, ``source`` makes
+    the item source of ``generate``, and ``measured`` the per-run source of
+    ``homogenize``, whose draws are ``(item, value of the named variable)``.
+    Draw loops run inside ``draw_errors(sampler)``, which reports a draw past
+    the sampler's bound as a usage error. ``read`` validates and measures a
+    stored record, which belongs to the domain whose ``key`` it has.
     """
 
     name: str
     help: str
     key: str
     add_arguments: Callable[[argparse.ArgumentParser], None]
-    source: Callable[[argparse.Namespace], tuple[Source, dict[str, Any]]]
-    to_record: Callable[[Any], dict[str, Any]]
-    salients: Callable[[Any], dict[str, Any]]
+    sampler: Callable[[argparse.Namespace], tuple[Any, dict[str, Any]]]
+    source: Callable[[Any], Source]
+    measured: Callable[[Any, str], Source]
+    draw_errors: Callable[[Any], contextlib.AbstractContextManager[None]]
+    to_line: Callable[[Any], str]
     read: Callable[[Any], dict[str, Any]]
     salient_specs: Callable[[], dict[str, SalientSpec]]
 
@@ -238,20 +234,28 @@ def _calc_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-depth", type=int, default=8, help="t2t depth ceiling")
 
 
-def _calc_source(args: argparse.Namespace) -> tuple[Source, dict[str, Any]]:
+def _calc_sampler(args: argparse.Namespace) -> tuple[calc.CalcSampler, dict[str, Any]]:
     sampler = _CALC_SAMPLERS[args.dist](args)
-    params = {"domain": "calc", "dist": args.dist, "sampler": repr(sampler)}
+    return sampler, {"domain": "calc", "dist": args.dist, "sampler": repr(sampler)}
 
+
+@contextlib.contextmanager
+def _calc_draw_errors(sampler: calc.CalcSampler) -> Iterator[None]:
     # A dcfg or rcfg draw can pass the nesting cap, and a t2t draw the node
     # bound; bal depths past the bound are rejected when the sampler is built.
-    def draw(rng: random.Random) -> calc.CalcExpr:
-        try:
-            return calc.sample_expr(rng, sampler)
-        except ValueError as exc:
-            flag = f"--max-depth {args.max_depth}" if args.dist == "t2t" else f"--p {sampler.p}"
-            raise UsageError(f"{flag}: {exc}; choose a smaller value") from None
+    try:
+        yield
+    except (UsageError, DomainViolationError):
+        raise
+    except ValueError as exc:
+        flag = (f"--max-depth {sampler.max_depth}" if type(sampler) is calc.T2t
+                else f"--p {sampler.p}")
+        raise UsageError(f"{flag}: {exc}; choose a smaller value") from None
 
-    return draw, params
+
+# Calc text holds only 0-9 + - * ( ), which JSON writes unescaped, so this
+# formats a record's _json_line byte for byte.
+_CALC_LINE = '{{"expr":"{expr}","label":{label}}}\n'.format_map
 
 
 def _karel_arguments(parser: argparse.ArgumentParser) -> None:
@@ -277,7 +281,7 @@ def _karel_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _karel_source(args: argparse.Namespace) -> tuple[Source, dict[str, Any]]:
+def _karel_sampler(args: argparse.Namespace) -> tuple[Source, dict[str, Any]]:
     params: dict[str, Any] = {"domain": "karel", "grids": args.grids, "pairs": args.pairs}
     grid_sampler = karel_gen.sample_uniform_grid
     if args.grids == "narrow":
@@ -306,6 +310,14 @@ def _karel_source(args: argparse.Namespace) -> tuple[Source, dict[str, Any]]:
     return source, params
 
 
+def _karel_measured(source: Source, name: str) -> Source:
+    def measured(rng: random.Random) -> tuple[Any, Any]:
+        task = source(rng)
+        return task, karel_gen.task_salients(task)[name]
+
+    return measured
+
+
 def _read_calc(record: dict[str, Any]) -> dict[str, Any]:
     text = record["expr"]
     if not isinstance(text, str):
@@ -313,8 +325,9 @@ def _read_calc(record: dict[str, Any]) -> dict[str, Any]:
     return calc.calc_salients(text)
 
 
-# Record-level calls go through the module attributes at call time, so that
-# wrappers installed on those attributes see every call.
+# Calls into the domain modules look up their attributes when a command
+# runs, so wrappers installed before it see them. ``homogenize calc`` draws
+# through ``calc.measured_source``, which bypasses ``calc.sample_expr``.
 DOMAINS = {
     domain.name: domain
     for domain in (
@@ -323,9 +336,11 @@ DOMAINS = {
             help="mod-10 calculator expressions",
             key="expr",
             add_arguments=_calc_arguments,
-            source=_calc_source,
-            to_record=lambda expr: calc.expr_record(expr),
-            salients=lambda expr: calc.expr_salients(expr),
+            sampler=_calc_sampler,
+            source=lambda sampler: functools.partial(calc.sample_expr, sampler=sampler),
+            measured=lambda sampler, name: calc.measured_source(sampler, name),
+            draw_errors=_calc_draw_errors,
+            to_line=lambda expr: _CALC_LINE(calc.expr_record(expr)),
             read=_read_calc,
             salient_specs=calc.salient_specs,
         ),
@@ -334,9 +349,11 @@ DOMAINS = {
             help="Karel synthesis tasks",
             key="program",
             add_arguments=_karel_arguments,
-            source=_karel_source,
-            to_record=lambda task: karel_gen.task_to_json(task),
-            salients=lambda task: karel_gen.task_salients(task),
+            sampler=_karel_sampler,
+            source=lambda source: source,
+            measured=_karel_measured,
+            draw_errors=lambda source: contextlib.nullcontext(),
+            to_line=lambda task: _json_line(karel_gen.task_to_json(task)),
             read=lambda record: karel_gen.task_salients(karel_gen.task_from_json(record)),
             salient_specs=karel_gen.salient_specs,
         ),
@@ -344,13 +361,13 @@ DOMAINS = {
 }
 
 
-def _domain_source(args: argparse.Namespace) -> tuple[Domain, Source, dict[str, Any]]:
+def _domain_source(args: argparse.Namespace) -> tuple[Domain, Any, dict[str, Any]]:
     domain = DOMAINS[args.domain]
     try:
-        source, params = domain.source(args)
+        sampler, params = domain.sampler(args)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return domain, source, params
+    return domain, sampler, params
 
 
 def _salient_specs(domain: Domain, names: list[str]) -> list[SalientSpec]:
@@ -376,13 +393,14 @@ def cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
     seed = resolve_seed(args.seed)
     out_path = Path(args.out)
     outputs = _Outputs(out_path, _sibling(out_path, ".manifest.json"))
-    domain, source, params = _domain_source(args)
+    domain, sampler, params = _domain_source(args)
     params |= {"count": args.count}
+    source = domain.source(sampler)
     rng = random.Random(seed)
     with outputs:
-        with outputs.open(out_path) as fp:
+        with outputs.open(out_path) as fp, domain.draw_errors(sampler):
             for _ in range(args.count):
-                fp.write(_json_line(domain.to_record(source(rng))))
+                fp.write(domain.to_line(source(rng)))
         _write_manifest(outputs, out_path, argv, seed, params)
     print(f"wrote {args.count} records to {out_path}")
     return EXIT_OK
@@ -394,7 +412,7 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
     report_json = _sibling(out_path, ".report.json")
     report_csv = _sibling(out_path, ".report.csv")
     outputs = _Outputs(out_path, report_json, report_csv, _sibling(out_path, ".manifest.json"))
-    domain, source, params = _domain_source(args)
+    domain, sampler, params = _domain_source(args)
     (base,) = _salient_specs(domain, [args.var])
     params |= {"variable": args.var, "epsilon": args.eps, "count": args.count}
     if args.max_draws is not None:
@@ -410,25 +428,21 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    # Each draw is an (item, salient values) pair, so an item is measured
-    # once and serialized only when it is accepted.
-    def measured(rng: random.Random) -> tuple[Any, dict[str, Any]]:
-        item = source(rng)
-        return item, domain.salients(item)
-
-    name = base.name
-    spec = SalientSpec(name, base.domain, lambda drawn: drawn[1][name])
+    # Each draw is an (item, value) pair, so an item is measured once and
+    # serialized only when it is accepted.
+    measured = domain.measured(sampler, base.name)
+    spec = SalientSpec(base.name, base.domain, itemgetter(1))
     run = HomogenizerRun(measured, spec, config)
     after_values = []
+    baseline_seed = seed + BASELINE_SEED_OFFSET
     with outputs:
-        with outputs.open(out_path) as fp:
-            for item, values in run:
-                fp.write(_json_line(domain.to_record(item)))
-                after_values.append(values[name])
-
-        baseline_seed = seed + BASELINE_SEED_OFFSET
-        baseline_rng = random.Random(baseline_seed)
-        baseline_values = [spec.extract(measured(baseline_rng)) for _ in range(args.count)]
+        with domain.draw_errors(sampler):
+            with outputs.open(out_path) as fp:
+                for item, value in run:
+                    fp.write(domain.to_line(item))
+                    after_values.append(value)
+            baseline_rng = random.Random(baseline_seed)
+            baseline_values = [measured(baseline_rng)[1] for _ in range(args.count)]
         before = Histogram.from_values(spec.domain, baseline_values)
         after = Histogram.from_values(spec.domain, after_values)
         kl_before = kl_to_uniform(before)
@@ -593,7 +607,7 @@ def _add_domain_arguments(parser: argparse.ArgumentParser, *, homogenize: bool =
                 help="source draw budget (default: 20x the expected need)",
             )
         p.add_argument("--count", type=_count, required=True, help="records to write")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (default HOMOGEN_SEED or 0)")
+        p.add_argument("--seed", default=None, help="RNG seed (default HOMOGEN_SEED or 0)")
         p.add_argument("--out", required=True, help="output JSONL path")
 
 

@@ -241,7 +241,8 @@ class _Parser:
     def repeat_count(self) -> int:
         pos = self.here()
         tok = self.advance()
-        if not (tok.isascii() and tok.isdigit()):
+        # A count is spelled as emit_tokens writes it: no leading zero.
+        if not (tok.isascii() and tok.isdigit()) or (tok[0] == "0" and tok != "0"):
             raise KarelSyntaxError(f"expected a repeat count, found {tok!r}", pos)
         times = int(tok)
         if times > MAX_REPEAT:

@@ -25,9 +25,18 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from homogen import calc, cli
+from homogen.diagnostics import Histogram, kl_to_uniform
+from homogen.homogenizer import (
+    CountTable,
+    DomainViolationError,
+    HomogenizerConfig,
+    HomogenizerRun,
+    SalientSpec,
+)
 from homogen.karel import gen as karel_gen
 from homogen.karel import grid_to_json
 from homogen.karel.interp import DEFAULT_STEP_LIMIT
+from homogen.rng import randbelow
 from karel_fixtures import (
     COLLECTOR_A_EXPECTED,
     COLLECTOR_GRID_A,
@@ -282,6 +291,17 @@ def _fail_on_call(*args, **kwargs):
     raise AssertionError("the source was built or drawn from before the output paths were checked")
 
 
+# Where each command starts building or drawing from its source: the domain
+# table's sampler builder, calc's draw for generate and its per-run function
+# for homogenize, and Karel's task stream for both.
+DRAW_SEAMS = [
+    (cli, "_domain_source"),
+    (calc, "sample_expr"),
+    (calc, "measured_source"),
+    (karel_gen, "task_source"),
+]
+
+
 # Each case runs with ``--out <out>`` after putting ``blocker`` in the way:
 # a directory when it ends in "/", a file otherwise.
 @pytest.mark.parametrize("domain", ["calc", "karel"])
@@ -313,9 +333,8 @@ def test_directory_at_any_output_path_exits_2_before_the_first_draw(
     # Every path the command will write, and its parent, is checked before
     # its source is built, so a run that would fail later fails at once.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "_domain_source", _fail_on_call)
-    monkeypatch.setattr(calc, "sample_expr", _fail_on_call)
-    monkeypatch.setattr(karel_gen, "task_source", _fail_on_call)
+    for module, name in DRAW_SEAMS:
+        monkeypatch.setattr(module, name, _fail_on_call)
     if blocker and blocker.endswith("/"):
         (tmp_path / blocker).mkdir()
     elif blocker:
@@ -329,6 +348,33 @@ def test_directory_at_any_output_path_exits_2_before_the_first_draw(
     assert stdout == ""
     assert err == f"error: {error}\n"
     assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+
+
+@pytest.mark.parametrize("command, domain, seam", [
+    ("generate", "calc", "sample_expr"),
+    ("homogenize", "calc", "measured_source"),
+    ("generate", "karel", "task_source"),
+    ("homogenize", "karel", "task_source"),
+])
+def test_a_valid_run_reaches_the_patched_draw_seams(
+    command, domain, seam, tmp_path, monkeypatch, capsys
+):
+    # The positive control of the test above: patched the same way, a valid
+    # run reaches its domain's seams, so a patch there stops a draw.
+    reached = []
+    for module, name in DRAW_SEAMS:
+        def recording(*args, _name=name, _original=getattr(module, name), **kwargs):
+            reached.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, recording)
+    monkeypatch.chdir(tmp_path)
+    argv = [command, domain, "--count", "3", "--seed", "1", "--out", "h.jsonl"]
+    if command == "homogenize":
+        argv += ["--var", "length" if domain == "calc" else "size"]
+    code, _, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert reached[0] == "_domain_source"
+    assert seam in reached
 
 
 def test_t2t_past_the_node_bound_exits_2_quickly(tmp_path, monkeypatch, capsys):
@@ -728,6 +774,46 @@ def test_negative_seed_is_usage_error(args, env, message, tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("where", ["flag", "env"])
+@pytest.mark.parametrize("spelling", [
+    " 1_0 ", "1_0", " 7", "7\n", "+3", "0x10", "1e3", "", "-", "--1", "-\u0663",
+    "\u0663", "\uff17", "9" * 5000,
+], ids=["padded-underscore", "underscore", "leading-space", "trailing-newline", "plus",
+        "hex", "exponent", "empty", "bare-minus", "double-minus", "minus-arabic-indic",
+        "arabic-indic", "fullwidth", "past-int-digit-limit"])
+def test_a_seed_is_ascii_decimal_digits(where, spelling, tmp_path, monkeypatch, capsys):
+    # int() accepts each of these (or, past the digit limit, fails late);
+    # a seed is [0-9]+ and nothing else.
+    monkeypatch.chdir(tmp_path)
+    if where == "flag":
+        monkeypatch.delenv("HOMOGEN_SEED", raising=False)
+        args, name = [f"--seed={spelling}"], "--seed"
+    else:
+        monkeypatch.setenv("HOMOGEN_SEED", spelling)
+        args, name = [], "HOMOGEN_SEED"
+    code, out, err = run_cli(["generate", "calc", "--count", "2", *args, "--out", "x.jsonl"],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {name} must be ASCII decimal digits, got {spelling!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("where", ["flag", "env"])
+def test_ascii_digit_seeds_resolve_to_their_integer(where, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for spelling, seed in [("0", 0), ("007", 7), ("18446744073709551616", 2**64)]:
+        if where == "flag":
+            monkeypatch.delenv("HOMOGEN_SEED", raising=False)
+            args = ["--seed", spelling]
+        else:
+            monkeypatch.setenv("HOMOGEN_SEED", spelling)
+            args = []
+        code, _, _ = run_cli(["generate", "calc", "--count", "2", *args, "--out", "x.jsonl"],
+                             capsys)
+        assert code == 0
+        assert json.loads((tmp_path / "x.jsonl.manifest.json").read_text())["seed"] == seed
+
+
 # ---------------------------------------------------------------------------
 # homogenize
 
@@ -800,6 +886,120 @@ def test_homogenize_tiny_budget_stalls_with_exit_3(tmp_path, monkeypatch, capsys
     assert "budget" in err
     # no manifest for an incomplete dataset
     assert not (tmp_path / "stall.jsonl.manifest.json").exists()
+
+
+# The samplers the CLI builds for each --dist at its defaults.
+DEFAULT_SAMPLERS = {
+    "dcfg": calc.Dcfg(), "t2t": calc.T2t(), "rcfg": calc.Rcfg(), "bal": calc.Bal(),
+}
+
+
+@pytest.mark.parametrize("var", sorted(calc.salient_specs()))
+@pytest.mark.parametrize("dist", sorted(DEFAULT_SAMPLERS))
+def test_homogenize_calc_matches_the_composed_reference(dist, var, tmp_path, monkeypatch, capsys):
+    # The CLI draws through calc.measured_source and writes formatted lines;
+    # the reference composes the public pieces: sample_expr, expr_salients,
+    # a HomogenizerRun, and the JSON encoder on expr_record.
+    count, seed, eps = 60, 7, 0.025
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(
+        ["homogenize", "calc", "--dist", dist, "--var", var, "--count", str(count),
+         "--seed", str(seed), "--out", "h.jsonl"], capsys,
+    )
+    assert (code, err) == (0, "")
+
+    sampler = DEFAULT_SAMPLERS[dist]
+    domain = calc.salient_specs()[var].domain
+    spec = SalientSpec(var, domain, lambda expr: calc.expr_salients(expr)[var])
+    run = HomogenizerRun(lambda rng: calc.sample_expr(rng, sampler), spec,
+                         HomogenizerConfig(epsilon=eps, target_size=count, seed=seed))
+    accepted = list(run)
+    baseline_rng = random.Random(seed + cli.BASELINE_SEED_OFFSET)
+    baseline = [spec.extract(calc.sample_expr(baseline_rng, sampler)) for _ in range(count)]
+    kl_before = kl_to_uniform(Histogram.from_values(domain, baseline))
+    kl_after = kl_to_uniform(Histogram.from_values(domain, map(spec.extract, accepted)))
+
+    lines = "".join(cli._json_line(calc.expr_record(expr)) for expr in accepted)
+    assert (tmp_path / "h.jsonl").read_text() == lines
+    (row,) = json.loads((tmp_path / "h.jsonl.report.json").read_text())
+    assert (row["kl_before"], row["kl_after"]) == (kl_before, kl_after)
+    assert row["draws_per_accept"] == run.draws_used / count
+
+
+TOO_DEEP = "--p 0.499: a sampled expression nested deeper than 500 levels"
+TOO_BIG = "--max-depth 500: a sampled expression grew past 100000 nodes"
+
+
+@pytest.mark.parametrize("command, argv, message", [
+    ("generate", ["--dist", "dcfg", "--p", "0.499", "--count", "2000", "--seed", "1"], TOO_DEEP),
+    ("homogenize", ["--dist", "dcfg", "--p", "0.499", "--count", "2000", "--seed", "1"],
+     TOO_DEEP),
+    # The run's draws at seed 9 stay under the cap; the baseline's, at seed
+    # 10, pass it on the second draw.
+    ("homogenize", ["--dist", "dcfg", "--p", "0.499", "--count", "3", "--seed", "9"], TOO_DEEP),
+    ("generate", ["--dist", "t2t", "--max-depth", "500", "--count", "5", "--seed", "3"], TOO_BIG),
+    ("homogenize", ["--dist", "t2t", "--max-depth", "500", "--count", "5", "--seed", "3"],
+     TOO_BIG),
+], ids=["generate-dcfg", "homogenize-dcfg", "homogenize-dcfg-baseline", "generate-t2t",
+        "homogenize-t2t"])
+def test_a_draw_past_a_sampler_bound_is_usage_error_and_writes_nothing(
+    command, argv, message, tmp_path, monkeypatch, capsys
+):
+    # The mapping wraps each command's draw loops, the homogenize run and
+    # its baseline included, not each draw.
+    monkeypatch.chdir(tmp_path)
+    if command == "homogenize":
+        argv = argv + ["--var", "length"]
+    code, out, err = run_cli([command, "calc", *argv, "--out", "d.jsonl"], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}; choose a smaller value\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_homogenize_lets_a_domain_violation_through(tmp_path, monkeypatch, capsys):
+    # A salient value outside its domain is a fault of the program, not of
+    # the command line, so it is not reported as a usage error.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(calc, "expr_salients", lambda expr: {"length": 999})
+    with pytest.raises(DomainViolationError, match="salient 'length'"):
+        cli.main(["homogenize", "calc", "--var", "length", "--count", "5", "--seed", "1",
+                  "--out", "h.jsonl"])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_homogenize_calc_makes_at_most_three_wrapper_calls_per_draw(
+    tmp_path, monkeypatch, capsys
+):
+    # A rejection run measures most of its draws only to throw them away,
+    # so the Python calls around each draw's sampling and measuring work
+    # cost the whole run. Counted here: every call outside that work,
+    # divided by the run's draws plus the baseline's.
+    work = {
+        function.__code__
+        for function in (
+            calc._sample_dcfg, calc._sample_t2t, calc._sample_rcfg, calc._sample_bal,
+            calc.expr_salients, calc._clamped, calc.BinOp.__new__, CountTable.increment,
+            randbelow,
+        )
+    }
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code not in work:
+            calls += 1
+
+    count = 2000
+    monkeypatch.chdir(tmp_path)
+    sys.setprofile(profile)
+    try:
+        code = cli.main(["homogenize", "calc", "--dist", "dcfg", "--var", "length",
+                         "--count", str(count), "--seed", "1", "--out", "h.jsonl"])
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    (row,) = json.loads((tmp_path / "h.jsonl.report.json").read_text())
+    draws = round(row["draws_per_accept"] * count) + count
+    assert calls / draws <= 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -930,8 +1130,9 @@ def _with_input_grid(record, **changes):
     lambda r: r.update(program=_repeat_program(5)),
     lambda r: r.update(program=_repeat_program([5])),
     lambda r: r.update(program=_repeat_program(None)),
+    lambda r: r.update(program=_repeat_program("0005")),
 ], ids=["bad-program", "no-pairs", "no-held-out-input", "float-side", "pile-of-true",
-        "float-position", "int-repeat-count", "list-token", "null-token"])
+        "float-position", "int-repeat-count", "list-token", "null-token", "leading-zero-count"])
 def test_stats_malformed_karel_record_reports_line_number(
     corrupt, tmp_path, monkeypatch, capsys
 ):
@@ -1173,21 +1374,14 @@ def test_stats_bad_karel_record_names_the_missing_key(
     assert err == f"error: k.jsonl: line 2: bad record ({message})\n"
 
 
-def test_json_line_matches_json_dumps(monkeypatch):
+def test_json_line_matches_json_dumps():
     rng = random.Random(8)
     source = karel_gen.task_source(karel_gen.sample_uniform_grid, n_pairs="uniform")
     objects = [calc.sample_record(rng, calc.Dcfg()) for _ in range(20)]
     objects += [karel_gen.task_to_json(source(rng)) for _ in range(2)]
     objects.append({"expr": 'a"b\\c\n\t\u00e9\u2028\x00\ud83d\ude00', "label": -0.5})
-    # The prebuilt C encoder, then the fallback for an interpreter without one.
-    assert json.encoder.c_make_encoder is not None
-    encoders = [cli._json_line]
-    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    encoders.append(cli._line_encoder())
-    monkeypatch.undo()
-    for json_line in encoders:
-        for obj in objects:
-            assert json_line(obj) == json.dumps(obj, separators=(",", ":")) + "\n"
+    for obj in objects:
+        assert cli._json_line(obj) == json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Property tests of the CLI's domain table.
 
-For random seeds, the one-pass salients of a sampled item equal the value of
-every ``salient_specs()`` extractor, stay in each spec's domain, and equal
-what ``read`` measures on the item's stored JSON record.
+For random seeds and every salient variable, the function a ``homogenize``
+run draws from returns the item that the ``generate`` source draws from the
+same seed, with that variable's ``salient_specs()`` value, inside the spec's
+domain and equal to what ``read`` measures on the item's written line. The
+line is what the JSON encoder writes for the record it holds.
 """
 
 import json
@@ -11,7 +13,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homogen.cli import DOMAINS, build_parser
+from homogen.cli import DOMAINS, _json_line, build_parser
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -21,16 +23,19 @@ def check_one_pass_salients(domain_name, argv, seed):
     args = build_parser().parse_args(
         ["generate", domain_name, *argv, "--count", "1", "--out", "unused.jsonl"]
     )
-    source, _ = domain.source(args)
-    item = source(random.Random(seed))
-    values = domain.salients(item)
+    sampler, _ = domain.sampler(args)
+    item = domain.source(sampler)(random.Random(seed))
+    line = domain.to_line(item)
+    record = json.loads(line)
+    assert _json_line(record) == line
+    stored = domain.read(record)
     specs = domain.salient_specs()
-    assert values.keys() == specs.keys()
+    assert stored.keys() == specs.keys()
     for name, spec in specs.items():
-        assert values[name] == spec.extract(item), name
-        assert values[name] in spec.domain, name
-    record = json.loads(json.dumps(domain.to_record(item)))
-    assert domain.read(record) == values
+        drawn, value = domain.measured(sampler, name)(random.Random(seed))
+        assert domain.to_line(drawn) == line, name
+        assert value == spec.extract(item) == stored[name], name
+        assert value in spec.domain, name
 
 
 @settings(max_examples=40, deadline=None)

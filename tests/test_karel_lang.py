@@ -121,6 +121,23 @@ def test_repeat_counts_take_only_ascii_digits(digit):
     assert str(excinfo.value) == f"expected a repeat count, found {digit!r} at 7"
 
 
+@pytest.mark.parametrize("count", ["05", "00", "0005", "010"])
+def test_repeat_counts_take_no_leading_zeros(count):
+    # emit_tokens writes str(times), so "05" is no program's emission.
+    text = f"def main(): repeat({count}): move()"
+    with pytest.raises(KarelSyntaxError) as excinfo:
+        parse_program(text)
+    assert excinfo.value.position == text.index(count)
+    assert str(excinfo.value) == f"expected a repeat count, found {count!r} at {text.index(count)}"
+    tokens = ["def", "main", "(", ")", ":", "repeat", "(", count, ")", ":", "move", "(", ")"]
+    with pytest.raises(KarelSyntaxError) as excinfo:
+        parse_program(tokens)
+    assert excinfo.value.position == 7
+    zero = parse_program(text.replace(count, "0"))
+    assert zero.body[0].times == 0
+    assert emit_tokens(zero)[7] == "0"
+
+
 def test_emit_minimal_program_tokens():
     tokens = emit_tokens(KarelProgram(MOVE))
     assert tokens == ["def", "main", "(", ")", ":", "move", "(", ")"]
