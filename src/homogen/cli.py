@@ -16,10 +16,11 @@ command line and seed reproduce files byte for byte. Every written dataset
 gets a sibling ``<out>.manifest.json`` recording the command, the resolved
 seed and parameters, and SHA-256 digests of all outputs. When ``--seed`` is
 absent the ``HOMOGEN_SEED`` environment variable is used, then 0. A seed is
-written in ASCII decimal digits; anything else, a negative seed included, is
-a usage error. Outputs are written to temporary siblings
-and moved into place only when the command succeeds, the manifest last, so
-a failed run leaves no file behind.
+ASCII decimal digits, an integer flag an optional ``-`` then ASCII digits,
+and a float flag ASCII text with no ``_`` or surrounding spaces; anything
+else, a negative seed included, is a usage error. Outputs are written to
+temporary siblings and moved into place only when the command succeeds,
+the manifest last, so a failed run leaves no file behind.
 
 Exit codes: 0 success, 1 crash reported by ``karel-run``, 2 usage errors,
 3 sampling stalls (draw budget or grid retries exhausted).
@@ -73,24 +74,40 @@ class UsageError(ValueError):
     pass
 
 
+def _integer(text: str) -> int:
+    # int() also takes "1_0", "+3", padding and other scripts' digits.
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        with contextlib.suppress(ValueError):  # past sys.get_int_max_str_digits()
+            return int(text)
+    raise argparse.ArgumentTypeError(f"must be ASCII decimal digits, got {text!r}")
+
+
+def _real(text: str) -> float:
+    # float() also takes "0_2", padding and other scripts' digits. It takes
+    # "nan" and "inf" too, which the range checks refuse.
+    if text.isascii() and "_" not in text and text == text.strip():
+        with contextlib.suppress(ValueError):
+            return float(text)
+    raise argparse.ArgumentTypeError(
+        f"must be an ASCII number with no '_' or spaces, got {text!r}"
+    )
+
+
 def resolve_seed(text: str | None) -> int:
-    # int() also takes "1_0", padding and other scripts' digits. Random seeds
-    # with abs(n), so a negative seed would write the bytes of its absolute
-    # value under a manifest that records the sign.
+    # Random seeds with abs(n), so a negative seed would write the bytes of
+    # its absolute value under a manifest that records the sign.
     name = "--seed"
     if text is None:
         name = "HOMOGEN_SEED"
         text = os.environ.get(name)
         if text is None:
             return 0
-    digits = text.removeprefix("-")
     try:
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError
-        value = int(digits)
-    except ValueError:  # also past sys.get_int_max_str_digits()
-        raise UsageError(f"{name} must be ASCII decimal digits, got {text!r}") from None
-    if digits != text:
+        value = _integer(text)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{name} {exc}") from None
+    if text.startswith("-"):
         raise UsageError(f"{name} must be 0 or more, got {text}")
     return value
 
@@ -230,8 +247,8 @@ def _calc_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--dist", choices=tuple(_CALC_SAMPLERS), default="dcfg", help="expression sampler"
     )
-    parser.add_argument("--p", type=float, default=None, help="recursion rate for dcfg/rcfg")
-    parser.add_argument("--max-depth", type=int, default=8, help="t2t depth ceiling")
+    parser.add_argument("--p", type=_real, default=None, help="recursion rate for dcfg/rcfg")
+    parser.add_argument("--max-depth", type=_integer, default=8, help="t2t depth ceiling")
 
 
 def _calc_sampler(args: argparse.Namespace) -> tuple[calc.CalcSampler, dict[str, Any]]:
@@ -263,8 +280,8 @@ def _karel_arguments(parser: argparse.ArgumentParser) -> None:
         "--grids", choices=("uniform", "narrow"), default="uniform",
         help="input grid distribution",
     )
-    parser.add_argument("--r-wall", type=float, default=None, help="narrow wall cell rate")
-    parser.add_argument("--r-marker", type=float, default=None, help="narrow marker cell rate")
+    parser.add_argument("--r-wall", type=_real, default=None, help="narrow wall cell rate")
+    parser.add_argument("--r-marker", type=_real, default=None, help="narrow marker cell rate")
     parser.add_argument(
         "--marker-dist", choices=tuple(d.value for d in karel_gen.MarkerCountDist),
         default="geom", help="narrow pile-size distribution",
@@ -273,7 +290,8 @@ def _karel_arguments(parser: argparse.ArgumentParser) -> None:
         "--pairs", default="5", help="shown pairs per task: 1..5 or 'uniform' for a per-task draw"
     )
     parser.add_argument(
-        "--step-limit", type=int, default=DEFAULT_STEP_LIMIT, help="action budget per execution"
+        "--step-limit", type=_integer, default=DEFAULT_STEP_LIMIT,
+        help="action budget per execution",
     )
     parser.add_argument(
         "--classic-prune", action="store_true",
@@ -293,12 +311,10 @@ def _karel_sampler(args: argparse.Namespace) -> tuple[Source, dict[str, Any]]:
         grid_sampler = lambda rng: karel_gen.sample_narrow_grid(rng, narrow)  # noqa: E731
         params |= {"r_wall": args.r_wall, "r_marker": args.r_marker,
                    "marker_dist": args.marker_dist}
-    pairs = args.pairs
-    if pairs != "uniform":
-        try:
-            pairs = int(pairs)
-        except ValueError:
-            raise UsageError("--pairs must be an integer in 1..5 or 'uniform'") from None
+    try:
+        pairs = args.pairs if args.pairs == "uniform" else _integer(args.pairs)
+    except argparse.ArgumentTypeError:
+        raise UsageError("--pairs must be an integer in 1..5 or 'uniform'") from None
     if args.classic_prune:
         params["classic_prune"] = True
     source = karel_gen.task_source(
@@ -582,10 +598,7 @@ def cmd_karel_run(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -599,11 +612,11 @@ def _add_domain_arguments(parser: argparse.ArgumentParser, *, homogenize: bool =
         if homogenize:
             p.add_argument("--var", required=True, help="salient variable to even out")
             p.add_argument(
-                "--eps", type=float, default=0.025,
+                "--eps", type=_real, default=0.025,
                 help="uniformity/throughput trade-off (default 0.025)",
             )
             p.add_argument(
-                "--max-draws", type=int, default=None,
+                "--max-draws", type=_integer, default=None,
                 help="source draw budget (default: 20x the expected need)",
             )
         p.add_argument("--count", type=_count, required=True, help="records to write")
@@ -639,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     karel_run = sub.add_parser("karel-run", help="run one program on one grid")
     karel_run.add_argument("program", help="program text file")
     karel_run.add_argument("grid", help="grid JSON file")
-    karel_run.add_argument("--step-limit", type=int, default=DEFAULT_STEP_LIMIT)
+    karel_run.add_argument("--step-limit", type=_integer, default=DEFAULT_STEP_LIMIT)
     karel_run.set_defaults(func=cmd_karel_run)
 
     return parser

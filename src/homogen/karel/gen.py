@@ -25,7 +25,7 @@ from typing import Any
 
 from ..homogenizer import SalientSpec
 from ..rng import randbelow
-from .interp import DEFAULT_STEP_LIMIT, CrashReason, branch_arms, compile_program, execute
+from .interp import DEFAULT_STEP_LIMIT, branch_arms, compile_program, execute
 from .lang import (
     ACTIONS,
     MAX_REPEAT,
@@ -55,7 +55,7 @@ from .world import (
     grid_to_json,
 )
 
-GridSampler = Callable[[random.Random], GridDraw | KarelGrid]
+GridSampler = Callable[[random.Random], GridDraw]
 
 
 class MarkerCountDist(enum.Enum):
@@ -315,7 +315,7 @@ def make_task(
 
     Programs run on the sampler's draws as they are; only the returned
     task's ``n_pairs + 1`` inputs and their outputs are built, as validated
-    ``KarelGrid`` objects, whatever the sampler returns.
+    ``KarelGrid`` objects.
     """
     if not 1 <= n_pairs <= 5:
         raise ValueError("n_pairs must be in 1..5")
@@ -324,41 +324,31 @@ def make_task(
     _check_step_limit(step_limit)
     compiled = compile_program(program)
     required = branch_arms(compiled)
-    crash_counts: dict[CrashReason, int] = {}
+    crash_counts: Counter[str] = Counter()
     missing_counts: Counter[tuple[int, str]] = Counter()
     for _ in range(retry_limit):
         # Sample and run one grid at a time; the whole batch is discarded on
         # the first crash, so later grids need not be drawn at all.
-        draws = []
-        results = []
+        runs = []
         for _k in range(n_pairs + 1):
             draw = grid_sampler(rng)
             result = execute(compiled, draw, step_limit)
-            crash = result.crash
-            if crash is not None:
-                crash_counts[crash] = crash_counts.get(crash, 0) + 1
+            if result.crash is not None:
+                crash_counts[result.crash.value] += 1
                 break
-            draws.append(draw)
-            results.append(result)
+            runs.append((draw, result))
         else:
-            covered = set().union(*(r.taken for r in results[:n_pairs]))
+            covered = set().union(*(result.taken for _, result in runs[:n_pairs]))
             if required <= covered:
-                pairs = tuple((_validated(d), r.output) for d, r in zip(draws, results))
+                pairs = tuple((KarelGrid(*draw), result.output) for draw, result in runs)
                 return SynthesisTask(program=program, pairs=pairs[:n_pairs], held_out=pairs[-1])
             missing_counts.update(required - covered)
-    crashes = {reason.value: n for reason, n in crash_counts.items()}
     raise UncoverableProgramError(
         f"no valid task in {retry_limit} grid batches "
-        f"(crashes: {crashes}, uncovered arms: {dict(missing_counts)})",
+        f"(crashes: {dict(crash_counts)}, uncovered arms: {dict(missing_counts)})",
         attempts=retry_limit,
-        crash_counts=crashes,
+        crash_counts=dict(crash_counts),
         missing_arm_counts=dict(missing_counts),
-    )
-
-
-def _validated(draw: GridDraw | KarelGrid) -> KarelGrid:
-    return KarelGrid(
-        draw.width, draw.height, draw.walls, draw.markers, draw.karel_pos, draw.karel_dir
     )
 
 
@@ -386,9 +376,8 @@ _SALIENT_DOMAINS = {
 def task_salients(task: SynthesisTask) -> dict[str, int]:
     """Every salient variable of the task, clamped into its domain, in one pass.
 
-    The marker and wall ratios (marker or wall cells over all cells, as in
-    :func:`grid_salients`) average over the shown inputs only, then fall
-    into deciles 0..9.
+    The marker and wall ratios (a grid's marker or wall cells over all its
+    cells) average over the shown inputs only, then fall into deciles 0..9.
     """
     program = program_salients(task.program)
     shown = [grid for grid, _ in task.pairs]
@@ -475,11 +464,8 @@ def task_source(
     instead of spinning, with how many of those programs the filter rejected
     and the crash reasons summed over the uncoverable ones.
     """
-    if isinstance(n_pairs, str):
-        if n_pairs != "uniform":
-            raise ValueError("n_pairs must be an int in 1..5 or the string 'uniform'")
-    elif not 1 <= n_pairs <= 5:
-        raise ValueError("n_pairs must be in 1..5")
+    if n_pairs != "uniform" and n_pairs not in range(1, 6):
+        raise ValueError("n_pairs must be an int in 1..5 or the string 'uniform'")
     _check_step_limit(step_limit)
 
     def draw(rng: random.Random) -> SynthesisTask:

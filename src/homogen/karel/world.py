@@ -1,5 +1,5 @@
 """Karel grid worlds: bounded rectangular grids holding walls, marker piles
-and the agent's pose, plus JSON round-tripping and grid-level features.
+and the agent's pose, plus JSON round-tripping.
 
 Cells are (i, j) with i the column (0..width-1, growing east) and j the row
 (0..height-1, growing south). Marker piles hold 1..9 markers; a cell never
@@ -189,21 +189,3 @@ def grid_from_json(obj: dict[str, Any]) -> KarelGrid:
     except TypeError as exc:
         raise ValueError(f"malformed grid object: {exc}") from None
 
-
-def grid_salients(grid: KarelGrid) -> dict[str, Any]:
-    """Width, height, marker/wall cell ratios, and the marker pile histogram.
-
-    Ratios divide by the full cell count; the histogram maps pile size to
-    how many cells hold exactly that many markers (absent sizes omitted).
-    """
-    cells = grid.width * grid.height
-    histogram: dict[int, int] = {}
-    for count in grid.markers.values():
-        histogram[count] = histogram.get(count, 0) + 1
-    return {
-        "width": grid.width,
-        "height": grid.height,
-        "marker_ratio": len(grid.markers) / cells,
-        "wall_ratio": len(grid.walls) / cells,
-        "marker_count_histogram": dict(sorted(histogram.items())),
-    }

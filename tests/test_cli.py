@@ -814,6 +814,59 @@ def test_ascii_digit_seeds_resolve_to_their_integer(where, tmp_path, monkeypatch
         assert json.loads((tmp_path / "x.jsonl.manifest.json").read_text())["seed"] == seed
 
 
+# Every other number flag is read the way the seed is: an integer is an
+# optional "-" then ASCII digits, and a float is ASCII text with no "_" and
+# no padding. int() and float() accept each spelling below.
+@pytest.mark.parametrize("spelling", [" 1_0", "٣", "+3"],
+                         ids=["padded-underscore", "arabic-indic", "plus"])
+@pytest.mark.parametrize("flag, argv", [
+    ("--count", ["generate", "calc", "--count", "{}", "--out", "x.jsonl"]),
+    ("--max-depth", ["generate", "calc", "--dist", "t2t", "--max-depth", "{}",
+                     "--count", "2", "--out", "x.jsonl"]),
+    ("--max-draws", ["homogenize", "calc", "--var", "length", "--max-draws", "{}",
+                     "--count", "2", "--out", "x.jsonl"]),
+    ("--step-limit", ["generate", "karel", "--step-limit", "{}", "--count", "2",
+                      "--out", "x.jsonl"]),
+    ("--step-limit", ["karel-run", "p.txt", "g.json", "--step-limit", "{}"]),
+    ("--pairs", ["generate", "karel", "--pairs", "{}", "--count", "2", "--out", "x.jsonl"]),
+], ids=["count", "max-depth", "max-draws", "step-limit", "karel-run-step-limit", "pairs"])
+def test_integer_flags_take_only_ascii_decimal_digits(
+    flag, argv, spelling, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli([spelling if arg == "{}" else arg for arg in argv], capsys)
+    assert (code, out) == (2, "")
+    if flag == "--pairs":
+        assert err == "error: --pairs must be an integer in 1..5 or 'uniform'\n"
+    else:
+        assert err.endswith(
+            f": error: argument {flag}: must be ASCII decimal digits, got {spelling!r}\n"
+        )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spelling", [" 0.2", "٠.٢", "0_2"],
+                         ids=["leading-space", "arabic-indic", "underscore"])
+@pytest.mark.parametrize("flag, argv", [
+    ("--p", ["generate", "calc", "--p", "{}"]),
+    ("--r-wall", ["generate", "karel", "--grids", "narrow", "--r-wall", "{}",
+                  "--r-marker", "0.5"]),
+    ("--r-marker", ["generate", "karel", "--grids", "narrow", "--r-wall", "0.2",
+                    "--r-marker", "{}"]),
+    ("--eps", ["homogenize", "calc", "--var", "length", "--eps", "{}"]),
+], ids=["p", "r-wall", "r-marker", "eps"])
+def test_float_flags_take_only_plain_ascii(flag, argv, spelling, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = [spelling if arg == "{}" else arg for arg in argv]
+    code, out, err = run_cli(argv + ["--count", "2", "--out", "x.jsonl"], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        f": error: argument {flag}: must be an ASCII number with no '_' or spaces, "
+        f"got {spelling!r}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # homogenize
 

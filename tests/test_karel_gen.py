@@ -32,7 +32,6 @@ from homogen.karel import (
     emit_tokens,
     execute,
     grid_from_json,
-    grid_salients,
     make_task,
     parse_program,
     program_salients,
@@ -601,9 +600,9 @@ def test_task_salients_fields():
     assert 0 <= s["marker_ratio_decile"] <= 9
     assert 0 <= s["wall_ratio_decile"] <= 9
     # The deciles bin the mean ratio over shown inputs.
-    shown = [grid_salients(grid) for grid, _ in task.pairs]
+    shown = [grid for grid, _ in task.pairs]
     assert len(shown) == 4
-    mean_marker = sum(g["marker_ratio"] for g in shown) / 4
+    mean_marker = sum(len(g.markers) / (g.width * g.height) for g in shown) / 4
     assert s["marker_ratio_decile"] == min(int(mean_marker * 10 + 1e-12), 9)
 
 
@@ -627,7 +626,7 @@ def test_task_json_round_trip():
 
 
 # The read path before walls were built with map(tuple, ...) and before the
-# ratio deciles were measured without a grid_salients dict per shown grid.
+# ratio deciles were measured without a dict of grid features per shown grid.
 
 
 def reference_grid_from_json(obj):
@@ -646,7 +645,11 @@ def reference_grid_from_json(obj):
 
 def reference_task_salients(task):
     program = program_salients(task.program)
-    shown = [grid_salients(grid) for grid, _ in task.pairs]
+    shown = [
+        {"marker_ratio": len(g.markers) / (g.width * g.height),
+         "wall_ratio": len(g.walls) / (g.width * g.height)}
+        for g, _ in task.pairs
+    ]
     n = len(shown)
     values = {
         "number_of_grids": n,

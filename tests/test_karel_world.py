@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from homogen.karel import KarelGrid, grid_from_json, grid_salients, grid_to_json
+from homogen.karel import KarelGrid, grid_from_json, grid_to_json
 
 
 def test_grid_validation():
@@ -107,52 +107,6 @@ def test_grid_json_rejects_a_cell_listed_twice(key, cells):
     obj[key] = cells
     with pytest.raises(ValueError, match=f"a cell is listed twice in '{key}'"):
         grid_from_json(obj)
-
-
-def test_grid_salients_empty_grid():
-    s = grid_salients(KarelGrid(width=4, height=4))
-    assert s["marker_ratio"] == 0.0
-    assert s["wall_ratio"] == 0.0
-    assert s["marker_count_histogram"] == {}
-
-
-def test_grid_salients_worked_example():
-    grid = KarelGrid(
-        width=2, height=2, walls=frozenset({(0, 1)}), markers={(1, 0): 3}, karel_pos=(0, 0)
-    )
-    s = grid_salients(grid)
-    assert s == {
-        "width": 2,
-        "height": 2,
-        "marker_ratio": 0.25,
-        "wall_ratio": 0.25,
-        "marker_count_histogram": {3: 1},
-    }
-
-
-def test_grid_salients_are_axis_symmetric():
-    # Transposing the grid swaps width/height and leaves ratios alone.
-    grid = KarelGrid(
-        width=6,
-        height=3,
-        walls=frozenset({(0, 0), (5, 2)}),
-        markers={(3, 1): 4, (2, 2): 4, (1, 0): 7},
-        karel_pos=(4, 1),
-        karel_dir="E",
-    )
-    transposed = KarelGrid(
-        width=3,
-        height=6,
-        walls=frozenset({(j, i) for i, j in grid.walls}),
-        markers={(j, i): n for (i, j), n in grid.markers.items()},
-        karel_pos=(grid.karel_pos[1], grid.karel_pos[0]),
-        karel_dir="S",
-    )
-    a, b = grid_salients(grid), grid_salients(transposed)
-    assert a["marker_ratio"] == b["marker_ratio"]
-    assert a["wall_ratio"] == b["wall_ratio"]
-    assert a["marker_count_histogram"] == b["marker_count_histogram"]
-    assert (a["width"], a["height"]) == (b["height"], b["width"])
 
 
 def test_set_checks_accept_only_what_the_cell_checks_accept():

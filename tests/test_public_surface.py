@@ -1,6 +1,7 @@
-"""The documented public surface: every exported name resolves, the
-README's library example runs as written, no module imports a name it
-never uses, and every private module-level name is read somewhere."""
+"""The documented public surface: every exported name resolves and is read
+outside the unit tests, the README's library example runs as written, no
+module imports a name it never uses, and every private module-level name is
+read somewhere."""
 
 import ast
 import re
@@ -74,6 +75,26 @@ def test_unused_import_check_sees_string_annotations():
     assert _unused_imports("from __future__ import annotations\n") == []
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _loaded_names(tree: ast.AST) -> set[str]:
+    """The names a tree loads, by name or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        or isinstance(node, ast.Attribute)
+    }
+
+
 def _dead_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level ``_name``s (one leading underscore) that a module
     defines and no module loads, by name or as an attribute."""
@@ -82,21 +103,10 @@ def _dead_private_names(sources: dict[str, str]) -> list[str]:
     for module, source in sources.items():
         tree = ast.parse(source)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
-            for name in names:
+            for name in _defined_names(node):
                 if name.startswith("_") and not name.startswith("__"):
                     defined.setdefault(name, module)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                loaded.add(node.attr)
+        loaded |= _loaded_names(tree)
     return [f"{module}: {name}" for name, module in defined.items() if name not in loaded]
 
 
@@ -114,3 +124,29 @@ def test_dead_private_name_check_sees_every_module():
         "b.py": "from a import _C\nimport a\nprint(_C, a._D, _f())\n__x__ = 5\n",
     }
     assert _dead_private_names(sources) == ["a.py: _A"]
+
+
+def _unread_public_names(exported: list[str], sources: list[str], texts: list[str]) -> list[str]:
+    """Exported names that no module-level statement of ``sources`` loads,
+    other than the one that defines the name, and no text holds as a word."""
+    read = set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            read |= _loaded_names(node) - set(_defined_names(node))
+    for text in texts:
+        read |= set(re.findall(r"\w+", text))
+    return [name for name in exported if name not in read]
+
+
+def test_every_public_name_is_read_outside_the_unit_tests():
+    # The package __init__ files only re-export, so they are not readers.
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    readers = [README, ROOT / "tests" / "test_acceptance.py", *sorted(ROOT.glob("bench/*.py"))]
+    texts = [path.read_text(encoding="utf-8") for path in readers]
+    exported = homogen.__all__ + homogen.karel.__all__
+    assert _unread_public_names(exported, sources, texts) == []
+
+
+def test_unread_public_name_check_skips_a_names_own_definition():
+    sources = ["def f(n):\n    return f(n - 1)\ndef g():\n    return h\nh = 1\n"]
+    assert _unread_public_names(["f", "g", "h", "k"], sources, ["calls `k`"]) == ["f", "g"]
