@@ -9,12 +9,12 @@ a child is wrapped only when its operator binds looser than its parent's,
 or, for the right child, equally loose (which preserves the tree through a
 re-parse). ``parse_expr(render(e)) == e`` holds for every expression.
 
-Trees are immutable and validated when built. A leaf is a ``Digit``
-dataclass. An operator node is a ``BinOp``, the tuple ``(op, left, right)``,
-whose constructor checks the operator; it is a tuple because a draw builds
-one per node and a tuple is cheaper to build than a dataclass. The ``len``,
-indexing, iteration and ordering a node inherits from ``tuple`` exist but
-mean nothing for a tree.
+Trees are immutable and validated when built. A leaf is a ``Digit``, a
+``Frozen`` record. An operator node is a ``BinOp``, the tuple ``(op, left,
+right)``, whose constructor checks the operator; it is a tuple because a
+draw builds one per node and a tuple is cheaper to build than a ``Frozen``
+record. The ``len``, indexing, iteration and ordering a node inherits from
+``tuple`` exist but mean nothing for a tree.
 
 Rendering, evaluation, parsing, salient measurement and the equality, hash
 and ``repr`` of a tree all walk with explicit stacks, so they follow any
@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
 from operator import itemgetter
 
+from ._frozen import Frozen
 from .homogenizer import SalientSpec
 from .rng import randbelow
 
@@ -40,13 +40,13 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2}
 _new_tuple = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Digit:
-    value: int
+class Digit(Frozen):
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if not (type(self.value) is int and 0 <= self.value <= 9):
+    def __init__(self, value: int) -> None:
+        if not (type(value) is int and 0 <= value <= 9):
             raise ValueError("digit must be an int in 0..9")
+        object.__setattr__(self, "value", value)
 
 
 class BinOp(tuple):
@@ -54,7 +54,7 @@ class BinOp(tuple):
 
     Every construction checks the operator, and ``op``, ``left`` and
     ``right`` are read-only attributes that class patterns match on.
-    ``==``, ``!=`` and ``repr`` give what a frozen dataclass of the three
+    ``==``, ``!=`` and ``repr`` give what a ``Frozen`` record of the three
     fields would, ``hash`` agrees with ``==``, and all of them walk with
     explicit stacks; a node never equals the plain tuple of its fields.
     ``len``, indexing, iteration and the ordering operators are inherited
@@ -281,8 +281,7 @@ _TOO_BIG = f"a sampled expression grew past {MAX_NODES} nodes"
 _MAX_BAL_DEPTH = (MAX_NODES + 1).bit_length() - 2
 
 
-@dataclass(frozen=True)
-class Dcfg:
+class Dcfg(Frozen):
     """Grammar walk: digit with probability 1-p, else an operator node with
     two recursive children. RNG order per node: the branch coin, then either
     the digit value or (operator, left subtree, right subtree). Values of p
@@ -290,15 +289,15 @@ class Dcfg:
     below that, and near 0.5 a draw may pass :data:`MAX_NESTING`.
     """
 
-    p: float = 0.3
+    __slots__ = ("p",)
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p < 1.0:
+    def __init__(self, p: float = 0.3) -> None:
+        if not 0.0 < p < 1.0:
             raise ValueError("p must be in (0, 1)")
+        object.__setattr__(self, "p", p)
 
 
-@dataclass(frozen=True)
-class T2t:
+class T2t(Frozen):
     """Exact-depth tree builder. Draws a depth d (uniform over
     1..max_depth unless ``depth`` pins it), then recursively forces a random
     side to depth d-1 while the other side gets an independent depth from
@@ -307,18 +306,18 @@ class T2t:
     A draw stops with ``ValueError`` once it passes :data:`MAX_NODES`.
     """
 
-    max_depth: int = 8
-    depth: int | None = None
+    __slots__ = ("max_depth", "depth")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.max_depth <= MAX_NESTING:
+    def __init__(self, max_depth: int = 8, depth: int | None = None) -> None:
+        if not 1 <= max_depth <= MAX_NESTING:
             raise ValueError(f"max_depth must be in 1..{MAX_NESTING}")
-        if self.depth is not None and not 0 <= self.depth <= MAX_NESTING:
+        if depth is not None and not 0 <= depth <= MAX_NESTING:
             raise ValueError(f"depth must be in 0..{MAX_NESTING} when pinned")
+        object.__setattr__(self, "max_depth", max_depth)
+        object.__setattr__(self, "depth", depth)
 
 
-@dataclass(frozen=True)
-class Rcfg:
+class Rcfg(Frozen):
     """Grammar walk with operator runs: digit with probability 1-p, else an
     operator; ``+`` and ``*`` expand to a run of k children (k drawn from
     ``run_lengths``) combined left-associatively, ``-`` stays binary. RNG
@@ -328,32 +327,33 @@ class Rcfg:
     operator, however deep the run's left-associative chain makes it.
     """
 
-    p: float = 0.3
-    run_lengths: tuple[int, ...] = (2, 3, 4)
+    __slots__ = ("p", "run_lengths")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p < 1.0:
+    def __init__(self, p: float = 0.3, run_lengths: tuple[int, ...] = (2, 3, 4)) -> None:
+        if not 0.0 < p < 1.0:
             raise ValueError("p must be in (0, 1)")
-        if not self.run_lengths or any(k < 2 for k in self.run_lengths):
+        if not run_lengths or any(k < 2 for k in run_lengths):
             raise ValueError("run lengths must all be >= 2")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "run_lengths", run_lengths)
 
 
-@dataclass(frozen=True)
-class Bal:
+class Bal(Frozen):
     """Complete binary tree of a depth drawn uniformly from ``depths``;
     every internal node gets an independent uniform operator. RNG order:
     the depth, then nodes in root-left-right order. A depth whose tree would
     pass :data:`MAX_NODES` is rejected.
     """
 
-    depths: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
+    __slots__ = ("depths",)
 
-    def __post_init__(self) -> None:
-        if not self.depths or any(not 0 <= d <= _MAX_BAL_DEPTH for d in self.depths):
+    def __init__(self, depths: tuple[int, ...] = (1, 2, 3, 4, 5, 6)) -> None:
+        if not depths or any(not 0 <= d <= _MAX_BAL_DEPTH for d in depths):
             raise ValueError(
                 f"depths must be in 0..{_MAX_BAL_DEPTH}; a tree of depth d has "
                 f"2^(d+1) - 1 nodes, at most {MAX_NODES}"
             )
+        object.__setattr__(self, "depths", depths)
 
 
 CalcSampler = Dcfg | T2t | Rcfg | Bal

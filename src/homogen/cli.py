@@ -30,21 +30,18 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import errno
 import functools
 import gc
-import hashlib
 import json
 import os
 import random
 import stat
 import sys
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any, NamedTuple, TextIO
 
 from . import __version__, calc
 from .diagnostics import Histogram, kl_to_uniform
@@ -155,6 +152,7 @@ class _Outputs:
 
     def digests(self) -> dict[str, str]:
         """SHA-256 of every file written so far, keyed by its final name."""
+        import hashlib  # here, as it loads OpenSSL, which only writing commands need
         return {
             path.name: hashlib.sha256(temp.read_bytes()).hexdigest()
             for temp, path in self._pending
@@ -209,8 +207,7 @@ def _sibling(out_path: Path, suffix: str) -> Path:
 Source = Callable[[random.Random], Any]
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(NamedTuple):
     """One dataset domain as the subcommands see it.
 
     ``sampler`` builds a sampler and the manifest parameters, raising
@@ -377,12 +374,24 @@ DOMAINS = {
 }
 
 
+# The flags that set the library parameter a ``ValueError`` message opens with.
+_FLAGS = {"n_pairs": "pairs", "step_limit": "step_limit", "max_depth": "max_depth", "p": "p",
+          "r_wall": "r_wall r_marker", "target_size": "count", "max_draws": "max_draws"}
+
+
+def _flag_error(args: argparse.Namespace, exc: ValueError) -> UsageError:
+    """``exc`` as a usage error led by the flags and values it is about."""
+    dests = _FLAGS.get(str(exc).split(" ", 1)[0], "").split()
+    typed = " ".join(f"--{dest.replace('_', '-')} {getattr(args, dest)}" for dest in dests)
+    return UsageError(f"{typed}: {exc}" if typed else str(exc))
+
+
 def _domain_source(args: argparse.Namespace) -> tuple[Domain, Any, dict[str, Any]]:
     domain = DOMAINS[args.domain]
     try:
         sampler, params = domain.sampler(args)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise _flag_error(args, exc) from None
     return domain, sampler, params
 
 
@@ -442,7 +451,7 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
             epsilon=args.eps, target_size=args.count, seed=seed, max_draws=args.max_draws
         )
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise _flag_error(args, exc) from None
 
     # Each draw is an (item, value) pair, so an item is measured once and
     # serialized only when it is accepted.
@@ -476,6 +485,7 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
         }
         with outputs.open(report_json) as fp:
             fp.write(json.dumps([row], indent=2) + "\n")
+        import csv  # here, as no other command needs it
         with outputs.open(report_csv) as fp:
             csv.writer(fp, lineterminator="\n").writerows([row.keys(), row.values()])
         _write_manifest(
@@ -581,7 +591,7 @@ def cmd_karel_run(args: argparse.Namespace, argv: list[str]) -> int:
     try:
         result = execute(compiled, grid, step_limit=args.step_limit)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise _flag_error(args, exc) from None
     arms = branch_arms(compiled)
     coverage = f"coverage: {len(result.branches_taken)}/{len(arms)} arms"
     if result.success:

@@ -10,19 +10,21 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from typing import Any
 
+from ._frozen import Frozen
 from .homogenizer import HomogenizerConfig, SalientSpec, expected_tries_bound, homogenize
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(Frozen):
     """Counts over a fixed finite domain; unseen values are kept at zero."""
 
-    domain: tuple[Any, ...]
-    counts: dict[Any, int]
-    total: int
+    __slots__ = ("domain", "counts", "total")
+
+    def __init__(self, domain: tuple[Any, ...], counts: dict[Any, int], total: int) -> None:
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", total)
 
     @classmethod
     def from_values(cls, domain: Iterable[Any], values: Iterable[Any]) -> "Histogram":
@@ -58,12 +60,15 @@ def kl_to_uniform(hist: Histogram) -> float:
     return max(acc, 0.0)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    epsilon: float
-    draws_per_accept: float
-    bound: float
-    stderr: float
+class CurvePoint(Frozen):
+    __slots__ = ("epsilon", "draws_per_accept", "bound", "stderr")
+
+    def __init__(self, epsilon: float, draws_per_accept: float, bound: float,
+                 stderr: float) -> None:
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "draws_per_accept", draws_per_accept)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "stderr", stderr)
 
 
 def acceptance_curve(

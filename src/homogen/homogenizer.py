@@ -22,8 +22,9 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from typing import Any
+
+from ._frozen import Frozen
 
 
 class DomainViolationError(ValueError):
@@ -44,24 +45,24 @@ class BudgetExhaustedError(RuntimeError):
         self.counts = counts
 
 
-@dataclass(frozen=True)
-class SalientSpec:
+class SalientSpec(Frozen):
     """A named finite-domain feature of samples.
 
     ``extract`` must be deterministic and must map every sample the source
     can produce into ``domain``.
     """
 
-    name: str
-    domain: tuple[Any, ...]
-    extract: Callable[[Any], Any]
+    __slots__ = ("name", "domain", "extract")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "domain", tuple(self.domain))
-        if not self.domain:
+    def __init__(self, name: str, domain: Iterable[Any], extract: Callable[[Any], Any]) -> None:
+        domain = tuple(domain)
+        if not domain:
             raise ValueError("salient domain must be non-empty")
-        if len(set(self.domain)) != len(self.domain):
+        if len(set(domain)) != len(domain):
             raise ValueError("salient domain contains duplicate values")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "extract", extract)
 
 
 class CountTable:
@@ -102,8 +103,7 @@ class CountTable:
         return f"CountTable(total={self.total}, counts={self.counts!r})"
 
 
-@dataclass(frozen=True)
-class HomogenizerConfig:
+class HomogenizerConfig(Frozen):
     """Knobs for one homogenization run.
 
     ``max_draws`` bounds the source draws; None picks
@@ -111,26 +111,28 @@ class HomogenizerConfig:
     need. An ``epsilon == 0`` run has no expected need and must set it.
     """
 
-    epsilon: float
-    target_size: int
-    seed: int = 0
-    max_draws: int | None = None
+    __slots__ = ("epsilon", "target_size", "seed", "max_draws")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError(f"epsilon must be finite and >= 0, not {self.epsilon}")
-        if self.target_size < 1:
+    def __init__(self, epsilon: float, target_size: int, seed: int = 0,
+                 max_draws: int | None = None) -> None:
+        if not (math.isfinite(epsilon) and epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, not {epsilon}")
+        if target_size < 1:
             raise ValueError("target_size must be >= 1")
-        if self.max_draws is not None and self.max_draws < 1:
+        if max_draws is not None and max_draws < 1:
             raise ValueError("max_draws must be >= 1 when given")
-        if self.epsilon == 0 and self.max_draws is None:
+        if epsilon == 0 and max_draws is None:
             raise ValueError(
                 "epsilon=0 accepts nothing until every domain value has been seen; "
                 "set max_draws to bound the run"
             )
-        if self.max_draws is None:
+        if max_draws is None:
             # Fail here, not at the run's first draw, if 1/epsilon overflows.
-            expected_tries_bound(self.epsilon)
+            expected_tries_bound(epsilon)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "target_size", target_size)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "max_draws", max_draws)
 
     def resolved_max_draws(self) -> int:
         if self.max_draws is not None:
@@ -138,13 +140,15 @@ class HomogenizerConfig:
         return self.target_size * math.ceil(expected_tries_bound(self.epsilon)) * 20
 
 
-@dataclass(frozen=True)
-class HomogenizedDataset:
+class HomogenizedDataset(Frozen):
     """Accepted samples plus the run's draw statistics."""
 
-    items: tuple[Any, ...]
-    draws_used: int
-    final_counts: CountTable
+    __slots__ = ("items", "draws_used", "final_counts")
+
+    def __init__(self, items: tuple[Any, ...], draws_used: int, final_counts: CountTable) -> None:
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "draws_used", draws_used)
+        object.__setattr__(self, "final_counts", final_counts)
 
 
 class HomogenizerRun:

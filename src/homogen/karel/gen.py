@@ -20,9 +20,9 @@ import enum
 import random
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import Any
 
+from .._frozen import Frozen
 from ..homogenizer import SalientSpec
 from ..rng import randbelow
 from .interp import DEFAULT_STEP_LIMIT, branch_arms, compile_program, execute
@@ -124,21 +124,22 @@ def sample_uniform_grid(rng: random.Random) -> GridDraw:
         return GridDraw(width, height, walls, markers, pos, direction)
 
 
-@dataclass(frozen=True)
-class NarrowGridParams:
+class NarrowGridParams(Frozen):
     """Exact-count parameters for the narrow grid distribution."""
 
-    r_wall: float
-    r_marker: float
-    marker_dist: MarkerCountDist = MarkerCountDist.GEOM
+    __slots__ = ("r_wall", "r_marker", "marker_dist")
 
-    def __post_init__(self) -> None:
+    def __init__(self, r_wall: float, r_marker: float,
+                 marker_dist: MarkerCountDist = MarkerCountDist.GEOM) -> None:
         # A grid has at least 100 cells, so any r_wall below 1 leaves the
         # agent a free cell.
-        if not (0.0 <= self.r_wall < 1.0 and 0.0 <= self.r_marker <= 1.0):
+        if not (0.0 <= r_wall < 1.0 and 0.0 <= r_marker <= 1.0):
             raise ValueError("r_wall must be in [0, 1) and r_marker in [0, 1]")
-        if self.r_wall + self.r_marker > 1.0:
+        if r_wall + r_marker > 1.0:
             raise ValueError("r_wall + r_marker must not exceed 1")
+        object.__setattr__(self, "r_wall", r_wall)
+        object.__setattr__(self, "r_marker", r_marker)
+        object.__setattr__(self, "marker_dist", marker_dist)
 
 
 #: The narrow-distribution parameter grid used for stress evaluation:
@@ -263,17 +264,20 @@ def satisfies_action_pruning(program: KarelProgram) -> bool:
 # Tasks.
 
 
-@dataclass(frozen=True)
-class SynthesisTask:
+class SynthesisTask(Frozen):
     """A program with shown input/output pairs and one held-out pair.
 
     Every shown and held-out input executes the program without crashing,
     and the shown runs together cover every conditional arm.
     """
 
-    program: KarelProgram
-    pairs: tuple[tuple[KarelGrid, KarelGrid], ...]
-    held_out: tuple[KarelGrid, KarelGrid]
+    __slots__ = ("program", "pairs", "held_out")
+
+    def __init__(self, program: KarelProgram, pairs: tuple[tuple[KarelGrid, KarelGrid], ...],
+                 held_out: tuple[KarelGrid, KarelGrid]) -> None:
+        object.__setattr__(self, "program", program)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "held_out", held_out)
 
 
 class UncoverableProgramError(RuntimeError):

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable
-from dataclasses import dataclass
 
+from .._frozen import Frozen
 from .lang import Action, Body, Cond, If, IfElse, KarelProgram, Not, Pred, Repeat, Stmt, While
 from .world import DIR_DELTA, LEFT_OF, MAX_MARKERS, RIGHT_OF, GridDraw, KarelGrid
 
@@ -110,8 +110,7 @@ Code = Callable[[ExecResult], None]
 CondCode = Callable[[ExecResult], bool]
 
 
-@dataclass(frozen=True)
-class CompiledProgram:
+class CompiledProgram(Frozen):
     """A program translated once into nested closures.
 
     Each statement becomes a function of the run state (closure compilation,
@@ -120,8 +119,11 @@ class CompiledProgram:
     compiling; ``arms`` holds every (branch id, arm) pair the code records.
     """
 
-    code: Code
-    arms: frozenset[BranchArm]
+    __slots__ = ("code", "arms")
+
+    def __init__(self, code: Code, arms: frozenset[BranchArm]) -> None:
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "arms", arms)
 
 
 def compile_program(program: KarelProgram) -> CompiledProgram:

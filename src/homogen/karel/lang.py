@@ -22,75 +22,86 @@ per nesting level: text nested past Python's recursion limit raises
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from .._frozen import Frozen
 
 ACTIONS = ("move", "turnLeft", "turnRight", "pickMarker", "putMarker")
 PREDICATES = ("frontIsClear", "leftIsClear", "rightIsClear", "markersPresent")
 MAX_REPEAT = 19
 
 
-@dataclass(frozen=True)
-class Pred:
-    name: str
+class Pred(Frozen):
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if self.name not in PREDICATES:
-            raise ValueError(f"unknown predicate {self.name!r}")
+    def __init__(self, name: str) -> None:
+        if name not in PREDICATES:
+            raise ValueError(f"unknown predicate {name!r}")
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Not:
-    cond: "Cond"
+class Not(Frozen):
+    __slots__ = ("cond",)
+
+    def __init__(self, cond: "Cond") -> None:
+        object.__setattr__(self, "cond", cond)
 
 
 Cond = Pred | Not
 
 
-@dataclass(frozen=True)
-class Action:
-    name: str
+class Action(Frozen):
+    __slots__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if self.name not in ACTIONS:
-            raise ValueError(f"unknown action {self.name!r}")
-
-
-@dataclass(frozen=True)
-class If:
-    cond: Cond
-    body: "Body"
+    def __init__(self, name: str) -> None:
+        if name not in ACTIONS:
+            raise ValueError(f"unknown action {name!r}")
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class IfElse:
-    cond: Cond
-    then_body: "Body"
-    else_body: "Body"
+class If(Frozen):
+    __slots__ = ("cond", "body")
+
+    def __init__(self, cond: Cond, body: "Body") -> None:
+        object.__setattr__(self, "cond", cond)
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True)
-class While:
-    cond: Cond
-    body: "Body"
+class IfElse(Frozen):
+    __slots__ = ("cond", "then_body", "else_body")
+
+    def __init__(self, cond: Cond, then_body: "Body", else_body: "Body") -> None:
+        object.__setattr__(self, "cond", cond)
+        object.__setattr__(self, "then_body", then_body)
+        object.__setattr__(self, "else_body", else_body)
 
 
-@dataclass(frozen=True)
-class Repeat:
-    times: int
-    body: "Body"
+class While(Frozen):
+    __slots__ = ("cond", "body")
 
-    def __post_init__(self) -> None:
-        if not (type(self.times) is int and 0 <= self.times <= MAX_REPEAT):
+    def __init__(self, cond: Cond, body: "Body") -> None:
+        object.__setattr__(self, "cond", cond)
+        object.__setattr__(self, "body", body)
+
+
+class Repeat(Frozen):
+    __slots__ = ("times", "body")
+
+    def __init__(self, times: int, body: "Body") -> None:
+        if not (type(times) is int and 0 <= times <= MAX_REPEAT):
             raise ValueError(f"repeat count must be in 0..{MAX_REPEAT}")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "body", body)
 
 
 Stmt = Action | If | IfElse | While | Repeat
 Body = tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
-class KarelProgram:
-    body: Body
+class KarelProgram(Frozen):
+    __slots__ = ("body",)
+
+    def __init__(self, body: Body) -> None:
+        object.__setattr__(self, "body", body)
 
 
 class KarelSyntaxError(ValueError):

@@ -29,8 +29,9 @@ five-pair Karel record, so the hole stays.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Any, NamedTuple
+
+from .._frozen import Frozen
 
 MIN_SIDE = 2
 MAX_SIDE = 16
@@ -79,14 +80,22 @@ class GridDraw(NamedTuple):
     karel_dir: str
 
 
-@dataclass(frozen=True)
-class KarelGrid:
-    width: int
-    height: int
-    walls: frozenset[Cell] = frozenset()
-    markers: dict[Cell, int] = field(default_factory=dict)
-    karel_pos: Cell = (0, 0)
-    karel_dir: str = "E"
+_NO_MARKERS: dict[Cell, int] = {}  # never shared: ``__post_init__`` copies it
+
+
+class KarelGrid(Frozen):
+    __slots__ = ("width", "height", "walls", "markers", "karel_pos", "karel_dir")
+
+    def __init__(self, width: int, height: int, walls: frozenset[Cell] = frozenset(),
+                 markers: dict[Cell, int] = _NO_MARKERS, karel_pos: Cell = (0, 0),
+                 karel_dir: str = "E") -> None:
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "walls", walls)
+        object.__setattr__(self, "markers", markers)
+        object.__setattr__(self, "karel_pos", karel_pos)
+        object.__setattr__(self, "karel_dir", karel_dir)
+        self.__post_init__()  # a method of its own, so a profiler can time it alone
 
     def __post_init__(self) -> None:
         if self._passes_set_checks():

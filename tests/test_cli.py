@@ -209,6 +209,29 @@ def test_negative_step_limit_is_usage_error_and_writes_nothing(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "karel", "--pairs", "0", "--count", "2"],
+     "--pairs 0: n_pairs must be an int in 1..5 or the string 'uniform'"),
+    (["homogenize", "karel", "--var", "size", "--step-limit", "-1", "--count", "2"],
+     "--step-limit -1: step_limit must be >= 0"),
+    (["generate", "calc", "--dist", "t2t", "--max-depth", "0", "--count", "2"],
+     "--max-depth 0: max_depth must be in 1..500"),
+    (["generate", "calc", "--p", "1.5", "--count", "2"], "--p 1.5: p must be in (0, 1)"),
+    (["generate", "karel", "--grids", "narrow", "--r-wall", "1.0", "--r-marker", "0",
+      "--count", "2"],
+     "--r-wall 1.0 --r-marker 0.0: r_wall must be in [0, 1) and r_marker in [0, 1]"),
+    (["homogenize", "calc", "--var", "length", "--count", "0"],
+     "--count 0: target_size must be >= 1"),
+    (["homogenize", "calc", "--var", "length", "--max-draws", "0", "--count", "2"],
+     "--max-draws 0: max_draws must be >= 1 when given"),
+], ids=["pairs", "step-limit", "max-depth", "p", "r-wall", "count", "max-draws"])
+def test_out_of_range_source_parameter_names_its_flag(argv, message, tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv + ["--out", "k.jsonl"], capsys) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv, exit_code", [
     (["homogenize", "calc", "--var", "length", "--count", "100", "--max-draws", "50",
       "--seed", "1", "--out", "h.jsonl"], 3),
@@ -1528,6 +1551,24 @@ def test_karel_run_grid_nested_past_the_decoder_depth_is_usage_error(tmp_path, c
 
 # ---------------------------------------------------------------------------
 # console script
+
+
+def test_importing_the_cli_loads_every_traced_module_and_no_heavy_one(tmp_path):
+    # Every command pays for what ``import homogen.cli`` loads. The cost is
+    # compared by module, not by timing: ``dataclasses`` brings ``inspect``,
+    # and ``hashlib`` and ``csv`` only serve the commands that write.
+    show = "import sys; print(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    bare, loaded = (
+        set(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=env, cwd=tmp_path, check=True).stdout.split())
+        for code in (show, f"import homogen.cli; {show}")
+    )
+    added = loaded - bare
+    assert added & {"dataclasses", "inspect", "hashlib", "_hashlib", "csv"} == set()
+    traced = {"homogen.calc", "homogen.diagnostics", "homogen.homogenizer", "homogen.karel.gen",
+              "homogen.karel.world", "homogen.karel.interp", "homogen.karel.lang"}
+    assert traced <= added
 
 
 def test_installed_console_script_round_trip(tmp_path):
