@@ -1,16 +1,21 @@
 """``Frozen``, the base of homogen's immutable record classes.
 
-A subclass names its fields in ``__slots__`` and sets each one in its own
-``__init__`` through ``object.__setattr__``. ``==``, ``hash`` and ``repr``
-follow the frozen-dataclass rules, setting or deleting an attribute raises
+A subclass names its fields in ``__slots__``, and ``Frozen.__init__`` binds
+each once, by position and then by keyword. A subclass that checks its
+arguments does so in its own ``__init__`` before calling ``super().__init__``.
+The records built per Karel record or statement (``KarelGrid``, ``Pred``,
+``Action``, ``Repeat``) set their fields with ``object.__setattr__`` instead,
+as the binder doubles the cost of a two-field record and ``super()`` about
+quadruples that of a one-field one. ``==``, ``hash`` and ``repr`` follow the
+frozen-dataclass rules, assigning or deleting a field raises
 ``AttributeError``, and pickle and ``deepcopy`` rebuild a record through
-``__init__``, which checks it again. It replaces ``@dataclass(frozen=True)``,
-which cost every ``homogen`` process 13-18 ms at start to import
-``dataclasses`` (with ``inspect``, ``ast``, ``dis`` and ``tokenize``) and
-about 1 ms per class to ``exec`` its methods.
+``__init__``, which checks it again. Unlike ``@dataclass(frozen=True)``, it
+costs a process no ``dataclasses`` import and no per-class ``exec`` at start.
 """
 
 from typing import Any
+
+_set = object.__setattr__
 
 
 class Frozen:
@@ -18,6 +23,17 @@ class Frozen:
 
     def __init_subclass__(cls) -> None:
         cls.__match_args__ = cls.__slots__
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        names = self.__slots__
+        if len(args) + len(kwargs) != len(names) or (
+                kwargs and not kwargs.keys() <= set(names[len(args):])):
+            raise TypeError(f"{self.__class__.__qualname__} takes each field of {names} once, "
+                            f"not {len(args)} positional argument(s) and keywords {list(kwargs)}")
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        for name, value in kwargs.items():
+            _set(self, name, value)
 
     def _values(self) -> tuple[Any, ...]:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -46,7 +46,7 @@ class Digit(Frozen):
     def __init__(self, value: int) -> None:
         if not (type(value) is int and 0 <= value <= 9):
             raise ValueError("digit must be an int in 0..9")
-        object.__setattr__(self, "value", value)
+        super().__init__(value)
 
 
 class BinOp(tuple):
@@ -294,7 +294,7 @@ class Dcfg(Frozen):
     def __init__(self, p: float = 0.3) -> None:
         if not 0.0 < p < 1.0:
             raise ValueError("p must be in (0, 1)")
-        object.__setattr__(self, "p", p)
+        super().__init__(p)
 
 
 class T2t(Frozen):
@@ -313,8 +313,7 @@ class T2t(Frozen):
             raise ValueError(f"max_depth must be in 1..{MAX_NESTING}")
         if depth is not None and not 0 <= depth <= MAX_NESTING:
             raise ValueError(f"depth must be in 0..{MAX_NESTING} when pinned")
-        object.__setattr__(self, "max_depth", max_depth)
-        object.__setattr__(self, "depth", depth)
+        super().__init__(max_depth, depth)
 
 
 class Rcfg(Frozen):
@@ -334,8 +333,7 @@ class Rcfg(Frozen):
             raise ValueError("p must be in (0, 1)")
         if not run_lengths or any(k < 2 for k in run_lengths):
             raise ValueError("run lengths must all be >= 2")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "run_lengths", run_lengths)
+        super().__init__(p, run_lengths)
 
 
 class Bal(Frozen):
@@ -353,7 +351,7 @@ class Bal(Frozen):
                 f"depths must be in 0..{_MAX_BAL_DEPTH}; a tree of depth d has "
                 f"2^(d+1) - 1 nodes, at most {MAX_NODES}"
             )
-        object.__setattr__(self, "depths", depths)
+        super().__init__(depths)
 
 
 CalcSampler = Dcfg | T2t | Rcfg | Bal

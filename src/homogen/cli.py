@@ -485,9 +485,8 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
         }
         with outputs.open(report_json) as fp:
             fp.write(json.dumps([row], indent=2) + "\n")
-        import csv  # here, as no other command needs it
         with outputs.open(report_csv) as fp:
-            csv.writer(fp, lineterminator="\n").writerows([row.keys(), row.values()])
+            fp.write(",".join(row) + "\n" + ",".join(map(str, row.values())) + "\n")
         _write_manifest(
             outputs, out_path, argv, seed, params,
             substreams={"main": seed, "baseline": baseline_seed},
@@ -549,7 +548,7 @@ def _domain_of(path: Path, record: Any) -> Domain:
 
 def cmd_stats(args: argparse.Namespace, argv: list[str]) -> int:
     outputs = _Outputs(Path(args.out)) if args.out else None
-    variables = args.vars.split(",") if args.vars else None
+    variables = args.vars.split(",") if args.vars is not None else None
     report: dict[str, Any] = {"dataset": args.dataset, "variables": {}}
     csv_lines = ["variable,kl_to_uniform,value,count"]
     for spec, values in _dataset_columns(Path(args.dataset), variables):

@@ -21,11 +21,6 @@ class Histogram(Frozen):
 
     __slots__ = ("domain", "counts", "total")
 
-    def __init__(self, domain: tuple[Any, ...], counts: dict[Any, int], total: int) -> None:
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total", total)
-
     @classmethod
     def from_values(cls, domain: Iterable[Any], values: Iterable[Any]) -> "Histogram":
         counts = {x: 0 for x in tuple(domain)}
@@ -62,13 +57,6 @@ def kl_to_uniform(hist: Histogram) -> float:
 
 class CurvePoint(Frozen):
     __slots__ = ("epsilon", "draws_per_accept", "bound", "stderr")
-
-    def __init__(self, epsilon: float, draws_per_accept: float, bound: float,
-                 stderr: float) -> None:
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "draws_per_accept", draws_per_accept)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "stderr", stderr)
 
 
 def acceptance_curve(

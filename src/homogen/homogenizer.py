@@ -60,9 +60,7 @@ class SalientSpec(Frozen):
             raise ValueError("salient domain must be non-empty")
         if len(set(domain)) != len(domain):
             raise ValueError("salient domain contains duplicate values")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "extract", extract)
+        super().__init__(name, domain, extract)
 
 
 class CountTable:
@@ -129,10 +127,7 @@ class HomogenizerConfig(Frozen):
         if max_draws is None:
             # Fail here, not at the run's first draw, if 1/epsilon overflows.
             expected_tries_bound(epsilon)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "target_size", target_size)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "max_draws", max_draws)
+        super().__init__(epsilon, target_size, seed, max_draws)
 
     def resolved_max_draws(self) -> int:
         if self.max_draws is not None:
@@ -144,11 +139,6 @@ class HomogenizedDataset(Frozen):
     """Accepted samples plus the run's draw statistics."""
 
     __slots__ = ("items", "draws_used", "final_counts")
-
-    def __init__(self, items: tuple[Any, ...], draws_used: int, final_counts: CountTable) -> None:
-        object.__setattr__(self, "items", items)
-        object.__setattr__(self, "draws_used", draws_used)
-        object.__setattr__(self, "final_counts", final_counts)
 
 
 class HomogenizerRun:

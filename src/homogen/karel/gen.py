@@ -137,9 +137,7 @@ class NarrowGridParams(Frozen):
             raise ValueError("r_wall must be in [0, 1) and r_marker in [0, 1]")
         if r_wall + r_marker > 1.0:
             raise ValueError("r_wall + r_marker must not exceed 1")
-        object.__setattr__(self, "r_wall", r_wall)
-        object.__setattr__(self, "r_marker", r_marker)
-        object.__setattr__(self, "marker_dist", marker_dist)
+        super().__init__(r_wall, r_marker, marker_dist)
 
 
 #: The narrow-distribution parameter grid used for stress evaluation:
@@ -273,12 +271,6 @@ class SynthesisTask(Frozen):
 
     __slots__ = ("program", "pairs", "held_out")
 
-    def __init__(self, program: KarelProgram, pairs: tuple[tuple[KarelGrid, KarelGrid], ...],
-                 held_out: tuple[KarelGrid, KarelGrid]) -> None:
-        object.__setattr__(self, "program", program)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "held_out", held_out)
-
 
 class UncoverableProgramError(RuntimeError):
     """Grid resampling could not produce a valid task for the program."""
@@ -297,7 +289,9 @@ class UncoverableProgramError(RuntimeError):
         self.missing_arm_counts = missing_arm_counts
 
 
-def _check_step_limit(step_limit: int) -> None:
+def _check_limits(retry_limit: int, step_limit: int) -> None:
+    if not (type(retry_limit) is int and retry_limit >= 1):
+        raise ValueError("retry_limit must be an int >= 1")
     if step_limit < 0:
         raise ValueError("step_limit must be >= 0")
 
@@ -321,11 +315,9 @@ def make_task(
     task's ``n_pairs + 1`` inputs and their outputs are built, as validated
     ``KarelGrid`` objects.
     """
-    if not 1 <= n_pairs <= 5:
-        raise ValueError("n_pairs must be in 1..5")
-    if retry_limit < 1:
-        raise ValueError("retry_limit must be >= 1")
-    _check_step_limit(step_limit)
+    if not (type(n_pairs) is int and 1 <= n_pairs <= 5):
+        raise ValueError("n_pairs must be an int in 1..5")
+    _check_limits(retry_limit, step_limit)
     compiled = compile_program(program)
     required = branch_arms(compiled)
     crash_counts: Counter[str] = Counter()
@@ -468,9 +460,9 @@ def task_source(
     instead of spinning, with how many of those programs the filter rejected
     and the crash reasons summed over the uncoverable ones.
     """
-    if n_pairs != "uniform" and n_pairs not in range(1, 6):
+    if n_pairs != "uniform" and not (type(n_pairs) is int and 1 <= n_pairs <= 5):
         raise ValueError("n_pairs must be an int in 1..5 or the string 'uniform'")
-    _check_step_limit(step_limit)
+    _check_limits(retry_limit, step_limit)
 
     def draw(rng: random.Random) -> SynthesisTask:
         filtered = 0

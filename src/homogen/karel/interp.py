@@ -121,10 +121,6 @@ class CompiledProgram(Frozen):
 
     __slots__ = ("code", "arms")
 
-    def __init__(self, code: Code, arms: frozenset[BranchArm]) -> None:
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "arms", arms)
-
 
 def compile_program(program: KarelProgram) -> CompiledProgram:
     arms: list[BranchArm] = []

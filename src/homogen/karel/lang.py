@@ -42,9 +42,6 @@ class Pred(Frozen):
 class Not(Frozen):
     __slots__ = ("cond",)
 
-    def __init__(self, cond: "Cond") -> None:
-        object.__setattr__(self, "cond", cond)
-
 
 Cond = Pred | Not
 
@@ -61,26 +58,13 @@ class Action(Frozen):
 class If(Frozen):
     __slots__ = ("cond", "body")
 
-    def __init__(self, cond: Cond, body: "Body") -> None:
-        object.__setattr__(self, "cond", cond)
-        object.__setattr__(self, "body", body)
-
 
 class IfElse(Frozen):
     __slots__ = ("cond", "then_body", "else_body")
 
-    def __init__(self, cond: Cond, then_body: "Body", else_body: "Body") -> None:
-        object.__setattr__(self, "cond", cond)
-        object.__setattr__(self, "then_body", then_body)
-        object.__setattr__(self, "else_body", else_body)
-
 
 class While(Frozen):
     __slots__ = ("cond", "body")
-
-    def __init__(self, cond: Cond, body: "Body") -> None:
-        object.__setattr__(self, "cond", cond)
-        object.__setattr__(self, "body", body)
 
 
 class Repeat(Frozen):
@@ -99,9 +83,6 @@ Body = tuple[Stmt, ...]
 
 class KarelProgram(Frozen):
     __slots__ = ("body",)
-
-    def __init__(self, body: Body) -> None:
-        object.__setattr__(self, "body", body)
 
 
 class KarelSyntaxError(ValueError):

@@ -1376,9 +1376,10 @@ def test_stats_unknown_variable_is_usage_error(tmp_path, monkeypatch, capsys):
 def test_stats_empty_variable_name_is_named(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     run_cli(["generate", "calc", "--count", "5", "--seed", "1", "--out", "c.jsonl"], capsys)
-    code, _, err = run_cli(["stats", "c.jsonl", "--vars", "length,"], capsys)
-    assert code == 2
-    assert err.startswith("error: unknown calc variable(s) ''; choose from ")
+    for names in ("length,", ""):
+        code, _, err = run_cli(["stats", "c.jsonl", "--vars", names], capsys)
+        assert code == 2
+        assert err.startswith("error: unknown calc variable(s) ''; choose from ")
 
 
 def test_stats_repeated_variable_is_named(tmp_path, monkeypatch, capsys):
@@ -1556,7 +1557,7 @@ def test_karel_run_grid_nested_past_the_decoder_depth_is_usage_error(tmp_path, c
 def test_importing_the_cli_loads_every_traced_module_and_no_heavy_one(tmp_path):
     # Every command pays for what ``import homogen.cli`` loads. The cost is
     # compared by module, not by timing: ``dataclasses`` brings ``inspect``,
-    # and ``hashlib`` and ``csv`` only serve the commands that write.
+    # ``hashlib`` only serves the commands that write, and none needs ``csv``.
     show = "import sys; print(' '.join(sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     bare, loaded = (

@@ -569,19 +569,35 @@ def test_task_assembly_validates_only_the_grids_it_keeps(monkeypatch):
     assert counts["validate"] == before
 
 
+# Arguments that neither make_task nor task_source may accept. Counts must be
+# exact ints: True, 2.0 and 2.5 compare like numbers but cannot count draws.
+_BAD_ASSEMBLY_ARGS = [
+    ({"n_pairs": 0}, "n_pairs"), ({"n_pairs": 6}, "n_pairs"),
+    ({"n_pairs": True}, "n_pairs"), ({"n_pairs": 2.0}, "n_pairs"),
+    ({"retry_limit": 0}, "retry_limit"), ({"retry_limit": 2.5}, "retry_limit"),
+    ({"retry_limit": 2.0}, "retry_limit"), ({"retry_limit": True}, "retry_limit"),
+    ({"step_limit": -1}, "step_limit"),
+]
+
+
+def _unusable_grid_sampler(rng):
+    raise AssertionError("a rejected argument must stop assembly before any draw")
+
+
 def test_make_task_argument_validation():
     program = parse_program("def main(): turnLeft()")
-    with pytest.raises(ValueError):
-        make_task(program, sample_uniform_grid, random.Random(0), n_pairs=0)
-    with pytest.raises(ValueError):
-        make_task(program, sample_uniform_grid, random.Random(0), n_pairs=6)
-    with pytest.raises(ValueError):
-        make_task(program, sample_uniform_grid, random.Random(0), retry_limit=0)
-    rng = random.Random(0)
-    state = rng.getstate()
-    with pytest.raises(ValueError, match="step_limit"):
-        make_task(program, sample_uniform_grid, rng, step_limit=-1)
-    assert rng.getstate() == state  # rejected before any grid is drawn
+    for kwargs, name in _BAD_ASSEMBLY_ARGS:
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            make_task(program, _unusable_grid_sampler, rng, **kwargs)
+        assert rng.getstate() == state  # rejected before any grid is drawn
+
+
+def test_task_source_argument_validation():
+    for kwargs, name in _BAD_ASSEMBLY_ARGS:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            task_source(_unusable_grid_sampler, **kwargs)
 
 
 # ---------------------------------------------------------------------------

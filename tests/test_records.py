@@ -347,6 +347,42 @@ def test_unpickling_rebuilds_through_the_constructor():
     assert copied.markers == _GRID.markers and copied.markers is not _GRID.markers
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_record_class_is_a_case():
+    import homogen.cli  # noqa: F401  (loads every homogen module)
+
+    defined = {cls for cls in _subclasses(Frozen) if cls.__module__.startswith("homogen.")}
+    assert defined == {case[0] for case in CASES}
+
+
+@pytest.mark.parametrize("cls, first, second", [
+    (If, ("cond", Pred("frontIsClear")), ("body", ())),
+    (Repeat, ("times", 2), ("body", ())),
+], ids=["If", "Repeat"])
+def test_wrong_arity_calls_raise_type_error(cls, first, second):
+    # ``If`` binds its fields through ``Frozen.__init__``, ``Repeat``
+    # through its own.
+    (a, va), (b, vb) = first, second
+    assert cls(va, **{b: vb}) == cls(**{a: va, b: vb})
+    calls = [
+        ((va, vb, vb), {}),  # too many positional arguments
+        ((va, vb), {"extra": 1}),  # an unknown keyword
+        ((va, vb), {a: va}),  # a field given twice
+        ((va,), {a: va, b: vb}),
+        ((va,), {}),  # a missing field
+        ((), {b: vb}),
+        ((), {}),
+    ]
+    for args, kwargs in calls:
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(*args, **kwargs)
+
+
 def test_sampler_reprs_are_pinned():
     # The manifest of every calc run holds its sampler's repr.
     assert repr(calc.Dcfg()) == "Dcfg(p=0.3)"
