@@ -44,9 +44,10 @@ from pathlib import Path
 from typing import Any, NamedTuple, TextIO
 
 from . import __version__, calc
-from .diagnostics import Histogram, kl_to_uniform
+from .diagnostics import kl_to_uniform
 from .homogenizer import (
     BudgetExhaustedError,
+    CountTable,
     DomainViolationError,
     HomogenizerConfig,
     HomogenizerRun,
@@ -458,18 +459,17 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
     measured = domain.measured(sampler, base.name)
     spec = SalientSpec(base.name, base.domain, itemgetter(1))
     run = HomogenizerRun(measured, spec, config)
-    after_values = []
+    before, after = CountTable(spec.domain), CountTable(spec.domain)
     baseline_seed = seed + BASELINE_SEED_OFFSET
     with outputs:
         with domain.draw_errors(sampler):
             with outputs.open(out_path) as fp:
                 for item, value in run:
                     fp.write(domain.to_line(item))
-                    after_values.append(value)
+                    after.increment(value)
             baseline_rng = random.Random(baseline_seed)
-            baseline_values = [measured(baseline_rng)[1] for _ in range(args.count)]
-        before = Histogram.from_values(spec.domain, baseline_values)
-        after = Histogram.from_values(spec.domain, after_values)
+            for _ in range(args.count):
+                before.increment(measured(baseline_rng)[1])
         kl_before = kl_to_uniform(before)
         kl_after = kl_to_uniform(after)
         reduction = 100.0 * (1.0 - kl_after / kl_before) if kl_before > 0 else 0.0
@@ -498,11 +498,14 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
     return EXIT_OK
 
 
-def _dataset_columns(path: Path, variables: list[str] | None) -> list[tuple[SalientSpec, list]]:
+def _dataset_columns(
+    path: Path, variables: list[str] | None
+) -> list[tuple[SalientSpec, CountTable]]:
     """Recognise the dataset's domain by its first record, then validate and
-    measure each record once, keeping only the chosen salient values.
+    measure each record once, counting each chosen salient value into its
+    variable's table as the record is read; no record's values are kept.
     """
-    columns: list[tuple[SalientSpec, list]] | None = None
+    tables: list[tuple[SalientSpec, CountTable]] | None = None
     try:
         with path.open("r", encoding="utf-8") as fp:
             for lineno, line in enumerate(fp, start=1):
@@ -516,10 +519,11 @@ def _dataset_columns(path: Path, variables: list[str] | None) -> list[tuple[Sali
                     raise UsageError(
                         f"{path}: line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})"
                     ) from None
-                if columns is None:
+                if tables is None:
                     domain = _domain_of(path, record)
                     names = variables or sorted(domain.salient_specs())
-                    columns = [(spec, []) for spec in _salient_specs(domain, names)]
+                    tables = [(spec, CountTable(spec.domain))
+                               for spec in _salient_specs(domain, names)]
                 try:
                     if not isinstance(record, dict):
                         raise TypeError("not a JSON object")
@@ -530,13 +534,15 @@ def _dataset_columns(path: Path, variables: list[str] | None) -> list[tuple[Sali
                     ) from None
                 except (TypeError, ValueError, RecursionError) as exc:
                     raise UsageError(f"{path}: line {lineno}: bad record ({exc})") from None
-                for spec, column in columns:
-                    column.append(values[spec.name])
+                # Outside the try: a measured value off its domain is a
+                # fault of the program, not of the record.
+                for spec, table in tables:
+                    table.increment(values[spec.name])
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
-    if columns is None:
+    if tables is None:
         raise UsageError(f"{path}: empty dataset")
-    return columns
+    return tables
 
 
 def _domain_of(path: Path, record: Any) -> Domain:
@@ -551,12 +557,11 @@ def cmd_stats(args: argparse.Namespace, argv: list[str]) -> int:
     variables = args.vars.split(",") if args.vars is not None else None
     report: dict[str, Any] = {"dataset": args.dataset, "variables": {}}
     csv_lines = ["variable,kl_to_uniform,value,count"]
-    for spec, values in _dataset_columns(Path(args.dataset), variables):
-        histogram = Histogram.from_values(spec.domain, values)
-        kl = kl_to_uniform(histogram)
-        nonzero = {str(v): c for v, c in histogram.counts.items() if c}
+    for spec, table in _dataset_columns(Path(args.dataset), variables):
+        kl = kl_to_uniform(table)
+        nonzero = {str(v): c for v, c in table.counts.items() if c}
         report["variables"][spec.name] = {
-            "count": histogram.total,
+            "count": table.total,
             "kl_to_uniform": kl,
             "histogram": nonzero,
         }

@@ -1,8 +1,8 @@
 """Uniformity measurements and sampling-cost curves for homogenized data.
 
-KL divergences are in nats. ``kl_to_uniform`` compares an empirical
-histogram against the uniform distribution over its declared domain, so the
-value is ``log(K) - H(P)`` for a ``K``-value domain.
+KL divergences are in nats. ``kl_to_uniform`` compares the counts of any
+table over a declared domain, a ``Histogram`` or a ``CountTable`` filled as
+values arrive, with uniform over that domain: ``log(K) - H(P)`` for ``K`` values.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
 from ._frozen import Frozen
-from .homogenizer import HomogenizerConfig, SalientSpec, expected_tries_bound, homogenize
+from .homogenizer import (
+    CountTable, HomogenizerConfig, SalientSpec, expected_tries_bound, homogenize,
+)
 
 
 class Histogram(Frozen):
@@ -23,33 +25,25 @@ class Histogram(Frozen):
 
     @classmethod
     def from_values(cls, domain: Iterable[Any], values: Iterable[Any]) -> "Histogram":
-        counts = {x: 0 for x in tuple(domain)}
-        if not counts:
-            raise ValueError("histogram domain must be non-empty")
-        total = 0
+        table = CountTable(domain)
         for v in values:
-            try:
-                counts[v] += 1
-            except KeyError:
-                raise ValueError(f"value {v!r} is outside the histogram domain") from None
-            total += 1
-        return cls(domain=tuple(counts), counts=counts, total=total)
+            table.increment(v)
+        return cls(domain=tuple(table.counts), counts=table.counts, total=table.total)
 
 
-def kl_to_uniform(hist: Histogram) -> float:
-    """KL divergence from the histogram's frequencies to uniform, in nats.
+def kl_to_uniform(table: Histogram | CountTable) -> float:
+    """KL divergence from a count table's frequencies to uniform, in nats.
 
-    Zero-count bins contribute nothing; the result is always >= 0 and is 0
-    exactly when every bin is equally full.
+    ``table.counts`` holds every domain value's count, in domain order. Zero
+    bins add nothing; the result is >= 0, and 0 exactly when all bins are equal.
     """
-    if hist.total <= 0:
+    if table.total <= 0:
         raise ValueError("cannot measure an empty histogram")
-    k = len(hist.domain)
+    k = len(table.counts)
     acc = 0.0
-    for value in hist.domain:
-        c = hist.counts.get(value, 0)
+    for c in table.counts.values():
         if c:
-            p = c / hist.total
+            p = c / table.total
             acc += p * math.log(p * k)
     # Guard against float dust just below zero for perfectly uniform counts.
     return max(acc, 0.0)

@@ -104,7 +104,8 @@ class CountTable:
 class HomogenizerConfig(Frozen):
     """Knobs for one homogenization run.
 
-    ``max_draws`` bounds the source draws; None picks
+    ``target_size`` and ``max_draws`` are exact ints (no bool or float);
+    ``max_draws`` bounds the source draws, and None picks
     ``target_size * ceil(1 + 1/epsilon) * 20``, twenty times the expected
     need. An ``epsilon == 0`` run has no expected need and must set it.
     """
@@ -115,9 +116,9 @@ class HomogenizerConfig(Frozen):
                  max_draws: int | None = None) -> None:
         if not (math.isfinite(epsilon) and epsilon >= 0):
             raise ValueError(f"epsilon must be finite and >= 0, not {epsilon}")
-        if target_size < 1:
+        if not (type(target_size) is int and target_size >= 1):
             raise ValueError("target_size must be >= 1")
-        if max_draws is not None and max_draws < 1:
+        if max_draws is not None and not (type(max_draws) is int and max_draws >= 1):
             raise ValueError("max_draws must be >= 1 when given")
         if epsilon == 0 and max_draws is None:
             raise ValueError(

@@ -292,7 +292,7 @@ class UncoverableProgramError(RuntimeError):
 def _check_limits(retry_limit: int, step_limit: int) -> None:
     if not (type(retry_limit) is int and retry_limit >= 1):
         raise ValueError("retry_limit must be an int >= 1")
-    if step_limit < 0:
+    if not (type(step_limit) is int and step_limit >= 0):
         raise ValueError("step_limit must be >= 0")
 
 

@@ -313,7 +313,7 @@ def execute(
     A caller running one program on many grids passes the
     :func:`compile_program` result to compile it only once.
     """
-    if step_limit < 0:
+    if not (type(step_limit) is int and step_limit >= 0):
         raise ValueError("step_limit must be >= 0")
     code = _compiled(program).code
     run = ExecResult(grid, step_limit)

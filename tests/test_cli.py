@@ -18,6 +18,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -1042,6 +1043,16 @@ def test_homogenize_lets_a_domain_violation_through(tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+def test_stats_lets_a_domain_violation_through(tmp_path, monkeypatch, capsys):
+    # As for homogenize: a measured value off its domain is a fault of the
+    # program, so it is not reported as a bad record.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.jsonl").write_text('{"expr":"1+2","label":3}\n')
+    monkeypatch.setattr(calc, "calc_salients", lambda text: {"length": 999})
+    with pytest.raises(DomainViolationError, match="999"):
+        cli.main(["stats", "c.jsonl", "--vars", "length"])
+
+
 def test_homogenize_calc_makes_at_most_three_wrapper_calls_per_draw(
     tmp_path, monkeypatch, capsys
 ):
@@ -1120,6 +1131,29 @@ def test_stats_defaults_to_all_variables_per_domain(tmp_path, monkeypatch, capsy
         "number_of_grids", "size", "control_flow_count", "nesting_depth",
         "marker_ratio_decile", "wall_ratio_decile",
     }
+
+
+def test_stats_memory_does_not_grow_with_the_dataset(tmp_path, monkeypatch, capsys):
+    # stats counts each value as its record is read and keeps no record's
+    # values, so ten times the records must not raise its traced peak.
+    monkeypatch.chdir(tmp_path)
+    run_cli(["generate", "calc", "--count", "20000", "--seed", "1", "--out", "all.jsonl"],
+            capsys)
+    with open("all.jsonl", encoding="utf-8") as src, open("head.jsonl", "w", encoding="utf-8") as head:
+        head.writelines(line for _, line in zip(range(2000), src))
+    # A first, untraced run pays the one-time costs, such as lazy imports.
+    assert run_cli(["stats", "head.jsonl"], capsys)[0] == 0
+    peaks = []
+    for name in ("head.jsonl", "all.jsonl"):
+        tracemalloc.start()
+        try:
+            code = cli.main(["stats", name])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        capsys.readouterr()
+    assert peaks[1] - peaks[0] < 64 * 1024, peaks
 
 
 def test_stats_corrupt_line_reports_line_number(tmp_path, monkeypatch, capsys):
@@ -1265,7 +1299,7 @@ def test_reading_a_dataset_creates_no_reference_cycles(domain, tmp_path, monkeyp
         gc.collect()
         columns = cli._dataset_columns(Path("d.jsonl"), None)
         assert gc.collect() == 0
-    assert all(len(values) == 40 for _, values in columns)
+    assert all(table.total == 40 for _, table in columns)
 
 
 @pytest.mark.parametrize("command", [

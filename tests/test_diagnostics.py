@@ -8,6 +8,7 @@ from homogen.diagnostics import (
     acceptance_curve,
     kl_to_uniform,
 )
+from homogen.homogenizer import CountTable
 
 from test_homogenizer import identity_spec, weighted_source
 
@@ -49,6 +50,26 @@ def test_kl_is_permutation_invariant_and_nonnegative():
 def test_kl_rejects_empty_histogram():
     with pytest.raises(ValueError):
         kl_to_uniform(hist({0: 0, 1: 0}))
+
+
+def test_kl_reads_a_count_table_as_it_reads_a_histogram():
+    # The CLI counts values into a CountTable as they arrive, so its reports
+    # must keep, to the last bit, the float a Histogram of the same values
+    # gives. Some domain values stay unseen, and the table counts the values
+    # in an order of its own.
+    rng = random.Random(26)
+    for domain in (range(2), range(7), "abcde", range(40, 0, -3), (None, 1.5, "x", (0, 1))):
+        domain = tuple(domain)
+        for _ in range(40):
+            seen = rng.sample(domain, rng.randint(1, len(domain)))
+            weights = [rng.random() for _ in seen]
+            values = rng.choices(seen, weights, k=rng.randint(1, 300))
+            table = CountTable(domain)
+            for value in rng.sample(values, len(values)):
+                table.increment(value)
+            expected = kl_to_uniform(Histogram.from_values(domain, values))
+            assert kl_to_uniform(table) == expected
+            assert kl_to_uniform(hist({v: values.count(v) for v in domain})) == expected
 
 
 def test_histogram_from_values_and_domain_check():

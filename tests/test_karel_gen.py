@@ -576,7 +576,8 @@ _BAD_ASSEMBLY_ARGS = [
     ({"n_pairs": True}, "n_pairs"), ({"n_pairs": 2.0}, "n_pairs"),
     ({"retry_limit": 0}, "retry_limit"), ({"retry_limit": 2.5}, "retry_limit"),
     ({"retry_limit": 2.0}, "retry_limit"), ({"retry_limit": True}, "retry_limit"),
-    ({"step_limit": -1}, "step_limit"),
+    ({"step_limit": -1}, "step_limit"), ({"step_limit": 2.5}, "step_limit"),
+    ({"step_limit": True}, "step_limit"),
 ]
 
 

@@ -300,8 +300,10 @@ def test_execution_is_deterministic():
 
 
 def test_step_limit_validation():
-    with pytest.raises(ValueError):
-        execute(KarelProgram((Action("move"),)), open_grid(), step_limit=-1)
+    # The limit counts steps, so it is an exact int: 2.5 and True are refused.
+    for step_limit in (-1, 2.5, True):
+        with pytest.raises(ValueError, match="^step_limit must be"):
+            execute(KarelProgram((Action("move"),)), open_grid(), step_limit=step_limit)
 
 
 # ---------------------------------------------------------------------------

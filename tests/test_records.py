@@ -85,9 +85,9 @@ def _spec_check(self):
 def _config_check(self):
     if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
         raise ValueError(f"epsilon must be finite and >= 0, not {self.epsilon}")
-    if self.target_size < 1:
+    if not (type(self.target_size) is int and self.target_size >= 1):
         raise ValueError("target_size must be >= 1")
-    if self.max_draws is not None and self.max_draws < 1:
+    if self.max_draws is not None and not (type(self.max_draws) is int and self.max_draws >= 1):
         raise ValueError("max_draws must be >= 1 when given")
     if self.epsilon == 0 and self.max_draws is None:
         raise ValueError(
@@ -180,7 +180,9 @@ CASES: list[tuple[type, list, Any, list[dict], list[dict]]] = [
       {"epsilon": 0.0, "target_size": 1}, {"epsilon": 1e-320, "target_size": 1},
       {"epsilon": math.nan, "target_size": 0, "max_draws": 0},
       {"epsilon": 0.1, "target_size": 0, "max_draws": 0},
-      {"epsilon": 0.0, "target_size": 1, "max_draws": 0}]),
+      {"epsilon": 0.0, "target_size": 1, "max_draws": 0},
+      {"epsilon": 0.1, "target_size": 2.5}, {"epsilon": 0.1, "target_size": True},
+      {"epsilon": 0.1, "target_size": 1, "max_draws": 10.5}]),
     (HomogenizedDataset, [("items", tuple), ("draws_used", int), ("final_counts", Any)], None,
      [{"items": (1, 2), "draws_used": 4, "final_counts": CountTable((1, 2))},
       {"items": (), "draws_used": 0, "final_counts": CountTable(("a",))}],
