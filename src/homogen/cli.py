@@ -319,7 +319,7 @@ def _karel_sampler(args: argparse.Namespace) -> tuple[Source, dict[str, Any]]:
         grid_sampler,
         n_pairs=pairs,
         step_limit=args.step_limit,
-        program_filter=karel_gen.satisfies_action_pruning if args.classic_prune else None,
+        classic_prune=args.classic_prune,
     )
     return source, params
 

@@ -1,15 +1,16 @@
 """Uniformity measurements and sampling-cost curves for homogenized data.
 
-KL divergences are in nats. ``kl_to_uniform`` compares the counts of any
-table over a declared domain, a ``Histogram`` or a ``CountTable`` filled as
-values arrive, with uniform over that domain: ``log(K) - H(P)`` for ``K`` values.
+KL divergences are in nats. ``kl_to_uniform`` compares the counts of a
+``CountTable`` with uniform over its domain: ``log(K) - H(P)`` for ``K``
+values. ``Histogram`` is another name for ``CountTable``, kept for the
+benchmark's ``diagnostics.from_values`` span and the acceptance suite.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from typing import Any
 
 from ._frozen import Frozen
@@ -17,21 +18,10 @@ from .homogenizer import (
     CountTable, HomogenizerConfig, SalientSpec, expected_tries_bound, homogenize,
 )
 
-
-class Histogram(Frozen):
-    """Counts over a fixed finite domain; unseen values are kept at zero."""
-
-    __slots__ = ("domain", "counts", "total")
-
-    @classmethod
-    def from_values(cls, domain: Iterable[Any], values: Iterable[Any]) -> "Histogram":
-        table = CountTable(domain)
-        for v in values:
-            table.increment(v)
-        return cls(domain=tuple(table.counts), counts=table.counts, total=table.total)
+Histogram = CountTable
 
 
-def kl_to_uniform(table: Histogram | CountTable) -> float:
+def kl_to_uniform(table: CountTable) -> float:
     """KL divergence from a count table's frequencies to uniform, in nats.
 
     ``table.counts`` holds every domain value's count, in domain order. Zero

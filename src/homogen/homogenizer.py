@@ -64,7 +64,7 @@ class SalientSpec(Frozen):
 
 
 class CountTable:
-    """Running counts of salient values over every source draw.
+    """Counts of values over a declared domain, in domain order, unseen ones at zero.
 
     ``min_count`` is maintained incrementally, so the acceptance
     probability stays O(1) per draw even for large domains.
@@ -80,11 +80,19 @@ class CountTable:
         self.min_count = 0
         self._n_at_min = len(self.counts)
 
+    @classmethod
+    def from_values(cls, domain: Iterable[Any], values: Iterable[Any]) -> "CountTable":
+        """A table over ``domain`` with each of ``values`` counted."""
+        table = cls(domain)
+        for v in values:
+            table.increment(v)
+        return table
+
     def increment(self, value: Any) -> int:
         """Count one draw of ``value`` and return its new count."""
         try:
             old = self.counts[value]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable value
             raise DomainViolationError(f"value {value!r} is outside the declared domain") from None
         self.counts[value] = old + 1
         self.total += 1
@@ -160,10 +168,13 @@ class HomogenizerRun:
         self.spec = spec
         self.config = config
         self.counts = CountTable(spec.domain)
-        self.draws_used = 0
         self.accepted = 0
         self._rng = random.Random(config.seed)
         self._started = False
+
+    @property
+    def draws_used(self) -> int:
+        return self.counts.total  # every source draw, rejected ones included
 
     def __iter__(self) -> Iterator[Any]:
         if self._started:
@@ -184,17 +195,16 @@ class HomogenizerRun:
 
         try:
             while self.accepted < target:
-                if self.draws_used >= cap:
+                if counts.total >= cap:
                     raise BudgetExhaustedError(
-                        f"used {self.draws_used} draws but accepted only "
+                        f"used {counts.total} draws but accepted only "
                         f"{self.accepted} of {target} samples",
-                        draws_used=self.draws_used,
+                        draws_used=counts.total,
                         accepted=self.accepted,
                         counts=counts,
                     )
                 sample = source(rng)
                 count = increment(extract(sample))
-                self.draws_used += 1
                 # The formula's inputs are valid by construction: the config
                 # checked epsilon >= 0, and the value was just counted, so
                 # total >= count >= max(1, min_count) and 0 <= keep <= 1.
@@ -221,7 +231,7 @@ def homogenize(
     """
     run = HomogenizerRun(source, spec, config)
     items = tuple(run)
-    return HomogenizedDataset(items=items, draws_used=run.draws_used, final_counts=run.counts)
+    return HomogenizedDataset(items=items, draws_used=run.counts.total, final_counts=run.counts)
 
 
 def expected_tries_bound(epsilon: float) -> float:

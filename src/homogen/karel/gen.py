@@ -189,6 +189,9 @@ _NEGATE_P = 0.2  # chance a condition gets wrapped in not()
 _TOKEN_CAP = 60
 
 _MAX_PROGRAM_ATTEMPTS = 100
+# Grid batches per program in a task stream: below make_task's default, so a
+# hard-to-exercise program is replaced instead of eating the grid budget.
+_RETRY_LIMIT = 400
 
 
 class _Oversize(Exception):
@@ -289,13 +292,6 @@ class UncoverableProgramError(RuntimeError):
         self.missing_arm_counts = missing_arm_counts
 
 
-def _check_limits(retry_limit: int, step_limit: int) -> None:
-    if not (type(retry_limit) is int and retry_limit >= 1):
-        raise ValueError("retry_limit must be an int >= 1")
-    if not (type(step_limit) is int and step_limit >= 0):
-        raise ValueError("step_limit must be >= 0")
-
-
 def make_task(
     program: KarelProgram,
     grid_sampler: GridSampler,
@@ -317,7 +313,10 @@ def make_task(
     """
     if not (type(n_pairs) is int and 1 <= n_pairs <= 5):
         raise ValueError("n_pairs must be an int in 1..5")
-    _check_limits(retry_limit, step_limit)
+    if not (type(retry_limit) is int and retry_limit >= 1):
+        raise ValueError("retry_limit must be an int >= 1")
+    if not (type(step_limit) is int and step_limit >= 0):
+        raise ValueError("step_limit must be >= 0")
     compiled = compile_program(program)
     required = branch_arms(compiled)
     crash_counts: Counter[str] = Counter()
@@ -444,32 +443,31 @@ class GenerationStallError(RuntimeError):
 def task_source(
     grid_sampler: GridSampler,
     n_pairs: int | str = 5,
-    retry_limit: int = 400,
     step_limit: int = DEFAULT_STEP_LIMIT,
-    program_filter: Callable[[KarelProgram], bool] | None = None,
+    classic_prune: bool = False,
 ) -> Callable[[random.Random], SynthesisTask]:
     """A task-per-call sampler suitable for generation and homogenization.
 
-    Each call samples a program (redrawing any the optional filter rejects),
-    picks the pair count (uniform over 1..5 when ``n_pairs`` is the string
-    ``"uniform"``), and assembles a task; programs that turn out uncoverable
-    are dropped and redrawn. The stream's ``retry_limit`` is deliberately
-    lower than :func:`make_task`'s default so hard-to-exercise programs get
-    replaced instead of eating the grid budget. After
-    ``_MAX_PROGRAM_ATTEMPTS`` consecutive failures the stream reports a stall
-    instead of spinning, with how many of those programs the filter rejected
-    and the crash reasons summed over the uncoverable ones.
+    Each call samples a program (redrawing any that fails
+    :func:`satisfies_action_pruning` when ``classic_prune`` is set), picks
+    the pair count (uniform over 1..5 when ``n_pairs`` is the string
+    ``"uniform"``), and assembles a task with ``_RETRY_LIMIT`` grid
+    batches; programs that turn out uncoverable are dropped and redrawn.
+    After ``_MAX_PROGRAM_ATTEMPTS`` consecutive failures the stream reports
+    a stall instead of spinning, with how many of those programs the filter
+    rejected and the crash reasons summed over the uncoverable ones.
     """
     if n_pairs != "uniform" and not (type(n_pairs) is int and 1 <= n_pairs <= 5):
         raise ValueError("n_pairs must be an int in 1..5 or the string 'uniform'")
-    _check_limits(retry_limit, step_limit)
+    if not (type(step_limit) is int and step_limit >= 0):
+        raise ValueError("step_limit must be >= 0")
 
     def draw(rng: random.Random) -> SynthesisTask:
         filtered = 0
         crash_counts: Counter[str] = Counter()
         for _ in range(_MAX_PROGRAM_ATTEMPTS):
             program = sample_program(rng)
-            if program_filter is not None and not program_filter(program):
+            if classic_prune and not satisfies_action_pruning(program):
                 filtered += 1
                 continue
             pairs = rng.randint(1, 5) if n_pairs == "uniform" else n_pairs
@@ -479,7 +477,7 @@ def task_source(
                     grid_sampler,
                     rng,
                     n_pairs=pairs,
-                    retry_limit=retry_limit,
+                    retry_limit=_RETRY_LIMIT,
                     step_limit=step_limit,
                 )
             except UncoverableProgramError as exc:

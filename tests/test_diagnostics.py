@@ -14,7 +14,7 @@ from test_homogenizer import identity_spec, weighted_source
 
 
 def hist(counts: dict) -> Histogram:
-    return Histogram(domain=tuple(counts), counts=dict(counts), total=sum(counts.values()))
+    return Histogram.from_values(counts, [v for v, c in counts.items() for _ in range(c)])
 
 
 def test_kl_of_uniform_counts_is_zero():
@@ -80,6 +80,20 @@ def test_histogram_from_values_and_domain_check():
         Histogram.from_values((0, 1), [5])
     with pytest.raises(ValueError):
         Histogram.from_values((), [])
+
+
+def test_histogram_is_a_count_table_whose_total_is_its_counts_sum():
+    # A table is built only from values, so its total cannot disagree with
+    # its counts: a total of 5 over counts {0: 1, 1: 1} once measured as 0.0.
+    with pytest.raises(TypeError):
+        Histogram(domain=(0, 1), counts={0: 1, 1: 1}, total=5)
+    rng = random.Random(27)
+    for _ in range(50):
+        domain = tuple(range(rng.randint(1, 8)))
+        h = Histogram.from_values(domain, rng.choices(domain, k=rng.randint(0, 40)))
+        assert type(h) is CountTable
+        assert tuple(h.counts) == domain
+        assert h.total == sum(h.counts.values())
 
 
 def test_acceptance_curve_huge_epsilon_costs_one_draw():

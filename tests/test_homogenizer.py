@@ -279,6 +279,44 @@ def test_extractor_outside_domain_raises():
         homogenize(lambda rng: 0, spec, config)
 
 
+def test_unhashable_salient_value_is_a_domain_violation():
+    table = CountTable((0, 1))
+    with pytest.raises(DomainViolationError, match=r"value \[0\] is outside"):
+        table.increment([0])
+    assert table.total == 0
+    spec = SalientSpec(name="boxed", domain=(0, 1), extract=lambda s: [s])
+    config = HomogenizerConfig(epsilon=0.1, target_size=10, seed=1)
+    with pytest.raises(DomainViolationError, match=r"^salient 'boxed': value \[0\]"):
+        homogenize(lambda rng: 0, spec, config)
+
+
+def test_draws_used_is_the_count_tables_total_when_a_run_stops_early():
+    calls = 0
+
+    def source(rng):
+        nonlocal calls
+        calls += 1
+        return 2 if calls == 30 else rng.randrange(2)
+
+    spec = identity_spec("value", (0, 1))
+    # The budget stops the run before the 30th draw: every draw was counted.
+    run = HomogenizerRun(source, spec, HomogenizerConfig(
+        epsilon=0.1, target_size=10_000, seed=5, max_draws=29))
+    with pytest.raises(BudgetExhaustedError) as excinfo:
+        list(run)
+    assert calls == 29
+    assert run.draws_used == run.counts.total == excinfo.value.draws_used == 29
+    # The 30th draw is outside the domain: it raises and is not counted.
+    calls = 0
+    run = HomogenizerRun(source, spec, HomogenizerConfig(epsilon=0.1, target_size=10_000, seed=5))
+    with pytest.raises(DomainViolationError):
+        list(run)
+    assert calls == 30
+    assert run.draws_used == run.counts.total == 29
+    with pytest.raises(AttributeError):
+        run.draws_used = 0
+
+
 def test_run_is_single_use():
     domain = (0, 1)
     spec = identity_spec("value", domain)

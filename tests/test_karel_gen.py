@@ -596,7 +596,10 @@ def test_make_task_argument_validation():
 
 
 def test_task_source_argument_validation():
+    # A stream's grid budget is the constant ``_RETRY_LIMIT``, not an argument.
     for kwargs, name in _BAD_ASSEMBLY_ARGS:
+        if name == "retry_limit":
+            continue
         with pytest.raises(ValueError, match=f"^{name} must be"):
             task_source(_unusable_grid_sampler, **kwargs)
 
@@ -760,15 +763,13 @@ def test_task_source_rejects_negative_step_limit():
 
 
 def test_task_source_honors_program_filter():
-    src = task_source(
-        sample_uniform_grid, program_filter=satisfies_action_pruning
-    )
+    src = task_source(sample_uniform_grid, classic_prune=True)
     rng = random.Random(74)
     for _ in range(20):
         assert satisfies_action_pruning(src(rng).program)
 
 
-def test_stall_message_counts_filtered_programs_and_crash_reasons():
+def test_stall_message_counts_filtered_programs_and_crash_reasons(monkeypatch):
     rejected = 0
 
     def counting_filter(program):
@@ -779,11 +780,11 @@ def test_stall_message_counts_filtered_programs_and_crash_reasons():
 
     # With no step allowed, any run that reaches an action crashes, so
     # every program the filter keeps is uncoverable in one grid batch.
+    monkeypatch.setattr(gen, "satisfies_action_pruning", counting_filter)
+    monkeypatch.setattr(gen, "_RETRY_LIMIT", 1)
     for seed in range(5):
         rejected = 0
-        src = task_source(
-            sample_uniform_grid, step_limit=0, retry_limit=1, program_filter=counting_filter
-        )
+        src = task_source(sample_uniform_grid, step_limit=0, classic_prune=True)
         with pytest.raises(GenerationStallError) as excinfo:
             src(random.Random(seed))
         message = str(excinfo.value)

@@ -16,7 +16,7 @@ import pytest
 
 from homogen import calc
 from homogen._frozen import Frozen
-from homogen.diagnostics import CurvePoint, Histogram
+from homogen.diagnostics import CurvePoint
 from homogen.homogenizer import (
     CountTable,
     HomogenizedDataset,
@@ -154,10 +154,6 @@ CASES: list[tuple[type, list, Any, list[dict], list[dict]]] = [
     (calc.Bal, [("depths", tuple, (1, 2, 3, 4, 5, 6))], _bal_check,
      [{}, {"depths": (0, 15)}],
      [{"depths": ()}, {"depths": (16,)}, {"depths": (-1,)}]),
-    (Histogram, [("domain", tuple), ("counts", dict), ("total", int)], None,
-     [{"domain": (1, 2), "counts": {1: 3, 2: 0}, "total": 3},
-      {"domain": (1,), "counts": {1: 1}, "total": 1}],
-     []),
     (CurvePoint,
      [("epsilon", float), ("draws_per_accept", float), ("bound", float), ("stderr", float)],
      None,
