@@ -8,9 +8,10 @@ one held-out pair; task assembly resamples grids until every shown execution
 succeeds and the shown runs jointly cover every conditional arm of the
 program.
 
-The grid samplers return unvalidated :class:`GridDraw` tuples, and task
-assembly runs programs on them directly. Most draws are thrown away, so a
-validated :class:`KarelGrid` is built only for the inputs and outputs of
+The grid samplers return unvalidated :class:`GridDraw` tuples that hold
+the free-cell list each sampler collects, and task assembly runs programs
+on them directly. Most draws are thrown away, so a draw's wall set and a
+validated :class:`KarelGrid` are built only for the inputs and outputs of
 the tasks :func:`make_task` returns.
 """
 
@@ -49,7 +50,6 @@ from .world import (
     MIN_SIDE,
     GridDraw,
     KarelGrid,
-    _cell_set,
     grid_cells,
     grid_from_json,
     grid_to_json,
@@ -92,8 +92,8 @@ def sample_uniform_grid(rng: random.Random) -> GridDraw:
     cells and a uniform facing. All-wall grids are redrawn from scratch.
 
     The draws consume the generator exactly as ``rng.randint`` and
-    ``rng.randrange`` would, in the order above. ``KarelGrid(*draw)``
-    validates the result.
+    ``rng.randrange`` would, in the order above. The draw keeps the
+    non-wall cells in row-major order as its ``free`` list.
     """
     coin = rng.random
     getrandbits = rng.getrandbits
@@ -120,8 +120,7 @@ def sample_uniform_grid(rng: random.Random) -> GridDraw:
             continue
         pos = free[randbelow(getrandbits, len(free))]
         direction = DIRECTIONS[randbelow(getrandbits, 4)]
-        walls = _cell_set(width, height).difference(free)
-        return GridDraw(width, height, walls, markers, pos, direction)
+        return GridDraw(width, height, free, markers, pos, direction)
 
 
 class NarrowGridParams(Frozen):
@@ -156,22 +155,21 @@ def sample_narrow_grid(rng: random.Random, params: NarrowGridParams) -> GridDraw
     floor(cells * r_wall) wall cells sampled without replacement, then
     exactly floor(cells * r_marker) marker cells from the remainder, then a
     pile size per marker cell in sampled order, then the agent cell uniform
-    over non-wall cells and a uniform facing. ``KarelGrid(*draw)``
-    validates the result.
+    over non-wall cells and a uniform facing. The draw keeps the non-wall
+    cells in row-major order as its ``free`` list.
     """
     width = rng.randint(10, MAX_SIDE)
     height = rng.randint(10, MAX_SIDE)
     cells = grid_cells(width, height)
     n_walls = int(len(cells) * params.r_wall)
     n_markers = int(len(cells) * params.r_marker)
-    walls = rng.sample(cells, n_walls)
-    wall_set = set(walls)
+    wall_set = set(rng.sample(cells, n_walls))
     remaining = [c for c in cells if c not in wall_set]
     marker_cells = rng.sample(remaining, n_markers)
     markers = {cell: sample_marker_count(rng, params.marker_dist) for cell in marker_cells}
     pos = remaining[rng.randrange(len(remaining))]
     direction = DIRECTIONS[rng.randrange(4)]
-    return GridDraw(width, height, frozenset(walls), markers, pos, direction)
+    return GridDraw(width, height, remaining, markers, pos, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +307,7 @@ def make_task(
 
     Programs run on the sampler's draws as they are; only the returned
     task's ``n_pairs + 1`` inputs and their outputs are built, as validated
-    ``KarelGrid`` objects.
+    ``KarelGrid`` objects, and only those inputs derive a wall set.
     """
     if not (type(n_pairs) is int and 1 <= n_pairs <= 5):
         raise ValueError("n_pairs must be an int in 1..5")
@@ -335,7 +333,11 @@ def make_task(
         else:
             covered = set().union(*(result.taken for _, result in runs[:n_pairs]))
             if required <= covered:
-                pairs = tuple((KarelGrid(*draw), result.output) for draw, result in runs)
+                pairs = tuple(
+                    (KarelGrid(draw.width, draw.height, draw.walls, draw.markers,
+                               draw.karel_pos, draw.karel_dir), result.output)
+                    for draw, result in runs
+                )
                 return SynthesisTask(program=program, pairs=pairs[:n_pairs], held_out=pairs[-1])
             missing_counts.update(required - covered)
     raise UncoverableProgramError(

@@ -23,7 +23,10 @@ run one program on many grids pass its result to :func:`execute` and
 :class:`GridDraw` alike, and returns the run's own state as its result: an
 :class:`ExecResult` builds its ``frozenset`` of arms and its validated
 output grid only when they are read, so a run whose output nobody reads
-never builds either.
+never builds either. A wall check asks whether the cell ahead is among the
+grid's free cells, which also rules out cells off the grid; the run
+freezes the free cells on its first wall check, so a run that makes none
+builds no set.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from collections.abc import Callable
 
 from .._frozen import Frozen
 from .lang import Action, Body, Cond, If, IfElse, KarelProgram, Not, Pred, Repeat, Stmt, While
-from .world import DIR_DELTA, LEFT_OF, MAX_MARKERS, RIGHT_OF, GridDraw, KarelGrid
+from .world import DIR_DELTA, LEFT_OF, MAX_MARKERS, RIGHT_OF, Cell, GridDraw, KarelGrid
 
 DEFAULT_STEP_LIMIT = 200
 
@@ -58,17 +61,19 @@ class ExecResult:
     ``crash`` is ``None`` on success; ``steps`` counts completed actions and
     ``taken`` holds the arms the run recorded. ``branches_taken`` and
     ``output`` (the final world as a validated grid, ``None`` after a crash)
-    are built anew on every read. Two results are equal when their crash,
-    arms, steps and, on success, final worlds are.
+    are built anew on every read; ``output`` takes its sides and its wall
+    set from the input ``grid``, so it keeps the input's own wall cells.
+    ``free`` is ``None`` until the run's first wall check freezes the
+    input's free cells. Two results are equal when their crash, arms, steps
+    and, on success, final worlds are.
     """
 
-    __slots__ = ("width", "height", "walls", "markers", "pos", "direction",
+    __slots__ = ("grid", "free", "markers", "pos", "direction",
                  "step_limit", "steps", "taken", "crash")
 
     def __init__(self, grid: GridDraw | KarelGrid, step_limit: int):
-        self.width = grid.width
-        self.height = grid.height
-        self.walls = grid.walls
+        self.grid = grid
+        self.free: frozenset[Cell] | None = None
         self.markers = dict(grid.markers)
         self.pos = grid.karel_pos
         self.direction = grid.karel_dir
@@ -89,12 +94,14 @@ class ExecResult:
     def output(self) -> KarelGrid | None:
         if self.crash is not None:
             return None
-        return KarelGrid(self.width, self.height, self.walls, self.markers, self.pos,
+        grid = self.grid
+        return KarelGrid(grid.width, grid.height, grid.walls, self.markers, self.pos,
                          self.direction)
 
     def _key(self) -> tuple:
+        grid = self.grid
         world = None if self.crash is not None else (
-            self.width, self.height, self.walls, self.markers, self.pos, self.direction)
+            grid.width, grid.height, grid.walls, self.markers, self.pos, self.direction)
         return self.crash, self.taken, self.steps, world
 
     def __eq__(self, other: object) -> bool:
@@ -227,10 +234,11 @@ def _repeat(times: int, body: Code) -> Code:
 def _move(run: ExecResult) -> None:
     if run.steps >= run.step_limit:
         raise _Crash(CrashReason.STEP_LIMIT)
-    if not _clear_toward(run, run.direction):
-        raise _Crash(CrashReason.MOVE_INTO_WALL)
     di, dj = DIR_DELTA[run.direction]
-    run.pos = (run.pos[0] + di, run.pos[1] + dj)
+    ahead = (run.pos[0] + di, run.pos[1] + dj)
+    if ahead not in _free_cells(run):
+        raise _Crash(CrashReason.MOVE_INTO_WALL)
+    run.pos = ahead
     run.steps += 1
 
 
@@ -278,11 +286,16 @@ _ACTIONS: dict[str, Code] = {
 }
 
 
+def _free_cells(run: ExecResult) -> frozenset[Cell]:
+    free = run.free
+    if free is None:
+        free = run.free = frozenset(run.grid.free)
+    return free
+
+
 def _clear_toward(run: ExecResult, direction: str) -> bool:
     di, dj = DIR_DELTA[direction]
-    i = run.pos[0] + di
-    j = run.pos[1] + dj
-    return 0 <= i < run.width and 0 <= j < run.height and (i, j) not in run.walls
+    return (run.pos[0] + di, run.pos[1] + dj) in _free_cells(run)
 
 
 _PREDICATES: dict[str, CondCode] = {

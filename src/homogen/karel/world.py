@@ -9,8 +9,11 @@ Every :class:`KarelGrid` is validated on construction, whoever builds it;
 there is no trusted constructor. The grid samplers return an unvalidated
 :class:`GridDraw` instead, because task assembly throws most draws away:
 it runs programs on draws and builds a ``KarelGrid`` only for the inputs
-and outputs of the tasks it keeps. The interpreter reads a draw and a grid
-alike. JSON input and user code build ``KarelGrid`` directly.
+and outputs of the tasks it keeps. A draw holds its free (non-wall) cells,
+the list its sampler collects anyway, and derives its wall set only when
+``walls`` is read, so a discarded draw never builds one. The interpreter
+reads ``free`` from a draw and a grid alike. JSON input and user code
+build ``KarelGrid`` directly.
 
 The common case -- a ``frozenset`` of walls, a ``dict`` of markers and a
 ``tuple`` position on a grid with int sides -- is checked with set
@@ -68,16 +71,22 @@ def _cell_set(width: int, height: int) -> frozenset[Cell]:
 class GridDraw(NamedTuple):
     """A sampled grid before validation.
 
-    The fields are :class:`KarelGrid`'s, in constructor order, so
-    ``KarelGrid(*draw)`` validates a draw into a grid.
+    ``free`` lists the grid's non-wall cells; ``walls`` derives the wall set
+    from it on each read. ``KarelGrid(draw.width, draw.height, draw.walls,
+    draw.markers, draw.karel_pos, draw.karel_dir)`` validates a draw into a
+    grid.
     """
 
     width: int
     height: int
-    walls: frozenset[Cell]
+    free: list[Cell]
     markers: dict[Cell, int]
     karel_pos: Cell
     karel_dir: str
+
+    @property
+    def walls(self) -> frozenset[Cell]:
+        return _cell_set(self.width, self.height).difference(self.free)
 
 
 _NO_MARKERS: dict[Cell, int] = {}  # never shared: ``__post_init__`` copies it
@@ -161,6 +170,11 @@ class KarelGrid(Frozen):
             raise ValueError(f"agent stands on a wall at {self.karel_pos}")
         if self.karel_dir not in DIRECTIONS:
             raise ValueError(f"unknown direction {self.karel_dir!r}")
+
+    @property
+    def free(self) -> frozenset[Cell]:
+        """The cells that hold no wall, built anew on each read."""
+        return _cell_set(self.width, self.height).difference(self.walls)
 
     def in_bounds(self, cell: Cell) -> bool:
         i, j = cell

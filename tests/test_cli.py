@@ -1574,6 +1574,21 @@ def test_karel_run_grid_listing_a_cell_twice_is_usage_error(tmp_path, capsys):
     assert err == f"error: {grid}: malformed grid object: a cell is listed twice in 'markers'\n"
 
 
+def test_karel_run_output_keeps_the_input_grids_own_wall_cells(tmp_path, capsys):
+    # A wall given as [1.0, 1] equals the int cell (1, 1): the run treats it
+    # as a wall, and the output grid prints the input's wall as it was read.
+    (tmp_path / "prog.txt").write_text(
+        "def main(): move() ; turnRight() ; while(frontIsClear()): move()")
+    (tmp_path / "grid.json").write_text(
+        '{"w":3,"h":3,"walls":[[1.0,1]],"markers":[[2,2,3]],"karel":{"pos":[0,0],"dir":"E"}}')
+    code, out, err = run_cli(
+        ["karel-run", str(tmp_path / "prog.txt"), str(tmp_path / "grid.json")], capsys)
+    assert (code, err) == (0, "")
+    assert out == ('{"w":3,"h":3,"walls":[[1.0,1]],"markers":[[2,2,3]],'
+                   '"karel":{"pos":[1,0],"dir":"S"}}\n'
+                   "coverage: 1/2 arms\n")
+
+
 def test_karel_run_grid_nested_past_the_decoder_depth_is_usage_error(tmp_path, capsys):
     prog, grid = write_run_inputs(tmp_path, CRASH_TEXT, CRASH_GRID)
     Path(grid).write_text("[" * 100_000 + "]" * 100_000)

@@ -15,7 +15,6 @@ from homogen.karel import (
     PREDICATES,
     Action,
     GenerationStallError,
-    GridDraw,
     If,
     KarelGrid,
     KarelProgram,
@@ -167,15 +166,23 @@ def reference_uniform_grid(rng):
         )
 
 
+def validated(draw):
+    """The draw as a validated grid, built as ``make_task`` builds it."""
+    return KarelGrid(draw.width, draw.height, draw.walls, draw.markers, draw.karel_pos,
+                     draw.karel_dir)
+
+
 @pytest.mark.parametrize("seed", [57, 58])
 def test_uniform_grid_sampler_matches_reference_draw_for_draw(seed):
     fast, slow = random.Random(seed), random.Random(seed)
     for _ in range(2500):
         draw = sample_uniform_grid(fast)
         expected = reference_uniform_grid(slow)
+        assert draw.walls == expected.walls
         # Building the grid validates the draw.
-        grid = KarelGrid(*draw)
+        grid = validated(draw)
         assert grid == expected
+        assert grid.free == frozenset(draw.free)
         assert list(grid.markers.items()) == list(expected.markers.items())
     assert fast.getstate() == slow.getstate()
 
@@ -192,14 +199,34 @@ def test_narrow_grid_exact_counts():
         assert grid.karel_pos not in grid.walls
 
 
+def reference_narrow_grid(rng, params):
+    """The narrow sampler as it was when a draw carried its wall set."""
+    width = rng.randint(10, 16)
+    height = rng.randint(10, 16)
+    cells = [(i, j) for j in range(height) for i in range(width)]
+    walls = rng.sample(cells, int(len(cells) * params.r_wall))
+    remaining = [c for c in cells if c not in set(walls)]
+    marker_cells = rng.sample(remaining, int(len(cells) * params.r_marker))
+    markers = {cell: sample_marker_count(rng, params.marker_dist) for cell in marker_cells}
+    pos = remaining[rng.randrange(len(remaining))]
+    direction = DIRECTIONS[rng.randrange(4)]
+    return KarelGrid(width, height, frozenset(walls), markers, pos, direction)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_every_narrow_draw_builds_a_valid_grid(seed):
-    rng = random.Random(seed)
+    fast, slow = random.Random(seed), random.Random(seed)
     for params in NARROW_SWEEP_PARAMS:
         for _ in range(10):
-            draw = sample_narrow_grid(rng, params)
-            grid = KarelGrid(*draw)
-            assert GridDraw(*(getattr(grid, name) for name in GridDraw._fields)) == draw
+            draw = sample_narrow_grid(fast, params)
+            expected = reference_narrow_grid(slow, params)
+            assert draw.walls == expected.walls
+            grid = validated(draw)
+            assert grid == expected
+            assert list(grid.markers.items()) == list(expected.markers.items())
+            assert draw.free == [c for c in grid_cells(grid.width, grid.height)
+                                 if c in grid.free]
+    assert fast.getstate() == slow.getstate()
 
 
 def test_narrow_grid_zero_rates_give_empty_grids():
@@ -413,15 +440,7 @@ def test_make_task_covers_every_branch_arm():
 def test_uncoverable_program_reports_diagnostics():
     # Markers never appear, so the then-arm is unreachable without a crash.
     def marker_free_grid(rng):
-        grid = sample_uniform_grid(rng)
-        return type(grid)(
-            width=grid.width,
-            height=grid.height,
-            walls=grid.walls,
-            markers={},
-            karel_pos=grid.karel_pos,
-            karel_dir=grid.karel_dir,
-        )
+        return sample_uniform_grid(rng)._replace(markers={})
 
     program = parse_program("def main(): if(markersPresent()): move()")
     with pytest.raises(UncoverableProgramError) as excinfo:

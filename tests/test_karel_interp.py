@@ -11,6 +11,7 @@ from homogen.karel import (
     IfElse,
     KarelGrid,
     KarelProgram,
+    NARROW_SWEEP_PARAMS,
     Not,
     Pred,
     Repeat,
@@ -19,11 +20,13 @@ from homogen.karel import (
     compile_program,
     execute,
     parse_program,
+    sample_narrow_grid,
     sample_program,
     sample_uniform_grid,
 )
+from homogen.karel import interp
 from homogen.karel.interp import DEFAULT_STEP_LIMIT
-from homogen.karel.world import DIR_DELTA, LEFT_OF, RIGHT_OF
+from homogen.karel.world import DIR_DELTA, DIRECTIONS, LEFT_OF, RIGHT_OF, grid_cells
 
 from karel_fixtures import (
     COLLECTOR_A_EXPECTED,
@@ -304,6 +307,54 @@ def test_step_limit_validation():
     for step_limit in (-1, 2.5, True):
         with pytest.raises(ValueError, match="^step_limit must be"):
             execute(KarelProgram((Action("move"),)), open_grid(), step_limit=step_limit)
+
+
+# ---------------------------------------------------------------------------
+# wall checks: one free-cell lookup in place of "in bounds and not a wall"
+
+
+def wall_check_grids():
+    rng = random.Random(47)
+    draws = [sample_uniform_grid(rng) for _ in range(60)]
+    draws += [sample_narrow_grid(rng, params) for params in NARROW_SWEEP_PARAMS]
+    grids = [KarelGrid(d.width, d.height, d.walls, d.markers, d.karel_pos, d.karel_dir)
+             for d in draws[::4]]
+    # A wall cell that equals an int cell without being one.
+    grids.append(KarelGrid(3, 3, frozenset({(1.0, 1)}), {}, (0, 0), "E"))
+    return draws + grids
+
+
+WALL_CHECK_GRIDS = wall_check_grids()
+
+
+@pytest.mark.parametrize("grid", WALL_CHECK_GRIDS, ids=[
+    f"{type(g).__name__}-{k}-{g.width}x{g.height}" for k, g in enumerate(WALL_CHECK_GRIDS)])
+def test_wall_checks_follow_the_in_bounds_and_not_a_wall_rule(grid):
+    walls = grid.walls
+    run = ExecResult(grid, DEFAULT_STEP_LIMIT)
+    for cell in grid_cells(grid.width, grid.height):
+        for direction in DIRECTIONS:
+            di, dj = DIR_DELTA[direction]
+            i, j = cell[0] + di, cell[1] + dj
+            clear = 0 <= i < grid.width and 0 <= j < grid.height and (i, j) not in walls
+            run.pos, run.direction, run.steps = cell, direction, 0
+            assert interp._clear_toward(run, direction) is clear
+            if clear:
+                interp._move(run)
+                assert (run.pos, run.steps) == ((i, j), 1)
+            else:
+                with pytest.raises(interp._Crash) as crash:
+                    interp._move(run)
+                assert crash.value.args[0] is CrashReason.MOVE_INTO_WALL
+                assert (run.pos, run.steps) == (cell, 0)
+
+
+def test_a_run_freezes_the_free_cells_at_its_first_wall_check():
+    grid = open_grid(walls=frozenset({(5, 4)}))
+    assert run_text("def main(): turnLeft() ; putMarker()", grid).free is None
+    result = run_text("def main(): turnLeft() ; move()", grid)
+    assert result.free == grid.free == frozenset(grid_cells(8, 8)) - {(5, 4)}
+    assert result.output.walls is grid.walls
 
 
 # ---------------------------------------------------------------------------
