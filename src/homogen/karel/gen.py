@@ -26,7 +26,7 @@ from typing import Any
 from .._frozen import Frozen
 from ..homogenizer import SalientSpec
 from ..rng import randbelow
-from .interp import DEFAULT_STEP_LIMIT, branch_arms, compile_program, execute
+from .interp import DEFAULT_STEP_LIMIT, ExecResult, branch_arms, compile_program, execute
 from .lang import (
     ACTIONS,
     MAX_REPEAT,
@@ -307,7 +307,8 @@ def make_task(
 
     Programs run on the sampler's draws as they are; only the returned
     task's ``n_pairs + 1`` inputs and their outputs are built, as validated
-    ``KarelGrid`` objects, and only those inputs derive a wall set.
+    ``KarelGrid`` objects. Only those inputs derive a wall set, once each,
+    and each output shares its input's.
     """
     if not (type(n_pairs) is int and 1 <= n_pairs <= 5):
         raise ValueError("n_pairs must be an int in 1..5")
@@ -333,11 +334,7 @@ def make_task(
         else:
             covered = set().union(*(result.taken for _, result in runs[:n_pairs]))
             if required <= covered:
-                pairs = tuple(
-                    (KarelGrid(draw.width, draw.height, draw.walls, draw.markers,
-                               draw.karel_pos, draw.karel_dir), result.output)
-                    for draw, result in runs
-                )
+                pairs = tuple(_kept_pair(draw, result) for draw, result in runs)
                 return SynthesisTask(program=program, pairs=pairs[:n_pairs], held_out=pairs[-1])
             missing_counts.update(required - covered)
     raise UncoverableProgramError(
@@ -347,6 +344,15 @@ def make_task(
         crash_counts=dict(crash_counts),
         missing_arm_counts=dict(missing_counts),
     )
+
+
+def _kept_pair(draw: GridDraw, result: ExecResult) -> tuple[KarelGrid, KarelGrid]:
+    """A kept run's input and output grid, sharing the one wall set the
+    draw derives."""
+    grid = KarelGrid(draw.width, draw.height, draw.walls, draw.markers,
+                     draw.karel_pos, draw.karel_dir)
+    return grid, KarelGrid(grid.width, grid.height, grid.walls, result.markers,
+                           result.pos, result.direction)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,21 @@ executing a single action cannot ever change the world, so a still-true
 condition at that point is reported as a step-limit crash instead of
 spinning forever.
 
+A ``while`` that ends an iteration in a world it has already ended one in
+skips its remaining whole cycles in one step. After each iteration it
+compares the state ``(pos, direction, marks)`` with one saved state, which
+it replaces at doubling intervals (Brent, "An improved Monte Carlo
+factorization algorithm", 1980), so a loop keeps O(1) memory whatever the
+step limit. ``marks`` counts the run's marker changes, so two equal states
+mean no marker changed in between and the whole world is the same. The
+condition and the body depend only on the world, and on ``steps`` only
+through the step-limit check, so every cycle of ``L`` steps would repeat
+the same actions and arms and end in the same world again: the loop adds
+``(step_limit - steps) // L * L`` to ``steps`` and runs on, and crashes at
+the same action, with the same arms and final world, as a run without the
+jump. A loop that changes markers on every cycle never matches and runs to
+the limit as before.
+
 Each run also records which conditional arms it exercised. Conditionals
 (``if``, ``if/else``, ``while``) are numbered in pre-order; ``if`` arms are
 ``then``/``else`` (an ``if`` without an else records ``else`` when the
@@ -64,17 +79,19 @@ class ExecResult:
     are built anew on every read; ``output`` takes its sides and its wall
     set from the input ``grid``, so it keeps the input's own wall cells.
     ``free`` is ``None`` until the run's first wall check freezes the
-    input's free cells. Two results are equal when their crash, arms, steps
-    and, on success, final worlds are.
+    input's free cells. ``marks`` counts the markers the run put or picked;
+    a ``while`` compares it to tell that no marker changed. Two results are
+    equal when their crash, arms, steps and, on success, final worlds are.
     """
 
-    __slots__ = ("grid", "free", "markers", "pos", "direction",
+    __slots__ = ("grid", "free", "markers", "marks", "pos", "direction",
                  "step_limit", "steps", "taken", "crash")
 
     def __init__(self, grid: GridDraw | KarelGrid, step_limit: int):
         self.grid = grid
         self.free: frozenset[Cell] | None = None
         self.markers = dict(grid.markers)
+        self.marks = 0
         self.pos = grid.karel_pos
         self.direction = grid.karel_dir
         self.step_limit = step_limit
@@ -210,14 +227,34 @@ def _if_else(
 def _while(cond: CondCode, body: Code, enter_arm: BranchArm, skip_arm: BranchArm) -> Code:
     def while_(run: ExecResult) -> None:
         taken = run.taken
+        # Brent's cycle detection: ``seen`` is the state saved at
+        # ``seen_steps``, replaced once ``lap`` iterations reach ``power``;
+        # ``power`` is 0 once the loop has jumped.
+        seen = None
+        seen_steps = 0
+        power = lap = 1
         while cond(run):
             taken.add(enter_arm)
             steps_before = run.steps
             body(run)
-            if run.steps == steps_before:
+            steps = run.steps
+            if steps == steps_before:
                 # No action ran, so nothing observable changed and the
                 # condition will stay true forever.
                 raise _Crash(CrashReason.STEP_LIMIT)
+            if power:
+                state = (run.pos, run.direction, run.marks)
+                if state == seen:
+                    # The world is back where it was ``cycle`` steps ago.
+                    cycle = steps - seen_steps
+                    run.steps = steps + (run.step_limit - steps) // cycle * cycle
+                    power = 0
+                elif lap == power:
+                    seen, seen_steps = state, steps
+                    power *= 2
+                    lap = 1
+                else:
+                    lap += 1
         taken.add(skip_arm)
 
     return while_
@@ -236,7 +273,10 @@ def _move(run: ExecResult) -> None:
         raise _Crash(CrashReason.STEP_LIMIT)
     di, dj = DIR_DELTA[run.direction]
     ahead = (run.pos[0] + di, run.pos[1] + dj)
-    if ahead not in _free_cells(run):
+    free = run.free
+    if free is None:
+        free = run.free = frozenset(run.grid.free)
+    if ahead not in free:
         raise _Crash(CrashReason.MOVE_INTO_WALL)
     run.pos = ahead
     run.steps += 1
@@ -263,6 +303,7 @@ def _pick_marker(run: ExecResult) -> None:
         del markers[pos]
     else:
         markers[pos] = have - 1
+    run.marks += 1
     run.steps += 1
 
 
@@ -274,6 +315,7 @@ def _put_marker(run: ExecResult) -> None:
     if have >= MAX_MARKERS:
         raise _Crash(CrashReason.PUT_OVERFLOW)
     markers[pos] = have + 1
+    run.marks += 1
     run.steps += 1
 
 
@@ -286,16 +328,12 @@ _ACTIONS: dict[str, Code] = {
 }
 
 
-def _free_cells(run: ExecResult) -> frozenset[Cell]:
+def _clear_toward(run: ExecResult, direction: str) -> bool:
+    di, dj = DIR_DELTA[direction]
     free = run.free
     if free is None:
         free = run.free = frozenset(run.grid.free)
-    return free
-
-
-def _clear_toward(run: ExecResult, direction: str) -> bool:
-    di, dj = DIR_DELTA[direction]
-    return (run.pos[0] + di, run.pos[1] + dj) in _free_cells(run)
+    return (run.pos[0] + di, run.pos[1] + dj) in free
 
 
 _PREDICATES: dict[str, CondCode] = {

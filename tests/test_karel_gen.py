@@ -15,6 +15,7 @@ from homogen.karel import (
     PREDICATES,
     Action,
     GenerationStallError,
+    GridDraw,
     If,
     KarelGrid,
     KarelProgram,
@@ -44,7 +45,7 @@ from homogen.karel import (
     task_source,
     task_to_json,
 )
-from homogen.karel import gen
+from homogen.karel import gen, interp
 from homogen.karel.gen import _SALIENT_DOMAINS, _ratio_decile, salient_specs
 from homogen.karel.interp import DEFAULT_STEP_LIMIT, compile_program
 from homogen.karel.lang import MAX_REPEAT, IfElse
@@ -586,6 +587,52 @@ def test_task_assembly_validates_only_the_grids_it_keeps(monkeypatch):
     crashed = execute(parse_program(CRASH_TEXT), CRASH_GRID)
     assert crashed.crash is not None and crashed.output is None
     assert counts["validate"] == before
+
+
+def test_a_kept_draw_derives_its_wall_set_once(monkeypatch):
+    # Only a kept input derives a wall set, and its output shares it.
+    reads = 0
+    derive = GridDraw.walls.fget
+
+    def counted(draw):
+        nonlocal reads
+        reads += 1
+        return derive(draw)
+
+    monkeypatch.setattr(GridDraw, "walls", property(counted))
+    source = task_source(sample_uniform_grid, n_pairs="uniform")
+    rng = random.Random(76)
+    for _ in range(8):
+        before = reads
+        task = source(rng)
+        assert reads - before == len(task.pairs) + 1
+        for grid, output in task.pairs + (task.held_out,):
+            assert output.walls is grid.walls
+
+
+def test_task_assembly_action_calls_stay_bounded(monkeypatch):
+    # A count, not a clock. Without the jump of a while loop back in a world
+    # it has seen, most action calls go to runs that pass through the same
+    # world again and again until the step limit: these 300 tasks make
+    # 391,670 action calls without the jump and 182,568 with it.
+    calls = 0
+
+    def counted(action):
+        def wrapper(run):
+            nonlocal calls
+            calls += 1
+            action(run)
+
+        return wrapper
+
+    for name, action in list(interp._ACTIONS.items()):
+        monkeypatch.setitem(interp._ACTIONS, name, counted(action))
+    for seed in range(1, 6):
+        source = task_source(sample_uniform_grid)
+        rng = random.Random(seed)
+        for _ in range(60):
+            source(rng)
+    assert calls <= 200_000
 
 
 # Arguments that neither make_task nor task_source may accept. Counts must be

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -468,15 +469,34 @@ class ReferenceCrash(Exception):
         self.reason = reason
 
 
-def reference_execute(program, grid, step_limit):
+def reference_run(program, grid, step_limit):
+    """The finished reference run and its crash reason, ``None`` on success."""
     run = ReferenceRun(program, grid, step_limit)
     try:
         run.exec(program.body, ())
     except ReferenceCrash as crash:
-        return None, crash.reason, frozenset(run.taken), run.steps
+        return run, crash.reason
+    return run, None
+
+
+def reference_execute(program, grid, step_limit):
+    run, crash = reference_run(program, grid, step_limit)
+    if crash is not None:
+        return None, crash, frozenset(run.taken), run.steps
     output = KarelGrid(width=grid.width, height=grid.height, walls=run.walls,
                        markers=run.markers, karel_pos=run.pos, karel_dir=run.direction)
     return output, None, frozenset(run.taken), run.steps
+
+
+def assert_matches_the_reference(program, grid, step_limit, compiled=None):
+    """Compare everything a run ends with, crashed or not: its crash, arms
+    and steps, and its final world, which a crashed result does not hand
+    out as ``output``."""
+    result = execute(compiled or program, grid, step_limit)
+    run, crash = reference_run(program, grid, step_limit)
+    assert (result.crash, result.taken, result.steps) == (crash, run.taken, run.steps)
+    assert (result.pos, result.direction, result.markers) == (run.pos, run.direction, run.markers)
+    return result
 
 
 def test_compiled_programs_match_the_reference_interpreter():
@@ -494,6 +514,98 @@ def test_compiled_programs_match_the_reference_interpreter():
             assert (result.output, result.crash, result.branches_taken, result.steps) == expected
             crashes.add(result.crash)
     assert crashes == {None, *CrashReason}
+
+
+# ---------------------------------------------------------------------------
+# a while loop back in a world it has seen jumps to the step limit
+
+
+JUMP_LIMITS = [*range(41), 199, 200, 201, 1000]
+
+# A right-hand wall follower: it circles the 2x2 block of walls forever.
+FOLLOWER_TEXT = (
+    "def main(): while(not(markersPresent())): { if(rightIsClear()): { turnRight() ; move() }"
+    " else: { if(frontIsClear()): move() else: turnLeft() } }"
+)
+BLOCK_GRID = open_grid(walls=frozenset({(3, 3), (4, 3), (3, 4), (4, 4)}), karel_pos=(3, 2))
+
+LOOP_CASES = {
+    "four-turns": ("def main(): while(frontIsClear()): { turnLeft() }", open_grid()),
+    "four-turns-per-iteration": (
+        "def main(): while(not(markersPresent())): "
+        "{ turnLeft() ; turnLeft() ; turnLeft() ; turnLeft() }",
+        open_grid(),
+    ),
+    "walled-block-walk": (FOLLOWER_TEXT, BLOCK_GRID),
+    "inner-while-cycles": (
+        "def main(): while(markersPresent()): "
+        "{ pickMarker() ; while(not(markersPresent())): { turnLeft() } }",
+        open_grid(markers={(4, 4): 3}),
+    ),
+    "outer-while-cycles-around-inner": (
+        "def main(): while(frontIsClear()): "
+        "{ move() ; while(frontIsClear()): { move() } ; turnLeft() }",
+        open_grid(),
+    ),
+    "repeat-in-body": (
+        "def main(): while(frontIsClear()): { repeat(3): { turnLeft() } ; move() }",
+        open_grid(),
+    ),
+    # Every cycle changes a marker and changes it back, so ``marks`` keeps
+    # growing and the loop is left to run to the limit.
+    "put-pick": ("def main(): while(frontIsClear()): { putMarker() ; pickMarker() }",
+                 open_grid()),
+}
+
+
+@pytest.mark.parametrize("case", LOOP_CASES)
+def test_looping_programs_end_where_the_reference_does(case):
+    text, grid = LOOP_CASES[case]
+    program = parse_program(text)
+    crashes = set()
+    for step_limit in JUMP_LIMITS:
+        crashes.add(assert_matches_the_reference(program, grid, step_limit).crash)
+    assert CrashReason.STEP_LIMIT in crashes
+
+
+@pytest.mark.parametrize("step_limit", JUMP_LIMITS)
+def test_sampled_programs_end_where_the_reference_does(step_limit):
+    rng = random.Random(48 + step_limit)
+    for _ in range(40):
+        program = sample_program(rng)
+        compiled = compile_program(program)
+        for _ in range(3):
+            assert_matches_the_reference(program, sample_uniform_grid(rng), step_limit, compiled)
+
+
+def count_actions(monkeypatch, name):
+    """Count calls of one action in programs compiled from here on."""
+    calls = Counter()
+    action = interp._ACTIONS[name]
+
+    def counted(run):
+        calls[name] += 1
+        action(run)
+
+    monkeypatch.setitem(interp._ACTIONS, name, counted)
+    return calls
+
+
+def test_a_cycling_while_jumps_to_the_step_limit(monkeypatch):
+    calls = count_actions(monkeypatch, "turnLeft")
+    result = run_text("def main(): while(frontIsClear()): { turnLeft() }", open_grid(),
+                      step_limit=10**6)
+    assert result.crash is CrashReason.STEP_LIMIT
+    assert result.steps == 10**6
+    assert calls["turnLeft"] <= 30
+
+
+def test_a_while_that_changes_markers_never_jumps(monkeypatch):
+    calls = count_actions(monkeypatch, "putMarker")
+    result = run_text(LOOP_CASES["put-pick"][0], open_grid(), step_limit=1001)
+    assert result.crash is CrashReason.STEP_LIMIT
+    assert (result.steps, calls["putMarker"]) == (1001, 501)
+    assert result.marks == 1001
 
 
 # ---------------------------------------------------------------------------
