@@ -285,7 +285,8 @@ def _karel_arguments(parser: argparse.ArgumentParser) -> None:
         default="geom", help="narrow pile-size distribution",
     )
     parser.add_argument(
-        "--pairs", default="5", help="shown pairs per task: 1..5 or 'uniform' for a per-task draw"
+        "--pairs", default=str(karel_gen.MAX_PAIRS),
+        help=f"shown pairs per task: 1..{karel_gen.MAX_PAIRS} or 'uniform' for a per-task draw",
     )
     parser.add_argument(
         "--step-limit", type=_integer, default=DEFAULT_STEP_LIMIT,
@@ -312,7 +313,8 @@ def _karel_sampler(args: argparse.Namespace) -> tuple[Source, dict[str, Any]]:
     try:
         pairs = args.pairs if args.pairs == "uniform" else _integer(args.pairs)
     except argparse.ArgumentTypeError:
-        raise UsageError("--pairs must be an integer in 1..5 or 'uniform'") from None
+        raise UsageError(
+            f"--pairs must be an integer in 1..{karel_gen.MAX_PAIRS} or 'uniform'") from None
     if args.classic_prune:
         params["classic_prune"] = True
     source = karel_gen.task_source(

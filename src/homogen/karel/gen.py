@@ -26,7 +26,8 @@ from typing import Any
 from .._frozen import Frozen
 from ..homogenizer import SalientSpec
 from ..rng import randbelow
-from .interp import DEFAULT_STEP_LIMIT, ExecResult, branch_arms, compile_program, execute
+from .interp import (DEFAULT_STEP_LIMIT, CrashReason, ExecResult, branch_arms,
+                     compile_program, execute)
 from .lang import (
     ACTIONS,
     MAX_REPEAT,
@@ -56,6 +57,9 @@ from .world import (
 )
 
 GridSampler = Callable[[random.Random], GridDraw]
+
+#: Most shown input/output pairs a task holds.
+MAX_PAIRS = 5
 
 
 class MarkerCountDist(enum.Enum):
@@ -187,8 +191,8 @@ _NEGATE_P = 0.2  # chance a condition gets wrapped in not()
 _TOKEN_CAP = 60
 
 _MAX_PROGRAM_ATTEMPTS = 100
-# Grid batches per program in a task stream: below make_task's default, so a
-# hard-to-exercise program is replaced instead of eating the grid budget.
+# Grid batches per program before make_task gives up on it; a stream then
+# replaces a hard-to-exercise program instead of spending more on it.
 _RETRY_LIMIT = 400
 
 
@@ -294,15 +298,14 @@ def make_task(
     program: KarelProgram,
     grid_sampler: GridSampler,
     rng: random.Random,
-    n_pairs: int = 5,
-    retry_limit: int = 1000,
+    n_pairs: int = MAX_PAIRS,
     step_limit: int = DEFAULT_STEP_LIMIT,
 ) -> SynthesisTask:
     """Assemble a task by resampling grid batches until one validates.
 
     Each attempt draws ``n_pairs`` shown inputs plus one held-out input. A
     crash on any of them, or a conditional arm no shown run reaches, discards
-    the whole batch. After ``retry_limit`` failed batches the program is
+    the whole batch. After ``_RETRY_LIMIT`` failed batches the program is
     reported uncoverable, with counts of what kept failing.
 
     Programs run on the sampler's draws as they are; only the returned
@@ -310,16 +313,15 @@ def make_task(
     ``KarelGrid`` objects. Only those inputs derive a wall set, once each,
     and each output shares its input's.
     """
-    if not (type(n_pairs) is int and 1 <= n_pairs <= 5):
-        raise ValueError("n_pairs must be an int in 1..5")
-    if not (type(retry_limit) is int and retry_limit >= 1):
-        raise ValueError("retry_limit must be an int >= 1")
+    if not (type(n_pairs) is int and 1 <= n_pairs <= MAX_PAIRS):
+        raise ValueError(f"n_pairs must be an int in 1..{MAX_PAIRS}")
     if not (type(step_limit) is int and step_limit >= 0):
         raise ValueError("step_limit must be >= 0")
     compiled = compile_program(program)
     required = branch_arms(compiled)
-    crash_counts: Counter[str] = Counter()
+    crash_counts: Counter[CrashReason] = Counter()
     missing_counts: Counter[tuple[int, str]] = Counter()
+    retry_limit = _RETRY_LIMIT
     for _ in range(retry_limit):
         # Sample and run one grid at a time; the whole batch is discarded on
         # the first crash, so later grids need not be drawn at all.
@@ -328,7 +330,7 @@ def make_task(
             draw = grid_sampler(rng)
             result = execute(compiled, draw, step_limit)
             if result.crash is not None:
-                crash_counts[result.crash.value] += 1
+                crash_counts[result.crash] += 1
                 break
             runs.append((draw, result))
         else:
@@ -337,11 +339,12 @@ def make_task(
                 pairs = tuple(_kept_pair(draw, result) for draw, result in runs)
                 return SynthesisTask(program=program, pairs=pairs[:n_pairs], held_out=pairs[-1])
             missing_counts.update(required - covered)
+    crashes = {reason.value: count for reason, count in crash_counts.items()}
     raise UncoverableProgramError(
         f"no valid task in {retry_limit} grid batches "
-        f"(crashes: {dict(crash_counts)}, uncovered arms: {dict(missing_counts)})",
+        f"(crashes: {crashes}, uncovered arms: {dict(missing_counts)})",
         attempts=retry_limit,
-        crash_counts=dict(crash_counts),
+        crash_counts=crashes,
         missing_arm_counts=dict(missing_counts),
     )
 
@@ -367,7 +370,7 @@ def _ratio_decile(ratio: float) -> int:
 
 # Salient variable name -> domain; each is a contiguous run of ints.
 _SALIENT_DOMAINS = {
-    "number_of_grids": (1, 2, 3, 4, 5),
+    "number_of_grids": tuple(range(1, MAX_PAIRS + 1)),
     "size": tuple(range(8, 161)),
     "control_flow_count": tuple(range(0, 13)),
     "nesting_depth": tuple(range(0, 9)),
@@ -435,8 +438,9 @@ def task_from_json(obj: dict[str, Any]) -> SynthesisTask:
         raise ValueError(f"malformed task object: missing key {exc}") from None
     except TypeError as exc:
         raise ValueError(f"malformed task object: {exc}") from None
-    if not pairs:
-        raise ValueError("malformed task object: no shown pairs")
+    if not 1 <= len(pairs) <= MAX_PAIRS:
+        raise ValueError(
+            f"malformed task object: {len(pairs)} shown pairs, not 1..{MAX_PAIRS}")
     return SynthesisTask(program=program, pairs=pairs, held_out=held)
 
 
@@ -450,7 +454,7 @@ class GenerationStallError(RuntimeError):
 
 def task_source(
     grid_sampler: GridSampler,
-    n_pairs: int | str = 5,
+    n_pairs: int | str = MAX_PAIRS,
     step_limit: int = DEFAULT_STEP_LIMIT,
     classic_prune: bool = False,
 ) -> Callable[[random.Random], SynthesisTask]:
@@ -458,15 +462,15 @@ def task_source(
 
     Each call samples a program (redrawing any that fails
     :func:`satisfies_action_pruning` when ``classic_prune`` is set), picks
-    the pair count (uniform over 1..5 when ``n_pairs`` is the string
-    ``"uniform"``), and assembles a task with ``_RETRY_LIMIT`` grid
+    the pair count (uniform over 1..MAX_PAIRS when ``n_pairs`` is the
+    string ``"uniform"``), and assembles a task with ``_RETRY_LIMIT`` grid
     batches; programs that turn out uncoverable are dropped and redrawn.
     After ``_MAX_PROGRAM_ATTEMPTS`` consecutive failures the stream reports
     a stall instead of spinning, with how many of those programs the filter
     rejected and the crash reasons summed over the uncoverable ones.
     """
-    if n_pairs != "uniform" and not (type(n_pairs) is int and 1 <= n_pairs <= 5):
-        raise ValueError("n_pairs must be an int in 1..5 or the string 'uniform'")
+    if n_pairs != "uniform" and not (type(n_pairs) is int and 1 <= n_pairs <= MAX_PAIRS):
+        raise ValueError(f"n_pairs must be an int in 1..{MAX_PAIRS} or the string 'uniform'")
     if not (type(step_limit) is int and step_limit >= 0):
         raise ValueError("step_limit must be >= 0")
 
@@ -478,16 +482,10 @@ def task_source(
             if classic_prune and not satisfies_action_pruning(program):
                 filtered += 1
                 continue
-            pairs = rng.randint(1, 5) if n_pairs == "uniform" else n_pairs
+            pairs = rng.randint(1, MAX_PAIRS) if n_pairs == "uniform" else n_pairs
             try:
-                return make_task(
-                    program,
-                    grid_sampler,
-                    rng,
-                    n_pairs=pairs,
-                    retry_limit=_RETRY_LIMIT,
-                    step_limit=step_limit,
-                )
+                return make_task(program, grid_sampler, rng, n_pairs=pairs,
+                                 step_limit=step_limit)
             except UncoverableProgramError as exc:
                 crash_counts.update(exc.crash_counts)
         raise GenerationStallError(

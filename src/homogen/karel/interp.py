@@ -80,8 +80,7 @@ class ExecResult:
     set from the input ``grid``, so it keeps the input's own wall cells.
     ``free`` is ``None`` until the run's first wall check freezes the
     input's free cells. ``marks`` counts the markers the run put or picked;
-    a ``while`` compares it to tell that no marker changed. Two results are
-    equal when their crash, arms, steps and, on success, final worlds are.
+    a ``while`` compares it to tell that no marker changed.
     """
 
     __slots__ = ("grid", "free", "markers", "marks", "pos", "direction",
@@ -114,20 +113,6 @@ class ExecResult:
         grid = self.grid
         return KarelGrid(grid.width, grid.height, grid.walls, self.markers, self.pos,
                          self.direction)
-
-    def _key(self) -> tuple:
-        grid = self.grid
-        world = None if self.crash is not None else (
-            grid.width, grid.height, grid.walls, self.markers, self.pos, self.direction)
-        return self.crash, self.taken, self.steps, world
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExecResult):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        return f"ExecResult{self._key()!r}"
 
 
 Code = Callable[[ExecResult], None]

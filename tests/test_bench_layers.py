@@ -74,6 +74,7 @@ def test_every_traced_layer_exists_and_is_restored(monkeypatch):
 def test_the_traced_execute_layer_sees_every_grid_task_assembly_draws(monkeypatch):
     # The karel.interp.execute layer times task assembly's runs, so
     # make_task must run each grid it draws through the module's execute.
+    monkeypatch.setattr(gen, "_RETRY_LIMIT", 20)
     layers = load_layers(monkeypatch)
     tracer = layers.Tracer()
     patches, _ = layers.install(tracer, homogen_modules())
@@ -89,7 +90,7 @@ def test_the_traced_execute_layer_sees_every_grid_task_assembly_draws(monkeypatc
     try:
         for _ in range(40):
             try:
-                gen.make_task(sample_program(rng), sampler, rng, retry_limit=20)
+                gen.make_task(sample_program(rng), sampler, rng)
                 outcomes.add("task")
             except UncoverableProgramError:
                 outcomes.add("uncoverable")

@@ -1456,6 +1456,13 @@ def _without_width(record):
     return record
 
 
+def _with_pairs(count):
+    def corrupt(record):
+        record["pairs"] = (record["pairs"] * count)[:count]
+        return record
+    return corrupt
+
+
 def _repeated_cell(key, cell):
     def corrupt(record):
         grid = record["pairs"][0]["in"]
@@ -1471,7 +1478,10 @@ def _repeated_cell(key, cell):
     (_repeated_cell("walls", [1, 1]), "malformed grid object: a cell is listed twice in 'walls'"),
     (_repeated_cell("markers", [1, 1, 2]),
      "malformed grid object: a cell is listed twice in 'markers'"),
-], ids=["calc-in-karel", "grid-without-width", "wall-listed-twice", "pile-listed-twice"])
+    (_with_pairs(6), "malformed task object: 6 shown pairs, not 1..5"),
+    (_with_pairs(0), "malformed task object: 0 shown pairs, not 1..5"),
+], ids=["calc-in-karel", "grid-without-width", "wall-listed-twice", "pile-listed-twice",
+        "six-pairs", "no-pairs"])
 def test_stats_bad_karel_record_names_the_missing_key(
     corrupt, message, tmp_path, monkeypatch, capsys
 ):

@@ -438,14 +438,15 @@ def test_make_task_covers_every_branch_arm():
     assert covered == branch_arms(program)
 
 
-def test_uncoverable_program_reports_diagnostics():
+def test_uncoverable_program_reports_diagnostics(monkeypatch):
+    monkeypatch.setattr(gen, "_RETRY_LIMIT", 50)
     # Markers never appear, so the then-arm is unreachable without a crash.
     def marker_free_grid(rng):
         return sample_uniform_grid(rng)._replace(markers={})
 
     program = parse_program("def main(): if(markersPresent()): move()")
     with pytest.raises(UncoverableProgramError) as excinfo:
-        make_task(program, marker_free_grid, random.Random(68), retry_limit=50)
+        make_task(program, marker_free_grid, random.Random(68))
     err = excinfo.value
     assert err.attempts == 50
     assert err.missing_arm_counts.get((0, "then")) == 50
@@ -530,15 +531,15 @@ def assemble(make, *args, **kwargs):
         return exc
 
 
-def test_task_assembly_matches_the_eager_reference_draw_for_draw():
+def test_task_assembly_matches_the_eager_reference_draw_for_draw(monkeypatch):
+    monkeypatch.setattr(gen, "_RETRY_LIMIT", 8)
     programs = random.Random(74)
     outcomes = Counter()
     for index in range(200):
         program = sample_program(programs)
         for n_pairs in range(1, 6):
             fast, slow = random.Random(index * 5 + n_pairs), random.Random(index * 5 + n_pairs)
-            got = assemble(make_task, program, sample_uniform_grid, fast,
-                           n_pairs=n_pairs, retry_limit=8)
+            got = assemble(make_task, program, sample_uniform_grid, fast, n_pairs=n_pairs)
             expected = assemble(eager_make_task, program, eager_uniform_grid, slow,
                                 n_pairs=n_pairs, retry_limit=8)
             assert fast.getstate() == slow.getstate()
@@ -640,8 +641,6 @@ def test_task_assembly_action_calls_stay_bounded(monkeypatch):
 _BAD_ASSEMBLY_ARGS = [
     ({"n_pairs": 0}, "n_pairs"), ({"n_pairs": 6}, "n_pairs"),
     ({"n_pairs": True}, "n_pairs"), ({"n_pairs": 2.0}, "n_pairs"),
-    ({"retry_limit": 0}, "retry_limit"), ({"retry_limit": 2.5}, "retry_limit"),
-    ({"retry_limit": 2.0}, "retry_limit"), ({"retry_limit": True}, "retry_limit"),
     ({"step_limit": -1}, "step_limit"), ({"step_limit": 2.5}, "step_limit"),
     ({"step_limit": True}, "step_limit"),
 ]
@@ -662,10 +661,7 @@ def test_make_task_argument_validation():
 
 
 def test_task_source_argument_validation():
-    # A stream's grid budget is the constant ``_RETRY_LIMIT``, not an argument.
     for kwargs, name in _BAD_ASSEMBLY_ARGS:
-        if name == "retry_limit":
-            continue
         with pytest.raises(ValueError, match=f"^{name} must be"):
             task_source(_unusable_grid_sampler, **kwargs)
 

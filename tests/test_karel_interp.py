@@ -300,7 +300,9 @@ def test_execution_is_deterministic():
     rng = random.Random(43)
     program = sample_program(rng)
     grid = sample_uniform_grid(rng)
-    assert execute(program, grid) == execute(program, grid)
+    first, second = [(run.crash, run.taken, run.steps, run.pos, run.direction, run.markers)
+                     for run in (execute(program, grid), execute(program, grid))]
+    assert first == second
 
 
 def test_step_limit_validation():
@@ -627,7 +629,7 @@ def test_a_run_leaves_its_input_markers_alone(as_draw):
     assert result.output.markers == {(4, 4): 4, (5, 4): 1}
 
 
-def test_exec_result_matches_the_reference_and_compares_by_value():
+def test_exec_result_matches_the_reference():
     rng = random.Random(45)
     crashed = succeeded = 0
     for _ in range(300):
@@ -639,9 +641,6 @@ def test_exec_result_matches_the_reference_and_compares_by_value():
         output, crash, taken, steps = reference_execute(program, grid, DEFAULT_STEP_LIMIT)
         assert result.output == output
         assert result.branches_taken == taken
-        again = execute(compile_program(program), grid)
-        assert again == result
-        assert not again != result
         if crash is None:
             succeeded += 1
             assert type(result.output) is KarelGrid
@@ -650,14 +649,3 @@ def test_exec_result_matches_the_reference_and_compares_by_value():
             crashed += 1
             assert result.output is None
     assert crashed > 50 and succeeded > 50
-
-
-def test_exec_results_differ_when_runs_differ():
-    grid = open_grid()
-    turned = run_text("def main(): turnLeft()", grid)
-    assert turned != run_text("def main(): turnRight()", grid)
-    assert turned != run_text("def main(): turnLeft() ; move()", grid)
-    assert turned != "not a result"
-    crashed = run_text(CRASH_TEXT, CRASH_GRID)
-    assert crashed == run_text(CRASH_TEXT, CRASH_GRID)
-    assert crashed != turned
