@@ -16,9 +16,9 @@ draw builds one per node and a tuple is cheaper to build than a ``Frozen``
 record. The ``len``, indexing, iteration and ordering a node inherits from
 ``tuple`` exist but mean nothing for a tree.
 
-Rendering, evaluation, parsing, salient measurement and the equality, hash
-and ``repr`` of a tree all walk with explicit stacks, so they follow any
-nesting depth. ``expr_record`` builds a dataset row's text and label in one
+Rendering, evaluation, parsing, salient measurement and the equality and
+``repr`` of a tree all walk with explicit stacks, so they follow any nesting
+depth. ``expr_record`` builds a dataset row's text and label in one
 walk, and ``expr_salients`` measures the salients of the text a tree renders
 to without rendering it, so a caller that rejects most draws renders only
 the ones it keeps. The samplers stop at
@@ -55,10 +55,10 @@ class BinOp(tuple):
     Every construction checks the operator, and ``op``, ``left`` and
     ``right`` are read-only attributes that class patterns match on.
     ``==``, ``!=`` and ``repr`` give what a ``Frozen`` record of the three
-    fields would, ``hash`` agrees with ``==``, and all of them walk with
-    explicit stacks; a node never equals the plain tuple of its fields.
-    ``len``, indexing, iteration and the ordering operators are inherited
-    from ``tuple`` and mean nothing for a tree.
+    fields would, and all of them walk with explicit stacks; a node never
+    equals the plain tuple of its fields. ``len``, indexing, iteration and
+    the ordering operators are inherited from ``tuple`` and mean nothing for
+    a tree.
     """
 
     __slots__ = ()
@@ -98,22 +98,6 @@ class BinOp(tuple):
         # ``tuple.__ne__`` would compare item by item, recursing.
         equal = self.__eq__(other)
         return equal if equal is NotImplemented else not equal
-
-    def __hash__(self) -> int:
-        # hash((op, hash(left), hash(right))), bottom up, so equal trees
-        # hash equal.
-        hashes: list[int] = []
-        todo: list = [(self, False)]
-        while todo:
-            node, children_done = todo.pop()
-            if children_done:
-                right = hashes.pop()
-                hashes[-1] = hash((node[0], hashes[-1], right))
-            elif isinstance(node, BinOp):
-                todo += ((node, True), (node[2], False), (node[1], False))
-            else:
-                hashes.append(hash(node))
-        return hashes[0]
 
     def __repr__(self) -> str:
         # Text still to emit, and operator nodes still to expand.
@@ -267,18 +251,21 @@ def parse_expr(text: str) -> CalcExpr:
 # Samplers. Each documents its RNG call order so runs are reproducible.
 
 # Deepest nesting a sampled tree may reach. ``Dcfg`` and ``Rcfg`` raise
-# ``ValueError`` on a draw that would nest deeper; ``T2t`` and ``Bal``
-# reject depths above it when built.
+# ``ValueError`` on a draw that would nest deeper; ``T2t`` rejects a
+# ``max_depth`` above it when built.
 MAX_NESTING = 500
 _TOO_DEEP = f"a sampled expression nested deeper than {MAX_NESTING} levels"
 
-# Most nodes a fixed-depth tree may hold. A t2t tree's size grows about as
-# e^(1.8 sqrt(d)) with its depth d, so ``T2t`` raises ``ValueError`` on a
-# draw that grows past it; a complete ``Bal`` tree of depth d has
-# 2^(d+1) - 1 nodes, so ``Bal`` rejects deeper depths when built.
+# Most nodes a t2t tree may hold. Its size grows about as e^(1.8 sqrt(d))
+# with its depth d, so ``T2t`` raises ``ValueError`` on a draw that grows
+# past it.
 MAX_NODES = 100_000
 _TOO_BIG = f"a sampled expression grew past {MAX_NODES} nodes"
-_MAX_BAL_DEPTH = (MAX_NODES + 1).bit_length() - 2
+
+# The lengths an rcfg operator run draws from, and the depths a bal tree
+# draws from; each draw picks an index uniformly.
+RUN_LENGTHS = (2, 3, 4)
+BAL_DEPTHS = (1, 2, 3, 4, 5, 6)
 
 
 class Dcfg(Frozen):
@@ -298,60 +285,47 @@ class Dcfg(Frozen):
 
 
 class T2t(Frozen):
-    """Exact-depth tree builder. Draws a depth d (uniform over
-    1..max_depth unless ``depth`` pins it), then recursively forces a random
-    side to depth d-1 while the other side gets an independent depth from
-    U{0..d-1}; depth 0 is a digit. RNG order per node: digit value at depth
-    0, else (operator, side coin, other-side depth, forced side, other side).
-    A draw stops with ``ValueError`` once it passes :data:`MAX_NODES`.
+    """Exact-depth tree builder. Draws a depth d uniform over 1..max_depth,
+    then recursively forces a random side to depth d-1 while the other side
+    gets an independent depth from U{0..d-1}; depth 0 is a digit. RNG order
+    per node: digit value at depth 0, else (operator, side coin, other-side
+    depth, forced side, other side). A draw stops with ``ValueError`` once
+    it passes :data:`MAX_NODES`.
     """
 
-    __slots__ = ("max_depth", "depth")
+    __slots__ = ("max_depth",)
 
-    def __init__(self, max_depth: int = 8, depth: int | None = None) -> None:
+    def __init__(self, max_depth: int = 8) -> None:
         if not 1 <= max_depth <= MAX_NESTING:
             raise ValueError(f"max_depth must be in 1..{MAX_NESTING}")
-        if depth is not None and not 0 <= depth <= MAX_NESTING:
-            raise ValueError(f"depth must be in 0..{MAX_NESTING} when pinned")
-        super().__init__(max_depth, depth)
+        super().__init__(max_depth)
 
 
 class Rcfg(Frozen):
     """Grammar walk with operator runs: digit with probability 1-p, else an
     operator; ``+`` and ``*`` expand to a run of k children (k drawn from
-    ``run_lengths``) combined left-associatively, ``-`` stays binary. RNG
+    :data:`RUN_LENGTHS`) combined left-associatively, ``-`` stays binary. RNG
     order per node: the branch coin, then either the digit value or
     (operator, run length when applicable, children left to right). Toward
     :data:`MAX_NESTING`, every child of a run counts one level below its
     operator, however deep the run's left-associative chain makes it.
     """
 
-    __slots__ = ("p", "run_lengths")
+    __slots__ = ("p",)
 
-    def __init__(self, p: float = 0.3, run_lengths: tuple[int, ...] = (2, 3, 4)) -> None:
+    def __init__(self, p: float = 0.3) -> None:
         if not 0.0 < p < 1.0:
             raise ValueError("p must be in (0, 1)")
-        if not run_lengths or any(k < 2 for k in run_lengths):
-            raise ValueError("run lengths must all be >= 2")
-        super().__init__(p, run_lengths)
+        super().__init__(p)
 
 
 class Bal(Frozen):
-    """Complete binary tree of a depth drawn uniformly from ``depths``;
-    every internal node gets an independent uniform operator. RNG order:
-    the depth, then nodes in root-left-right order. A depth whose tree would
-    pass :data:`MAX_NODES` is rejected.
+    """Complete binary tree of a depth drawn uniformly from
+    :data:`BAL_DEPTHS`; every internal node gets an independent uniform
+    operator. RNG order: the depth, then nodes in root-left-right order.
     """
 
-    __slots__ = ("depths",)
-
-    def __init__(self, depths: tuple[int, ...] = (1, 2, 3, 4, 5, 6)) -> None:
-        if not depths or any(not 0 <= d <= _MAX_BAL_DEPTH for d in depths):
-            raise ValueError(
-                f"depths must be in 0..{_MAX_BAL_DEPTH}; a tree of depth d has "
-                f"2^(d+1) - 1 nodes, at most {MAX_NODES}"
-            )
-        super().__init__(depths)
+    __slots__ = ()
 
 
 CalcSampler = Dcfg | T2t | Rcfg | Bal
@@ -416,9 +390,7 @@ def _sample_t2t(coin: Coin, bits: Bits, depth: int, room: list[int]) -> CalcExpr
     return BinOp(OPS[op], left, _sample_t2t(coin, bits, depth - 1, room))
 
 
-def _sample_rcfg(
-    coin: Coin, bits: Bits, p: float, runs: tuple[int, ...], room: int
-) -> CalcExpr:
+def _sample_rcfg(coin: Coin, bits: Bits, p: float, room: int) -> CalcExpr:
     if coin() >= p:
         digit = bits(4)
         while digit >= 10:
@@ -431,12 +403,12 @@ def _sample_rcfg(
     while op == 3:
         op = bits(2)
     if OPS[op] == "-":
-        left = _sample_rcfg(coin, bits, p, runs, room)
-        return BinOp("-", left, _sample_rcfg(coin, bits, p, runs, room))
-    k = runs[randbelow(bits, len(runs))]
-    node = _sample_rcfg(coin, bits, p, runs, room)
+        left = _sample_rcfg(coin, bits, p, room)
+        return BinOp("-", left, _sample_rcfg(coin, bits, p, room))
+    k = RUN_LENGTHS[randbelow(bits, len(RUN_LENGTHS))]
+    node = _sample_rcfg(coin, bits, p, room)
     for _ in range(k - 1):
-        node = BinOp(OPS[op], node, _sample_rcfg(coin, bits, p, runs, room))
+        node = BinOp(OPS[op], node, _sample_rcfg(coin, bits, p, room))
     return node
 
 
@@ -457,11 +429,10 @@ def _sample_bal(bits: Bits, depth: int) -> CalcExpr:
 _DRAWS: dict[type, Callable[[Coin, Bits, CalcSampler], CalcExpr]] = {
     Dcfg: lambda coin, bits, s: _sample_dcfg(coin, bits, s.p, MAX_NESTING),
     T2t: lambda coin, bits, s: _sample_t2t(
-        coin, bits, s.depth if s.depth is not None else 1 + randbelow(bits, s.max_depth),
-        [MAX_NODES],
+        coin, bits, 1 + randbelow(bits, s.max_depth), [MAX_NODES]
     ),
-    Rcfg: lambda coin, bits, s: _sample_rcfg(coin, bits, s.p, s.run_lengths, MAX_NESTING),
-    Bal: lambda coin, bits, s: _sample_bal(bits, s.depths[randbelow(bits, len(s.depths))]),
+    Rcfg: lambda coin, bits, s: _sample_rcfg(coin, bits, s.p, MAX_NESTING),
+    Bal: lambda coin, bits, s: _sample_bal(bits, BAL_DEPTHS[randbelow(bits, len(BAL_DEPTHS))]),
 }
 
 

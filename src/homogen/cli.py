@@ -120,20 +120,24 @@ class _Outputs:
     """The files one command writes, each first to a temporary sibling.
 
     Every path the command will write is named when the object is made,
-    which rejects a directory at any of them and a parent that is missing or
-    not a directory, before anything is drawn or read: ``os.replace`` would
-    fail on a directory only after moving the outputs before it, and opening
-    a temporary file would find a bad parent only after the run's work. On
-    success the files are moved into place in the order they were opened, so
-    the manifest, opened last, lands last; on failure every temporary file
-    is removed and no output path is touched. A failed open, write, close or
-    move is reported against the output path it was for.
+    which rejects a directory or other non-regular file at any of them and a
+    parent that is missing or not a directory, before anything is drawn or
+    read: ``os.replace`` would fail on a directory only after moving the
+    outputs before it and would put a regular file in place of a FIFO or a
+    device, and opening a temporary file would find a bad parent only after
+    the run's work. On success the files are moved into place in the order
+    they were opened, so the manifest, opened last, lands last; on failure
+    every temporary file is removed and no output path is touched. A failed
+    open, write, close or move is reported against the output path it was
+    for.
     """
 
     def __init__(self, *paths: Path) -> None:
         for path in paths:
             if path.is_dir():
                 raise UsageError(f"{path}: Is a directory")
+            if path.exists() and not path.is_file():
+                raise UsageError(f"{path}: Not a regular file")
             try:
                 if not stat.S_ISDIR(path.parent.stat().st_mode):
                     raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
@@ -249,15 +253,26 @@ def _calc_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-depth", type=_integer, default=8, help="t2t depth ceiling")
 
 
+# Each dist's manifest ``sampler`` text, formatted with the sampler: its repr
+# at manifest version 0.1.0, when the calc constants here were its fields.
+_SAMPLER_TEXT = {
+    "dcfg": "Dcfg(p={0.p!r})",
+    "t2t": "T2t(max_depth={0.max_depth!r}, depth=None)",
+    "rcfg": f"Rcfg(p={{0.p!r}}, run_lengths={calc.RUN_LENGTHS!r})",
+    "bal": f"Bal(depths={calc.BAL_DEPTHS!r})",
+}
+
+
 def _calc_sampler(args: argparse.Namespace) -> tuple[calc.CalcSampler, dict[str, Any]]:
     sampler = _CALC_SAMPLERS[args.dist](args)
-    return sampler, {"domain": "calc", "dist": args.dist, "sampler": repr(sampler)}
+    text = _SAMPLER_TEXT[args.dist].format(sampler)
+    return sampler, {"domain": "calc", "dist": args.dist, "sampler": text}
 
 
 @contextlib.contextmanager
 def _calc_draw_errors(sampler: calc.CalcSampler) -> Iterator[None]:
     # A dcfg or rcfg draw can pass the nesting cap, and a t2t draw the node
-    # bound; bal depths past the bound are rejected when the sampler is built.
+    # bound.
     try:
         yield
     except (UsageError, DomainViolationError):
@@ -313,8 +328,8 @@ def _karel_sampler(args: argparse.Namespace) -> tuple[Source, dict[str, Any]]:
     try:
         pairs = args.pairs if args.pairs == "uniform" else _integer(args.pairs)
     except argparse.ArgumentTypeError:
-        raise UsageError(
-            f"--pairs must be an integer in 1..{karel_gen.MAX_PAIRS} or 'uniform'") from None
+        raise UsageError(f"--pairs must be an integer in 1..{karel_gen.MAX_PAIRS} or "
+                         f"'uniform', got {args.pairs!r}") from None
     if args.classic_prune:
         params["classic_prune"] = True
     source = karel_gen.task_source(

@@ -22,6 +22,8 @@ per nesting level: text nested past Python's recursion limit raises
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
+from typing import Any
 
 from .._frozen import Frozen
 
@@ -156,18 +158,15 @@ class _Parser:
             return self.tokens[self.index][1]
         return self.tokens[-1][1] + 1 if self.tokens else 0
 
-    def advance(self) -> str:
+    def fail(self, wanted: str) -> KarelSyntaxError:
+        """The error for finding the current token where ``wanted`` belongs."""
         tok = self.peek()
-        if tok is None:
-            raise KarelSyntaxError("unexpected end of program", self.here())
-        self.index += 1
-        return tok
+        found = "end of program" if tok is None else repr(tok)
+        return KarelSyntaxError(f"expected {wanted}, found {found}", self.here())
 
     def expect(self, wanted: str) -> None:
-        tok = self.peek()
-        if tok != wanted:
-            found = "end of program" if tok is None else repr(tok)
-            raise KarelSyntaxError(f"expected {wanted!r}, found {found}", self.here())
+        if self.peek() != wanted:
+            raise self.fail(repr(wanted))
         self.index += 1
 
     def program(self) -> KarelProgram:
@@ -193,33 +192,28 @@ class _Parser:
             self.expect(")")
             return Action(tok)
         if tok == "while":
-            self.index += 1
-            self.expect("(")
-            cond = self.cond()
-            self.expect(")")
-            self.expect(":")
-            return While(cond, self.body())
+            return While(self.header(self.cond), self.body())
         if tok == "repeat":
-            self.index += 1
-            self.expect("(")
-            times = self.repeat_count()
-            self.expect(")")
-            self.expect(":")
-            return Repeat(times, self.body())
+            return Repeat(self.header(self.repeat_count), self.body())
         if tok == "if":
-            self.index += 1
-            self.expect("(")
-            cond = self.cond()
-            self.expect(")")
-            self.expect(":")
+            cond = self.header(self.cond)
             then_body = self.body()
             if self.peek() == "else":
                 self.index += 1
                 self.expect(":")
                 return IfElse(cond, then_body, self.body())
             return If(cond, then_body)
-        found = "end of program" if tok is None else repr(tok)
-        raise KarelSyntaxError(f"expected a statement, found {found}", self.here())
+        raise self.fail("a statement")
+
+    def header(self, argument: Callable[[], Any]) -> Any:
+        # The keyword, then ``( argument ) :``, as ``while``, ``repeat`` and
+        # ``if`` spell it.
+        self.index += 1
+        self.expect("(")
+        value = argument()
+        self.expect(")")
+        self.expect(":")
+        return value
 
     def body(self) -> Body:
         # Braced bodies may hold a sequence; an unbraced body is one statement.
@@ -231,14 +225,16 @@ class _Parser:
         return (self.stmt(),)
 
     def repeat_count(self) -> int:
-        pos = self.here()
-        tok = self.advance()
+        tok = self.peek()
+        if tok is None:
+            raise KarelSyntaxError("unexpected end of program", self.here())
         # A count is spelled as emit_tokens writes it: no leading zero.
         if not (tok.isascii() and tok.isdigit()) or (tok[0] == "0" and tok != "0"):
-            raise KarelSyntaxError(f"expected a repeat count, found {tok!r}", pos)
+            raise self.fail("a repeat count")
         times = int(tok)
         if times > MAX_REPEAT:
-            raise KarelSyntaxError(f"repeat count must be in 0..{MAX_REPEAT}", pos)
+            raise KarelSyntaxError(f"repeat count must be in 0..{MAX_REPEAT}", self.here())
+        self.index += 1
         return times
 
     def cond(self) -> Cond:
@@ -254,8 +250,7 @@ class _Parser:
             self.expect("(")
             self.expect(")")
             return Pred(tok)
-        found = "end of program" if tok is None else repr(tok)
-        raise KarelSyntaxError(f"expected a condition, found {found}", self.here())
+        raise self.fail("a condition")
 
 
 def parse_program(text: str | list[str] | tuple[str, ...]) -> KarelProgram:

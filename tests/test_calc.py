@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homogen import calc
+from homogen import calc, cli
 from homogen.rng import randbelow
 from homogen.calc import (
     _SALIENT_DOMAINS as DOMAINS,
@@ -33,6 +33,11 @@ from homogen.calc import (
 )
 
 ALL_SAMPLERS = (Dcfg(), T2t(), Rcfg(), Bal())
+
+
+def sampler_id(sampler):
+    """The sampler's text in a calc manifest, which names its test cases."""
+    return cli._SAMPLER_TEXT[type(sampler).__name__.lower()].format(sampler)
 
 
 def exact_value(expr):
@@ -205,13 +210,6 @@ def test_dcfg_validates_p():
         Dcfg(p=1.0)
 
 
-def test_t2t_pinned_depth_is_exact():
-    rng = random.Random(2)
-    for d in (0, 1, 3, 5):
-        for _ in range(200):
-            assert tree_depth(sample_expr(rng, T2t(depth=d))) == d
-
-
 def test_t2t_default_depth_range():
     rng = random.Random(3)
     depths = {tree_depth(sample_expr(rng, T2t())) for _ in range(2000)}
@@ -271,7 +269,7 @@ def left_chain_depth(expr):
     return depth
 
 
-@pytest.mark.parametrize("sampler", [Dcfg(p=0.5), Rcfg(p=0.5)], ids=repr)
+@pytest.mark.parametrize("sampler", [Dcfg(p=0.5), Rcfg(p=0.5)], ids=sampler_id)
 def test_grammar_walks_stop_at_the_nesting_cap(sampler):
     # The first MAX_NESTING coins nest operators down the left spine.
     assert left_chain_depth(sample_expr(_ScriptedRng(MAX_NESTING), sampler)) == MAX_NESTING
@@ -290,38 +288,31 @@ def test_near_critical_dcfg_raises_value_error():
 def test_fixed_depth_samplers_reject_depths_past_the_cap():
     with pytest.raises(ValueError, match="max_depth"):
         T2t(max_depth=MAX_NESTING + 1)
-    with pytest.raises(ValueError, match="depth"):
-        T2t(depth=MAX_NESTING + 1)
-    with pytest.raises(ValueError, match="depths"):
-        Bal(depths=(2, MAX_NESTING + 1))
     T2t(max_depth=MAX_NESTING)
 
 
-def test_bal_rejects_depths_whose_tree_passes_the_node_bound():
-    # A complete tree of depth d has 2^(d+1) - 1 nodes.
-    deepest = max(d for d in range(64) if 2 ** (d + 1) - 1 <= MAX_NODES)
-    Bal(depths=(0, deepest))
-    for depth in (deepest + 1, MAX_NESTING):
-        with pytest.raises(ValueError, match="depths"):
-            Bal(depths=(depth,))
+def t2t_at_depth(rng, depth):
+    """A t2t tree of exactly ``depth``: the draw ``T2t`` makes once it has
+    drawn its depth."""
+    return calc._sample_t2t(rng.random, rng.getrandbits, depth, [calc.MAX_NODES])
 
 
 def test_t2t_draws_stop_at_the_node_bound(monkeypatch):
     # Scripted coins force the left side and every other side gets depth 0:
     # a depth-10 draw is a left spine of 10 operators, 21 nodes in all.
-    expr = sample_expr(_ScriptedRng(10), T2t(depth=10))
+    expr = t2t_at_depth(_ScriptedRng(10), 10)
     assert left_chain_depth(expr) == 10
     monkeypatch.setattr(calc, "MAX_NODES", 21)
-    assert sample_expr(_ScriptedRng(10), T2t(depth=10)) == expr
+    assert t2t_at_depth(_ScriptedRng(10), 10) == expr
     monkeypatch.setattr(calc, "MAX_NODES", 20)
     with pytest.raises(ValueError, match="nodes"):
-        sample_expr(_ScriptedRng(10), T2t(depth=10))
+        t2t_at_depth(_ScriptedRng(10), 10)
 
 
 def test_deep_t2t_draws_raise_value_error():
     rng = random.Random(3)
     with pytest.raises(ValueError, match=f"grew past {MAX_NODES} nodes"):
-        sample_expr(rng, T2t(depth=MAX_NESTING))
+        t2t_at_depth(rng, MAX_NESTING)
 
 
 def test_samplers_are_deterministic_given_seed():
@@ -362,7 +353,7 @@ def test_salients_reject_malformed_text():
 def test_salients_clamp_to_domains():
     # A deep balanced tree overflows several domains at once.
     rng = random.Random(7)
-    expr = sample_expr(rng, Bal(depths=(10,)))
+    expr = calc._sample_bal(rng.getrandbits, 10)
     s = calc_salients(render(expr))
     assert s["length"] == 120
     assert s["num_ops"] == 60
@@ -430,16 +421,16 @@ def _reference_sample(rng, sampler):
             return BinOp(op, t2t(depth - 1), t2t(other_depth))
         return BinOp(op, t2t(other_depth), t2t(depth - 1))
 
-    def rcfg(p, runs):
+    def rcfg(p):
         if rng.random() >= p:
             return Digit(rng.randrange(10))
         op = OPS[rng.randrange(3)]
         if op == "-":
-            return BinOp("-", rcfg(p, runs), rcfg(p, runs))
-        k = runs[rng.randrange(len(runs))]
-        node = rcfg(p, runs)
+            return BinOp("-", rcfg(p), rcfg(p))
+        k = rng.randint(2, 4)
+        node = rcfg(p)
         for _ in range(k - 1):
-            node = BinOp(op, node, rcfg(p, runs))
+            node = BinOp(op, node, rcfg(p))
         return node
 
     def bal(depth):
@@ -453,20 +444,18 @@ def _reference_sample(rng, sampler):
     if isinstance(sampler, Dcfg):
         return dcfg(sampler.p)
     if isinstance(sampler, T2t):
-        depth = sampler.depth if sampler.depth is not None else rng.randint(1, sampler.max_depth)
-        return t2t(depth)
+        return t2t(rng.randint(1, sampler.max_depth))
     if isinstance(sampler, Rcfg):
-        return rcfg(sampler.p, sampler.run_lengths)
-    return bal(sampler.depths[rng.randrange(len(sampler.depths))])
+        return rcfg(sampler.p)
+    return bal(rng.randint(1, 6))
 
 
 REFERENCE_SAMPLERS = (
-    Dcfg(), Dcfg(p=0.45), T2t(), T2t(max_depth=11), T2t(depth=4), Rcfg(),
-    Rcfg(p=0.25, run_lengths=(2, 5)), Bal(), Bal(depths=(0, 3, 7)),
+    Dcfg(), Dcfg(p=0.45), T2t(), T2t(max_depth=11), Rcfg(), Rcfg(p=0.25), Bal(),
 )
 
 
-@pytest.mark.parametrize("sampler", REFERENCE_SAMPLERS, ids=repr)
+@pytest.mark.parametrize("sampler", REFERENCE_SAMPLERS, ids=sampler_id)
 @pytest.mark.parametrize("seed", [61, 62])
 def test_samplers_match_the_randrange_reference(sampler, seed):
     new, old = random.Random(seed), random.Random(seed)
@@ -506,7 +495,7 @@ def _randbelow_reference_sample(rng, sampler):
         left = t2t(other_depth, room)
         return BinOp(op, left, t2t(depth - 1, room))
 
-    def rcfg(p, runs, room):
+    def rcfg(p, room):
         if coin() >= p:
             return Digit(randbelow(bits, 10))
         if not room:
@@ -514,12 +503,12 @@ def _randbelow_reference_sample(rng, sampler):
         room -= 1
         op = OPS[randbelow(bits, 3)]
         if op == "-":
-            left = rcfg(p, runs, room)
-            return BinOp("-", left, rcfg(p, runs, room))
-        k = runs[randbelow(bits, len(runs))]
-        node = rcfg(p, runs, room)
+            left = rcfg(p, room)
+            return BinOp("-", left, rcfg(p, room))
+        k = 2 + randbelow(bits, 3)
+        node = rcfg(p, room)
         for _ in range(k - 1):
-            node = BinOp(op, node, rcfg(p, runs, room))
+            node = BinOp(op, node, rcfg(p, room))
         return node
 
     def bal(depth):
@@ -533,13 +522,10 @@ def _randbelow_reference_sample(rng, sampler):
     if isinstance(sampler, Dcfg):
         return dcfg(sampler.p, MAX_NESTING)
     if isinstance(sampler, T2t):
-        depth = sampler.depth
-        if depth is None:
-            depth = 1 + randbelow(bits, sampler.max_depth)
-        return t2t(depth, [calc.MAX_NODES])
+        return t2t(1 + randbelow(bits, sampler.max_depth), [calc.MAX_NODES])
     if isinstance(sampler, Rcfg):
-        return rcfg(sampler.p, sampler.run_lengths, MAX_NESTING)
-    return bal(sampler.depths[randbelow(bits, len(sampler.depths))])
+        return rcfg(sampler.p, MAX_NESTING)
+    return bal(1 + randbelow(bits, 6))
 
 
 def _outcome(sample, rng, sampler):
@@ -564,9 +550,7 @@ def _errors_drawing_like_the_randbelow_reference(sampler):
     return errors
 
 
-@pytest.mark.parametrize(
-    "sampler", (*REFERENCE_SAMPLERS, Rcfg(p=0.45, run_lengths=(2,))), ids=repr
-)
+@pytest.mark.parametrize("sampler", REFERENCE_SAMPLERS, ids=sampler_id)
 def test_inline_draws_match_the_randbelow_reference(sampler):
     assert _errors_drawing_like_the_randbelow_reference(sampler) == 0
 
@@ -616,7 +600,7 @@ def test_salients_match_the_character_loop_reference():
     texts = ["7", "", "(7)", "((((((((((((((((((((1))))))))))))))))))))", ")1(", "1+(2"]
     # Deep parentheses that overflow every clamped domain at once.
     texts.append("(" * 45 + "+".join("1" * 70) + ")" * 45)
-    texts.append(render(sample_expr(rng, Bal(depths=(10,)))))
+    texts.append(render(calc._sample_bal(rng.getrandbits, 10)))
     for sampler in REFERENCE_SAMPLERS:
         texts += [render(sample_expr(rng, sampler)) for _ in range(500)]
     clamped = set()
@@ -862,7 +846,6 @@ def test_tree_equality_hash_and_repr_match_the_recursive_reference():
         assert repr(expr) == _reference_repr(expr)
         copy = parse_expr(render(expr))
         assert copy == expr and not copy != expr
-        assert hash(copy) == hash(expr)
     equal_pairs = 0
     for a, b in zip(exprs, exprs[1:] + exprs[:1]):
         assert (a == b) is _reference_equal(a, b), (a, b)
@@ -872,7 +855,8 @@ def test_tree_equality_hash_and_repr_match_the_recursive_reference():
     assert BinOp("+", Digit(1), Digit(2)) != Digit(1)
     assert Digit(1) != BinOp("+", Digit(1), Digit(2))
     assert BinOp("+", Digit(1), Digit(2)) != BinOp("-", Digit(1), Digit(2))
-    assert len({BinOp("*", Digit(3), Digit(4)), BinOp("*", Digit(3), Digit(4))}) == 1
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(BinOp("*", Digit(3), Digit(4)))
 
 
 def test_tree_equality_hash_and_repr_follow_nesting_past_the_recursion_limit():
@@ -896,12 +880,12 @@ def test_tree_equality_hash_and_repr_follow_nesting_past_the_recursion_limit():
     expr, text = chain(0)
     same, _ = chain(0)
     other, _ = chain(1)
-    assert expr == same and hash(expr) == hash(same)
+    assert expr == same
     assert expr != other and not expr == other
     assert repr(expr) == text
     deep = parse_expr("1*(" * 1200 + "1" + ")" * 1200)
     assert deep == parse_expr("1*(" * 1200 + "1" + ")" * 1200)
-    assert hash(deep) == hash(parse_expr(render(deep)))
+    assert deep == parse_expr(render(deep))
     assert repr(deep).count("BinOp(") == 1200
 
 
@@ -947,7 +931,7 @@ def test_binop_pickles_and_deep_copies_to_an_equal_tree():
             copy.deepcopy(tree), copy.copy(tree)
         ]:
             assert type(clone) is type(tree)
-            assert clone == tree and hash(clone) == hash(tree)
+            assert clone == tree
             assert render(clone) == render(tree)
 
 

@@ -327,7 +327,8 @@ DRAW_SEAMS = [
 
 
 # Each case runs with ``--out <out>`` after putting ``blocker`` in the way:
-# a directory when it ends in "/", a file otherwise.
+# a directory when it ends in "/", a FIFO when it ends in "|", a file
+# otherwise.
 @pytest.mark.parametrize("domain", ["calc", "karel"])
 @pytest.mark.parametrize("command, out, blocker, error", [
     pytest.param("generate", "h.jsonl", "h.jsonl/", "h.jsonl: Is a directory",
@@ -342,6 +343,10 @@ DRAW_SEAMS = [
                  "h.jsonl.report.csv: Is a directory", id="homogenize-.report.csv"),
     pytest.param("homogenize", "h.jsonl", "h.jsonl.manifest.json/",
                  "h.jsonl.manifest.json: Is a directory", id="homogenize-.manifest.json"),
+    pytest.param("generate", "h.jsonl", "h.jsonl|", "h.jsonl: Not a regular file",
+                 id="generate-fifo"),
+    pytest.param("homogenize", "h.jsonl", "h.jsonl.report.json|",
+                 "h.jsonl.report.json: Not a regular file", id="homogenize-.report.json-fifo"),
     pytest.param("generate", "nodir/h.jsonl", None,
                  "nodir/h.jsonl: No such file or directory", id="generate-missing-parent"),
     pytest.param("homogenize", "nodir/h.jsonl", None,
@@ -361,6 +366,8 @@ def test_directory_at_any_output_path_exits_2_before_the_first_draw(
         monkeypatch.setattr(module, name, _fail_on_call)
     if blocker and blocker.endswith("/"):
         (tmp_path / blocker).mkdir()
+    elif blocker and blocker.endswith("|"):
+        os.mkfifo(tmp_path / blocker[:-1])
     elif blocker:
         (tmp_path / blocker).write_text("old\n")
     before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
@@ -725,12 +732,11 @@ GOLDEN_SHA256 = [
 ]
 
 
-@pytest.mark.parametrize(
-    "commands, digests",
-    GOLDEN_SHA256,
-    ids=["narrow", "pairs", "homogenize", "homogenize-calc", "rcfg", "bal", "stats-calc",
-         "homogenize-dcfg", "t2t", "homogenize-rcfg", "stats-karel"],
-)
+GOLDEN_IDS = ["narrow", "pairs", "homogenize", "homogenize-calc", "rcfg", "bal", "stats-calc",
+              "homogenize-dcfg", "t2t", "homogenize-rcfg", "stats-karel"]
+
+
+@pytest.mark.parametrize("commands, digests", GOLDEN_SHA256, ids=GOLDEN_IDS)
 def test_karel_outputs_match_golden_digests(commands, digests, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
@@ -738,6 +744,45 @@ def test_karel_outputs_match_golden_digests(commands, digests, tmp_path, monkeyp
         assert code == 0, argv
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def _other_interpreters():
+    """Each CPython 3.10 or later under ``~/.pyenv/versions`` but the running
+    one, keyed by version."""
+    running = "{}.{}.{}".format(*sys.version_info[:3])
+    found = {}
+    for python in sorted((Path.home() / ".pyenv" / "versions").glob("3.*/bin/python3")):
+        version = python.parents[1].name
+        numbers = version.split(".")
+        if (len(numbers) == 3 and all(n.isdigit() for n in numbers)
+                and int(numbers[1]) >= 10 and version != running):
+            found[version] = python
+    return found
+
+
+def test_calc_golden_digests_match_on_every_other_interpreter(tmp_path):
+    # The calc samplers draw through getrandbits, and a manifest formats
+    # floats with repr; neither may differ between the interpreters that
+    # README supports. Each command line runs as ``python -m homogen.cli``.
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no CPython 3.10 or later other than the running one in ~/.pyenv/versions")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    calc_entries = [(name, commands, digests)
+                    for name, (commands, digests) in zip(GOLDEN_IDS, GOLDEN_SHA256)
+                    if not any("karel" in argv for argv in commands)]
+    assert len(calc_entries) == 7
+    for version, python in interpreters.items():
+        for name, commands, digests in calc_entries:
+            directory = tmp_path / version / name
+            directory.mkdir(parents=True)
+            for argv in commands:
+                done = subprocess.run([python, "-m", "homogen.cli", *argv], cwd=directory,
+                                      env=env, capture_output=True, text=True)
+                assert done.returncode == 0, (version, argv, done.stderr)
+            for file, digest in digests.items():
+                written = hashlib.sha256((directory / file).read_bytes()).hexdigest()
+                assert written == digest, (version, name, file)
 
 
 def test_argparse_usage_error_exits_2(tmp_path, monkeypatch, capsys):
@@ -861,7 +906,7 @@ def test_integer_flags_take_only_ascii_decimal_digits(
     code, out, err = run_cli([spelling if arg == "{}" else arg for arg in argv], capsys)
     assert (code, out) == (2, "")
     if flag == "--pairs":
-        assert err == "error: --pairs must be an integer in 1..5 or 'uniform'\n"
+        assert err == f"error: --pairs must be an integer in 1..5 or 'uniform', got {spelling!r}\n"
     else:
         assert err.endswith(
             f": error: argument {flag}: must be ASCII decimal digits, got {spelling!r}\n"
@@ -963,6 +1008,29 @@ def test_homogenize_tiny_budget_stalls_with_exit_3(tmp_path, monkeypatch, capsys
     assert "budget" in err
     # no manifest for an incomplete dataset
     assert not (tmp_path / "stall.jsonl.manifest.json").exists()
+
+
+def test_calc_manifest_sampler_text_is_pinned():
+    # Every calc manifest records this text, the sampler's repr when the
+    # rcfg run lengths and bal depths were sampler fields; a flag that the
+    # dist does not read leaves it as it is.
+    cases = {
+        "--dist dcfg": "Dcfg(p=0.3)",
+        "--dist dcfg --p 0.25 --max-depth 3": "Dcfg(p=0.25)",
+        "--dist dcfg --p 1e-5": "Dcfg(p=1e-05)",
+        "--dist t2t": "T2t(max_depth=8, depth=None)",
+        "--dist t2t --max-depth 11 --p 0.25": "T2t(max_depth=11, depth=None)",
+        "--dist rcfg": "Rcfg(p=0.3, run_lengths=(2, 3, 4))",
+        "--dist rcfg --p 0.250 --max-depth 3": "Rcfg(p=0.25, run_lengths=(2, 3, 4))",
+        "--dist bal": "Bal(depths=(1, 2, 3, 4, 5, 6))",
+        "--dist bal --p 0.25 --max-depth 3": "Bal(depths=(1, 2, 3, 4, 5, 6))",
+    }
+    parser = cli.build_parser()
+    for flags, text in cases.items():
+        args = parser.parse_args(["generate", "calc", *flags.split(), "--count", "1",
+                                  "--out", "x.jsonl"])
+        _, params = cli._calc_sampler(args)
+        assert params["sampler"] == text, flags
 
 
 # The samplers the CLI builds for each --dist at its defaults.
@@ -1343,11 +1411,12 @@ def test_stats_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys):
 
 
 def test_stats_directory_at_out_exits_2_before_reading(tmp_path, monkeypatch, capsys):
-    # A directory at the path, a missing parent and a file as the parent are
-    # each found before the dataset is read.
+    # A directory or a FIFO at the path, a missing parent and a file as the
+    # parent are each found before the dataset is read.
     monkeypatch.chdir(tmp_path)
     run_cli(["generate", "calc", "--count", "5", "--seed", "1", "--out", "c.jsonl"], capsys)
     (tmp_path / "report").mkdir()
+    os.mkfifo(tmp_path / "fifo")
     before = sorted(p.name for p in tmp_path.iterdir())
 
     def read_too_early(*args):
@@ -1356,6 +1425,7 @@ def test_stats_directory_at_out_exits_2_before_reading(tmp_path, monkeypatch, ca
     monkeypatch.setattr(cli, "_dataset_columns", read_too_early)
     for path, error in [
         ("report", "Is a directory"),
+        ("fifo", "Not a regular file"),
         ("nodir/x.json", "No such file or directory"),
         ("c.jsonl/x.json", "Not a directory"),
     ]:

@@ -206,9 +206,8 @@ def _unpassed_parameters(defining: list[str], calling: list[str]) -> list[str]:
     ]
 
 
-# Their repr, defaults included, is in calc manifests until 0.2.0, so these
-# calc config fields stay until the manifest version moves.
-_UNPASSED_ALLOWED = ["T2t.depth", "Rcfg.run_lengths", "Bal.depths"]
+# Defaulted public parameters that may stay although no caller passes them.
+_UNPASSED_ALLOWED = []
 
 
 def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
