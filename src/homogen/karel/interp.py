@@ -3,13 +3,10 @@
 A run either succeeds with the final grid or reports a crash: moving into a
 wall or off the grid, picking from an empty cell, stacking a tenth marker,
 or exceeding the step limit. Steps count completed actions only; condition
-checks are free. A ``while`` whose body completes an iteration without
-executing a single action cannot ever change the world, so a still-true
-condition at that point is reported as a step-limit crash instead of
-spinning forever.
+checks are free.
 
-A ``while`` that ends an iteration in a world it has already ended one in
-skips its remaining whole cycles in one step. After each iteration it
+One rule stops a ``while`` whose condition never fails: it ends an
+iteration in a world it has already ended one in. After each iteration it
 compares the state ``(pos, direction, marks)`` with one saved state, which
 it replaces at doubling intervals (Brent, "An improved Monte Carlo
 factorization algorithm", 1980), so a loop keeps O(1) memory whatever the
@@ -17,11 +14,17 @@ step limit. ``marks`` counts the run's marker changes, so two equal states
 mean no marker changed in between and the whole world is the same. The
 condition and the body depend only on the world, and on ``steps`` only
 through the step-limit check, so every cycle of ``L`` steps would repeat
-the same actions and arms and end in the same world again: the loop adds
-``(step_limit - steps) // L * L`` to ``steps`` and runs on, and crashes at
-the same action, with the same arms and final world, as a run without the
-jump. A loop that changes markers on every cycle never matches and runs to
-the limit as before.
+the same actions and arms and end in the same world again. For ``L > 0``
+the loop adds ``(step_limit - steps) // L * L`` to ``steps`` and runs on,
+and crashes at the same action, with the same arms and final world, as a
+run without the jump. For ``L == 0`` no action will ever run again and the
+condition stays true forever, so the loop reports a step-limit crash. A
+body that runs no action leaves the world at a fixed point, which the check
+matches within one saving interval plus one iteration: at most about as
+many idle iterations as the loop ran before going idle, which each ran an
+action and so number at most the step limit. A loop that has jumped is on a
+cycle of ``L > 0`` steps and never goes idle, and a loop that changes
+markers on every cycle never matches and runs to the limit as before.
 
 Each run also records which conditional arms it exercised. Conditionals
 (``if``, ``if/else``, ``while``) are numbered in pre-order; ``if`` arms are
@@ -220,22 +223,19 @@ def _while(cond: CondCode, body: Code, enter_arm: BranchArm, skip_arm: BranchArm
         power = lap = 1
         while cond(run):
             taken.add(enter_arm)
-            steps_before = run.steps
             body(run)
-            steps = run.steps
-            if steps == steps_before:
-                # No action ran, so nothing observable changed and the
-                # condition will stay true forever.
-                raise _Crash(CrashReason.STEP_LIMIT)
             if power:
                 state = (run.pos, run.direction, run.marks)
                 if state == seen:
-                    # The world is back where it was ``cycle`` steps ago.
-                    cycle = steps - seen_steps
-                    run.steps = steps + (run.step_limit - steps) // cycle * cycle
+                    # The world is back where it was ``cycle`` steps ago; a
+                    # 0-step cycle never runs another action.
+                    cycle = run.steps - seen_steps
+                    if not cycle:
+                        raise _Crash(CrashReason.STEP_LIMIT)
+                    run.steps += (run.step_limit - run.steps) // cycle * cycle
                     power = 0
                 elif lap == power:
-                    seen, seen_steps = state, steps
+                    seen, seen_steps = state, run.steps
                     power *= 2
                     lap = 1
                 else:

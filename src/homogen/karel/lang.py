@@ -231,11 +231,12 @@ class _Parser:
         # A count is spelled as emit_tokens writes it: no leading zero.
         if not (tok.isascii() and tok.isdigit()) or (tok[0] == "0" and tok != "0"):
             raise self.fail("a repeat count")
-        times = int(tok)
-        if times > MAX_REPEAT:
+        # Past two digits such a count is past MAX_REPEAT, and ``int`` would
+        # refuse one past the interpreter's digit limit.
+        if len(tok) > 2 or int(tok) > MAX_REPEAT:
             raise KarelSyntaxError(f"repeat count must be in 0..{MAX_REPEAT}", self.here())
         self.index += 1
-        return times
+        return int(tok)
 
     def cond(self) -> Cond:
         tok = self.peek()

@@ -19,14 +19,14 @@ The common case -- a ``frozenset`` of walls, a ``dict`` of markers and a
 ``tuple`` position on a grid with int sides -- is checked with set
 operations against the shape's cell set. Any input that fails one of those
 checks, or arrives in another form, goes through the per-cell checks
-instead, which normalise list cells to tuples and raise the error that
-names the offending cell. The set checks accept only grids the per-cell
-checks accept, except for cells such as ``(1.0, 1)`` or ``(True, 1)`` that
-equal an int cell: a set lookup cannot tell them apart. Checking every
-coordinate's type there would close that hole, but it raised
-:func:`grid_from_json` from 17.5 to 26.2 us per grid (CPython 3.11.7, 2-core
-VM, the 1,200 grids of a 100-task file), and ``stats`` validates 12 grids per
-five-pair Karel record, so the hole stays.
+instead, which normalise list cells to tuples, look each one up in the same
+cell set, and raise the error that names the offending cell. The set checks
+accept only grids the per-cell checks accept, except for cells such as
+``(1.0, 1)`` or ``(True, 1)`` that equal an int cell: a set lookup cannot
+tell them apart. Checking every coordinate's type there would close that
+hole, but it raised :func:`grid_from_json` from 17.5 to 26.2 us per grid
+(CPython 3.11.7, 2-core VM, the 1,200 grids of a 100-task file), and
+``stats`` validates 12 grids per five-pair Karel record, so the hole stays.
 """
 
 from __future__ import annotations
@@ -156,17 +156,18 @@ class KarelGrid(Frozen):
         for i, j in (*self.walls, *self.markers, self.karel_pos):
             if not (type(i) is type(j) is int):
                 raise ValueError(f"cell {(i, j)} must have int coordinates")
+        cells = _cell_set(width, height)
         for cell in self.walls:
-            if not self.in_bounds(cell):
+            if cell not in cells:
                 raise ValueError(f"wall {cell} is out of bounds")
         for cell, count in self.markers.items():
-            if not self.in_bounds(cell):
+            if cell not in cells:
                 raise ValueError(f"markers at {cell} are out of bounds")
             if not (type(count) is int and 1 <= count <= MAX_MARKERS):
                 raise ValueError(f"marker count at {cell} must be in 1..{MAX_MARKERS}")
             if cell in self.walls:
                 raise ValueError(f"cell {cell} holds both a wall and markers")
-        if not self.in_bounds(self.karel_pos):
+        if self.karel_pos not in cells:
             raise ValueError(f"agent position {self.karel_pos} is out of bounds")
         if self.karel_pos in self.walls:
             raise ValueError(f"agent stands on a wall at {self.karel_pos}")
@@ -177,10 +178,6 @@ class KarelGrid(Frozen):
     def free(self) -> frozenset[Cell]:
         """The cells that hold no wall, built anew on each read."""
         return _cell_set(self.width, self.height).difference(self.walls)
-
-    def in_bounds(self, cell: Cell) -> bool:
-        i, j = cell
-        return 0 <= i < self.width and 0 <= j < self.height
 
 
 def grid_to_json(grid: KarelGrid) -> dict[str, Any]:

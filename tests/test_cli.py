@@ -760,29 +760,44 @@ def _other_interpreters():
     return found
 
 
-def test_calc_golden_digests_match_on_every_other_interpreter(tmp_path):
-    # The calc samplers draw through getrandbits, and a manifest formats
-    # floats with repr; neither may differ between the interpreters that
-    # README supports. Each command line runs as ``python -m homogen.cli``.
+# Runs each (directory, argv) pair of its JSON argument through ``cli.main``
+# in one process, so an interpreter pays its start-up and imports once.
+_RUN_COMMANDS = """
+import json, os, sys
+from homogen import cli
+for directory, argv in json.loads(sys.argv[1]):
+    os.chdir(directory)
+    if cli.main(argv) != 0:
+        sys.exit(f"failed: {argv}")
+"""
+
+
+def test_golden_digests_match_on_every_other_interpreter(tmp_path):
+    # The samplers draw through getrandbits, a manifest formats floats with
+    # repr, and Karel runs go through the interpreter's cycle check; none may
+    # differ between the interpreters that README supports. The interpreters
+    # run side by side, one process each.
     interpreters = _other_interpreters()
     if not interpreters:
         pytest.skip("no CPython 3.10 or later other than the running one in ~/.pyenv/versions")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    calc_entries = [(name, commands, digests)
-                    for name, (commands, digests) in zip(GOLDEN_IDS, GOLDEN_SHA256)
-                    if not any("karel" in argv for argv in commands)]
-    assert len(calc_entries) == 7
+    runs = {}
     for version, python in interpreters.items():
-        for name, commands, digests in calc_entries:
+        jobs = []
+        for name, (commands, _) in zip(GOLDEN_IDS, GOLDEN_SHA256):
             directory = tmp_path / version / name
             directory.mkdir(parents=True)
-            for argv in commands:
-                done = subprocess.run([python, "-m", "homogen.cli", *argv], cwd=directory,
-                                      env=env, capture_output=True, text=True)
-                assert done.returncode == 0, (version, argv, done.stderr)
+            jobs += [(str(directory), argv) for argv in commands]
+        runs[version] = subprocess.Popen(
+            [python, "-c", _RUN_COMMANDS, json.dumps(jobs)], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    stderr = {version: run.communicate()[1] for version, run in runs.items()}
+    for version, run in runs.items():
+        assert run.returncode == 0, (version, stderr[version])
+        for name, (_, digests) in zip(GOLDEN_IDS, GOLDEN_SHA256):
             for file, digest in digests.items():
-                written = hashlib.sha256((directory / file).read_bytes()).hexdigest()
-                assert written == digest, (version, name, file)
+                written = hashlib.sha256((tmp_path / version / name / file).read_bytes())
+                assert written.hexdigest() == digest, (version, name, file)
 
 
 def test_argparse_usage_error_exits_2(tmp_path, monkeypatch, capsys):
@@ -1542,6 +1557,10 @@ def _repeated_cell(key, cell):
     return corrupt
 
 
+LONG_REPEAT_TOKENS = ["def", "main", "(", ")", ":", "repeat", "(", "1" * 5000, ")", ":",
+                      "move", "(", ")"]
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda r: {"expr": "1+2", "label": 3}, "malformed task object: missing key 'program'"),
     (_without_width, "malformed grid object: missing key 'w'"),
@@ -1550,8 +1569,9 @@ def _repeated_cell(key, cell):
      "malformed grid object: a cell is listed twice in 'markers'"),
     (_with_pairs(6), "malformed task object: 6 shown pairs, not 1..5"),
     (_with_pairs(0), "malformed task object: 0 shown pairs, not 1..5"),
+    (lambda r: r | {"program": LONG_REPEAT_TOKENS}, "repeat count must be in 0..19 at 7"),
 ], ids=["calc-in-karel", "grid-without-width", "wall-listed-twice", "pile-listed-twice",
-        "six-pairs", "no-pairs"])
+        "six-pairs", "no-pairs", "long-repeat-count"])
 def test_stats_bad_karel_record_names_the_missing_key(
     corrupt, message, tmp_path, monkeypatch, capsys
 ):
@@ -1632,6 +1652,16 @@ def test_karel_run_program_nested_past_parser_depth_is_usage_error(tmp_path, cap
     assert out == ""
     assert err.startswith(f"error: {prog}: ")
     assert "Traceback" not in err
+
+
+def test_karel_run_long_repeat_count_is_usage_error(tmp_path, monkeypatch, capsys):
+    # A count past Python's int digit limit is still just out of range.
+    monkeypatch.chdir(tmp_path)
+    Path("p.txt").write_text("def main(): repeat(" + "1" * 5000 + "): move()")
+    Path("g.json").write_text(json.dumps(grid_to_json(CRASH_GRID)))
+    code, out, err = run_cli(["karel-run", "p.txt", "g.json"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: p.txt: repeat count must be in 0..19 at 19\n"
 
 
 def test_karel_run_undecodable_program_is_usage_error(tmp_path, capsys):

@@ -531,6 +531,26 @@ FOLLOWER_TEXT = (
 )
 BLOCK_GRID = open_grid(walls=frozenset({(3, 3), (4, 3), (3, 4), (4, 4)}), karel_pos=(3, 2))
 
+# Loops that go idle, so the reference crashes at the first iteration that
+# runs no action whatever the step limit; the cycle check stops them later.
+IDLE_CASES = {
+    "act-then-idle": (
+        "def main(): while(frontIsClear()): { if(not(markersPresent())): putMarker() }",
+        open_grid(),
+    ),
+    # Nine picks, then idle iterations until the check saved at iteration 15
+    # matches at 16: the longest delay of these cases.
+    "pile-emptied-then-idle": (
+        "def main(): while(frontIsClear()): { if(markersPresent()): pickMarker() }",
+        open_grid(markers={(4, 4): 9}),
+    ),
+    "idle-inner-while-in-repeat": (
+        "def main(): repeat(3): "
+        "{ move() ; while(markersPresent()): { if(not(frontIsClear())): pickMarker() } }",
+        open_grid(markers={(6, 4): 1}),
+    ),
+}
+
 LOOP_CASES = {
     "four-turns": ("def main(): while(frontIsClear()): { turnLeft() }", open_grid()),
     "four-turns-per-iteration": (
@@ -557,6 +577,7 @@ LOOP_CASES = {
     # growing and the loop is left to run to the limit.
     "put-pick": ("def main(): while(frontIsClear()): { putMarker() ; pickMarker() }",
                  open_grid()),
+    **IDLE_CASES,
 }
 
 
@@ -565,7 +586,7 @@ def test_looping_programs_end_where_the_reference_does(case):
     text, grid = LOOP_CASES[case]
     program = parse_program(text)
     crashes = set()
-    for step_limit in JUMP_LIMITS:
+    for step_limit in JUMP_LIMITS + ([10**9] if case in IDLE_CASES else []):
         crashes.add(assert_matches_the_reference(program, grid, step_limit).crash)
     assert CrashReason.STEP_LIMIT in crashes
 

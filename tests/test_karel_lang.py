@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homogen.karel import (
@@ -208,6 +208,26 @@ def test_round_trip_property(body):
     program = KarelProgram(body)
     assert parse_program(emit_tokens(program)) == program
     assert parse_program(" ".join(emit_tokens(program))) == program
+
+
+GRAMMAR_TOKENS = ("def", "main", "(", ")", ":", ";", "{", "}", "while", "repeat", "if",
+                  "else", "not", *ACTIONS, *PREDICATES)
+TOKENS = st.sampled_from(GRAMMAR_TOKENS) | st.text("0123456789", min_size=1, max_size=5000)
+HEADER = ["def", "main", "(", ")", ":"]
+
+
+@settings(deadline=None)
+@given(header=st.booleans(), tokens=st.lists(TOKENS, max_size=40))
+@example(header=True, tokens=["repeat", "(", "1" * 5000, ")", ":", "move", "(", ")"])
+def test_parse_raises_only_syntax_errors(header, tokens):
+    # Text and token input alike parse or raise KarelSyntaxError; forty
+    # tokens never nest deep enough for the RecursionError past the limit.
+    tokens = HEADER + tokens if header else tokens
+    for source in (tokens, " ".join(tokens)):
+        try:
+            parse_program(source)
+        except KarelSyntaxError:
+            pass
 
 
 def test_program_salients_examples():

@@ -110,7 +110,7 @@ def _reference(cls, fields, check=None, **methods):
 # KarelGrid's checks did not change, so its reference reuses them.
 _GRID_METHODS = {
     name: KarelGrid.__dict__[name]
-    for name in ("_passes_set_checks", "_check_cell_by_cell", "in_bounds")
+    for name in ("_passes_set_checks", "_check_cell_by_cell")
 }
 
 _PROGRAM = KarelProgram((Action("move"), If(Pred("frontIsClear"), (Action("turnLeft"),))))
