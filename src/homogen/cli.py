@@ -530,9 +530,10 @@ def _dataset_columns(
                     continue
                 try:
                     record = json.loads(line)
-                except (json.JSONDecodeError, RecursionError) as exc:
-                    # A JSON value nested past the decoder's depth raises
-                    # RecursionError, which has no ``msg``.
+                except (ValueError, RecursionError) as exc:
+                    # ValueError covers JSONDecodeError and an int past the
+                    # digit limit; that one, like RecursionError from a value
+                    # nested past the decoder's depth, has no ``msg``.
                     raise UsageError(
                         f"{path}: line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})"
                     ) from None

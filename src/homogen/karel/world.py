@@ -15,17 +15,19 @@ the list its sampler collects anyway, and derives its wall set only when
 reads ``free`` from a draw and a grid alike. JSON input and user code
 build ``KarelGrid`` directly.
 
-The common case -- a ``frozenset`` of walls, a ``dict`` of markers and a
-``tuple`` position on a grid with int sides -- is checked with set
-operations against the shape's cell set. Any input that fails one of those
-checks, or arrives in another form, goes through the per-cell checks
-instead, which normalise list cells to tuples, look each one up in the same
-cell set, and raise the error that names the offending cell. The set checks
-accept only grids the per-cell checks accept, except for cells such as
-``(1.0, 1)`` or ``(True, 1)`` that equal an int cell: a set lookup cannot
-tell them apart. Checking every coordinate's type there would close that
-hole, but it raised :func:`grid_from_json` from 17.5 to 26.2 us per grid
-(CPython 3.11.7, 2-core VM, the 1,200 grids of a 100-task file), and
+A :class:`KarelGrid` checks each rule once, in this order, by a set
+operation against its shape's cell set, and walks a container only when
+its rule fails, to name the first cell that breaks it: (1) the sides are
+ints in 2..16; (2) walls, markers and position that are not a frozenset, a
+dict and a tuple are rebuilt as such, each cell a tuple of two exact ints;
+(3) walls, then marker piles, lie in bounds; (4) each pile holds an int
+count in 1..9; (5) no cell holds both a wall and markers; (6) the agent
+stands in bounds and off the walls, facing N, E, S or W. The grid keeps
+its own copy of the markers. A cell such as ``(1.0, 1)`` or ``(True, 1)``
+equals an int cell and a set lookup cannot tell them apart, so it passes
+when no container is rebuilt. Checking every coordinate's type would close
+that hole, but it raised :func:`grid_from_json` from 17.5 to 26.2 us per
+grid (CPython 3.11.7, 2-core VM, the 1,200 grids of a 100-task file), and
 ``stats`` validates 12 grids per five-pair Karel record, so the hole stays.
 """
 
@@ -94,6 +96,20 @@ class GridDraw(NamedTuple):
 _NO_MARKERS: dict[Cell, int] = {}  # never shared: ``__post_init__`` copies it
 
 
+def _cell(cell: Any) -> Cell:
+    """``cell`` as a tuple of two exact ints, or the error that names it."""
+    i, j = cell
+    if not (type(i) is type(j) is int):
+        raise ValueError(f"cell {(i, j)} must have int coordinates")
+    return i, j
+
+
+def _rebuilt(walls: Any, markers: Any, pos: Any) -> tuple[Any, ...]:
+    """Walls, markers and position rebuilt from any iterables through :func:`_cell`."""
+    return (frozenset(map(_cell, walls)),
+            {_cell(c): n for c, n in dict(markers).items()}, _cell(pos))
+
+
 class KarelGrid(Frozen):
     __slots__ = ("width", "height", "walls", "markers", "karel_pos", "karel_dir")
 
@@ -109,70 +125,50 @@ class KarelGrid(Frozen):
         self.__post_init__()  # a method of its own, so a profiler can time it alone
 
     def __post_init__(self) -> None:
-        if self._passes_set_checks():
-            object.__setattr__(self, "markers", dict(self.markers))
-        else:
-            self._check_cell_by_cell()
-
-    def _passes_set_checks(self) -> bool:
-        width, height = self.width, self.height
-        walls, markers, pos = self.walls, self.markers, self.karel_pos
-        if not (
-            type(walls) is frozenset
-            and type(markers) is dict
-            and type(pos) is tuple
-            and type(width) is int
-            and type(height) is int
-            and MIN_SIDE <= width <= MAX_SIDE
-            and MIN_SIDE <= height <= MAX_SIDE
-        ):
-            return False
-        cells = _cell_set(width, height)
-        counts = markers.values()
-        try:
-            return (
-                walls <= cells
-                and markers.keys() <= cells
-                and markers.keys().isdisjoint(walls)
-                and _PILE_SIZES.issuperset(counts)
-                and _INT_ONLY.issuperset(map(type, counts))
-                and pos in cells
-                and pos not in walls
-                and self.karel_dir in DIRECTIONS
-            )
-        except TypeError:  # an unhashable count or position part
-            return False
-
-    def _check_cell_by_cell(self) -> None:
-        object.__setattr__(self, "walls", frozenset(tuple(c) for c in self.walls))
-        object.__setattr__(
-            self, "markers", {tuple(c): n for c, n in dict(self.markers).items()}
-        )
-        object.__setattr__(self, "karel_pos", tuple(self.karel_pos))
         width, height = self.width, self.height
         if not (type(width) is type(height) is int
                 and MIN_SIDE <= width <= MAX_SIDE and MIN_SIDE <= height <= MAX_SIDE):
             raise ValueError(f"grid sides must be ints in {MIN_SIDE}..{MAX_SIDE}")
-        for i, j in (*self.walls, *self.markers, self.karel_pos):
-            if not (type(i) is type(j) is int):
-                raise ValueError(f"cell {(i, j)} must have int coordinates")
+        walls, markers, pos = self.walls, self.markers, self.karel_pos
+        if type(walls) is frozenset and type(markers) is dict and type(pos) is tuple:
+            markers = dict(markers)
+        else:
+            walls, markers, pos = _rebuilt(walls, markers, pos)
         cells = _cell_set(width, height)
-        for cell in self.walls:
-            if cell not in cells:
-                raise ValueError(f"wall {cell} is out of bounds")
-        for cell, count in self.markers.items():
-            if cell not in cells:
-                raise ValueError(f"markers at {cell} are out of bounds")
-            if not (type(count) is int and 1 <= count <= MAX_MARKERS):
-                raise ValueError(f"marker count at {cell} must be in 1..{MAX_MARKERS}")
-            if cell in self.walls:
-                raise ValueError(f"cell {cell} holds both a wall and markers")
-        if self.karel_pos not in cells:
-            raise ValueError(f"agent position {self.karel_pos} is out of bounds")
-        if self.karel_pos in self.walls:
-            raise ValueError(f"agent stands on a wall at {self.karel_pos}")
+        if not walls <= cells:
+            for cell in map(_cell, walls):
+                if cell not in cells:
+                    raise ValueError(f"wall {cell} is out of bounds")
+            # Every wall fits once rebuilt, so one was another iterable, such as
+            # range(1, 3): rebuild all three, so that every cell's ints are checked.
+            walls, markers, pos = _rebuilt(walls, markers, pos)
+        if not markers.keys() <= cells:
+            for cell in map(_cell, markers):
+                if cell not in cells:
+                    raise ValueError(f"markers at {cell} are out of bounds")
+            walls, markers, pos = _rebuilt(walls, markers, pos)  # as for the walls
+        counts = markers.values()  # types first: an int count is hashable
+        if not (_INT_ONLY.issuperset(map(type, counts)) and _PILE_SIZES.issuperset(counts)):
+            for cell, count in markers.items():
+                if not (type(count) is int and 1 <= count <= MAX_MARKERS):
+                    raise ValueError(f"marker count at {_cell(cell)} must be in 1..{MAX_MARKERS}")
+        if not markers.keys().isdisjoint(walls):
+            for cell in map(_cell, markers):
+                if cell in walls:
+                    raise ValueError(f"cell {cell} holds both a wall and markers")
+        try:
+            placed = pos in cells
+        except TypeError:  # an unhashable position part
+            placed = False
+        if not placed:
+            raise ValueError(f"agent position {_cell(pos)} is out of bounds")
+        if pos in walls:
+            raise ValueError(f"agent stands on a wall at {_cell(pos)}")
         if self.karel_dir not in DIRECTIONS:
             raise ValueError(f"unknown direction {self.karel_dir!r}")
+        object.__setattr__(self, "walls", walls)
+        object.__setattr__(self, "markers", markers)
+        object.__setattr__(self, "karel_pos", pos)
 
     @property
     def free(self) -> frozenset[Cell]:

@@ -1258,6 +1258,22 @@ def test_stats_json_nested_past_the_decoder_depth_is_usage_error(tmp_path, monke
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("first, line", [
+    ('{"expr":"1+2","label":3}', '{"expr": ' + "1" * 5_000 + "}"),
+    (STATS_LINES["karel"][0], STATS_LINES["karel"][1].replace('"w": ', '"w": ' + "1" * 5_000, 1)),
+], ids=["calc", "karel"])
+def test_stats_json_int_past_the_digit_limit_is_usage_error(first, line, tmp_path, monkeypatch,
+                                                           capsys):
+    # Python's int conversion refuses more than 4,300 digits by default.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.jsonl").write_text(first + "\n" + line + "\n")
+    code, out, err = run_cli(["stats", "big.jsonl"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: big.jsonl: line 2: invalid JSON (Exceeds the limit (4300 digits)")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("line", [
     '{"expr":"1++2","label":3}',
     '{"expr":"((((","label":0}',

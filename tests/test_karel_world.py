@@ -4,7 +4,16 @@ import re
 
 import pytest
 
-from homogen.karel import KarelGrid, grid_from_json, grid_to_json
+from homogen.karel import KarelGrid, grid_from_json, grid_to_json, sample_uniform_grid
+from homogen.karel.world import (
+    _INT_ONLY,
+    _PILE_SIZES,
+    DIRECTIONS,
+    MAX_MARKERS,
+    MAX_SIDE,
+    MIN_SIDE,
+    _cell_set,
+)
 
 
 def test_grid_validation():
@@ -48,8 +57,8 @@ def test_grid_validation():
         (dict(width=2.5), "grid sides must be ints in 2..16"),
         (dict(markers={(0, 0): True}), "marker count at (0, 0) must be in 1..9"),
         (dict(karel_pos=(0.0, 1.5)), "cell (0.0, 1.5) must have int coordinates"),
-        # A wall list takes the per-cell path; a frozenset holding (1.0, 1)
-        # passes the set checks (the exception in the world module's docstring).
+        # A wall list is rebuilt cell by cell; a frozenset holding (1.0, 1) is
+        # not, and passes (the hole in the world module's docstring).
         (dict(walls=[(1.0, 1)]), "cell (1.0, 1) must have int coordinates"),
         (dict(markers={(1, 2.5): 1}), "cell (1, 2.5) must have int coordinates"),
     ]
@@ -109,45 +118,194 @@ def test_grid_json_rejects_a_cell_listed_twice(key, cells):
         grid_from_json(obj)
 
 
-def test_set_checks_accept_only_what_the_cell_checks_accept():
-    # Perturbed grid fields: whenever the set-based checks pass, the per-cell
-    # checks must pass too and leave the same fields.
-    from homogen.karel import sample_uniform_grid
+class _TwoPathGrid:
+    """The grid validator before its rules were checked once each: set checks
+    for the common case, else per-cell checks. Its three methods are kept
+    verbatim as the reference that ``KarelGrid`` must agree with."""
 
-    rng = random.Random(5)
-    odd_counts = (-1, 0, 1, 9, 10, 1.0, True, 3)
-    accepted = 0
-    for _ in range(2000):
-        base = sample_uniform_grid(rng)
-        walls = set(base.walls)
-        markers = dict(base.markers)
-        pos = base.karel_pos
-        for _ in range(rng.randrange(3)):
-            i, j = rng.randrange(-1, 17), rng.randrange(-1, 17)
-            match rng.randrange(4):
-                case 0:
-                    walls.add((i, j))
-                case 1:
-                    markers[(i, j)] = odd_counts[rng.randrange(len(odd_counts))]
-                case 2:
-                    pos = (i, j)
-                case 3:
-                    walls.discard(pos)
-        fields = dict(
-            width=base.width + rng.choice((0, 0, 0, 1, -1)),
-            height=base.height,
-            walls=frozenset(walls),
-            markers=markers,
-            karel_pos=pos,
-            karel_dir=base.karel_dir,
+    def __init__(self, width, height, walls, markers, karel_pos, karel_dir):
+        self.width, self.height, self.walls = width, height, walls
+        self.markers, self.karel_pos, self.karel_dir = markers, karel_pos, karel_dir
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        if self._passes_set_checks():
+            object.__setattr__(self, "markers", dict(self.markers))
+        else:
+            self._check_cell_by_cell()
+
+    def _passes_set_checks(self) -> bool:
+        width, height = self.width, self.height
+        walls, markers, pos = self.walls, self.markers, self.karel_pos
+        if not (
+            type(walls) is frozenset
+            and type(markers) is dict
+            and type(pos) is tuple
+            and type(width) is int
+            and type(height) is int
+            and MIN_SIDE <= width <= MAX_SIDE
+            and MIN_SIDE <= height <= MAX_SIDE
+        ):
+            return False
+        cells = _cell_set(width, height)
+        counts = markers.values()
+        try:
+            return (
+                walls <= cells
+                and markers.keys() <= cells
+                and markers.keys().isdisjoint(walls)
+                and _PILE_SIZES.issuperset(counts)
+                and _INT_ONLY.issuperset(map(type, counts))
+                and pos in cells
+                and pos not in walls
+                and self.karel_dir in DIRECTIONS
+            )
+        except TypeError:  # an unhashable count or position part
+            return False
+
+    def _check_cell_by_cell(self) -> None:
+        object.__setattr__(self, "walls", frozenset(tuple(c) for c in self.walls))
+        object.__setattr__(
+            self, "markers", {tuple(c): n for c, n in dict(self.markers).items()}
         )
-        fast = object.__new__(KarelGrid)
-        slow = object.__new__(KarelGrid)
-        for name, value in fields.items():
-            object.__setattr__(fast, name, value)
-            object.__setattr__(slow, name, value)
-        if fast._passes_set_checks():
+        object.__setattr__(self, "karel_pos", tuple(self.karel_pos))
+        width, height = self.width, self.height
+        if not (type(width) is type(height) is int
+                and MIN_SIDE <= width <= MAX_SIDE and MIN_SIDE <= height <= MAX_SIDE):
+            raise ValueError(f"grid sides must be ints in {MIN_SIDE}..{MAX_SIDE}")
+        for i, j in (*self.walls, *self.markers, self.karel_pos):
+            if not (type(i) is type(j) is int):
+                raise ValueError(f"cell {(i, j)} must have int coordinates")
+        cells = _cell_set(width, height)
+        for cell in self.walls:
+            if cell not in cells:
+                raise ValueError(f"wall {cell} is out of bounds")
+        for cell, count in self.markers.items():
+            if cell not in cells:
+                raise ValueError(f"markers at {cell} are out of bounds")
+            if not (type(count) is int and 1 <= count <= MAX_MARKERS):
+                raise ValueError(f"marker count at {cell} must be in 1..{MAX_MARKERS}")
+            if cell in self.walls:
+                raise ValueError(f"cell {cell} holds both a wall and markers")
+        if self.karel_pos not in cells:
+            raise ValueError(f"agent position {self.karel_pos} is out of bounds")
+        if self.karel_pos in self.walls:
+            raise ValueError(f"agent stands on a wall at {self.karel_pos}")
+        if self.karel_dir not in DIRECTIONS:
+            raise ValueError(f"unknown direction {self.karel_dir!r}")
+
+
+def _odd(cell, rng):
+    """``cell`` as a 3-tuple or with a float or bool coordinate; all but the
+    ``+ 0.5`` form still equal ``cell``."""
+    i, j = cell[:2]
+    equal = (i, bool(j)) if j in (0, 1) else (i, float(j))
+    return rng.choice(((float(i), j), equal, (i + 0.5, j), (i, j, 0)))
+
+
+def _perturbed_fields(rng, perturbations):
+    """A sampled grid's fields after ``perturbations`` random edits, and
+    whether its sides are still the drawn ones."""
+    base = sample_uniform_grid(rng)
+    walls, markers, pos = set(base.walls), dict(base.markers), base.karel_pos
+    odd_counts = (-1, 0, 1, 9, 10, 1.0, True, 3, [1])
+    as_lists = False
+    for _ in range(perturbations):
+        i, j = rng.randrange(-1, 17), rng.randrange(-1, 17)
+        match rng.randrange(8):
+            case 0:
+                walls.add((i, j))
+            case 1:
+                markers[(i, j)] = odd_counts[rng.randrange(len(odd_counts))]
+            case 2:
+                pos = (i, j)
+            case 3:
+                walls.discard(pos)
+            case 4 if walls:
+                wall = rng.choice(sorted(walls, key=repr))
+                walls.discard(wall)
+                walls.add(_odd(wall, rng))
+            case 5 if markers:
+                cell = rng.choice(sorted(markers, key=repr))
+                markers[_odd(cell, rng)] = markers.pop(cell)
+            case 6:
+                pos = _odd(pos, rng)
+            case 7:
+                as_lists = True
+    dw = rng.choice((0, 0, 0, 1, -1))
+    fields = dict(width=base.width + dw, height=base.height, walls=frozenset(walls),
+                  markers=markers, karel_pos=pos, karel_dir=base.karel_dir)
+    if as_lists:
+        fields |= dict(walls=[list(c) for c in walls], markers=list(markers.items()),
+                       karel_pos=list(pos))
+    return fields, dw == 0
+
+
+def _built(cls, fields):
+    try:
+        return cls(**fields)
+    except (ValueError, TypeError) as exc:
+        return exc
+
+
+def _oracle_cases():
+    """(fields, whether one edit breaks one rule) for the oracle test."""
+    rng = random.Random(5)
+    for _ in range(2000):
+        perturbations = rng.randrange(3)
+        fields, sides_kept = _perturbed_fields(rng, perturbations)
+        yield fields, perturbations == 1 and sides_kept
+    # Cells that are other iterables of two ints, which the reference's
+    # per-cell checks turned into tuples.
+    empty = dict(width=4, height=4, walls=frozenset(), markers={}, karel_pos=(0, 0),
+                 karel_dir="E")
+    for fields in (
+        dict(walls=frozenset({range(1, 3)})),
+        dict(markers={range(1, 3): 2}),
+        dict(walls=frozenset({range(1, 3)}), karel_pos=(1.0, 0)),
+        dict(walls=frozenset({(1.0, 0)}), markers={range(1, 3): 2}),
+    ):
+        yield empty | fields, True
+
+
+def test_one_validation_path_agrees_with_the_two_path_reference():
+    # Perturbed grid fields, also in lists and with odd cells: KarelGrid
+    # accepts exactly what the reference accepts and keeps the same fields,
+    # and where one edit breaks a rule it raises the reference's error.
+    accepted = compared = 0
+    for fields, one_fault in _oracle_cases():
+        want, got = _built(_TwoPathGrid, fields), _built(KarelGrid, fields)
+        assert isinstance(got, KarelGrid) == isinstance(want, _TwoPathGrid), (fields, want)
+        if isinstance(got, KarelGrid):
             accepted += 1
-            slow._check_cell_by_cell()
-            assert (slow.walls, slow.markers, slow.karel_pos) == (walls, markers, pos)
-    assert 200 < accepted < 1900
+            assert [repr(getattr(got, name)) for name in ("walls", "markers", "karel_pos")] \
+                == [repr(getattr(want, name)) for name in ("walls", "markers", "karel_pos")]
+            assert all(type(c) is tuple for c in (*got.walls, *got.markers, got.karel_pos))
+            assert type(got.markers) is dict and got.markers is not fields["markers"]
+        elif one_fault:
+            compared += 1
+            assert (type(got), str(got)) == (type(want), str(want)), fields
+    assert 200 < accepted < 1900 and compared > 100, (accepted, compared)
+
+
+@pytest.mark.parametrize("fields, message", [
+    # The reference checked every cell's coordinates first, then each
+    # marker's bounds, count and overlap in turn; KarelGrid goes rule by rule.
+    (dict(walls=frozenset({(9, 9)}), karel_pos=(0.5, 0)), "wall (9, 9) is out of bounds"),
+    (dict(markers={(0, 0): 0, (9, 9): 1}), "markers at (9, 9) are out of bounds"),
+])
+def test_grid_with_several_faults_names_the_first_rule_broken(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        KarelGrid(width=4, height=4, **fields)
+
+
+@pytest.mark.parametrize("markers", [{(0, 1): 3}, [[(0, 1), 3]]], ids=["dict", "pairs"])
+def test_grid_never_shares_the_callers_markers(markers):
+    grid = KarelGrid(width=4, height=4, markers=markers)
+    if type(markers) is dict:
+        markers[(0, 1)] = 9
+        markers[(2, 2)] = 5
+    else:
+        markers[0][1] = 9
+        markers.append([(2, 2), 5])
+    assert grid.markers == {(0, 1): 3}

@@ -100,18 +100,12 @@ def _narrow_check(self):
         raise ValueError("r_wall + r_marker must not exceed 1")
 
 
-def _reference(cls, fields, check=None, **methods):
+def _reference(cls, fields, check=None):
     """The frozen dataclass named as ``cls``, with ``check`` as its
     ``__post_init__``."""
-    namespace = dict(methods, **({"__post_init__": check} if check else {}))
+    namespace = {"__post_init__": check} if check else {}
     return make_dataclass(cls.__name__, fields, namespace=namespace, frozen=True)
 
-
-# KarelGrid's checks did not change, so its reference reuses them.
-_GRID_METHODS = {
-    name: KarelGrid.__dict__[name]
-    for name in ("_passes_set_checks", "_check_cell_by_cell")
-}
 
 _PROGRAM = KarelProgram((Action("move"), If(Pred("frontIsClear"), (Action("turnLeft"),))))
 _GRID = KarelGrid(4, 3, frozenset({(1, 1)}), {(0, 0): 2}, (3, 2), "N")
@@ -226,7 +220,7 @@ CASES: list[tuple[type, list, Any, list[dict], list[dict]]] = [
 ]
 
 REFERENCES = {
-    cls: _reference(cls, fields, check, **(_GRID_METHODS if cls is KarelGrid else {}))
+    cls: _reference(cls, fields, check)
     for cls, fields, check, _, _ in CASES
 }
 BY_CLASS = pytest.mark.parametrize(
