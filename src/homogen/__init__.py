@@ -9,12 +9,10 @@ from .homogenizer import (
     BudgetExhaustedError,
     CountTable,
     DomainViolationError,
-    HomogenizedDataset,
     HomogenizerConfig,
     HomogenizerRun,
     SalientSpec,
     expected_tries_bound,
-    homogenize,
 )
 
 __version__ = "0.1.0"
@@ -23,11 +21,9 @@ __all__ = [
     "BudgetExhaustedError",
     "CountTable",
     "DomainViolationError",
-    "HomogenizedDataset",
     "HomogenizerConfig",
     "HomogenizerRun",
     "SalientSpec",
     "expected_tries_bound",
-    "homogenize",
     "__version__",
 ]

@@ -714,14 +714,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetExhaustedError as exc:
-        print(
-            f"error: draw budget exhausted after {exc.draws_used} draws "
-            f"({exc.accepted} accepted)",
-            file=sys.stderr,
-        )
-        return EXIT_STALL
-    except karel_gen.GenerationStallError as exc:
+    except (BudgetExhaustedError, karel_gen.GenerationStallError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STALL
     finally:

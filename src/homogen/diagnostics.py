@@ -15,7 +15,7 @@ from typing import Any
 
 from ._frozen import Frozen
 from .homogenizer import (
-    CountTable, HomogenizerConfig, SalientSpec, expected_tries_bound, homogenize,
+    CountTable, HomogenizerConfig, HomogenizerRun, SalientSpec, expected_tries_bound,
 )
 
 Histogram = CountTable
@@ -65,8 +65,10 @@ def acceptance_curve(
         bound = expected_tries_bound(epsilon)  # validates epsilon > 0
         seed = rng.randrange(2**63)
         config = HomogenizerConfig(epsilon=epsilon, target_size=draws_per_point, seed=seed)
-        data = homogenize(source, spec, config)
-        measured = data.draws_used / draws_per_point
+        run = HomogenizerRun(source, spec, config)
+        for _ in run:
+            pass
+        measured = run.draws_used / draws_per_point
         stderr = math.sqrt(max(measured * (measured - 1.0), 0.0) / draws_per_point)
         points.append(
             CurvePoint(epsilon=epsilon, draws_per_accept=measured, bound=bound, stderr=stderr)

@@ -1,8 +1,9 @@
 """Evening out a salient variable of a sample stream by rejection.
 
 A *salient variable* is a caller-declared feature of a sample with a finite
-discrete domain. :func:`homogenize` wraps any seeded sampler and keeps
-drawing from it, accepting each draw of value ``x`` with probability
+discrete domain. A :class:`HomogenizerRun`, the one entry point, wraps any
+seeded sampler and keeps drawing from it, accepting each draw of value
+``x`` with probability
 
     (min_count / total + epsilon) / (count(x) / total + epsilon)
 
@@ -34,15 +35,9 @@ class DomainViolationError(ValueError):
 class BudgetExhaustedError(RuntimeError):
     """The source-draw budget ran out before the target size was reached.
 
-    Carries the partial run statistics so callers can report how far the
-    run got; ``counts`` is the run's final count table.
+    The raising run keeps how far it got: ``draws_used``, ``accepted`` and
+    ``counts``.
     """
-
-    def __init__(self, message: str, *, draws_used: int, accepted: int, counts: "CountTable"):
-        super().__init__(message)
-        self.draws_used = draws_used
-        self.accepted = accepted
-        self.counts = counts
 
 
 class SalientSpec(Frozen):
@@ -144,18 +139,14 @@ class HomogenizerConfig(Frozen):
         return self.target_size * math.ceil(expected_tries_bound(self.epsilon)) * 20
 
 
-class HomogenizedDataset(Frozen):
-    """Accepted samples plus the run's draw statistics."""
-
-    __slots__ = ("items", "draws_used", "final_counts")
-
-
 class HomogenizerRun:
-    """One homogenization pass; iterate it to receive accepted samples.
+    """One homogenization pass and its own result: iterate it once to receive
+    the accepted samples, then read ``draws_used``, ``accepted`` and ``counts``.
 
     The run owns a single RNG seeded from the config. The source draw and the
     acceptance coin interleave on that RNG in a fixed order, so the output is
-    a pure function of (source, spec, config). A run can be consumed once.
+    a pure function of (source, spec, config). A run whose draw budget ends
+    first raises :class:`BudgetExhaustedError`; it is never silently short.
     """
 
     def __init__(
@@ -197,11 +188,8 @@ class HomogenizerRun:
             while self.accepted < target:
                 if counts.total >= cap:
                     raise BudgetExhaustedError(
-                        f"used {counts.total} draws but accepted only "
-                        f"{self.accepted} of {target} samples",
-                        draws_used=counts.total,
-                        accepted=self.accepted,
-                        counts=counts,
+                        f"draw budget exhausted after {counts.total} draws "
+                        f"({self.accepted} accepted)"
                     )
                 sample = source(rng)
                 count = increment(extract(sample))
@@ -215,23 +203,6 @@ class HomogenizerRun:
                     yield sample
         except DomainViolationError as exc:
             raise DomainViolationError(f"salient {self.spec.name!r}: {exc}") from None
-
-
-def homogenize(
-    source: Callable[[random.Random], Any],
-    spec: SalientSpec,
-    config: HomogenizerConfig,
-) -> HomogenizedDataset:
-    """Draw from ``source`` until ``config.target_size`` samples are accepted.
-
-    Returns the accepted samples in acceptance order together with the total
-    number of source draws and the final count table (which covers every
-    draw, not just the accepted ones). Raises :class:`BudgetExhaustedError`
-    if the draw budget runs out first; the result is never silently short.
-    """
-    run = HomogenizerRun(source, spec, config)
-    items = tuple(run)
-    return HomogenizedDataset(items=items, draws_used=run.counts.total, final_counts=run.counts)
 
 
 def expected_tries_bound(epsilon: float) -> float:

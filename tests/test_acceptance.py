@@ -25,7 +25,7 @@ from pathlib import Path
 
 from homogen import calc
 from homogen.diagnostics import Histogram, acceptance_curve, kl_to_uniform
-from homogen.homogenizer import HomogenizerConfig, SalientSpec, homogenize
+from homogen.homogenizer import HomogenizerConfig, HomogenizerRun, SalientSpec
 from homogen.karel import (
     NARROW_SWEEP_PARAMS,
     CrashReason,
@@ -74,8 +74,7 @@ def test_01_homogenizer_uniformity_band():
     source = categorical_source(BIASED_PROBS)
     spec = SalientSpec("value", tuple(range(10)), lambda s: s)
     config = HomogenizerConfig(epsilon=0.01, target_size=20_000, seed=5)
-    data = homogenize(source, spec, config)
-    counts = Counter(data.items)
+    counts = Counter(HomogenizerRun(source, spec, config))
     freqs = [counts[v] / 20_000 for v in range(10)]
     elapsed = time.perf_counter() - t0
 
@@ -108,8 +107,7 @@ def test_01_supplement_exact_uniformity_at_eps_zero():
     source = categorical_source(BIASED_PROBS)
     spec = SalientSpec("value", tuple(range(10)), lambda s: s)
     config = HomogenizerConfig(epsilon=0.0, target_size=20_000, seed=5, max_draws=4_000_000)
-    data = homogenize(source, spec, config)
-    counts = Counter(data.items)
+    counts = Counter(HomogenizerRun(source, spec, config))
     freqs = [counts[v] / 20_000 for v in range(10)]
     elapsed = time.perf_counter() - t0
     ok = all(0.08 <= f <= 0.12 for f in freqs)
@@ -169,12 +167,12 @@ def test_03_kl_reduction_for_all_salient_variables():
         source = lambda rng: calc.sample_expr(rng, sampler)  # noqa: E731
         for var, spec in calc.salient_specs().items():
             config = HomogenizerConfig(epsilon=eps, target_size=n, seed=101)
-            data = homogenize(source, spec, config)
+            accepted = list(HomogenizerRun(source, spec, config))
             raw_rng = random.Random(102)
             raw = [spec.extract(source(raw_rng)) for _ in range(n)]
             before = kl_to_uniform(Histogram.from_values(spec.domain, raw))
             after = kl_to_uniform(
-                Histogram.from_values(spec.domain, [spec.extract(r) for r in data.items])
+                Histogram.from_values(spec.domain, [spec.extract(r) for r in accepted])
             )
             reductions[(dist_name, var)] = 100.0 * (1.0 - after / before)
     elapsed = time.perf_counter() - t0

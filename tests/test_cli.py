@@ -233,20 +233,37 @@ def test_out_of_range_source_parameter_names_its_flag(argv, message, tmp_path, m
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv, exit_code", [
+@pytest.mark.parametrize("argv, exit_code, message", [
     (["homogenize", "calc", "--var", "length", "--count", "100", "--max-draws", "50",
-      "--seed", "1", "--out", "h.jsonl"], 3),
+      "--seed", "1", "--out", "h.jsonl"], 3, "draw budget exhausted after 50 draws (4 accepted)"),
     (["generate", "calc", "--dist", "dcfg", "--p", "0.499", "--count", "2000", "--seed", "1",
-      "--out", "d.jsonl"], 2),
+      "--out", "d.jsonl"], 2,
+     "--p 0.499: a sampled expression nested deeper than 500 levels; choose a smaller value"),
 ], ids=["homogenize-stall", "generate-too-deep"])
-def test_failed_run_leaves_no_file(argv, exit_code, tmp_path, monkeypatch, capsys):
+def test_failed_run_leaves_no_file(argv, exit_code, message, tmp_path, monkeypatch, capsys):
     # Both fail after records were written; neither the partial output nor a
-    # temporary file stays behind.
+    # temporary file stays behind, and the reason is one line, no traceback.
     monkeypatch.chdir(tmp_path)
-    code, _, err = run_cli(argv, capsys)
-    assert code == exit_code
-    assert "Traceback" not in err
+    assert run_cli(argv, capsys) == (exit_code, "", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["generate", "homogenize"])
+def test_karel_stall_is_one_line_and_leaves_no_file(command, tmp_path, monkeypatch, capsys):
+    # With no step allowed, every program the filter keeps crashes in its one
+    # grid batch, so 100 programs in a row fail and the stream stalls.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(karel_gen, "_RETRY_LIMIT", 1)
+    var = ["--var", "size"] if command == "homogenize" else []
+    for seed in range(5):
+        code, out, err = run_cli([command, "karel", *var, "--step-limit", "0", "--classic-prune",
+                                  "--count", "2", "--seed", str(seed), "--out", "k.jsonl"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: 100 consecutive programs failed task assembly (")
+        assert err.endswith("the grid distribution likely cannot exercise the sampled programs\n")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class _NoSpaceOnWrite(io.TextIOWrapper):
@@ -288,6 +305,28 @@ def test_failed_write_is_usage_error_and_leaves_no_file(
     assert code == 2
     assert err == f"error: {target}: No space left on device\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "calc", "--count", "5", "--seed", "1"],
+    ["homogenize", "calc", "--var", "length", "--count", "20", "--seed", "1"],
+], ids=["generate", "homogenize"])
+def test_failed_move_of_the_manifest_is_usage_error(argv, tmp_path, monkeypatch, capsys):
+    # The manifest is moved last, so the files before it are already in
+    # place; only the message and the removed temporary files are pinned.
+    monkeypatch.chdir(tmp_path)
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if str(dst).endswith(".manifest.json"):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    code, _, err = run_cli(argv + ["--out", "h.jsonl"], capsys)
+    assert code == 2
+    assert err == f"error: h.jsonl.manifest.json: {os.strerror(errno.EACCES)}\n"
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
 
 
 @pytest.mark.parametrize("argv, directory", [

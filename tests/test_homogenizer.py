@@ -11,7 +11,6 @@ from homogen.homogenizer import (
     HomogenizerRun,
     SalientSpec,
     expected_tries_bound,
-    homogenize,
 )
 
 
@@ -73,12 +72,13 @@ def test_run_matches_the_reference_loop(epsilon):
     config = HomogenizerConfig(
         epsilon=epsilon, target_size=1500, seed=31, max_draws=None if epsilon else 1_000_000,
     )
-    data = homogenize(source, spec, config)
+    run = HomogenizerRun(source, spec, config)
+    accepted = list(run)
     items, draws, counts = _reference_run(source, spec, config)
-    assert list(data.items) == items
-    assert data.draws_used == draws
-    assert data.final_counts.counts == counts
-    assert data.final_counts.total == draws
+    assert accepted == items
+    assert run.accepted == len(items)
+    assert run.draws_used == draws
+    assert run.counts.counts == counts
 
 
 @pytest.mark.parametrize("epsilon", [0.01, 0.1, 0.5, 2.0])
@@ -90,11 +90,12 @@ def test_run_keeps_the_acceptance_floor_on_a_skewed_source(epsilon):
     source = weighted_source({0: 0.7, 1: 0.2, 2: 0.09, 3: 0.01})
     spec = identity_spec("value", domain)
     config = HomogenizerConfig(epsilon=epsilon, target_size=1000, seed=11)
-    data = homogenize(source, spec, config)
+    run = HomogenizerRun(source, spec, config)
+    accepted = list(run)
     items, draws, counts = _reference_run(source, spec, config)
-    assert list(data.items) == items
-    assert data.draws_used == draws
-    assert data.final_counts.counts == counts
+    assert accepted == items
+    assert run.draws_used == draws
+    assert run.counts.counts == counts
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +155,20 @@ def test_default_budget_is_twenty_times_the_expected_need():
 
 
 # ---------------------------------------------------------------------------
-# homogenize
+# runs
 
 
 def test_uniform_source_stays_uniform():
     domain = list(range(10))
     source = weighted_source({v: 1.0 for v in domain})
     spec = identity_spec("value", domain)
-    data = homogenize(source, spec, HomogenizerConfig(epsilon=0.1, target_size=1000, seed=5))
-    assert len(data.items) == 1000
+    items = list(HomogenizerRun(source, spec,
+                                HomogenizerConfig(epsilon=0.1, target_size=1000, seed=5)))
+    assert len(items) == 1000
     # Each bin within 5 standard deviations of the uniform expectation.
     sd = math.sqrt(1000 * 0.1 * 0.9)
     for v in domain:
-        n_v = sum(1 for item in data.items if item == v)
+        n_v = sum(1 for item in items if item == v)
         assert abs(n_v - 100) <= 5 * sd
 
 
@@ -177,8 +179,8 @@ def test_epsilon_zero_evens_out_a_biased_source():
     source = weighted_source({0: 0.9, 1: 0.1})
     spec = identity_spec("value", domain)
     config = HomogenizerConfig(epsilon=0.0, target_size=10_000, seed=9, max_draws=1_000_000)
-    data = homogenize(source, spec, config)
-    freq_rare = sum(1 for item in data.items if item == 1) / len(data.items)
+    items = list(HomogenizerRun(source, spec, config))
+    freq_rare = sum(1 for item in items if item == 1) / len(items)
     assert 0.45 <= freq_rare <= 0.55
 
 
@@ -186,8 +188,9 @@ def test_huge_epsilon_passes_the_source_through():
     domain = (0, 1)
     source = weighted_source({0: 0.99, 1: 0.01})
     spec = identity_spec("value", domain)
-    data = homogenize(source, spec, HomogenizerConfig(epsilon=1000.0, target_size=10_000, seed=2))
-    freq_common = sum(1 for item in data.items if item == 0) / len(data.items)
+    config = HomogenizerConfig(epsilon=1000.0, target_size=10_000, seed=2)
+    items = list(HomogenizerRun(source, spec, config))
+    freq_common = sum(1 for item in items if item == 0) / len(items)
     assert freq_common >= 0.97
 
 
@@ -196,11 +199,11 @@ def test_counts_cover_every_draw_including_rejections():
     source = weighted_source({0: 0.8, 1: 0.15, 2: 0.05})
     spec = identity_spec("value", domain)
     config = HomogenizerConfig(epsilon=0.05, target_size=500, seed=13)
-    data = homogenize(source, spec, config)
-    assert data.final_counts.total == data.draws_used
-    assert sum(data.final_counts.counts.values()) == data.draws_used
-    assert data.draws_used > len(data.items)
-    assert len(data.items) == 500
+    run = HomogenizerRun(source, spec, config)
+    items = list(run)
+    assert sum(run.counts.counts.values()) == run.draws_used
+    assert run.draws_used > len(items)
+    assert len(items) == run.accepted == 500
 
 
 def test_uniformity_improvement_across_seeds():
@@ -224,10 +227,10 @@ def test_uniformity_improvement_across_seeds():
 
     for seed in range(20):
         config = HomogenizerConfig(epsilon=0.05, target_size=10_000, seed=seed)
-        data = homogenize(source, spec, config)
+        items = list(HomogenizerRun(source, spec, config))
         rng = random.Random(seed + 10_000)
         raw = [source(rng) for _ in range(10_000)]
-        assert kl_to_uniform(data.items) < kl_to_uniform(raw)
+        assert kl_to_uniform(items) < kl_to_uniform(raw)
 
 
 def test_same_seed_reproduces_the_run_exactly():
@@ -235,14 +238,13 @@ def test_same_seed_reproduces_the_run_exactly():
     source = weighted_source({v: v + 1.0 for v in domain})
     spec = identity_spec("value", domain)
     config = HomogenizerConfig(epsilon=0.02, target_size=2000, seed=77)
-    a = homogenize(source, spec, config)
-    b = homogenize(source, spec, config)
-    assert a.items == b.items
+    a, b = HomogenizerRun(source, spec, config), HomogenizerRun(source, spec, config)
+    a_items = list(a)
+    assert list(b) == a_items
     assert a.draws_used == b.draws_used
-    assert a.final_counts.counts == b.final_counts.counts
-    assert a.final_counts.total == b.final_counts.total
-    c = homogenize(source, spec, HomogenizerConfig(epsilon=0.02, target_size=2000, seed=78))
-    assert c.items != a.items
+    assert a.counts.counts == b.counts.counts
+    c = HomogenizerRun(source, spec, HomogenizerConfig(epsilon=0.02, target_size=2000, seed=78))
+    assert list(c) != a_items
 
 
 def test_budget_exhaustion_is_an_error_with_statistics():
@@ -253,12 +255,11 @@ def test_budget_exhaustion_is_an_error_with_statistics():
     run = HomogenizerRun(source, spec, config)
     with pytest.raises(BudgetExhaustedError) as excinfo:
         list(run)
-    err = excinfo.value
-    assert err.draws_used == 50
-    assert 0 <= err.accepted < 10_000
-    # The error carries the run's own final table.
-    assert err.counts is run.counts
-    assert err.counts.total == 50
+    # The run keeps its statistics; the error only reports them.
+    assert str(excinfo.value) == f"draw budget exhausted after 50 draws ({run.accepted} accepted)"
+    assert run.draws_used == 50
+    assert 0 <= run.accepted < 10_000
+    assert run.counts.total == 50
 
 
 def test_epsilon_zero_run_over_a_value_never_drawn_stops_at_its_budget():
@@ -266,17 +267,19 @@ def test_epsilon_zero_run_over_a_value_never_drawn_stops_at_its_budget():
     # acceptance probability stays 0.
     spec = identity_spec("value", (0, 1, 2))
     config = HomogenizerConfig(epsilon=0.0, target_size=1, seed=3, max_draws=500)
-    with pytest.raises(BudgetExhaustedError) as excinfo:
-        homogenize(weighted_source({0: 0.5, 1: 0.5}), spec, config)
-    assert excinfo.value.draws_used == 500
-    assert excinfo.value.accepted == 0
+    run = HomogenizerRun(weighted_source({0: 0.5, 1: 0.5}), spec, config)
+    with pytest.raises(BudgetExhaustedError, match=r"^draw budget exhausted after 500 draws "
+                                                   r"\(0 accepted\)$"):
+        list(run)
+    assert run.draws_used == 500
+    assert run.accepted == 0
 
 
 def test_extractor_outside_domain_raises():
     spec = SalientSpec(name="bad", domain=(0, 1), extract=lambda s: 2)
     config = HomogenizerConfig(epsilon=0.1, target_size=10, seed=1)
     with pytest.raises(DomainViolationError, match="bad"):
-        homogenize(lambda rng: 0, spec, config)
+        list(HomogenizerRun(lambda rng: 0, spec, config))
 
 
 def test_unhashable_salient_value_is_a_domain_violation():
@@ -287,7 +290,7 @@ def test_unhashable_salient_value_is_a_domain_violation():
     spec = SalientSpec(name="boxed", domain=(0, 1), extract=lambda s: [s])
     config = HomogenizerConfig(epsilon=0.1, target_size=10, seed=1)
     with pytest.raises(DomainViolationError, match=r"^salient 'boxed': value \[0\]"):
-        homogenize(lambda rng: 0, spec, config)
+        list(HomogenizerRun(lambda rng: 0, spec, config))
 
 
 def test_draws_used_is_the_count_tables_total_when_a_run_stops_early():
@@ -302,10 +305,10 @@ def test_draws_used_is_the_count_tables_total_when_a_run_stops_early():
     # The budget stops the run before the 30th draw: every draw was counted.
     run = HomogenizerRun(source, spec, HomogenizerConfig(
         epsilon=0.1, target_size=10_000, seed=5, max_draws=29))
-    with pytest.raises(BudgetExhaustedError) as excinfo:
+    with pytest.raises(BudgetExhaustedError, match="after 29 draws"):
         list(run)
     assert calls == 29
-    assert run.draws_used == run.counts.total == excinfo.value.draws_used == 29
+    assert run.draws_used == run.counts.total == 29
     # The 30th draw is outside the domain: it raises and is not counted.
     calls = 0
     run = HomogenizerRun(source, spec, HomogenizerConfig(epsilon=0.1, target_size=10_000, seed=5))

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from homogen import cli
-from homogen.homogenizer import HomogenizerConfig, homogenize
+from homogen.homogenizer import HomogenizerConfig, HomogenizerRun
 from homogen.diagnostics import Histogram, kl_to_uniform
 from homogen.karel import (
     ACTIONS,
@@ -872,11 +872,11 @@ def test_homogenizing_task_salients_improves_uniformity():
     for var, pairs, target in cases:
         spec = salient_specs()[var]
         src = task_source(sample_uniform_grid, n_pairs=pairs)
-        data = homogenize(
+        tasks = list(HomogenizerRun(
             src, spec, HomogenizerConfig(epsilon=0.05, target_size=target, seed=11)
-        )
+        ))
         rng = random.Random(12)
         raw = [spec.extract(src(rng)) for _ in range(target)]
-        after = Histogram.from_values(spec.domain, [spec.extract(t) for t in data.items])
+        after = Histogram.from_values(spec.domain, [spec.extract(t) for t in tasks])
         before = Histogram.from_values(spec.domain, raw)
         assert kl_to_uniform(after) < kl_to_uniform(before), var

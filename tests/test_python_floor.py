@@ -22,6 +22,17 @@ def requires_python_floor() -> tuple[int, int]:
     return int(major), int(minor)
 
 
+def test_the_version_has_one_home():
+    # The package's __version__, which every manifest records, is the only
+    # version literal; pyproject.toml reads it rather than repeating it.
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[)", pyproject, re.M | re.S).group(1)
+    assert not re.search(r"^version\s*=", project, re.M)
+    assert re.search(r'^dynamic\s*=\s*\[[^]]*"version"', project, re.M)
+    assert re.search(r'^version\s*=\s*\{\s*attr\s*=\s*"homogen\.__version__"\s*\}',
+                     pyproject, re.M)
+
+
 def test_the_floor_is_read_from_pyproject():
     assert requires_python_floor() >= (3, 10)
     assert len(SOURCES) > 20
