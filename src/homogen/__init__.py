@@ -9,7 +9,6 @@ from .homogenizer import (
     BudgetExhaustedError,
     CountTable,
     DomainViolationError,
-    HomogenizerConfig,
     HomogenizerRun,
     SalientSpec,
     expected_tries_bound,
@@ -21,7 +20,6 @@ __all__ = [
     "BudgetExhaustedError",
     "CountTable",
     "DomainViolationError",
-    "HomogenizerConfig",
     "HomogenizerRun",
     "SalientSpec",
     "expected_tries_bound",

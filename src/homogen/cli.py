@@ -49,7 +49,6 @@ from .homogenizer import (
     BudgetExhaustedError,
     CountTable,
     DomainViolationError,
-    HomogenizerConfig,
     HomogenizerRun,
     SalientSpec,
     expected_tries_bound,
@@ -464,18 +463,17 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
         bound = expected_tries_bound(args.eps)
     except ValueError as exc:
         raise UsageError(f"--eps {args.eps}: {exc}") from None
-    try:
-        config = HomogenizerConfig(
-            epsilon=args.eps, target_size=args.count, seed=seed, max_draws=args.max_draws
-        )
-    except ValueError as exc:
-        raise _flag_error(args, exc) from None
-
     # Each draw is an (item, value) pair, so an item is measured once and
     # serialized only when it is accepted.
     measured = domain.measured(sampler, base.name)
     spec = SalientSpec(base.name, base.domain, itemgetter(1))
-    run = HomogenizerRun(measured, spec, config)
+    try:
+        run = HomogenizerRun(
+            measured, spec,
+            epsilon=args.eps, target_size=args.count, seed=seed, max_draws=args.max_draws,
+        )
+    except ValueError as exc:
+        raise _flag_error(args, exc) from None
     before, after = CountTable(spec.domain), CountTable(spec.domain)
     baseline_seed = seed + BASELINE_SEED_OFFSET
     with outputs:

@@ -14,9 +14,7 @@ from collections.abc import Callable, Sequence
 from typing import Any
 
 from ._frozen import Frozen
-from .homogenizer import (
-    CountTable, HomogenizerConfig, HomogenizerRun, SalientSpec, expected_tries_bound,
-)
+from .homogenizer import CountTable, HomogenizerRun, SalientSpec, expected_tries_bound
 
 Histogram = CountTable
 
@@ -64,8 +62,7 @@ def acceptance_curve(
     for epsilon in epsilons:
         bound = expected_tries_bound(epsilon)  # validates epsilon > 0
         seed = rng.randrange(2**63)
-        config = HomogenizerConfig(epsilon=epsilon, target_size=draws_per_point, seed=seed)
-        run = HomogenizerRun(source, spec, config)
+        run = HomogenizerRun(source, spec, epsilon=epsilon, target_size=draws_per_point, seed=seed)
         for _ in run:
             pass
         measured = run.draws_used / draws_per_point

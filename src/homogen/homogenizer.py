@@ -15,7 +15,10 @@ marginal over the domain moves toward uniform. ``epsilon`` trades throughput for
 accepted sample costs at most ``1 + 1/epsilon`` source draws in expectation,
 and at ``epsilon = 0`` the accepted marginal converges to exactly uniform but
 nothing is accepted until every domain value has been seen at least once, so
-such a run must set its draw budget, ``max_draws``.
+such a run must set its draw budget, ``max_draws``. If the source can never
+draw some domain value, an ``epsilon = 0`` run accepts nothing and ends at
+that budget: Karel ``size`` has a domain up to 160 while programs stop at 60
+tokens, and t2t ``max_depth`` has a domain up to 15 while its trees reach 7.
 """
 
 from __future__ import annotations
@@ -104,19 +107,33 @@ class CountTable:
         return f"CountTable(total={self.total}, counts={self.counts!r})"
 
 
-class HomogenizerConfig(Frozen):
-    """Knobs for one homogenization run.
+class HomogenizerRun:
+    """One homogenization pass and its own result: iterate it once to receive
+    the accepted samples, then read ``draws_used``, ``accepted`` and ``counts``.
 
     ``target_size`` and ``max_draws`` are exact ints (no bool or float);
     ``max_draws`` bounds the source draws, and None picks
     ``target_size * ceil(1 + 1/epsilon) * 20``, twenty times the expected
-    need. An ``epsilon == 0`` run has no expected need and must set it.
+    need, once, when the run is built. An ``epsilon == 0`` run has no
+    expected need and must set it.
+
+    The run owns a single RNG seeded from ``seed``. The source draw and the
+    acceptance coin interleave on that RNG in a fixed order, so the output is
+    a pure function of the source, the spec and the four settings. A run
+    whose draw budget ends first raises :class:`BudgetExhaustedError`; it is
+    never silently short.
     """
 
-    __slots__ = ("epsilon", "target_size", "seed", "max_draws")
-
-    def __init__(self, epsilon: float, target_size: int, seed: int = 0,
-                 max_draws: int | None = None) -> None:
+    def __init__(
+        self,
+        source: Callable[[random.Random], Any],
+        spec: SalientSpec,
+        *,
+        epsilon: float,
+        target_size: int,
+        seed: int = 0,
+        max_draws: int | None = None,
+    ) -> None:
         if not (math.isfinite(epsilon) and epsilon >= 0):
             raise ValueError(f"epsilon must be finite and >= 0, not {epsilon}")
         if not (type(target_size) is int and target_size >= 1):
@@ -129,38 +146,15 @@ class HomogenizerConfig(Frozen):
                 "set max_draws to bound the run"
             )
         if max_draws is None:
-            # Fail here, not at the run's first draw, if 1/epsilon overflows.
-            expected_tries_bound(epsilon)
-        super().__init__(epsilon, target_size, seed, max_draws)
-
-    def resolved_max_draws(self) -> int:
-        if self.max_draws is not None:
-            return self.max_draws
-        return self.target_size * math.ceil(expected_tries_bound(self.epsilon)) * 20
-
-
-class HomogenizerRun:
-    """One homogenization pass and its own result: iterate it once to receive
-    the accepted samples, then read ``draws_used``, ``accepted`` and ``counts``.
-
-    The run owns a single RNG seeded from the config. The source draw and the
-    acceptance coin interleave on that RNG in a fixed order, so the output is
-    a pure function of (source, spec, config). A run whose draw budget ends
-    first raises :class:`BudgetExhaustedError`; it is never silently short.
-    """
-
-    def __init__(
-        self,
-        source: Callable[[random.Random], Any],
-        spec: SalientSpec,
-        config: HomogenizerConfig,
-    ):
+            max_draws = target_size * math.ceil(expected_tries_bound(epsilon)) * 20
         self.source = source
         self.spec = spec
-        self.config = config
+        self.epsilon = epsilon
+        self.target_size = target_size
+        self.max_draws = max_draws
         self.counts = CountTable(spec.domain)
         self.accepted = 0
-        self._rng = random.Random(config.seed)
+        self._rng = random.Random(seed)
         self._started = False
 
     @property
@@ -180,9 +174,9 @@ class HomogenizerRun:
         extract = self.spec.extract
         counts = self.counts
         increment = counts.increment
-        epsilon = self.config.epsilon
-        target = self.config.target_size
-        cap = self.config.resolved_max_draws()
+        epsilon = self.epsilon
+        target = self.target_size
+        cap = self.max_draws
 
         try:
             while self.accepted < target:
@@ -193,7 +187,7 @@ class HomogenizerRun:
                     )
                 sample = source(rng)
                 count = increment(extract(sample))
-                # The formula's inputs are valid by construction: the config
+                # The formula's inputs are valid by construction: __init__
                 # checked epsilon >= 0, and the value was just counted, so
                 # total >= count >= max(1, min_count) and 0 <= keep <= 1.
                 total = counts.total

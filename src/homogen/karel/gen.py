@@ -280,18 +280,9 @@ class SynthesisTask(Frozen):
 class UncoverableProgramError(RuntimeError):
     """Grid resampling could not produce a valid task for the program."""
 
-    def __init__(
-        self,
-        message: str,
-        *,
-        attempts: int,
-        crash_counts: dict[str, int],
-        missing_arm_counts: dict[tuple[int, str], int],
-    ):
+    def __init__(self, message: str, crash_counts: dict[str, int]):
         super().__init__(message)
-        self.attempts = attempts
         self.crash_counts = crash_counts
-        self.missing_arm_counts = missing_arm_counts
 
 
 def make_task(
@@ -343,9 +334,7 @@ def make_task(
     raise UncoverableProgramError(
         f"no valid task in {retry_limit} grid batches "
         f"(crashes: {crashes}, uncovered arms: {dict(missing_counts)})",
-        attempts=retry_limit,
-        crash_counts=crashes,
-        missing_arm_counts=dict(missing_counts),
+        crashes,
     )
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from homogen import calc
 from homogen.diagnostics import Histogram, acceptance_curve, kl_to_uniform
-from homogen.homogenizer import HomogenizerConfig, HomogenizerRun, SalientSpec
+from homogen.homogenizer import HomogenizerRun, SalientSpec
 from homogen.karel import (
     NARROW_SWEEP_PARAMS,
     CrashReason,
@@ -73,8 +73,7 @@ def test_01_homogenizer_uniformity_band():
     t0 = time.perf_counter()
     source = categorical_source(BIASED_PROBS)
     spec = SalientSpec("value", tuple(range(10)), lambda s: s)
-    config = HomogenizerConfig(epsilon=0.01, target_size=20_000, seed=5)
-    counts = Counter(HomogenizerRun(source, spec, config))
+    counts = Counter(HomogenizerRun(source, spec, epsilon=0.01, target_size=20_000, seed=5))
     freqs = [counts[v] / 20_000 for v in range(10)]
     elapsed = time.perf_counter() - t0
 
@@ -106,8 +105,9 @@ def test_01_supplement_exact_uniformity_at_eps_zero():
     t0 = time.perf_counter()
     source = categorical_source(BIASED_PROBS)
     spec = SalientSpec("value", tuple(range(10)), lambda s: s)
-    config = HomogenizerConfig(epsilon=0.0, target_size=20_000, seed=5, max_draws=4_000_000)
-    counts = Counter(HomogenizerRun(source, spec, config))
+    run = HomogenizerRun(source, spec, epsilon=0.0, target_size=20_000, seed=5,
+                         max_draws=4_000_000)
+    counts = Counter(run)
     freqs = [counts[v] / 20_000 for v in range(10)]
     elapsed = time.perf_counter() - t0
     ok = all(0.08 <= f <= 0.12 for f in freqs)
@@ -166,8 +166,7 @@ def test_03_kl_reduction_for_all_salient_variables():
     for dist_name, sampler in (("dcfg", calc.Dcfg()), ("t2t", calc.T2t())):
         source = lambda rng: calc.sample_expr(rng, sampler)  # noqa: E731
         for var, spec in calc.salient_specs().items():
-            config = HomogenizerConfig(epsilon=eps, target_size=n, seed=101)
-            accepted = list(HomogenizerRun(source, spec, config))
+            accepted = list(HomogenizerRun(source, spec, epsilon=eps, target_size=n, seed=101))
             raw_rng = random.Random(102)
             raw = [spec.extract(source(raw_rng)) for _ in range(n)]
             before = kl_to_uniform(Histogram.from_values(spec.domain, raw))

@@ -30,7 +30,6 @@ from homogen.diagnostics import Histogram, kl_to_uniform
 from homogen.homogenizer import (
     CountTable,
     DomainViolationError,
-    HomogenizerConfig,
     HomogenizerRun,
     SalientSpec,
 )
@@ -1111,7 +1110,7 @@ def test_homogenize_calc_matches_the_composed_reference(dist, var, tmp_path, mon
     domain = calc.salient_specs()[var].domain
     spec = SalientSpec(var, domain, lambda expr: calc.expr_salients(expr)[var])
     run = HomogenizerRun(lambda rng: calc.sample_expr(rng, sampler), spec,
-                         HomogenizerConfig(epsilon=eps, target_size=count, seed=seed))
+                         epsilon=eps, target_size=count, seed=seed)
     accepted = list(run)
     baseline_rng = random.Random(seed + cli.BASELINE_SEED_OFFSET)
     baseline = [spec.extract(calc.sample_expr(baseline_rng, sampler)) for _ in range(count)]

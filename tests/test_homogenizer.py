@@ -7,7 +7,6 @@ from homogen.homogenizer import (
     BudgetExhaustedError,
     CountTable,
     DomainViolationError,
-    HomogenizerConfig,
     HomogenizerRun,
     SalientSpec,
     expected_tries_bound,
@@ -37,28 +36,32 @@ def identity_spec(name, domain):
     return SalientSpec(name=name, domain=tuple(domain), extract=lambda s: s)
 
 
+def constant_run(**settings):
+    """A run over a one-value source, for checks of the settings alone."""
+    return HomogenizerRun(lambda rng: 0, identity_spec("value", (0,)), **settings)
+
+
 # ---------------------------------------------------------------------------
 # the run loop against an independent reference
 
 
-def _reference_run(source, spec, config):
+def _reference_run(source, spec, epsilon, target_size, seed=0, max_draws=None):
     """The paper's loop written out: plain dict counts, the minimum
     recomputed on every draw, and the acceptance formula inline."""
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     counts = {x: 0 for x in spec.domain}
-    eps = config.epsilon
     draws = 0
     items = []
-    cap = config.resolved_max_draws()
-    while len(items) < config.target_size and draws < cap:
+    cap = max_draws if max_draws is not None else target_size * math.ceil(1 + 1 / epsilon) * 20
+    while len(items) < target_size and draws < cap:
         sample = source(rng)
         value = spec.extract(sample)
         counts[value] += 1
         draws += 1
-        keep = (min(counts.values()) / draws + eps) / (counts[value] / draws + eps)
-        if eps > 0:
+        keep = (min(counts.values()) / draws + epsilon) / (counts[value] / draws + epsilon)
+        if epsilon > 0:
             # An over-represented value is still kept at this floor.
-            assert eps / (1 + eps) <= keep <= 1
+            assert epsilon / (1 + epsilon) <= keep <= 1
         if rng.random() < keep:
             items.append(sample)
     return items, draws, counts
@@ -69,12 +72,12 @@ def test_run_matches_the_reference_loop(epsilon):
     domain = list(range(8))
     source = weighted_source({v: (v + 1.0) ** 2 for v in domain})
     spec = identity_spec("value", domain)
-    config = HomogenizerConfig(
+    settings = dict(
         epsilon=epsilon, target_size=1500, seed=31, max_draws=None if epsilon else 1_000_000,
     )
-    run = HomogenizerRun(source, spec, config)
+    run = HomogenizerRun(source, spec, **settings)
     accepted = list(run)
-    items, draws, counts = _reference_run(source, spec, config)
+    items, draws, counts = _reference_run(source, spec, **settings)
     assert accepted == items
     assert run.accepted == len(items)
     assert run.draws_used == draws
@@ -89,10 +92,9 @@ def test_run_keeps_the_acceptance_floor_on_a_skewed_source(epsilon):
     domain = [0, 1, 2, 3]
     source = weighted_source({0: 0.7, 1: 0.2, 2: 0.09, 3: 0.01})
     spec = identity_spec("value", domain)
-    config = HomogenizerConfig(epsilon=epsilon, target_size=1000, seed=11)
-    run = HomogenizerRun(source, spec, config)
+    run = HomogenizerRun(source, spec, epsilon=epsilon, target_size=1000, seed=11)
     accepted = list(run)
-    items, draws, counts = _reference_run(source, spec, config)
+    items, draws, counts = _reference_run(source, spec, epsilon, target_size=1000, seed=11)
     assert accepted == items
     assert run.draws_used == draws
     assert run.counts.counts == counts
@@ -123,35 +125,65 @@ def test_count_table_rejects_unknown_value():
 
 
 # ---------------------------------------------------------------------------
-# config validation
+# settings validation
+
+EPSILON_MESSAGE = "epsilon must be finite and >= 0, not {}"
+TARGET_MESSAGE = "target_size must be >= 1"
+MAX_DRAWS_MESSAGE = "max_draws must be >= 1 when given"
+
+# Settings a run refuses, and the message it refuses them with. The checks
+# run in a fixed order, so with several bad settings the first one names it.
+INVALID_SETTINGS = [
+    ({"epsilon": math.nan, "target_size": 1}, EPSILON_MESSAGE.format("nan")),
+    ({"epsilon": -0.1, "target_size": 1}, EPSILON_MESSAGE.format(-0.1)),
+    ({"epsilon": 0.1, "target_size": 0}, TARGET_MESSAGE),
+    ({"epsilon": 0.1, "target_size": 1, "max_draws": 0}, MAX_DRAWS_MESSAGE),
+    ({"epsilon": 0.0, "target_size": 1},
+     "epsilon=0 accepts nothing until every domain value has been seen; "
+     "set max_draws to bound the run"),
+    ({"epsilon": 1e-320, "target_size": 1}, "the draw bound 1 + 1/epsilon overflows a float"),
+    ({"epsilon": math.nan, "target_size": 0, "max_draws": 0}, EPSILON_MESSAGE.format("nan")),
+    ({"epsilon": 0.1, "target_size": 0, "max_draws": 0}, TARGET_MESSAGE),
+    ({"epsilon": 0.0, "target_size": 1, "max_draws": 0}, MAX_DRAWS_MESSAGE),
+    ({"epsilon": 0.1, "target_size": 2.5}, TARGET_MESSAGE),
+    ({"epsilon": 0.1, "target_size": True}, TARGET_MESSAGE),
+    ({"epsilon": 0.1, "target_size": 1, "max_draws": 10.5}, MAX_DRAWS_MESSAGE),
+]
+
+
+@pytest.mark.parametrize(
+    "settings, message", INVALID_SETTINGS,
+    ids=["-".join(map(str, settings.values())) for settings, _ in INVALID_SETTINGS],
+)
+def test_run_rejects_invalid_settings(settings, message):
+    with pytest.raises(ValueError) as excinfo:
+        constant_run(**settings)
+    assert str(excinfo.value) == message
 
 
 def test_config_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        HomogenizerConfig(epsilon=-0.1, target_size=10)
-    with pytest.raises(ValueError):
-        HomogenizerConfig(epsilon=0.1, target_size=0)
-    with pytest.raises(ValueError):
-        HomogenizerConfig(epsilon=0.1, target_size=10, max_draws=0)
+    # The settings are keyword-only, so epsilon and target_size cannot swap.
+    with pytest.raises(TypeError):
+        HomogenizerRun(lambda rng: 0, identity_spec("value", (0,)), 0.1, 10)
 
 
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_epsilon(epsilon):
     with pytest.raises(ValueError, match="epsilon must be finite"):
-        HomogenizerConfig(epsilon=epsilon, target_size=10)
+        constant_run(epsilon=epsilon, target_size=10)
 
 
 def test_config_epsilon_zero_needs_opt_in():
     # At epsilon 0 no default budget exists.
     with pytest.raises(ValueError, match="max_draws"):
-        HomogenizerConfig(epsilon=0.0, target_size=10)
-    assert HomogenizerConfig(epsilon=0.0, target_size=10, max_draws=5).resolved_max_draws() == 5
+        constant_run(epsilon=0.0, target_size=10)
+    assert constant_run(epsilon=0.0, target_size=10, max_draws=5).max_draws == 5
 
 
 def test_default_budget_is_twenty_times_the_expected_need():
     # target_size * ceil(1 + 1/epsilon) * 20: ceil(41.0) = 41 and ceil(4.33) = 5.
-    assert HomogenizerConfig(epsilon=0.025, target_size=7).resolved_max_draws() == 5_740
-    assert HomogenizerConfig(epsilon=0.3, target_size=7).resolved_max_draws() == 700
+    assert constant_run(epsilon=0.025, target_size=7).max_draws == 5_740
+    assert constant_run(epsilon=0.3, target_size=7).max_draws == 700
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +194,7 @@ def test_uniform_source_stays_uniform():
     domain = list(range(10))
     source = weighted_source({v: 1.0 for v in domain})
     spec = identity_spec("value", domain)
-    items = list(HomogenizerRun(source, spec,
-                                HomogenizerConfig(epsilon=0.1, target_size=1000, seed=5)))
+    items = list(HomogenizerRun(source, spec, epsilon=0.1, target_size=1000, seed=5))
     assert len(items) == 1000
     # Each bin within 5 standard deviations of the uniform expectation.
     sd = math.sqrt(1000 * 0.1 * 0.9)
@@ -178,8 +209,8 @@ def test_epsilon_zero_evens_out_a_biased_source():
     domain = (0, 1)
     source = weighted_source({0: 0.9, 1: 0.1})
     spec = identity_spec("value", domain)
-    config = HomogenizerConfig(epsilon=0.0, target_size=10_000, seed=9, max_draws=1_000_000)
-    items = list(HomogenizerRun(source, spec, config))
+    items = list(HomogenizerRun(source, spec, epsilon=0.0, target_size=10_000, seed=9,
+                                max_draws=1_000_000))
     freq_rare = sum(1 for item in items if item == 1) / len(items)
     assert 0.45 <= freq_rare <= 0.55
 
@@ -188,8 +219,7 @@ def test_huge_epsilon_passes_the_source_through():
     domain = (0, 1)
     source = weighted_source({0: 0.99, 1: 0.01})
     spec = identity_spec("value", domain)
-    config = HomogenizerConfig(epsilon=1000.0, target_size=10_000, seed=2)
-    items = list(HomogenizerRun(source, spec, config))
+    items = list(HomogenizerRun(source, spec, epsilon=1000.0, target_size=10_000, seed=2))
     freq_common = sum(1 for item in items if item == 0) / len(items)
     assert freq_common >= 0.97
 
@@ -198,8 +228,7 @@ def test_counts_cover_every_draw_including_rejections():
     domain = (0, 1, 2)
     source = weighted_source({0: 0.8, 1: 0.15, 2: 0.05})
     spec = identity_spec("value", domain)
-    config = HomogenizerConfig(epsilon=0.05, target_size=500, seed=13)
-    run = HomogenizerRun(source, spec, config)
+    run = HomogenizerRun(source, spec, epsilon=0.05, target_size=500, seed=13)
     items = list(run)
     assert sum(run.counts.counts.values()) == run.draws_used
     assert run.draws_used > len(items)
@@ -226,8 +255,7 @@ def test_uniformity_improvement_across_seeds():
         return acc
 
     for seed in range(20):
-        config = HomogenizerConfig(epsilon=0.05, target_size=10_000, seed=seed)
-        items = list(HomogenizerRun(source, spec, config))
+        items = list(HomogenizerRun(source, spec, epsilon=0.05, target_size=10_000, seed=seed))
         rng = random.Random(seed + 10_000)
         raw = [source(rng) for _ in range(10_000)]
         assert kl_to_uniform(items) < kl_to_uniform(raw)
@@ -237,13 +265,13 @@ def test_same_seed_reproduces_the_run_exactly():
     domain = list(range(5))
     source = weighted_source({v: v + 1.0 for v in domain})
     spec = identity_spec("value", domain)
-    config = HomogenizerConfig(epsilon=0.02, target_size=2000, seed=77)
-    a, b = HomogenizerRun(source, spec, config), HomogenizerRun(source, spec, config)
+    settings = dict(epsilon=0.02, target_size=2000, seed=77)
+    a, b = HomogenizerRun(source, spec, **settings), HomogenizerRun(source, spec, **settings)
     a_items = list(a)
     assert list(b) == a_items
     assert a.draws_used == b.draws_used
     assert a.counts.counts == b.counts.counts
-    c = HomogenizerRun(source, spec, HomogenizerConfig(epsilon=0.02, target_size=2000, seed=78))
+    c = HomogenizerRun(source, spec, epsilon=0.02, target_size=2000, seed=78)
     assert list(c) != a_items
 
 
@@ -251,8 +279,7 @@ def test_budget_exhaustion_is_an_error_with_statistics():
     domain = (0, 1)
     source = weighted_source({0: 0.5, 1: 0.5})
     spec = identity_spec("value", domain)
-    config = HomogenizerConfig(epsilon=0.1, target_size=10_000, seed=4, max_draws=50)
-    run = HomogenizerRun(source, spec, config)
+    run = HomogenizerRun(source, spec, epsilon=0.1, target_size=10_000, seed=4, max_draws=50)
     with pytest.raises(BudgetExhaustedError) as excinfo:
         list(run)
     # The run keeps its statistics; the error only reports them.
@@ -266,8 +293,8 @@ def test_epsilon_zero_run_over_a_value_never_drawn_stops_at_its_budget():
     # Value 2 is never drawn, so the minimum count stays 0 and every
     # acceptance probability stays 0.
     spec = identity_spec("value", (0, 1, 2))
-    config = HomogenizerConfig(epsilon=0.0, target_size=1, seed=3, max_draws=500)
-    run = HomogenizerRun(weighted_source({0: 0.5, 1: 0.5}), spec, config)
+    run = HomogenizerRun(weighted_source({0: 0.5, 1: 0.5}), spec,
+                         epsilon=0.0, target_size=1, seed=3, max_draws=500)
     with pytest.raises(BudgetExhaustedError, match=r"^draw budget exhausted after 500 draws "
                                                    r"\(0 accepted\)$"):
         list(run)
@@ -277,9 +304,8 @@ def test_epsilon_zero_run_over_a_value_never_drawn_stops_at_its_budget():
 
 def test_extractor_outside_domain_raises():
     spec = SalientSpec(name="bad", domain=(0, 1), extract=lambda s: 2)
-    config = HomogenizerConfig(epsilon=0.1, target_size=10, seed=1)
     with pytest.raises(DomainViolationError, match="bad"):
-        list(HomogenizerRun(lambda rng: 0, spec, config))
+        list(HomogenizerRun(lambda rng: 0, spec, epsilon=0.1, target_size=10, seed=1))
 
 
 def test_unhashable_salient_value_is_a_domain_violation():
@@ -288,9 +314,8 @@ def test_unhashable_salient_value_is_a_domain_violation():
         table.increment([0])
     assert table.total == 0
     spec = SalientSpec(name="boxed", domain=(0, 1), extract=lambda s: [s])
-    config = HomogenizerConfig(epsilon=0.1, target_size=10, seed=1)
     with pytest.raises(DomainViolationError, match=r"^salient 'boxed': value \[0\]"):
-        list(HomogenizerRun(lambda rng: 0, spec, config))
+        list(HomogenizerRun(lambda rng: 0, spec, epsilon=0.1, target_size=10, seed=1))
 
 
 def test_draws_used_is_the_count_tables_total_when_a_run_stops_early():
@@ -303,15 +328,14 @@ def test_draws_used_is_the_count_tables_total_when_a_run_stops_early():
 
     spec = identity_spec("value", (0, 1))
     # The budget stops the run before the 30th draw: every draw was counted.
-    run = HomogenizerRun(source, spec, HomogenizerConfig(
-        epsilon=0.1, target_size=10_000, seed=5, max_draws=29))
+    run = HomogenizerRun(source, spec, epsilon=0.1, target_size=10_000, seed=5, max_draws=29)
     with pytest.raises(BudgetExhaustedError, match="after 29 draws"):
         list(run)
     assert calls == 29
     assert run.draws_used == run.counts.total == 29
     # The 30th draw is outside the domain: it raises and is not counted.
     calls = 0
-    run = HomogenizerRun(source, spec, HomogenizerConfig(epsilon=0.1, target_size=10_000, seed=5))
+    run = HomogenizerRun(source, spec, epsilon=0.1, target_size=10_000, seed=5)
     with pytest.raises(DomainViolationError):
         list(run)
     assert calls == 30
@@ -323,11 +347,7 @@ def test_draws_used_is_the_count_tables_total_when_a_run_stops_early():
 def test_run_is_single_use():
     domain = (0, 1)
     spec = identity_spec("value", domain)
-    run = HomogenizerRun(
-        weighted_source({0: 0.5, 1: 0.5}),
-        spec,
-        HomogenizerConfig(epsilon=0.5, target_size=5, seed=0),
-    )
+    run = HomogenizerRun(weighted_source({0: 0.5, 1: 0.5}), spec, epsilon=0.5, target_size=5)
     list(run)
     with pytest.raises(RuntimeError):
         iter(run)
@@ -359,23 +379,24 @@ def test_expected_tries_bound():
     with pytest.raises(ValueError, match="overflows"):
         expected_tries_bound(1e-320)
     with pytest.raises(ValueError, match="overflows"):
-        HomogenizerConfig(epsilon=1e-320, target_size=5)
+        constant_run(epsilon=1e-320, target_size=5)
+    # A run that sets its own budget never needs the bound.
+    assert constant_run(epsilon=1e-320, target_size=5, max_draws=9).max_draws == 9
 
 
 def test_config_that_constructs_always_resolves_its_budget():
-    # Construction checks the default budget, so a run never fails on it:
+    # Construction resolves the default budget, so a run never fails on it:
     # every epsilon either is refused up front or resolves to a draw count.
     epsilons = [10.0 ** -k for k in range(0, 324, 3)] + [5e-324, 2.0 ** -1024, 2.0 ** -1022]
     assert all(epsilon > 0 for epsilon in epsilons)
     refused = 0
     for epsilon in epsilons:
         try:
-            config = HomogenizerConfig(epsilon=epsilon, target_size=5)
+            budget = constant_run(epsilon=epsilon, target_size=5).max_draws
         except ValueError as exc:
             assert "overflows" in str(exc)
             refused += 1
             continue
-        budget = config.resolved_max_draws()
         assert isinstance(budget, int) and budget >= 5 * 20
     assert 0 < refused < len(epsilons)
 

@@ -1,16 +1,21 @@
 """The documented public surface: every exported name resolves, it and every
 public module-level name are read outside the unit tests, the README's
-library example runs as written, no module imports a name it never uses,
+library example runs as written and every class or ``calc.`` name its
+library section names resolves, no module imports a name it never uses,
 every private module-level name is read somewhere, and every defaulted
 parameter of the public API is passed by some caller."""
 
 import ast
 import re
+from operator import attrgetter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import homogen
+import homogen.calc
+import homogen.diagnostics
 import homogen.karel
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +43,35 @@ def test_readme_library_example_runs(capsys):
     # At epsilon 0.025 an accepted sample costs at most 1 + 1/0.025 = 41
     # draws in expectation.
     assert 1.0 <= float(match.group(1)) <= 41.0
+
+
+def _unresolved_names(text: str, namespaces: list[object]) -> list[str]:
+    """Backticked names in ``text`` that start with a capital or ``calc.``
+    and that no namespace resolves, attribute by attribute."""
+    unresolved = []
+    for name in re.findall(r"`((?:[A-Z]\w*|calc\.\w+)(?:\.\w+)*)`", text):
+        for namespace in namespaces:
+            try:
+                attrgetter(name)(namespace)
+                break
+            except AttributeError:
+                pass
+        else:
+            unresolved.append(name)
+    return unresolved
+
+
+def test_readme_library_section_names_only_what_exists():
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    library = library.split("\n## ", 1)[0]
+    namespaces = [homogen, homogen.karel, homogen.diagnostics]
+    assert _unresolved_names(library, namespaces) == []
+
+
+def test_unresolved_name_check_follows_every_attribute():
+    text = "`Real`, `Real.method`, `Gone`, `Real.gone`, `calc.x`, `calc.y`, `lower`, `Real(1)`"
+    namespace = SimpleNamespace(Real=SimpleNamespace(method=None), calc=SimpleNamespace(x=1))
+    assert _unresolved_names(text, [namespace]) == ["Gone", "Real.gone", "calc.y"]
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -17,11 +17,7 @@ import pytest
 from homogen import calc
 from homogen._frozen import Frozen
 from homogen.diagnostics import CurvePoint
-from homogen.homogenizer import (
-    HomogenizerConfig,
-    SalientSpec,
-    expected_tries_bound,
-)
+from homogen.homogenizer import SalientSpec
 from homogen.karel.gen import MarkerCountDist, NarrowGridParams, SynthesisTask
 from homogen.karel.interp import CompiledProgram
 from homogen.karel.lang import (
@@ -61,22 +57,6 @@ def _spec_check(self):
         raise ValueError("salient domain must be non-empty")
     if len(set(self.domain)) != len(self.domain):
         raise ValueError("salient domain contains duplicate values")
-
-
-def _config_check(self):
-    if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-        raise ValueError(f"epsilon must be finite and >= 0, not {self.epsilon}")
-    if not (type(self.target_size) is int and self.target_size >= 1):
-        raise ValueError("target_size must be >= 1")
-    if self.max_draws is not None and not (type(self.max_draws) is int and self.max_draws >= 1):
-        raise ValueError("max_draws must be >= 1 when given")
-    if self.epsilon == 0 and self.max_draws is None:
-        raise ValueError(
-            "epsilon=0 accepts nothing until every domain value has been seen; "
-            "set max_draws to bound the run"
-        )
-    if self.max_draws is None:
-        expected_tries_bound(self.epsilon)
 
 
 def _name_check(names, kind):
@@ -137,20 +117,6 @@ CASES: list[tuple[type, list, Any, list[dict], list[dict]]] = [
       {"name": "x", "domain": ("a",), "extract": abs}],
      [{"name": "x", "domain": (), "extract": len},
       {"name": "x", "domain": (1, 1), "extract": len}]),
-    (HomogenizerConfig,
-     [("epsilon", float), ("target_size", int), ("seed", int, 0),
-      ("max_draws", "int | None", None)],
-     _config_check,
-     [{"epsilon": 0.025, "target_size": 10},
-      {"epsilon": 0.0, "target_size": 5, "seed": 7, "max_draws": 100}],
-     [{"epsilon": math.nan, "target_size": 1}, {"epsilon": -0.1, "target_size": 1},
-      {"epsilon": 0.1, "target_size": 0}, {"epsilon": 0.1, "target_size": 1, "max_draws": 0},
-      {"epsilon": 0.0, "target_size": 1}, {"epsilon": 1e-320, "target_size": 1},
-      {"epsilon": math.nan, "target_size": 0, "max_draws": 0},
-      {"epsilon": 0.1, "target_size": 0, "max_draws": 0},
-      {"epsilon": 0.0, "target_size": 1, "max_draws": 0},
-      {"epsilon": 0.1, "target_size": 2.5}, {"epsilon": 0.1, "target_size": True},
-      {"epsilon": 0.1, "target_size": 1, "max_draws": 10.5}]),
     (Pred, [("name", str)], _name_check(PREDICATES, "predicate"),
      [{"name": "frontIsClear"}, {"name": "markersPresent"}],
      [{"name": "move"}, {"name": ""}]),
