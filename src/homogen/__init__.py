@@ -5,23 +5,4 @@ expressions), a rejection-based homogenizer that evens out user-declared
 salient variables, and diagnostics for uniformity and sampling cost.
 """
 
-from .homogenizer import (
-    BudgetExhaustedError,
-    CountTable,
-    DomainViolationError,
-    HomogenizerRun,
-    SalientSpec,
-    expected_tries_bound,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BudgetExhaustedError",
-    "CountTable",
-    "DomainViolationError",
-    "HomogenizerRun",
-    "SalientSpec",
-    "expected_tries_bound",
-    "__version__",
-]

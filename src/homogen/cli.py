@@ -601,11 +601,11 @@ def cmd_karel_run(args: argparse.Namespace, argv: list[str]) -> int:
     try:
         program = parse_program(program_path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, KarelSyntaxError, RecursionError) as exc:
-        raise UsageError(f"{program_path}: {exc}") from None
+        raise UsageError(f"{program_path}: {getattr(exc, 'strerror', None) or exc}") from None
     try:
         grid = grid_from_json(json.loads(grid_path.read_text(encoding="utf-8")))
     except (OSError, ValueError, RecursionError) as exc:
-        raise UsageError(f"{grid_path}: {exc}") from None
+        raise UsageError(f"{grid_path}: {getattr(exc, 'strerror', None) or exc}") from None
 
     compiled = compile_program(program)
     try:

@@ -1,99 +1,2 @@
-"""Karel grid-world domain: language, worlds, execution, and dataset sampling."""
-
-from .lang import (
-    ACTIONS,
-    PREDICATES,
-    Action,
-    If,
-    IfElse,
-    KarelProgram,
-    KarelSyntaxError,
-    Not,
-    Pred,
-    Repeat,
-    While,
-    emit_tokens,
-    parse_program,
-    program_salients,
-)
-from .world import (
-    DIRECTIONS,
-    GridDraw,
-    KarelGrid,
-    grid_from_json,
-    grid_to_json,
-)
-from .interp import (
-    DEFAULT_STEP_LIMIT,
-    CompiledProgram,
-    CrashReason,
-    ExecResult,
-    branch_arms,
-    compile_program,
-    execute,
-)
-from .gen import (
-    NARROW_SWEEP_PARAMS,
-    GenerationStallError,
-    MarkerCountDist,
-    NarrowGridParams,
-    SynthesisTask,
-    UncoverableProgramError,
-    make_task,
-    salient_specs,
-    sample_marker_count,
-    sample_narrow_grid,
-    sample_program,
-    sample_uniform_grid,
-    satisfies_action_pruning,
-    task_from_json,
-    task_salients,
-    task_source,
-    task_to_json,
-)
-
-__all__ = [
-    "ACTIONS",
-    "PREDICATES",
-    "Action",
-    "If",
-    "IfElse",
-    "KarelProgram",
-    "KarelSyntaxError",
-    "Not",
-    "Pred",
-    "Repeat",
-    "While",
-    "emit_tokens",
-    "parse_program",
-    "program_salients",
-    "DIRECTIONS",
-    "GridDraw",
-    "KarelGrid",
-    "grid_from_json",
-    "grid_to_json",
-    "DEFAULT_STEP_LIMIT",
-    "CompiledProgram",
-    "CrashReason",
-    "ExecResult",
-    "branch_arms",
-    "compile_program",
-    "execute",
-    "NARROW_SWEEP_PARAMS",
-    "GenerationStallError",
-    "MarkerCountDist",
-    "NarrowGridParams",
-    "SynthesisTask",
-    "UncoverableProgramError",
-    "make_task",
-    "salient_specs",
-    "sample_marker_count",
-    "sample_narrow_grid",
-    "sample_program",
-    "sample_uniform_grid",
-    "satisfies_action_pruning",
-    "task_from_json",
-    "task_salients",
-    "task_source",
-    "task_to_json",
-]
+"""Karel grid-world domain: the language (``lang``), worlds (``world``),
+execution (``interp``) and dataset sampling (``gen``)."""

@@ -284,6 +284,9 @@ class UncoverableProgramError(RuntimeError):
         super().__init__(message)
         self.crash_counts = crash_counts
 
+    def __reduce__(self) -> tuple[type, tuple[str, dict[str, int]]]:
+        return type(self), (self.args[0], self.crash_counts)
+
 
 def make_task(
     program: KarelProgram,

@@ -2,7 +2,7 @@
 acceptance tests. Expected outputs were worked out by hand, cell by cell,
 before the interpreter existed."""
 
-from homogen.karel import KarelGrid
+from homogen.karel.world import KarelGrid
 
 # Walk east picking one marker per cell until an empty cell is reached.
 COLLECTOR_TEXT = "def main(): while(markersPresent()): { pickMarker() ; move() }"

@@ -26,18 +26,16 @@ from pathlib import Path
 from homogen import calc
 from homogen.diagnostics import Histogram, acceptance_curve, kl_to_uniform
 from homogen.homogenizer import HomogenizerRun, SalientSpec
-from homogen.karel import (
+from homogen.karel.gen import (
     NARROW_SWEEP_PARAMS,
-    CrashReason,
-    KarelGrid,
     MarkerCountDist,
-    branch_arms,
-    execute,
-    parse_program,
     sample_narrow_grid,
     sample_uniform_grid,
     task_source,
 )
+from homogen.karel.interp import CrashReason, branch_arms, execute
+from homogen.karel.lang import parse_program
+from homogen.karel.world import KarelGrid
 from karel_fixtures import (
     COLLECTOR_A_EXPECTED,
     COLLECTOR_A_STEPS,

@@ -15,7 +15,8 @@ from pathlib import Path
 import homogen.cli  # noqa: F401  (imports every module the tracer patches)
 from homogen.diagnostics import Histogram
 from homogen.homogenizer import HomogenizerRun
-from homogen.karel import UncoverableProgramError, gen, sample_program
+from homogen.karel import gen
+from homogen.karel.gen import UncoverableProgramError, sample_program
 from homogen.karel.world import KarelGrid
 
 LAYERS_PATH = Path(__file__).resolve().parents[1] / "bench" / "layers.py"

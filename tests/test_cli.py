@@ -34,8 +34,8 @@ from homogen.homogenizer import (
     SalientSpec,
 )
 from homogen.karel import gen as karel_gen
-from homogen.karel import grid_to_json
 from homogen.karel.interp import DEFAULT_STEP_LIMIT
+from homogen.karel.world import grid_to_json
 from homogen.rng import randbelow
 from karel_fixtures import (
     COLLECTOR_A_EXPECTED,
@@ -775,7 +775,7 @@ GOLDEN_IDS = ["narrow", "pairs", "homogenize", "homogenize-calc", "rcfg", "bal",
 
 
 @pytest.mark.parametrize("commands, digests", GOLDEN_SHA256, ids=GOLDEN_IDS)
-def test_karel_outputs_match_golden_digests(commands, digests, tmp_path, monkeypatch, capsys):
+def test_outputs_match_golden_digests(commands, digests, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         code, _, _ = run_cli(argv, capsys)
@@ -1761,6 +1761,22 @@ def test_karel_run_grid_nested_past_the_decoder_depth_is_usage_error(tmp_path, c
     assert out == ""
     assert err.startswith(f"error: {grid}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", ["program", "grid"])
+@pytest.mark.parametrize(("make", "reason"), [
+    (lambda path: None, "No such file or directory"),
+    (lambda path: path.mkdir(), "Is a directory"),
+], ids=["missing", "directory"])
+def test_karel_run_unreadable_input_names_its_path_and_reason(
+        tmp_path, monkeypatch, capsys, which, make, reason):
+    monkeypatch.chdir(tmp_path)
+    Path("p.txt").write_text(CRASH_TEXT)
+    Path("g.json").write_text(json.dumps(grid_to_json(CRASH_GRID)))
+    make(Path("bad"))
+    args = ["bad", "g.json"] if which == "program" else ["p.txt", "bad"]
+    code, out, err = run_cli(["karel-run", *args], capsys)
+    assert (code, out, err) == (2, "", f"error: bad: {reason}\n")
 
 
 # ---------------------------------------------------------------------------

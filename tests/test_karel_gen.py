@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import random
 import re
 from collections import Counter
@@ -9,32 +11,18 @@ import pytest
 from homogen import cli
 from homogen.homogenizer import HomogenizerRun
 from homogen.diagnostics import Histogram, kl_to_uniform
-from homogen.karel import (
-    ACTIONS,
-    DIRECTIONS,
-    PREDICATES,
-    Action,
+from homogen.karel import gen, interp
+from homogen.karel.gen import (
+    _SALIENT_DOMAINS,
+    NARROW_SWEEP_PARAMS,
     GenerationStallError,
-    GridDraw,
-    If,
-    KarelGrid,
-    KarelProgram,
     MarkerCountDist,
     NarrowGridParams,
-    Not,
-    Pred,
-    Repeat,
-    NARROW_SWEEP_PARAMS,
     SynthesisTask,
     UncoverableProgramError,
-    While,
-    branch_arms,
-    emit_tokens,
-    execute,
-    grid_from_json,
+    _ratio_decile,
     make_task,
-    parse_program,
-    program_salients,
+    salient_specs,
     sample_marker_count,
     sample_narrow_grid,
     sample_program,
@@ -45,11 +33,24 @@ from homogen.karel import (
     task_source,
     task_to_json,
 )
-from homogen.karel import gen, interp
-from homogen.karel.gen import _SALIENT_DOMAINS, _ratio_decile, salient_specs
-from homogen.karel.interp import DEFAULT_STEP_LIMIT, compile_program
-from homogen.karel.lang import MAX_REPEAT, IfElse
-from homogen.karel.world import grid_cells
+from homogen.karel.interp import DEFAULT_STEP_LIMIT, branch_arms, compile_program, execute
+from homogen.karel.lang import (
+    ACTIONS,
+    MAX_REPEAT,
+    PREDICATES,
+    Action,
+    If,
+    IfElse,
+    KarelProgram,
+    Not,
+    Pred,
+    Repeat,
+    While,
+    emit_tokens,
+    parse_program,
+    program_salients,
+)
+from homogen.karel.world import DIRECTIONS, GridDraw, KarelGrid, grid_cells, grid_from_json
 from homogen.rng import randbelow
 from karel_fixtures import CRASH_GRID, CRASH_TEXT
 
@@ -450,6 +451,14 @@ def test_uncoverable_program_reports_diagnostics(monkeypatch):
     message = str(excinfo.value)
     assert "no valid task in 50 grid batches" in message
     assert "uncovered arms: {(0, 'then'): 50}" in message
+
+
+def test_uncoverable_program_error_survives_pickle_and_deepcopy():
+    # A process pool sends a worker's exception back pickled.
+    error = UncoverableProgramError("no valid task", {"PickEmpty": 2})
+    for copied in (pickle.loads(pickle.dumps(error)), copy.deepcopy(error)):
+        assert type(copied) is UncoverableProgramError
+        assert (str(copied), copied.crash_counts) == ("no valid task", {"PickEmpty": 2})
 
 
 def eager_uniform_grid(rng):

@@ -3,31 +3,41 @@ from collections import Counter
 
 import pytest
 
-from homogen.karel import (
-    Action,
-    CrashReason,
-    ExecResult,
-    GridDraw,
-    If,
-    IfElse,
-    KarelGrid,
-    KarelProgram,
+from homogen.karel import interp
+from homogen.karel.gen import (
     NARROW_SWEEP_PARAMS,
-    Not,
-    Pred,
-    Repeat,
-    While,
-    branch_arms,
-    compile_program,
-    execute,
-    parse_program,
     sample_narrow_grid,
     sample_program,
     sample_uniform_grid,
 )
-from homogen.karel import interp
-from homogen.karel.interp import DEFAULT_STEP_LIMIT
-from homogen.karel.world import DIR_DELTA, DIRECTIONS, LEFT_OF, RIGHT_OF, grid_cells
+from homogen.karel.interp import (
+    DEFAULT_STEP_LIMIT,
+    CrashReason,
+    ExecResult,
+    branch_arms,
+    compile_program,
+    execute,
+)
+from homogen.karel.lang import (
+    Action,
+    If,
+    IfElse,
+    KarelProgram,
+    Not,
+    Pred,
+    Repeat,
+    While,
+    parse_program,
+)
+from homogen.karel.world import (
+    DIR_DELTA,
+    DIRECTIONS,
+    LEFT_OF,
+    RIGHT_OF,
+    GridDraw,
+    KarelGrid,
+    grid_cells,
+)
 
 from karel_fixtures import (
     COLLECTOR_A_EXPECTED,

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from homogen.karel import (
+from homogen.karel.gen import sample_program
+from homogen.karel.lang import (
     ACTIONS,
+    MAX_REPEAT,
     PREDICATES,
     Action,
     If,
@@ -19,9 +21,7 @@ from homogen.karel import (
     emit_tokens,
     parse_program,
     program_salients,
-    sample_program,
 )
-from homogen.karel.lang import MAX_REPEAT
 
 
 MOVE = (Action("move"),)

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from homogen.karel import KarelGrid, grid_from_json, grid_to_json, sample_uniform_grid
+from homogen.karel.gen import sample_uniform_grid
 from homogen.karel.world import (
     _INT_ONLY,
     _PILE_SIZES,
@@ -12,7 +12,10 @@ from homogen.karel.world import (
     MAX_MARKERS,
     MAX_SIDE,
     MIN_SIDE,
+    KarelGrid,
     _cell_set,
+    grid_from_json,
+    grid_to_json,
 )
 
 

@@ -1,9 +1,10 @@
-"""The documented public surface: every exported name resolves, it and every
-public module-level name are read outside the unit tests, the README's
-library example runs as written and every class or ``calc.`` name its
-library section names resolves, no module imports a name it never uses,
-every private module-level name is read somewhere, and every defaulted
-parameter of the public API is passed by some caller."""
+"""The documented public surface: each public name has one home, the module
+that defines it, since the package ``__init__`` files bind nothing but the
+version; every public module-level name is read outside the unit tests, the
+README's library example runs as written and every class or ``calc.`` name
+its library section names resolves on a defining module, no module imports a
+name it never uses, every private module-level name is read somewhere, and
+every defaulted parameter of the public API is passed by some caller."""
 
 import ast
 import re
@@ -16,7 +17,11 @@ import pytest
 import homogen
 import homogen.calc
 import homogen.diagnostics
-import homogen.karel
+import homogen.homogenizer
+import homogen.karel.gen
+import homogen.karel.interp
+import homogen.karel.lang
+import homogen.karel.world
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -24,13 +29,24 @@ SOURCES = sorted((ROOT / "src" / "homogen").rglob("*.py"))
 MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 
 
-@pytest.mark.parametrize("package", [homogen, homogen.karel], ids=lambda p: p.__name__)
-def test_every_exported_name_resolves(package):
-    assert len(set(package.__all__)) == len(package.__all__)
-    assert [name for name in package.__all__ if not hasattr(package, name)] == []
-    namespace = {}
-    exec(f"from {package.__name__} import *", namespace)
-    assert set(package.__all__) <= namespace.keys()
+def _bound_names(source: str) -> list[str]:
+    """The names a module binds by assignment, definition or import,
+    anywhere in it; a leading docstring binds none."""
+    bound = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.append(node.id)
+    return bound
+
+
+def test_package_inits_define_only_the_version():
+    package = ROOT / "src" / "homogen"
+    assert _bound_names((package / "__init__.py").read_text(encoding="utf-8")) == ["__version__"]
+    assert _bound_names((package / "karel" / "__init__.py").read_text(encoding="utf-8")) == []
 
 
 def test_readme_library_example_runs(capsys):
@@ -64,7 +80,16 @@ def _unresolved_names(text: str, namespaces: list[object]) -> list[str]:
 def test_readme_library_section_names_only_what_exists():
     library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     library = library.split("\n## ", 1)[0]
-    namespaces = [homogen, homogen.karel, homogen.diagnostics]
+    # ``calc.`` names resolve on the package, of which ``calc`` is a module.
+    namespaces = [
+        homogen,
+        homogen.homogenizer,
+        homogen.diagnostics,
+        homogen.karel.lang,
+        homogen.karel.world,
+        homogen.karel.interp,
+        homogen.karel.gen,
+    ]
     assert _unresolved_names(library, namespaces) == []
 
 
@@ -161,8 +186,8 @@ def test_dead_private_name_check_sees_every_module():
     assert _dead_private_names(sources) == ["a.py: _A"]
 
 
-def _unread_public_names(exported: list[str], sources: list[str], texts: list[str]) -> list[str]:
-    """Exported names that no module-level statement of ``sources`` loads,
+def _unread_public_names(public: list[str], sources: list[str], texts: list[str]) -> list[str]:
+    """Public names that no module-level statement of ``sources`` loads,
     other than the one that defines the name, and no text holds as a word."""
     read = set()
     for source in sources:
@@ -170,17 +195,15 @@ def _unread_public_names(exported: list[str], sources: list[str], texts: list[st
             read |= _loaded_names(node) - set(_defined_names(node))
     for text in texts:
         read |= set(re.findall(r"\w+", text))
-    return [name for name in exported if name not in read]
+    return [name for name in public if name not in read]
 
 
-# The package __init__ files only re-export, so they are not readers.
 READERS = [README, ROOT / "tests" / "test_acceptance.py", *sorted(ROOT.glob("bench/*.py"))]
 
 
 def test_every_public_name_is_read_outside_the_unit_tests():
     sources = [path.read_text(encoding="utf-8") for path in MODULES]
     texts = [path.read_text(encoding="utf-8") for path in READERS]
-    # Every module's public names count, exported or not.
     defined = [
         name
         for source in sources
@@ -188,8 +211,7 @@ def test_every_public_name_is_read_outside_the_unit_tests():
         for name in _defined_names(node)
         if not name.startswith("_")
     ]
-    exported = homogen.__all__ + homogen.karel.__all__ + defined
-    assert _unread_public_names(exported, sources, texts) == []
+    assert _unread_public_names(defined, sources, texts) == []
 
 
 def test_unread_public_name_check_skips_a_names_own_definition():
