@@ -9,12 +9,12 @@ a child is wrapped only when its operator binds looser than its parent's,
 or, for the right child, equally loose (which preserves the tree through a
 re-parse). ``parse_expr(render(e)) == e`` holds for every expression.
 
-Trees are immutable and validated when built. A leaf is a ``Digit``, a
-``Frozen`` record. An operator node is a ``BinOp``, the tuple ``(op, left,
-right)``, whose constructor checks the operator; it is a tuple because a
-draw builds one per node and a tuple is cheaper to build than a ``Frozen``
-record. The ``len``, indexing, iteration and ordering a node inherits from
-``tuple`` exist but mean nothing for a tree.
+Trees are immutable. A leaf is the digit it holds, an ``int`` in 0..9. An
+operator node is a ``BinOp``, the tuple ``(op, left, right)``; a draw builds
+one per node, so its constructor checks only the operator, and it is a tuple
+because a tuple is cheaper to build than a ``Frozen`` record. The samplers
+and ``parse_expr`` make only valid leaves; ``expr_record``, which ``render``
+and ``eval_mod10`` share, rejects any other leaf with a ``TypeError``.
 
 Rendering, evaluation, parsing, salient measurement and the equality and
 ``repr`` of a tree all walk with explicit stacks, so they follow any nesting
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from operator import itemgetter
+from operator import add, itemgetter, mul, sub
 
 from ._frozen import Frozen
 from .homogenizer import SalientSpec
@@ -40,25 +40,16 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2}
 _new_tuple = tuple.__new__
 
 
-class Digit(Frozen):
-    __slots__ = ("value",)
-
-    def __init__(self, value: int) -> None:
-        if not (type(value) is int and 0 <= value <= 9):
-            raise ValueError("digit must be an int in 0..9")
-        super().__init__(value)
-
-
 class BinOp(tuple):
-    """An operator node: the validated tuple ``(op, left, right)``.
+    """An operator node: the tuple ``(op, left, right)``.
 
-    Every construction checks the operator, and ``op``, ``left`` and
-    ``right`` are read-only attributes that class patterns match on.
-    ``==``, ``!=`` and ``repr`` give what a ``Frozen`` record of the three
-    fields would, and all of them walk with explicit stacks; a node never
-    equals the plain tuple of its fields. ``len``, indexing, iteration and
-    the ordering operators are inherited from ``tuple`` and mean nothing for
-    a tree.
+    Every construction checks the operator but not the children, each an
+    ``int`` leaf or a node, and ``op``, ``left`` and ``right`` are read-only
+    attributes that class patterns match on. ``==``, ``!=`` and ``repr``
+    give what a ``Frozen`` record of the three fields would, and all of them
+    walk with explicit stacks; a node never equals the plain tuple of its
+    fields. ``len``, indexing, iteration and the ordering operators are
+    inherited from ``tuple`` and mean nothing for a tree.
     """
 
     __slots__ = ()
@@ -119,11 +110,7 @@ class BinOp(tuple):
         return "".join(parts)
 
 
-CalcExpr = Digit | BinOp
-
-# The ten leaves every sampled or parsed tree shares, each built and
-# validated once.
-_DIGITS = tuple(Digit(v) for v in range(10))
+CalcExpr = int | BinOp
 
 
 def eval_mod10(expr: CalcExpr) -> int:
@@ -136,8 +123,16 @@ def render(expr: CalcExpr) -> str:
     return expr_record(expr)["expr"]
 
 
-# Operator codes for the record walk's apply markers.
-_APPLY = {"+": 0, "-": 1, "*": 2}
+# The record walk's stack holds subtrees, the text between them and an
+# apply marker after each operator node. Text and markers have private types
+# that no leaf has, so every other item is a leaf and meets the leaf check.
+_Text = type("_Text", (str,), {})
+_Apply = type("_Apply", (int,), {})
+_OPEN, _CLOSE = _Text("("), _Text(")")
+_OP_TEXT = {op: _Text(op) for op in OPS}
+_OP_OPEN = {op: _Text(op + "(") for op in OPS}
+_APPLY = {op: _Apply(code) for code, op in enumerate(OPS)}
+_ARITHMETIC = (add, sub, mul)  # indexed by apply marker, in OPS order
 
 
 def expr_record(expr: CalcExpr) -> dict:
@@ -148,41 +143,37 @@ def expr_record(expr: CalcExpr) -> dict:
     between them and a marker after each operator node, so nesting depth is
     bounded by memory, not by Python's recursion limit. A left child is
     wrapped when it binds looser than its parent, a right child when it
-    binds looser or equally loose.
+    binds looser or equally loose. A leaf, at the root or below it, that is
+    not an exact ``int`` in 0..9 is a ``TypeError``.
     """
-    if type(expr) is Digit:
-        return {"expr": str(expr.value), "label": expr.value}
+    if type(expr) is int and 0 <= expr <= 9:
+        return {"expr": str(expr), "label": expr}
     parts: list[str] = []
     values: list[int] = []
     todo: list = [expr]
     while todo:
         item = todo.pop()
         kind = type(item)
-        if kind is Digit:
-            parts.append(str(item.value))
-            values.append(item.value)
+        if kind is int and 0 <= item <= 9:
+            parts.append(str(item))
+            values.append(item)
         elif kind is BinOp:
             op, left, right = item
             prec = _PRECEDENCE[op]
             todo.append(_APPLY[op])
             if type(right) is BinOp and _PRECEDENCE[right[0]] <= prec:
-                todo += (")", right, op + "(")
+                todo += (_CLOSE, right, _OP_OPEN[op])
             else:
-                todo += (right, op)
+                todo += (right, _OP_TEXT[op])
             if type(left) is BinOp and _PRECEDENCE[left[0]] < prec:
-                todo += (")", left, "(")
+                todo += (_CLOSE, left, _OPEN)
             else:
                 todo.append(left)
-        elif kind is str:
+        elif kind is _Text:
             parts.append(item)
-        elif kind is int:
+        elif kind is _Apply:
             right_value = values.pop()
-            if item == 0:
-                values[-1] = (values[-1] + right_value) % 10
-            elif item == 1:
-                values[-1] = (values[-1] - right_value) % 10
-            else:
-                values[-1] = (values[-1] * right_value) % 10
+            values[-1] = _ARITHMETIC[item](values[-1], right_value) % 10
         else:
             raise TypeError(f"not a calculator expression: {item!r}")
     return {"expr": "".join(parts), "label": values[0]}
@@ -192,6 +183,10 @@ class CalcParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at position {position}")
         self.position = position
+
+    def __reduce__(self) -> tuple:
+        message = str(self).removesuffix(f" at position {self.position}")
+        return self.__class__, (message, self.position)
 
 
 def parse_expr(text: str) -> CalcExpr:
@@ -221,7 +216,7 @@ def parse_expr(text: str) -> CalcExpr:
             continue
         if not "0" <= ch <= "9":
             raise CalcParseError(f"unexpected character {ch!r}", pos)
-        node: CalcExpr = _DIGITS[int(ch)]
+        node: CalcExpr = int(ch)
         pos += 1
         # Fold the atom into the product, the product into the sum, and a
         # finished parenthesised sum into the enclosing level as its atom.
@@ -358,7 +353,7 @@ def _sample_dcfg(coin: Coin, bits: Bits, p: float, room: int) -> CalcExpr:
         digit = bits(4)
         while digit >= 10:
             digit = bits(4)
-        return _DIGITS[digit]
+        return digit
     if not room:
         raise ValueError(_TOO_DEEP)
     op = bits(2)
@@ -377,7 +372,7 @@ def _sample_t2t(coin: Coin, bits: Bits, depth: int, room: list[int]) -> CalcExpr
         digit = bits(4)
         while digit >= 10:
             digit = bits(4)
-        return _DIGITS[digit]
+        return digit
     op = bits(2)
     while op == 3:
         op = bits(2)
@@ -395,7 +390,7 @@ def _sample_rcfg(coin: Coin, bits: Bits, p: float, room: int) -> CalcExpr:
         digit = bits(4)
         while digit >= 10:
             digit = bits(4)
-        return _DIGITS[digit]
+        return digit
     if not room:
         raise ValueError(_TOO_DEEP)
     room -= 1
@@ -417,7 +412,7 @@ def _sample_bal(bits: Bits, depth: int) -> CalcExpr:
         digit = bits(4)
         while digit >= 10:
             digit = bits(4)
-        return _DIGITS[digit]
+        return digit
     op = bits(2)
     while op == 3:
         op = bits(2)
@@ -520,10 +515,10 @@ def expr_salients(expr: CalcExpr) -> dict[str, int]:
     per pair. A bare digit, and an operator over two digits, each return one
     shared dict, which callers must treat as read-only.
     """
-    if type(expr) is Digit:
+    if type(expr) is int:
         return _DIGIT_SALIENTS
     _, left, right = expr
-    if type(left) is Digit and type(right) is Digit:
+    if type(left) is int and type(right) is int:
         return _ONE_OP_SALIENTS
     ops = parens = depth_sum = max_depth = 0
     # Operator nodes still to visit, each with its count of wrapped nodes

@@ -414,7 +414,7 @@ def _domain_source(args: argparse.Namespace) -> tuple[Domain, Any, dict[str, Any
 
 def _salient_specs(domain: Domain, names: list[str]) -> list[SalientSpec]:
     specs = domain.salient_specs()
-    if unknown := [name for name in names if name not in specs]:
+    if unknown := dict.fromkeys(name for name in names if name not in specs):
         raise UsageError(
             f"unknown {domain.name} variable(s) {', '.join(map(repr, unknown))}; "
             f"choose from {', '.join(sorted(specs))}"

@@ -92,6 +92,10 @@ class KarelSyntaxError(ValueError):
         super().__init__(f"{message} at {position}")
         self.position = position
 
+    def __reduce__(self) -> tuple:
+        message = str(self).removesuffix(f" at {self.position}")
+        return self.__class__, (message, self.position)
+
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*|[0-9]+|[(){}:;]|(?P<stray>\S)")
 

@@ -193,7 +193,7 @@ def test_03_kl_reduction_for_all_salient_variables():
 
 def exact_value(expr) -> int:
     match expr:
-        case calc.Digit(value=v):
+        case int(v):
             return v
         case calc.BinOp(op="+", left=l, right=r):
             return exact_value(l) + exact_value(r)

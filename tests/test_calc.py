@@ -1,12 +1,14 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homogen import calc, cli
+from homogen.karel.lang import KarelSyntaxError, parse_program
 from homogen.rng import randbelow
 from homogen.calc import (
     _SALIENT_DOMAINS as DOMAINS,
@@ -17,7 +19,6 @@ from homogen.calc import (
     BinOp,
     CalcParseError,
     Dcfg,
-    Digit,
     Rcfg,
     T2t,
     _salients_of_text,
@@ -42,8 +43,8 @@ def sampler_id(sampler):
 
 def exact_value(expr):
     """Unbounded-integer oracle; mod applied only at the end by callers."""
-    if isinstance(expr, Digit):
-        return expr.value
+    if type(expr) is int:
+        return expr
     left, right = exact_value(expr.left), exact_value(expr.right)
     if expr.op == "+":
         return left + right
@@ -53,7 +54,7 @@ def exact_value(expr):
 
 
 def tree_depth(expr):
-    if isinstance(expr, Digit):
+    if type(expr) is int:
         return 0
     return 1 + max(tree_depth(expr.left), tree_depth(expr.right))
 
@@ -70,15 +71,23 @@ def fuzz_exprs(n, seed):
 
 def test_eval_examples():
     assert eval_mod10(parse_expr("5+4*(2+3)")) == 5
-    assert eval_mod10(Digit(7)) == 7
+    assert eval_mod10(7) == 7
     assert eval_mod10(parse_expr("1-2")) == 9
 
 
-@pytest.mark.parametrize("value", [True, False, 1.0], ids=["true", "false", "float"])
+@pytest.mark.parametrize(
+    "value", [True, False, 1.0, 10, -1, "3", None],
+    ids=["true", "false", "float", "ten", "minus-one", "str", "none"],
+)
 def test_digit_requires_an_exact_int(value):
     # A bool is an int subclass, so it would render as "True" yet evaluate as 1.
-    with pytest.raises(ValueError, match=r"^digit must be an int in 0\.\.9$"):
-        Digit(value)
+    # A leaf is not checked when built, so the walk behind every written
+    # record rejects it, as the whole tree or as a left or right child.
+    message = rf"^not a calculator expression: {re.escape(repr(value))}$"
+    for tree in (value, BinOp("+", value, 2), BinOp("*", 3, BinOp("-", 4, value))):
+        for walk in (expr_record, render, eval_mod10):
+            with pytest.raises(TypeError, match=message):
+                walk(tree)
 
 
 def test_eval_matches_exact_arithmetic():
@@ -94,7 +103,7 @@ def test_eval_matches_python_eval_of_rendered_text():
 def test_mod_is_a_homomorphism_on_every_node():
     # (a op b) mod 10 == ((a mod 10) op (b mod 10)) mod 10 at each node.
     def check(expr):
-        if isinstance(expr, Digit):
+        if type(expr) is int:
             return
         l, r = exact_value(expr.left), exact_value(expr.right)
         lm, rm = eval_mod10(expr.left), eval_mod10(expr.right)
@@ -112,24 +121,37 @@ def test_mod_is_a_homomorphism_on_every_node():
 
 
 def test_render_examples():
-    assert render(BinOp("*", BinOp("+", Digit(1), Digit(2)), Digit(3))) == "(1+2)*3"
-    assert render(BinOp("+", Digit(1), BinOp("*", Digit(2), Digit(3)))) == "1+2*3"
-    assert render(BinOp("-", Digit(1), BinOp("+", Digit(2), Digit(3)))) == "1-(2+3)"
+    assert render(BinOp("*", BinOp("+", 1, 2), 3)) == "(1+2)*3"
+    assert render(BinOp("+", 1, BinOp("*", 2, 3))) == "1+2*3"
+    assert render(BinOp("-", 1, BinOp("+", 2, 3))) == "1-(2+3)"
 
 
 def test_parse_examples():
-    assert parse_expr("7") == Digit(7)
+    assert parse_expr("7") == 7
     expr = parse_expr("(1+2)*(3-4)+5")
     assert expr == BinOp(
         "+",
-        BinOp("*", BinOp("+", Digit(1), Digit(2)), BinOp("-", Digit(3), Digit(4))),
-        Digit(5),
+        BinOp("*", BinOp("+", 1, 2), BinOp("-", 3, 4)),
+        5,
     )
 
 
 def test_parse_is_left_associative_with_precedence():
-    assert parse_expr("1+2+3") == BinOp("+", BinOp("+", Digit(1), Digit(2)), Digit(3))
-    assert parse_expr("1-2*3") == BinOp("-", Digit(1), BinOp("*", Digit(2), Digit(3)))
+    assert parse_expr("1+2+3") == BinOp("+", BinOp("+", 1, 2), 3)
+    assert parse_expr("1-2*3") == BinOp("-", 1, BinOp("*", 2, 3))
+
+
+@pytest.mark.parametrize("parse, text, error, message, position", [
+    (parse_expr, "(1+2", CalcParseError, "expected ')' at position 4", 4),
+    (parse_program, "def run() : move )", KarelSyntaxError, "expected 'main', found 'run' at 4", 4),
+], ids=["calc", "karel"])
+def test_parse_errors_survive_pickle_and_deepcopy(parse, text, error, message, position):
+    with pytest.raises(error) as excinfo:
+        parse(text)
+    assert (str(excinfo.value), excinfo.value.position) == (message, position)
+    for clone in (pickle.loads(pickle.dumps(excinfo.value)), copy.deepcopy(excinfo.value)):
+        assert type(clone) is error
+        assert (str(clone), clone.position) == (message, position)
 
 
 def test_parse_errors_carry_positions():
@@ -199,7 +221,7 @@ def _paren_pairs(text):
 def test_dcfg_small_p_is_mostly_digits():
     rng = random.Random(1)
     exprs = [sample_expr(rng, Dcfg(p=0.01)) for _ in range(500)]
-    digit_share = sum(isinstance(e, Digit) for e in exprs) / len(exprs)
+    digit_share = sum(type(e) is int for e in exprs) / len(exprs)
     assert digit_share > 0.95
 
 
@@ -219,7 +241,7 @@ def test_t2t_default_depth_range():
 
 def test_bal_trees_are_complete():
     def leaves_and_depths(expr, depth=0):
-        if isinstance(expr, Digit):
+        if type(expr) is int:
             return [depth]
         return leaves_and_depths(expr.left, depth + 1) + leaves_and_depths(expr.right, depth + 1)
 
@@ -377,14 +399,44 @@ def test_salient_specs_cover_their_domains():
             assert spec.extract(expr) in spec.domain
 
 
+def test_salient_clamps_are_the_ends_of_their_domains():
+    # The smallest and the largest measurements land on each domain's ends.
+    lowest = calc._clamped(0, 0, 0, 0, 1, 0)
+    highest = calc._clamped(10**6, 10**6, 10**6, 10**9, 1, 10**6)
+    assert lowest.keys() == highest.keys() == DOMAINS.keys()
+    for name, domain in DOMAINS.items():
+        assert (lowest[name], highest[name]) == (domain[0], domain[-1]), name
+
+
+def _leaves(expr):
+    todo = [expr]
+    while todo:
+        node = todo.pop()
+        if type(node) is BinOp:
+            todo += (node.right, node.left)
+        else:
+            yield node
+
+
+@pytest.mark.parametrize("sampler", ALL_SAMPLERS, ids=sampler_id)
+@pytest.mark.parametrize("seed", [121, 122])
+def test_producers_make_only_valid_leaves(sampler, seed):
+    rng, measured_rng = random.Random(seed), random.Random(seed)
+    measured = calc.measured_source(sampler, "length")
+    for _ in range(300):
+        tree = sample_expr(rng, sampler)
+        for produced in (tree, measured(measured_rng)[0], parse_expr(render(tree))):
+            assert all(type(x) is int and 0 <= x <= 9 for x in _leaves(produced))
+
+
 def test_one_operator_trees_share_one_salient_dict():
-    trees = [BinOp(op, Digit(a), Digit(b)) for op in OPS for a in range(10) for b in range(10)]
+    trees = [BinOp(op, a, b) for op in OPS for a in range(10) for b in range(10)]
     assert len(trees) == 300
     for expr in trees:
         salients = expr_salients(expr)
         assert salients is calc._ONE_OP_SALIENTS
         assert salients == _salients_of_text(render(expr))
-    assert expr_salients(Digit(4)) == _salients_of_text("4")
+    assert expr_salients(4) == _salients_of_text("4")
 
 
 def test_salient_spec_extractors_match_calc_salients():
@@ -405,7 +457,7 @@ def _reference_sample(rng, sampler):
 
     def dcfg(p):
         if rng.random() >= p:
-            return Digit(rng.randrange(10))
+            return rng.randrange(10)
         op = OPS[rng.randrange(3)]
         left = dcfg(p)
         right = dcfg(p)
@@ -413,7 +465,7 @@ def _reference_sample(rng, sampler):
 
     def t2t(depth):
         if depth == 0:
-            return Digit(rng.randrange(10))
+            return rng.randrange(10)
         op = OPS[rng.randrange(3)]
         force_left = rng.random() < 0.5
         other_depth = rng.randrange(depth)
@@ -423,7 +475,7 @@ def _reference_sample(rng, sampler):
 
     def rcfg(p):
         if rng.random() >= p:
-            return Digit(rng.randrange(10))
+            return rng.randrange(10)
         op = OPS[rng.randrange(3)]
         if op == "-":
             return BinOp("-", rcfg(p), rcfg(p))
@@ -435,7 +487,7 @@ def _reference_sample(rng, sampler):
 
     def bal(depth):
         if depth == 0:
-            return Digit(rng.randrange(10))
+            return rng.randrange(10)
         op = OPS[rng.randrange(3)]
         left = bal(depth - 1)
         right = bal(depth - 1)
@@ -472,7 +524,7 @@ def _randbelow_reference_sample(rng, sampler):
 
     def dcfg(p, room):
         if coin() >= p:
-            return Digit(randbelow(bits, 10))
+            return randbelow(bits, 10)
         if not room:
             raise ValueError(calc._TOO_DEEP)
         op = OPS[randbelow(bits, 3)]
@@ -485,7 +537,7 @@ def _randbelow_reference_sample(rng, sampler):
         if room[0] < 0:
             raise ValueError(calc._TOO_BIG)
         if depth == 0:
-            return Digit(randbelow(bits, 10))
+            return randbelow(bits, 10)
         op = OPS[randbelow(bits, 3)]
         force_left = coin() < 0.5
         other_depth = randbelow(bits, depth)
@@ -497,7 +549,7 @@ def _randbelow_reference_sample(rng, sampler):
 
     def rcfg(p, room):
         if coin() >= p:
-            return Digit(randbelow(bits, 10))
+            return randbelow(bits, 10)
         if not room:
             raise ValueError(calc._TOO_DEEP)
         room -= 1
@@ -513,7 +565,7 @@ def _randbelow_reference_sample(rng, sampler):
 
     def bal(depth):
         if depth == 0:
-            return Digit(randbelow(bits, 10))
+            return randbelow(bits, 10)
         op = OPS[randbelow(bits, 3)]
         left = bal(depth - 1)
         right = bal(depth - 1)
@@ -642,7 +694,7 @@ class _ReferenceParser:
             raise CalcParseError("unexpected end of input", self.pos)
         if "0" <= ch <= "9":
             self.pos += 1
-            return Digit(int(ch))
+            return int(ch)
         if ch == "(":
             self.pos += 1
             node = self.sum_expr()
@@ -697,7 +749,7 @@ _REFERENCE_PRECEDENCE = {"+": 1, "-": 1, "*": 2}
 
 def _reference_eval(expr):
     match expr:
-        case Digit(value=v):
+        case int(v):
             return v
         case BinOp(op="+", left=l, right=r):
             return (_reference_eval(l) + _reference_eval(r)) % 10
@@ -715,8 +767,8 @@ def _reference_render(expr):
 
 
 def _reference_render_into(expr, out):
-    if isinstance(expr, Digit):
-        out.append(str(expr.value))
+    if type(expr) is int:
+        out.append(str(expr))
         return
     prec = _REFERENCE_PRECEDENCE[expr.op]
     _reference_render_child(expr.left, out, needs_parens=_reference_child_prec(expr.left) < prec)
@@ -753,7 +805,7 @@ def _hand_built_trees():
     digits = iter(range(10**6))
 
     def digit():
-        return Digit(next(digits) % 10)
+        return next(digits) % 10
 
     def child(kind):
         return digit() if kind is None else BinOp(kind, digit(), digit())
@@ -773,9 +825,9 @@ def test_record_walk_matches_the_reference_on_every_precedence_pairing():
     for expr in trees:
         check_against_the_recursive_reference(expr)
     # A looser left child is wrapped, an equally loose right child too.
-    product = BinOp("*", Digit(3), Digit(4))
-    assert render(BinOp("*", BinOp("-", Digit(1), Digit(2)), product)) == "(1-2)*(3*4)"
-    assert render(BinOp("*", product, BinOp("-", Digit(1), Digit(2)))) == "3*4*(1-2)"
+    product = BinOp("*", 3, 4)
+    assert render(BinOp("*", BinOp("-", 1, 2), product)) == "(1-2)*(3*4)"
+    assert render(BinOp("*", product, BinOp("-", 1, 2))) == "3*4*(1-2)"
 
 
 @settings(max_examples=60, deadline=None)
@@ -801,13 +853,13 @@ def test_render_and_eval_follow_nesting_past_the_recursion_limit():
 
     # A 5,000-level chain that alternates sides and cycles the operators,
     # built together with its exact value.
-    expr, value = Digit(7), 7
+    expr, value = 7, 7
     for i in range(5000):
         op, d = OPS[i % 3], i % 10
         if i % 2:
-            expr, value = BinOp(op, Digit(d), expr), exact_op(op, d, value)
+            expr, value = BinOp(op, d, expr), exact_op(op, d, value)
         else:
-            expr, value = BinOp(op, expr, Digit(d)), exact_op(op, value, d)
+            expr, value = BinOp(op, expr, d), exact_op(op, value, d)
     assert eval_mod10(expr) == value % 10
     rendered = render(expr)
     assert parse_expr(rendered) == expr
@@ -817,13 +869,13 @@ def test_render_and_eval_follow_nesting_past_the_recursion_limit():
 
 def test_parser_follows_nesting_past_the_recursion_limit():
     deep = "(" * 5000 + "1+2" + ")" * 5000
-    assert parse_expr(deep) == BinOp("+", Digit(1), Digit(2))
+    assert parse_expr(deep) == BinOp("+", 1, 2)
     with pytest.raises(CalcParseError, match=r"expected '\)' at position 10002"):
         parse_expr(deep[:-1])
 
 
 def _reference_repr(expr):
-    if isinstance(expr, Digit):
+    if type(expr) is int:
         return repr(expr)
     left, right = _reference_repr(expr.left), _reference_repr(expr.right)
     return f"BinOp(op={expr.op!r}, left={left}, right={right})"
@@ -832,8 +884,8 @@ def _reference_repr(expr):
 def _reference_equal(a, b):
     if type(a) is not type(b):
         return False
-    if isinstance(a, Digit):
-        return a.value == b.value
+    if type(a) is int:
+        return a == b
     return a.op == b.op and _reference_equal(a.left, b.left) and _reference_equal(a.right, b.right)
 
 
@@ -852,30 +904,30 @@ def test_tree_equality_hash_and_repr_match_the_recursive_reference():
         assert (a != b) is not _reference_equal(a, b)
         equal_pairs += a == b
     assert 0 < equal_pairs < len(exprs)
-    assert BinOp("+", Digit(1), Digit(2)) != Digit(1)
-    assert Digit(1) != BinOp("+", Digit(1), Digit(2))
-    assert BinOp("+", Digit(1), Digit(2)) != BinOp("-", Digit(1), Digit(2))
+    assert BinOp("+", 1, 2) != 1
+    assert 1 != BinOp("+", 1, 2)
+    assert BinOp("+", 1, 2) != BinOp("-", 1, 2)
     with pytest.raises(TypeError, match="unhashable"):
-        hash(BinOp("*", Digit(3), Digit(4)))
+        hash(BinOp("*", 3, 4))
 
 
 def test_tree_equality_hash_and_repr_follow_nesting_past_the_recursion_limit():
     # Two separately built 5,000-level chains that alternate sides and cycle
     # the operators; the repr is built alongside from both ends.
     def chain(last_leaf):
-        expr = Digit(7)
+        expr = 7
         prefix, suffix = [], []
         for i in range(5000):
             op, d = OPS[i % 3], i % 10
             if i % 2:
-                expr = BinOp(op, Digit(d), expr)
-                prefix.append(f"BinOp(op={op!r}, left=Digit(value={d}), right=")
+                expr = BinOp(op, d, expr)
+                prefix.append(f"BinOp(op={op!r}, left={d}, right=")
                 suffix.append(")")
             else:
-                expr = BinOp(op, expr, Digit(d if i else last_leaf))
+                expr = BinOp(op, expr, d if i else last_leaf)
                 prefix.append(f"BinOp(op={op!r}, left=")
-                suffix.append(f", right=Digit(value={d if i else last_leaf}))")
-        return expr, "".join(reversed(prefix)) + "Digit(value=7)" + "".join(suffix)
+                suffix.append(f", right={d if i else last_leaf})")
+        return expr, "".join(reversed(prefix)) + "7" + "".join(suffix)
 
     expr, text = chain(0)
     same, _ = chain(0)
@@ -894,25 +946,25 @@ def test_tree_equality_hash_and_repr_follow_nesting_past_the_recursion_limit():
 
 
 def test_binop_checks_its_operator_on_every_construction():
-    d = Digit(1)
+    d = 1
     for op in ("/", "", "++", None, ["+"]):
         with pytest.raises(ValueError, match="unknown operator"):
             BinOp(op, d, d)
-    assert BinOp(op="*", left=d, right=Digit(2)) == BinOp("*", d, Digit(2))
+    assert BinOp(op="*", left=d, right=2) == BinOp("*", d, 2)
 
 
 def test_binop_fields_are_read_only():
-    node = BinOp("+", Digit(1), Digit(2))
+    node = BinOp("+", 1, 2)
     for field in ("op", "left", "right"):
         with pytest.raises(AttributeError):
-            setattr(node, field, Digit(3))
+            setattr(node, field, 3)
     with pytest.raises(AttributeError):
         node.extra = 1
-    assert (node.op, node.left, node.right) == ("+", Digit(1), Digit(2))
+    assert (node.op, node.left, node.right) == ("+", 1, 2)
 
 
 def test_binop_never_equals_the_tuple_of_its_fields():
-    d1, d2 = Digit(1), Digit(2)
+    d1, d2 = 1, 2
     node = BinOp("+", d1, d2)
     fields = ("+", d1, d2)
     assert node != fields and fields != node
@@ -936,15 +988,15 @@ def test_binop_pickles_and_deep_copies_to_an_equal_tree():
 
 
 def test_binop_class_patterns_match_by_position_and_keyword():
-    node = BinOp("+", Digit(1), BinOp("*", Digit(2), Digit(3)))
+    node = BinOp("+", 1, BinOp("*", 2, 3))
     match node:
         case BinOp(op, l, r):
-            assert (op, l, r) == ("+", Digit(1), BinOp("*", Digit(2), Digit(3)))
+            assert (op, l, r) == ("+", 1, BinOp("*", 2, 3))
         case _:
             pytest.fail("positional class pattern did not match")
     match node:
         case BinOp(op="+", left=l):
-            assert l == Digit(1)
+            assert l == 1
         case _:
             pytest.fail("keyword class pattern did not match")
     match node:

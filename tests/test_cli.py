@@ -1566,6 +1566,18 @@ def test_stats_repeated_variable_is_named(tmp_path, monkeypatch, capsys):
     assert err == "error: repeated calc variable(s) 'length'; name each variable once\n"
 
 
+@pytest.mark.parametrize("names, shown", [
+    ("foo,foo", "'foo'"), (",", "''"), ("foo,length,bar,foo,bar", "'foo', 'bar'"),
+], ids=["twice", "two-empty", "first-seen-order"])
+def test_stats_unknown_variable_is_named_once(names, shown, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run_cli(["generate", "calc", "--count", "5", "--seed", "1", "--out", "c.jsonl"], capsys)
+    code, out, err = run_cli(["stats", "c.jsonl", "--vars", names], capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"error: unknown calc variable(s) {shown}; "
+                   "choose from length, max_depth, mean_depth, num_ops, num_parens\n")
+
+
 @pytest.mark.parametrize("line, message", [
     ('{"program":"def run(): move()"}', "bad record (missing key 'expr')"),
     ('{"expr":5,"label":5}', "bad record ('expr' must be a string, not int)"),

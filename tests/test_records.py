@@ -36,11 +36,6 @@ from homogen.karel.lang import (
 from homogen.karel.world import KarelGrid
 
 
-def _digit_check(self):
-    if not (type(self.value) is int and 0 <= self.value <= 9):
-        raise ValueError("digit must be an int in 0..9")
-
-
 def _p_check(self):
     if not 0.0 < self.p < 1.0:
         raise ValueError("p must be in (0, 1)")
@@ -93,9 +88,6 @@ _OTHER_GRID = KarelGrid(5, 5)
 # keyword arguments). Every valid field value pickles, and no set holds
 # more than one item, so a copy's repr lists its items in the same order.
 CASES: list[tuple[type, list, Any, list[dict], list[dict]]] = [
-    (calc.Digit, [("value", int)], _digit_check,
-     [{"value": 0}, {"value": 9}],
-     [{"value": 10}, {"value": -1}, {"value": True}, {"value": 1.0}]),
     (calc.Dcfg, [("p", float, 0.3)], _p_check,
      [{}, {"p": 0.1}],
      [{"p": 0.0}, {"p": 1.0}, {"p": math.nan}]),
