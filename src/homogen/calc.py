@@ -46,10 +46,12 @@ class BinOp(tuple):
     Every construction checks the operator but not the children, each an
     ``int`` leaf or a node, and ``op``, ``left`` and ``right`` are read-only
     attributes that class patterns match on. ``==``, ``!=`` and ``repr``
-    give what a ``Frozen`` record of the three fields would, and all of them
-    walk with explicit stacks; a node never equals the plain tuple of its
-    fields. ``len``, indexing, iteration and the ordering operators are
-    inherited from ``tuple`` and mean nothing for a tree.
+    give what a ``Frozen`` record of the three fields would, except that two
+    leaves are equal only when their types are too (a ``True`` or ``1.0``
+    leaf never equals ``1``), and all of them walk with explicit stacks; a
+    node never equals the plain tuple of its fields. ``len``, indexing,
+    iteration and the ordering operators are inherited from ``tuple`` and
+    mean nothing for a tree.
     """
 
     __slots__ = ()
@@ -81,7 +83,7 @@ class BinOp(tuple):
                 if a[0] != b[0]:
                     return False
                 todo += ((a[2], b[2]), (a[1], b[1]))
-            elif a != b:
+            elif a.__class__ is not b.__class__ or a != b:
                 return False
         return True
 

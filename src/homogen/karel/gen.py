@@ -419,13 +419,26 @@ def task_to_json(task: SynthesisTask) -> dict[str, Any]:
     }
 
 
+def _pair_from_json(obj: dict[str, Any]) -> tuple[KarelGrid, KarelGrid]:
+    inp_obj = obj["in"]
+    inp = grid_from_json(inp_obj)
+    return inp, grid_from_json(obj["out"], (inp_obj, inp))
+
+
 def task_from_json(obj: dict[str, Any]) -> SynthesisTask:
+    """The :class:`SynthesisTask` that a :func:`task_to_json` object describes.
+
+    Every grid, held-out pair included, is read by :func:`grid_from_json`
+    and validated in full; an output that lists its input's ``w``, ``h`` and
+    ``walls`` shares the input's wall set, as the tasks ``make_task`` builds
+    do. Any malformed part raises ``ValueError``, which names the first
+    missing key or the rule broken; the program is read first, then the
+    pairs in order, each input before its output.
+    """
     try:
         program = parse_program(obj["program"])
-        pairs = tuple(
-            (grid_from_json(p["in"]), grid_from_json(p["out"])) for p in obj["pairs"]
-        )
-        held = (grid_from_json(obj["held_out"]["in"]), grid_from_json(obj["held_out"]["out"]))
+        pairs = tuple(map(_pair_from_json, obj["pairs"]))
+        held = _pair_from_json(obj["held_out"])
     except KeyError as exc:
         raise ValueError(f"malformed task object: missing key {exc}") from None
     except TypeError as exc:

@@ -974,6 +974,20 @@ def test_binop_never_equals_the_tuple_of_its_fields():
     assert BinOp("*", fields, d1) != BinOp("*", node, d1)
 
 
+@pytest.mark.parametrize("leaf", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize("build", [
+    lambda x: BinOp("+", x, 2),
+    lambda x: BinOp("+", 2, x),
+    lambda x: BinOp("*", BinOp("-", 3, BinOp("+", x, 2)), 4),
+], ids=["left-child", "right-child", "deeper"])
+def test_binop_leaves_equal_only_leaves_of_their_type(build, leaf):
+    odd, valid = build(leaf), build(1)
+    assert odd != valid and valid != odd
+    assert not odd == valid and not valid == odd
+    assert (odd == valid) is _reference_equal(odd, valid)
+    assert odd == build(leaf) and not odd != build(leaf)
+
+
 def test_binop_pickles_and_deep_copies_to_an_equal_tree():
     rng = random.Random(17)
     trees = [sample_expr(rng, sampler) for sampler in ALL_SAMPLERS for _ in range(5)]

@@ -6,6 +6,7 @@ recorded command lines (and therefore the manifests) are reproducible.
 """
 
 import contextlib
+import copy
 import errno
 import gc
 import hashlib
@@ -1623,6 +1624,15 @@ def _repeated_cell(key, cell):
     return corrupt
 
 
+def _output_of_first_pair(changes):
+    def corrupt(record):
+        pair = record["pairs"][0]
+        pair["in"] |= {"walls": [[1, 1]], "markers": [], "karel": {"pos": [0, 0], "dir": "E"}}
+        pair["out"] = copy.deepcopy(pair["in"]) | changes
+        return record
+    return corrupt
+
+
 LONG_REPEAT_TOKENS = ["def", "main", "(", ")", ":", "repeat", "(", "1" * 5000, ")", ":",
                       "move", "(", ")"]
 
@@ -1633,11 +1643,14 @@ LONG_REPEAT_TOKENS = ["def", "main", "(", ")", ":", "repeat", "(", "1" * 5000, "
     (_repeated_cell("walls", [1, 1]), "malformed grid object: a cell is listed twice in 'walls'"),
     (_repeated_cell("markers", [1, 1, 2]),
      "malformed grid object: a cell is listed twice in 'markers'"),
+    (_output_of_first_pair({"walls": [[1, 1], [1, 1]]}),
+     "malformed grid object: a cell is listed twice in 'walls'"),
+    (_output_of_first_pair({"markers": [[1, 1, 3]]}), "cell (1, 1) holds both a wall and markers"),
     (_with_pairs(6), "malformed task object: 6 shown pairs, not 1..5"),
     (_with_pairs(0), "malformed task object: 0 shown pairs, not 1..5"),
     (lambda r: r | {"program": LONG_REPEAT_TOKENS}, "repeat count must be in 0..19 at 7"),
 ], ids=["calc-in-karel", "grid-without-width", "wall-listed-twice", "pile-listed-twice",
-        "six-pairs", "no-pairs", "long-repeat-count"])
+        "output-wall-listed-twice", "marker-on-an-output-wall", "six-pairs", "no-pairs", "long-repeat-count"])
 def test_stats_bad_karel_record_names_the_missing_key(
     corrupt, message, tmp_path, monkeypatch, capsys
 ):

@@ -404,6 +404,115 @@ def test_sample_program_matches_reference_draw_for_draw():
         assert fast.getstate() == slow.getstate()
 
 
+def program_law(weights=(0.55, 0.25, 0.06, 0.04, 0.06, 0.04), negate=0.2, cap=60):
+    """The exact law of ``sample_program``: ``{(size, control_flow_count,
+    nesting_depth): probability}``.
+
+    The weights of action, seq, if, if-else, while and repeat, the negation
+    chance and the cap are the documented ones, written out rather than read
+    from ``karel.gen``, so that a changed constant moves the sample but not
+    the law. A walk is kept when its body has at most ``cap - 5`` tokens (the
+    header is ``def main ( ) :``); every node emits a token, so the node
+    budget cuts only walks that break the cap anyway. In tokens an action is
+    3, a condition 3 or, negated, 6, a seq ``first + 1 + second`` (the
+    ``;``), an if or while ``6 + cond + body``, an if-else
+    ``10 + cond + then + else`` and a repeat ``7 + body``; every control
+    node adds one to the count and one brace level. A body's tokens exceed each child's, so one pass over the token
+    count in increasing order computes the law.
+    """
+    action, seq, if_, if_else, while_, repeat = weights
+    conds = ((3, 1 - negate), (6, negate))
+    top = cap - 5
+    # Per body token count: {(control count, depth): probability} for one
+    # body, and for two bodies side by side (tokens summed, depth the max).
+    body = [Counter() for _ in range(top + 1)]
+    two = [Counter() for _ in range(top + 1)]
+    for t in range(3, top + 1):
+        for t1 in range(3, t - 3):
+            for (c1, d1), p1 in body[t1].items():
+                for (c2, d2), p2 in body[t - 1 - t1].items():
+                    two[t - 1][c1 + c2, max(d1, d2)] += p1 * p2
+        out = body[t]
+        if t == 3:
+            out[0, 0] += action
+        for key, p in two[t - 1].items():
+            out[key] += seq * p
+        nested = [((if_ + while_) * pc, body, t - 6 - ct) for ct, pc in conds]
+        nested += [(if_else * pc, two, t - 10 - ct) for ct, pc in conds]
+        for weight, inner, rest in [*nested, (repeat, body, t - 7)]:
+            for (c, d), p in inner[rest].items() if rest > 0 else ():
+                out[c + 1, d + 1] += weight * p
+    return {(t + 5, c, d): p for t in range(top + 1) for (c, d), p in body[t].items()}
+
+
+def chi2_sf(stat, df):
+    """P(X >= stat) for X chi-squared on ``df`` degrees of freedom, from the
+    closed form of the upper incomplete gamma function at a whole or
+    half-whole order."""
+    y = stat / 2
+    if df % 2:
+        sf, term, order = math.erfc(math.sqrt(y)), math.exp(-y) * math.sqrt(y) / math.gamma(1.5), 1.5
+    else:
+        sf, term, order = 0.0, math.exp(-y), 1.0
+    for _ in range(df // 2):
+        sf += term
+        term *= y / order
+        order += 1
+    return sf
+
+
+def chi2_against(law, counts):
+    """Pearson's statistic and degrees of freedom of ``counts`` against the
+    probabilities ``law``, adjacent values pooled upward until each pooled
+    bin expects at least 5."""
+    assert counts.keys() <= law.keys()
+    n = sum(counts.values())
+    bins, expected, observed = [], 0.0, 0
+    for value in sorted(law):
+        expected += n * law[value]
+        observed += counts[value]
+        if expected >= 5:
+            bins.append((expected, observed))
+            expected, observed = 0.0, 0
+    last_expected, last_observed = bins.pop()
+    bins.append((last_expected + expected, last_observed + observed))
+    return sum((o - e) ** 2 / e for e, o in bins), len(bins) - 1
+
+
+def test_chi2_sf_matches_known_quantiles():
+    # Upper 5% and 0.1% points of chi-squared tables.
+    for stat, df, tail in [(3.841, 1, 0.05), (5.991, 2, 0.05), (11.070, 5, 0.05),
+                           (62.830, 46, 0.05), (20.515, 5, 0.001), (81.400, 46, 0.001)]:
+        assert chi2_sf(stat, df) == pytest.approx(tail, rel=2e-3)
+
+
+def test_program_law_gives_the_documented_share_over_the_cap():
+    law = program_law()
+    assert 1 - sum(law.values()) == pytest.approx(0.0566, abs=1e-4)  # "about 5% run over"
+    assert sum(p for (size, _, _), p in law.items() if size == 8) / sum(law.values()) == (
+        pytest.approx(0.583, abs=1e-3))
+
+
+def test_sample_program_follows_its_exact_law():
+    # 100,000 draws (about 2 s) detect each of _IF_P 0.06 -> 0.07,
+    # _NEGATE_P 0.2 -> 0.25 and _TOKEN_CAP 60 -> 59 with power near 1 on
+    # the size test alone; the three tests share a family-wise alpha of 1e-3.
+    law = program_law()
+    total = sum(law.values())
+    rng = random.Random(3)
+    counts = [Counter() for _ in range(3)]
+    for _ in range(100_000):
+        s = program_salients(sample_program(rng))
+        for k, name in enumerate(("size", "control_flow_count", "nesting_depth")):
+            counts[k][s[name]] += 1
+    for k, name in enumerate(("size", "control_flow_count", "nesting_depth")):
+        marginal = Counter()
+        for key, p in law.items():
+            marginal[key[k]] += p / total
+        stat, df = chi2_against(marginal, counts[k])
+        assert chi2_sf(stat, df) > 1e-3 / 3, (name, stat, df)
+
+
 def test_action_pruning_predicate():
     assert satisfies_action_pruning(parse_program("def main(): move() ; turnLeft()"))
     assert not satisfies_action_pruning(parse_program("def main(): move()"))
@@ -773,6 +882,8 @@ def test_read_path_matches_the_reference_on_generated_records(
             expected = reference_grid_from_json(obj)
             assert grid == expected == grid_from_json(obj)
             assert all(type(cell) is tuple for cell in grid.walls)
+        for inp, out in (*task.pairs, task.held_out):
+            assert out.walls is inp.walls
         assert task_salients(task) == reference_task_salients(task)
 
 
@@ -798,6 +909,111 @@ def test_grid_from_json_rejects_malformed_cells_like_the_reference(changes, same
     else:
         assert str(expected.value) == "malformed grid object: cannot unpack non-iterable int object"
         assert str(got.value) == "malformed grid object: 'int' object is not iterable"
+
+
+def _one_pair_record(out_changes, held_out):
+    """A one-pair record whose shown or held-out output is its input with
+    ``out_changes`` applied; the other pair's output is its input."""
+    inp = {"w": 4, "h": 3, "walls": [[3, 0], [0, 2]], "markers": [[1, 1, 2]],
+           "karel": {"pos": [0, 0], "dir": "E"}}
+    changed = {"in": inp, "out": copy.deepcopy(inp) | out_changes}
+    same = {"in": inp, "out": copy.deepcopy(inp)}
+    return {"program": emit_tokens(parse_program("def main(): move()")),
+            "pairs": [same if held_out else changed], "held_out": changed if held_out else same}
+
+
+@pytest.mark.parametrize("held_out", [False, True], ids=["shown", "held-out"])
+@pytest.mark.parametrize("out_changes, message", [
+    ({"w": 3}, "wall (3, 0) is out of bounds"),
+    ({"walls": [[3, 0], [0, 2], [3, 0]]},
+     "malformed grid object: a cell is listed twice in 'walls'"),
+    ({"walls": 5}, "malformed grid object: 'int' object is not iterable"),
+    ({"markers": [[3, 0, 1]]}, "cell (3, 0) holds both a wall and markers"),
+], ids=["narrower-with-a-wall-out-of-bounds", "wall-listed-twice", "walls-not-a-list",
+        "marker-on-a-shared-wall"])
+def test_task_from_json_rejects_a_bad_output_as_a_lone_grid_read(held_out, out_changes, message):
+    record = _one_pair_record(out_changes, held_out)
+    bad = record["held_out"] if held_out else record["pairs"][0]
+    with pytest.raises(ValueError) as alone:
+        grid_from_json(bad["out"])
+    with pytest.raises(ValueError) as in_task:
+        task_from_json(record)
+    assert str(in_task.value) == str(alone.value) == message
+
+
+def test_task_from_json_shares_only_an_equal_wall_list():
+    record = _one_pair_record({"walls": [[0, 2], [3, 0]]}, held_out=True)
+    task = task_from_json(record)
+    (inp, out), (held_in, held_out) = task.pairs[0], task.held_out
+    assert out.walls is inp.walls
+    assert held_out.walls == held_in.walls and held_out.walls is not held_in.walls
+    # JSON lists compare 0.0 and false equal to 0, so an int-equal wall cell
+    # is read as the input's int cell; read alone, it keeps its float.
+    record = _one_pair_record({"walls": [[3, 0.0], [0, 2]]}, held_out=False)
+    inp, out = task_from_json(record).pairs[0]
+    assert out.walls is inp.walls
+    assert (3, 0.0) in grid_from_json(record["pairs"][0]["out"]).walls
+
+
+def _mutated_outputs(record, rng):
+    """``record`` with one output grid changed in one field, for each output."""
+    pairs = [*record["pairs"], record["held_out"]]
+    for k, pair in enumerate(pairs):
+        out = copy.deepcopy(pair["out"])
+        walls = out["walls"]
+        choice = rng.randrange(8)
+        if choice == 0:
+            out["w"] += rng.choice((-1, 1))
+        elif choice == 1:
+            out["h"] += rng.choice((-1, 1))
+        elif choice == 2 and walls:
+            walls.append(rng.choice(walls))
+        elif choice == 3 and walls:
+            walls.pop(rng.randrange(len(walls)))
+        elif choice == 4 and walls:
+            out["markers"].append([*rng.choice(walls), 1])
+        elif choice == 5:
+            out["karel"]["pos"] = list(rng.choice(walls or [[0, 0]]))
+        elif choice == 6:
+            out["walls"] = rng.choice((None, 3, "ab", {}, [walls], walls[::-1]))
+        else:
+            walls.append([out["w"] - 1, out["h"]])
+        mutated = copy.deepcopy(record)
+        if k < len(record["pairs"]):
+            mutated["pairs"][k]["out"] = out
+        else:
+            mutated["held_out"]["out"] = out
+        yield mutated
+
+
+def _read_alone(record):
+    """The task or the error of a read in which every grid gets its own wall set."""
+    try:
+        pairs = tuple((grid_from_json(p["in"]), grid_from_json(p["out"]))
+                      for p in (*record["pairs"], record["held_out"]))
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return SynthesisTask(parse_program(record["program"]), pairs[:-1], pairs[-1])
+
+
+def _read_in_task(record):
+    try:
+        return task_from_json(record)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_task_from_json_matches_lone_grid_reads_on_mutated_outputs():
+    rng = random.Random(39)
+    source = task_source(sample_uniform_grid, n_pairs="uniform")
+    verdicts = Counter()
+    for _ in range(20):
+        record = task_to_json(source(rng))
+        for mutated in _mutated_outputs(record, rng):
+            got = _read_in_task(mutated)
+            assert got == _read_alone(mutated)
+            verdicts[type(got) is SynthesisTask] += 1
+    assert verdicts[True] > 10 and verdicts[False] > 20
 
 
 def test_task_salient_specs_stay_in_domain():
