@@ -8,8 +8,11 @@ out over one salient variable, with a before/after report), ``stats``
 Both domains, calc and karel, are :class:`Domain` entries of one table,
 ``DOMAINS``, and the subcommands never branch on the domain. Calc expressions
 and Karel tasks are sampled, homogenized and measured as trees and tasks, and
-serialized once, when written. A ``homogenize`` run draws from one function
-per run, which returns each item with its value of the chosen variable.
+serialized once, when written, each straight to its JSON line: a calc record
+through ``_CALC_LINE`` and a Karel task through ``karel.gen.task_line``, so
+no record is built as JSON lists and dicts first. A ``homogenize`` run draws
+from one function per run, which returns each item with its value of the
+chosen variable.
 
 Datasets are JSON Lines with LF newlines and a fixed key order, so a given
 command line and seed reproduce files byte for byte. Every written dataset
@@ -20,7 +23,8 @@ ASCII decimal digits, an integer flag an optional ``-`` then ASCII digits,
 and a float flag ASCII text with no ``_`` or surrounding spaces; anything
 else, a negative seed included, is a usage error. Outputs are written to
 temporary siblings and moved into place only when the command succeeds,
-the manifest last, so a failed run leaves no file behind.
+the manifest last, so a failed run leaves no file behind: if a move fails,
+the outputs already moved are put back as they were.
 
 Exit codes: 0 success, 1 crash reported by ``karel-run``, 2 usage errors,
 3 sampling stalls (draw budget or grid retries exhausted).
@@ -126,9 +130,9 @@ class _Outputs:
     device, and opening a temporary file would find a bad parent only after
     the run's work. On success the files are moved into place in the order
     they were opened, so the manifest, opened last, lands last; on failure
-    every temporary file is removed and no output path is touched. A failed
-    open, write, close or move is reported against the output path it was
-    for.
+    every temporary file is removed and every output path holds what it held
+    before, the old file or none. A failed open, write, close or move is
+    reported against the output path it was for.
     """
 
     def __init__(self, *paths: Path) -> None:
@@ -155,12 +159,20 @@ class _Outputs:
             raise UsageError(f"{path}: {exc.strerror or exc}") from None
 
     def digests(self) -> dict[str, str]:
-        """SHA-256 of every file written so far, keyed by its final name."""
+        """SHA-256 of every file written so far, keyed by its final name.
+
+        Each file is read in 64 KiB chunks, so a large dataset does not join
+        the peak memory.
+        """
         import hashlib  # here, as it loads OpenSSL, which only writing commands need
-        return {
-            path.name: hashlib.sha256(temp.read_bytes()).hexdigest()
-            for temp, path in self._pending
-        }
+        digests = {}
+        for temp, path in self._pending:
+            digest = hashlib.sha256()
+            with open(temp, "rb") as fp:
+                while chunk := fp.read(1 << 16):
+                    digest.update(chunk)
+            digests[path.name] = digest.hexdigest()
+        return digests
 
     def __enter__(self) -> "_Outputs":
         return self
@@ -168,14 +180,47 @@ class _Outputs:
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
         try:
             if exc_type is None:
-                for temp, path in self._pending:
-                    try:
-                        os.replace(temp, path)
-                    except OSError as error:
-                        raise UsageError(f"{path}: {error.strerror or error}") from None
+                self._commit()
         finally:
             for temp, _ in self._pending:
                 temp.unlink(missing_ok=True)
+
+    def _commit(self) -> None:
+        """Move every file into place, or, when any step fails, put back
+        what each moved-over path held before: its old file, or none.
+
+        Each existing output is first hard-linked to a backup sibling (a
+        link, not a rename, so the path is never empty), or copied where the
+        file system refuses the link. A backup that cannot be moved back is
+        left in place, as the only copy of the old file.
+        """
+        backups: dict[Path, Path] = {}
+        moved: list[Path] = []
+        try:
+            for _, path in self._pending:
+                if path.exists():
+                    backups[path] = path.with_name(f".{path.name}.{os.getpid()}.bak")
+                    try:
+                        os.link(path, backups[path])
+                    except OSError:
+                        import shutil  # only where hard links fail
+                        shutil.copy2(path, backups[path])
+            for temp, path in self._pending:
+                os.replace(temp, path)
+                moved.append(path)
+        except BaseException as error:
+            for done in reversed(moved):
+                with contextlib.suppress(OSError):
+                    if done in backups:
+                        os.replace(backups.pop(done), done)
+                    else:
+                        done.unlink()
+            if isinstance(error, OSError):
+                raise UsageError(f"{path}: {error.strerror or error}") from None
+            raise
+        finally:
+            for backup in backups.values():
+                backup.unlink(missing_ok=True)
 
 
 def _write_manifest(
@@ -383,7 +428,7 @@ DOMAINS = {
             source=lambda source: source,
             measured=_karel_measured,
             draw_errors=lambda source: contextlib.nullcontext(),
-            to_line=lambda task: _json_line(karel_gen.task_to_json(task)),
+            to_line=lambda task: karel_gen.task_line(task),
             read=lambda record: karel_gen.task_salients(karel_gen.task_from_json(record)),
             salient_specs=karel_gen.salient_specs,
         ),

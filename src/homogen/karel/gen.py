@@ -47,8 +47,10 @@ from .lang import (
 )
 from .world import (
     DIRECTIONS,
+    MAX_MARKERS,
     MAX_SIDE,
     MIN_SIDE,
+    Cell,
     GridDraw,
     KarelGrid,
     grid_cells,
@@ -407,6 +409,12 @@ def salient_specs() -> dict[str, SalientSpec]:
 
 
 def task_to_json(task: SynthesisTask) -> dict[str, Any]:
+    """The task as a JSON-ready dict: the program's tokens, then each pair's
+    input and output grid as :func:`grid_to_json` writes them.
+
+    The CLI writes records through :func:`task_line`, which formats this
+    object's text directly; this dict is the reference it is tested against.
+    """
     return {
         "program": emit_tokens(task.program),
         "pairs": [
@@ -417,6 +425,62 @@ def task_to_json(task: SynthesisTask) -> dict[str, Any]:
             "out": grid_to_json(task.held_out[1]),
         },
     }
+
+
+# Each cell's JSON text "[i,j]", and the "[i,j," that opens a marker pile on
+# it, which the pile's "n]" closes.
+_CELL_TEXT = {(i, j): f"[{i},{j}]" for i in range(MAX_SIDE) for j in range(MAX_SIDE)}
+_PILE_OPEN = {cell: text[:-1] + "," for cell, text in _CELL_TEXT.items()}
+_PILE_CLOSE = tuple(f"{n}]" for n in range(MAX_MARKERS + 1))
+_GRID_TEXT = '{"w":%d,"h":%d,"walls":[%s],"markers":[%s],"karel":{"pos":%s,"dir":"%s"}}'
+
+
+def task_line(task: SynthesisTask) -> str:
+    """The task's JSON Lines record, as the CLI writes it.
+
+    For every task that :func:`make_task` builds, this is
+    ``_json_line(task_to_json(task))`` (``homogen.cli``) byte for byte, but
+    formatted directly rather than built as nested lists and then encoded:
+    each cell's text comes from a table of the 256 cells of the largest
+    grid, built once at import; each marker pile joins its cell's opening
+    text to its count's closing text, one pile at a time, rather than
+    through a table of every cell and count, which every start-up, ``stats``
+    included, would build; and a pair's
+    sorted wall text is built once, for its input, and reused by the output
+    when the two share one wall set (``out.walls is inp.walls``), as every
+    pair of ``make_task`` and ``task_from_json`` does. Program tokens need
+    no JSON escape.
+
+    :func:`task_to_json`, :func:`grid_to_json` and ``_json_line`` stay: the
+    tests compare this function against them, the benchmark's tracer
+    (``bench/layers.py``) patches them, and ``karel-run`` prints its output
+    grid through them, so a wall read as ``[1.0, 1]`` is printed as read.
+    Here such an int-equal cell (the hole in ``KarelGrid`` validation, see
+    ``homogen.karel.world``) is written as the int cell it equals.
+    """
+    return '{"program":["%s"],"pairs":[%s],"held_out":%s}\n' % (
+        '","'.join(emit_tokens(task.program)),
+        ",".join(map(_pair_text, task.pairs)),
+        _pair_text(task.held_out),
+    )
+
+
+def _pair_text(pair: tuple[KarelGrid, KarelGrid]) -> str:
+    inp, out = pair
+    walls = _walls_text(inp.walls)
+    out_walls = walls if out.walls is inp.walls else _walls_text(out.walls)
+    return f'{{"in":{_grid_text(inp, walls)},"out":{_grid_text(out, out_walls)}}}'
+
+
+def _walls_text(walls: frozenset[Cell]) -> str:
+    return ",".join(map(_CELL_TEXT.__getitem__, sorted(walls)))
+
+
+def _grid_text(grid: KarelGrid, walls: str) -> str:
+    markers = grid.markers
+    piles = ",".join([_PILE_OPEN[cell] + _PILE_CLOSE[markers[cell]] for cell in sorted(markers)])
+    return _GRID_TEXT % (grid.width, grid.height, walls, piles,
+                         _CELL_TEXT[grid.karel_pos], grid.karel_dir)
 
 
 def _pair_from_json(obj: dict[str, Any]) -> tuple[KarelGrid, KarelGrid]:

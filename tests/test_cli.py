@@ -313,7 +313,8 @@ def test_failed_write_is_usage_error_and_leaves_no_file(
 ], ids=["generate", "homogenize"])
 def test_failed_move_of_the_manifest_is_usage_error(argv, tmp_path, monkeypatch, capsys):
     # The manifest is moved last, so the files before it are already in
-    # place; only the message and the removed temporary files are pinned.
+    # place when its move fails; they are put back as they were: absent in
+    # the first run, the old files in the second.
     monkeypatch.chdir(tmp_path)
     real_replace = os.replace
 
@@ -326,7 +327,99 @@ def test_failed_move_of_the_manifest_is_usage_error(argv, tmp_path, monkeypatch,
     code, _, err = run_cli(argv + ["--out", "h.jsonl"], capsys)
     assert code == 2
     assert err == f"error: h.jsonl.manifest.json: {os.strerror(errno.EACCES)}\n"
-    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+    assert list(tmp_path.iterdir()) == []
+
+    old = {"h.jsonl": "old\n", "h.jsonl.manifest.json": "old manifest\n"}
+    for name, text in old.items():
+        (tmp_path / name).write_text(text)
+    code, _, err = run_cli(argv + ["--out", "h.jsonl"], capsys)
+    assert code == 2
+    assert err == f"error: h.jsonl.manifest.json: {os.strerror(errno.EACCES)}\n"
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == old
+
+
+HOMOGENIZE_OUTPUTS = ("h.jsonl", "h.jsonl.report.json", "h.jsonl.report.csv",
+                      "h.jsonl.manifest.json")
+
+
+@pytest.mark.parametrize("old_names", [(), ("h.jsonl",), HOMOGENIZE_OUTPUTS],
+                         ids=["none", "dataset", "all"])
+@pytest.mark.parametrize("failing", range(len(HOMOGENIZE_OUTPUTS)))
+def test_a_failed_move_puts_back_every_old_output(failing, old_names, tmp_path, monkeypatch,
+                                                  capsys):
+    # The move of the output at index ``failing`` fails, after the moves
+    # before it succeeded: every output path then holds its old bytes, or
+    # is absent as before, and no temporary file or backup is left.
+    monkeypatch.chdir(tmp_path)
+    old = {name: f"old {name}\n" for name in old_names}
+    for name, text in old.items():
+        (tmp_path / name).write_text(text)
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == HOMOGENIZE_OUTPUTS[failing]:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    code, _, err = run_cli(["homogenize", "calc", "--var", "length", "--count", "20",
+                            "--seed", "1", "--out", "h.jsonl"], capsys)
+    assert code == 2
+    assert err == f"error: {HOMOGENIZE_OUTPUTS[failing]}: {os.strerror(errno.EIO)}\n"
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == old
+
+
+def test_the_backup_is_a_copy_where_hard_links_fail(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.jsonl").write_text("old\n")
+    real_replace = os.replace
+    linked = []
+
+    def link(src, dst):
+        linked.append(Path(src).name)
+        raise OSError(errno.EPERM, os.strerror(errno.EPERM))
+
+    def replace(src, dst):
+        if str(dst).endswith(".manifest.json"):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "link", link)
+    monkeypatch.setattr(os, "replace", replace)
+    code, _, _ = run_cli(["generate", "calc", "--count", "5", "--seed", "1", "--out", "h.jsonl"],
+                         capsys)
+    assert code == 2
+    assert linked == ["h.jsonl"]
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {"h.jsonl": "old\n"}
+
+    monkeypatch.setattr(os, "replace", real_replace)
+    code, _, _ = run_cli(["generate", "calc", "--count", "5", "--seed", "1", "--out", "h.jsonl"],
+                         capsys)
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.jsonl", "h.jsonl.manifest.json"]
+    assert (tmp_path / "h.jsonl").read_text() != "old\n"
+
+
+def test_digests_read_a_large_output_in_chunks(tmp_path):
+    # Hashing a 16 MiB output adds far less than its size to the peak memory.
+    path = tmp_path / "big.jsonl"
+    block = "0123456789abcdef" * 4096  # 64 KiB
+    expected = hashlib.sha256()
+    outputs = cli._Outputs(path)
+    with outputs:
+        with outputs.open(path) as fp:
+            for _ in range(256):
+                fp.write(block)
+                expected.update(block.encode())
+        tracemalloc.start()
+        try:
+            digests = outputs.digests()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert digests == {"big.jsonl": expected.hexdigest()}
+    assert peak < 1 << 20
+    assert path.stat().st_size == 1 << 24
 
 
 @pytest.mark.parametrize("argv, directory", [

@@ -29,6 +29,7 @@ from homogen.karel.gen import (
     sample_uniform_grid,
     satisfies_action_pruning,
     task_from_json,
+    task_line,
     task_salients,
     task_source,
     task_to_json,
@@ -819,6 +820,94 @@ def test_task_json_round_trip():
     assert task_from_json(obj) == task
     with pytest.raises(ValueError):
         task_from_json({"program": ["def"]})
+
+
+# ---------------------------------------------------------------------------
+# The record writer against the reference encoder.
+
+
+def reference_line(task):
+    return cli._json_line(task_to_json(task))
+
+
+def _narrow(params):
+    return lambda rng: sample_narrow_grid(rng, params)
+
+
+# Case -> (grid sampler, task_source options, tasks drawn): 1,080 tasks over
+# every option that shapes a record's bytes.
+TASK_LINE_CASES = {
+    **{f"uniform-pairs-{n}": (sample_uniform_grid, {"n_pairs": n}, 100)
+       for n in (1, 2, 3, 4, 5, "uniform")},
+    **{f"narrow-{p.r_wall}-{p.r_marker}-{p.marker_dist.value}": (_narrow(p), {}, 20)
+       for p in NARROW_SWEEP_PARAMS},
+    "classic-prune": (sample_uniform_grid, {"classic_prune": True}, 80),
+    "step-limit-200": (sample_uniform_grid, {"step_limit": 200}, 80),
+    "step-limit-1000": (sample_uniform_grid, {"step_limit": 1000, "n_pairs": "uniform"}, 80),
+}
+
+
+@pytest.mark.parametrize("case", TASK_LINE_CASES)
+def test_task_line_matches_the_reference_encoder(case):
+    grids, options, count = TASK_LINE_CASES[case]
+    source = task_source(grids, **options)
+    rng = random.Random(40)
+    for _ in range(count):
+        task = source(rng)
+        line = task_line(task)
+        assert line == reference_line(task)
+        assert task_line(task_from_json(json.loads(line))) == line
+
+
+def test_homogenize_karel_writes_the_reference_encoding(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["homogenize", "karel", "--var", "wall_ratio_decile", "--pairs", "uniform",
+            "--count", "40", "--seed", "3", "--out", "h.jsonl"]
+    assert cli.main(argv) == 0
+    lines = (tmp_path / "h.jsonl").read_text().splitlines(keepends=True)
+    assert len(lines) == 40
+    for line in lines:
+        task = task_from_json(json.loads(line))
+        assert reference_line(task) == line == task_line(task)
+
+
+def test_task_line_writes_an_output_from_its_own_walls():
+    # make_task's outputs share their input's wall set; an output with other
+    # walls, or equal walls in a set of its own, is written from its own.
+    program = parse_program("def main(): move()")
+    inp = KarelGrid(4, 3, frozenset({(0, 0), (3, 2)}), {(1, 1): 2, (0, 2): 9}, (2, 0), "E")
+    other = KarelGrid(4, 3, frozenset({(1, 0)}), {}, (3, 0), "E")
+    equal = KarelGrid(4, 3, frozenset(inp.walls), {(1, 1): 2}, (3, 0), "E")
+    empty = KarelGrid(2, 2)
+    task = SynthesisTask(program=program,
+                         pairs=((inp, other), (inp, equal), (empty, inp)), held_out=(inp, empty))
+    assert task_line(task) == reference_line(task)
+    record = json.loads(task_line(task))
+    assert [pair["out"]["walls"] for pair in record["pairs"]] == [
+        [[1, 0]], [[0, 0], [3, 2]], [[0, 0], [3, 2]]]
+    assert record["held_out"]["out"]["walls"] == []
+
+
+def test_task_line_writes_every_cell_and_pile_size():
+    cells = grid_cells(16, 16)
+    walled = KarelGrid(16, 16, frozenset(cells[1:]), {}, cells[0], "N")
+    piled = KarelGrid(16, 16, frozenset(), {c: k % 9 + 1 for k, c in enumerate(cells)},
+                      cells[-1], "W")
+    task = SynthesisTask(program=parse_program("def main(): turnLeft()"),
+                         pairs=((walled, piled), (piled, walled)), held_out=(piled, piled))
+    assert task_line(task) == reference_line(task)
+
+
+def test_task_line_writes_an_int_equal_cell_as_its_int():
+    # KarelGrid keeps a cell such as (1.0, 1) when no container is rebuilt;
+    # the reference encoder writes it as read, task_line as the int cell.
+    grid = KarelGrid(3, 3, frozenset({(1.0, 1)}), {(True, 2): 3}, (0, 0), "S")
+    task = SynthesisTask(program=parse_program("def main(): move()"),
+                         pairs=((grid, grid),), held_out=(grid, grid))
+    assert '"walls":[[1.0,1]],"markers":[[true,2,3]]' in reference_line(task)
+    assert json.loads(task_line(task))["held_out"]["in"] == {
+        "w": 3, "h": 3, "walls": [[1, 1]], "markers": [[1, 2, 3]],
+        "karel": {"pos": [0, 0], "dir": "S"}}
 
 
 # The read path before walls were built with map(tuple, ...) and before the
