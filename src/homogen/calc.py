@@ -14,7 +14,8 @@ operator node is a ``BinOp``, the tuple ``(op, left, right)``; a draw builds
 one per node, so its constructor checks only the operator, and it is a tuple
 because a tuple is cheaper to build than a ``Frozen`` record. The samplers
 and ``parse_expr`` make only valid leaves; ``expr_record``, which ``render``
-and ``eval_mod10`` share, rejects any other leaf with a ``TypeError``.
+and ``eval_mod10`` share, and ``expr_salients`` reject any other leaf with a
+``TypeError``.
 
 Rendering, evaluation, parsing, salient measurement and the equality and
 ``repr`` of a tree all walk with explicit stacks, so they follow any nesting
@@ -249,15 +250,16 @@ def parse_expr(text: str) -> CalcExpr:
 
 # Deepest nesting a sampled tree may reach. ``Dcfg`` and ``Rcfg`` raise
 # ``ValueError`` on a draw that would nest deeper; ``T2t`` rejects a
-# ``max_depth`` above it when built.
+# ``max_depth`` above it when built. This message and ``_TOO_BIG`` open
+# with the parameter to lower, which the command line names by its flag.
 MAX_NESTING = 500
-_TOO_DEEP = f"a sampled expression nested deeper than {MAX_NESTING} levels"
+_TOO_DEEP = f"p is too large: a sampled expression nested deeper than {MAX_NESTING} levels"
 
 # Most nodes a t2t tree may hold. Its size grows about as e^(1.8 sqrt(d))
 # with its depth d, so ``T2t`` raises ``ValueError`` on a draw that grows
 # past it.
 MAX_NODES = 100_000
-_TOO_BIG = f"a sampled expression grew past {MAX_NODES} nodes"
+_TOO_BIG = f"max_depth is too large: a sampled expression grew past {MAX_NODES} nodes"
 
 # The lengths an rcfg operator run draws from, and the depths a bal tree
 # draws from; each draw picks an index uniformly.
@@ -293,7 +295,7 @@ class T2t(Frozen):
     __slots__ = ("max_depth",)
 
     def __init__(self, max_depth: int = 8) -> None:
-        if not 1 <= max_depth <= MAX_NESTING:
+        if not (type(max_depth) is int and 1 <= max_depth <= MAX_NESTING):
             raise ValueError(f"max_depth must be in 1..{MAX_NESTING}")
         super().__init__(max_depth)
 
@@ -515,12 +517,15 @@ def expr_salients(expr: CalcExpr) -> dict[str, int]:
     rule: each wrapped node adds a pair of parentheses around every digit
     below it, and the text has one character per digit and operator plus two
     per pair. A bare digit, and an operator over two digits, each return one
-    shared dict, which callers must treat as read-only.
+    shared dict, which callers must treat as read-only. A leaf that is not an
+    exact ``int`` in 0..9 is the ``TypeError`` :func:`expr_record` raises.
     """
-    if type(expr) is int:
+    if type(expr) is int and 0 <= expr <= 9:
         return _DIGIT_SALIENTS
+    if type(expr) is not BinOp:
+        raise TypeError(f"not a calculator expression: {expr!r}")
     _, left, right = expr
-    if type(left) is int and type(right) is int:
+    if type(left) is int and type(right) is int and 0 <= left <= 9 and 0 <= right <= 9:
         return _ONE_OP_SALIENTS
     ops = parens = depth_sum = max_depth = 0
     # Operator nodes still to visit, each with its count of wrapped nodes
@@ -537,14 +542,18 @@ def expr_salients(expr: CalcExpr) -> dict[str, int]:
             wrapped = _PRECEDENCE[left[0]] < prec
             parens += wrapped
             todo.append((left, depth + wrapped))
-        else:
+        elif type(left) is int and 0 <= left <= 9:
             depth_sum += depth
+        else:
+            raise TypeError(f"not a calculator expression: {left!r}")
         if type(right) is BinOp:
             wrapped = _PRECEDENCE[right[0]] <= prec
             parens += wrapped
             todo.append((right, depth + wrapped))
-        else:
+        elif type(right) is int and 0 <= right <= 9:
             depth_sum += depth
+        else:
+            raise TypeError(f"not a calculator expression: {right!r}")
     return _clamped(2 * (ops + parens) + 1, ops, parens, depth_sum, ops + 1, max_depth)
 
 

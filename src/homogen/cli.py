@@ -27,7 +27,9 @@ the manifest last, so a failed run leaves no file behind: if a move fails,
 the outputs already moved are put back as they were.
 
 Exit codes: 0 success, 1 crash reported by ``karel-run``, 2 usage errors,
-3 sampling stalls (draw budget or grid retries exhausted).
+3 sampling stalls (draw budget or grid retries exhausted). ``main`` reports
+a library ``ValueError`` that opens with a parameter in ``_FLAGS`` as a
+usage error against that parameter's flags; any other one propagates.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .diagnostics import kl_to_uniform
 from .homogenizer import (
     BudgetExhaustedError,
     CountTable,
-    DomainViolationError,
     HomogenizerRun,
     SalientSpec,
     expected_tries_bound,
@@ -263,9 +264,8 @@ class Domain(NamedTuple):
     ``ValueError`` before any output is opened. Of a sampler, ``source`` makes
     the item source of ``generate``, and ``measured`` the per-run source of
     ``homogenize``, whose draws are ``(item, value of the named variable)``.
-    Draw loops run inside ``draw_errors(sampler)``, which reports a draw past
-    the sampler's bound as a usage error. ``read`` validates and measures a
-    stored record, which belongs to the domain whose ``key`` it has.
+    ``read`` validates and measures a stored record, which belongs to the
+    domain whose ``key`` it has.
     """
 
     name: str
@@ -275,7 +275,6 @@ class Domain(NamedTuple):
     sampler: Callable[[argparse.Namespace], tuple[Any, dict[str, Any]]]
     source: Callable[[Any], Source]
     measured: Callable[[Any, str], Source]
-    draw_errors: Callable[[Any], contextlib.AbstractContextManager[None]]
     to_line: Callable[[Any], str]
     read: Callable[[Any], dict[str, Any]]
     salient_specs: Callable[[], dict[str, SalientSpec]]
@@ -311,20 +310,6 @@ def _calc_sampler(args: argparse.Namespace) -> tuple[calc.CalcSampler, dict[str,
     sampler = _CALC_SAMPLERS[args.dist](args)
     text = _SAMPLER_TEXT[args.dist].format(sampler)
     return sampler, {"domain": "calc", "dist": args.dist, "sampler": text}
-
-
-@contextlib.contextmanager
-def _calc_draw_errors(sampler: calc.CalcSampler) -> Iterator[None]:
-    # A dcfg or rcfg draw can pass the nesting cap, and a t2t draw the node
-    # bound.
-    try:
-        yield
-    except (UsageError, DomainViolationError):
-        raise
-    except ValueError as exc:
-        flag = (f"--max-depth {sampler.max_depth}" if type(sampler) is calc.T2t
-                else f"--p {sampler.p}")
-        raise UsageError(f"{flag}: {exc}; choose a smaller value") from None
 
 
 # Calc text holds only 0-9 + - * ( ), which JSON writes unescaped, so this
@@ -414,7 +399,6 @@ DOMAINS = {
             sampler=_calc_sampler,
             source=lambda sampler: functools.partial(calc.sample_expr, sampler=sampler),
             measured=lambda sampler, name: calc.measured_source(sampler, name),
-            draw_errors=_calc_draw_errors,
             to_line=lambda expr: _CALC_LINE(calc.expr_record(expr)),
             read=_read_calc,
             salient_specs=calc.salient_specs,
@@ -427,7 +411,6 @@ DOMAINS = {
             sampler=_karel_sampler,
             source=lambda source: source,
             measured=_karel_measured,
-            draw_errors=lambda source: contextlib.nullcontext(),
             to_line=lambda task: karel_gen.task_line(task),
             read=lambda record: karel_gen.task_salients(karel_gen.task_from_json(record)),
             salient_specs=karel_gen.salient_specs,
@@ -436,24 +419,9 @@ DOMAINS = {
 }
 
 
-# The flags that set the library parameter a ``ValueError`` message opens with.
-_FLAGS = {"n_pairs": "pairs", "step_limit": "step_limit", "max_depth": "max_depth", "p": "p",
-          "r_wall": "r_wall r_marker", "target_size": "count", "max_draws": "max_draws"}
-
-
-def _flag_error(args: argparse.Namespace, exc: ValueError) -> UsageError:
-    """``exc`` as a usage error led by the flags and values it is about."""
-    dests = _FLAGS.get(str(exc).split(" ", 1)[0], "").split()
-    typed = " ".join(f"--{dest.replace('_', '-')} {getattr(args, dest)}" for dest in dests)
-    return UsageError(f"{typed}: {exc}" if typed else str(exc))
-
-
 def _domain_source(args: argparse.Namespace) -> tuple[Domain, Any, dict[str, Any]]:
     domain = DOMAINS[args.domain]
-    try:
-        sampler, params = domain.sampler(args)
-    except ValueError as exc:
-        raise _flag_error(args, exc) from None
+    sampler, params = domain.sampler(args)
     return domain, sampler, params
 
 
@@ -485,7 +453,7 @@ def cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
     source = domain.source(sampler)
     rng = random.Random(seed)
     with outputs:
-        with outputs.open(out_path) as fp, domain.draw_errors(sampler):
+        with outputs.open(out_path) as fp:
             for _ in range(args.count):
                 fp.write(domain.to_line(source(rng)))
         _write_manifest(outputs, out_path, argv, seed, params)
@@ -504,32 +472,25 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
     params |= {"variable": args.var, "epsilon": args.eps, "count": args.count}
     if args.max_draws is not None:
         params["max_draws"] = args.max_draws
-    try:
-        bound = expected_tries_bound(args.eps)
-    except ValueError as exc:
-        raise UsageError(f"--eps {args.eps}: {exc}") from None
+    bound = expected_tries_bound(args.eps)
     # Each draw is an (item, value) pair, so an item is measured once and
     # serialized only when it is accepted.
     measured = domain.measured(sampler, base.name)
     spec = SalientSpec(base.name, base.domain, itemgetter(1))
-    try:
-        run = HomogenizerRun(
-            measured, spec,
-            epsilon=args.eps, target_size=args.count, seed=seed, max_draws=args.max_draws,
-        )
-    except ValueError as exc:
-        raise _flag_error(args, exc) from None
+    run = HomogenizerRun(
+        measured, spec,
+        epsilon=args.eps, target_size=args.count, seed=seed, max_draws=args.max_draws,
+    )
     before, after = CountTable(spec.domain), CountTable(spec.domain)
     baseline_seed = seed + BASELINE_SEED_OFFSET
     with outputs:
-        with domain.draw_errors(sampler):
-            with outputs.open(out_path) as fp:
-                for item, value in run:
-                    fp.write(domain.to_line(item))
-                    after.increment(value)
-            baseline_rng = random.Random(baseline_seed)
-            for _ in range(args.count):
-                before.increment(measured(baseline_rng)[1])
+        with outputs.open(out_path) as fp:
+            for item, value in run:
+                fp.write(domain.to_line(item))
+                after.increment(value)
+        baseline_rng = random.Random(baseline_seed)
+        for _ in range(args.count):
+            before.increment(measured(baseline_rng)[1])
         kl_before = kl_to_uniform(before)
         kl_after = kl_to_uniform(after)
         reduction = 100.0 * (1.0 - kl_after / kl_before) if kl_before > 0 else 0.0
@@ -653,10 +614,7 @@ def cmd_karel_run(args: argparse.Namespace, argv: list[str]) -> int:
         raise UsageError(f"{grid_path}: {getattr(exc, 'strerror', None) or exc}") from None
 
     compiled = compile_program(program)
-    try:
-        result = execute(compiled, grid, step_limit=args.step_limit)
-    except ValueError as exc:
-        raise _flag_error(args, exc) from None
+    result = execute(compiled, grid, step_limit=args.step_limit)
     arms = branch_arms(compiled)
     coverage = f"coverage: {len(result.branches_taken)}/{len(arms)} arms"
     if result.success:
@@ -733,6 +691,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The flags that set the library parameter a ``ValueError`` message opens with.
+_FLAGS = {"n_pairs": "pairs", "step_limit": "step_limit", "max_depth": "max_depth", "p": "p",
+          "r_wall": "r_wall r_marker", "target_size": "count", "max_draws": "max_draws",
+          "epsilon": "eps"}
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
@@ -760,6 +724,17 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExhaustedError, karel_gen.GenerationStallError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STALL
+    except ValueError as exc:
+        # A library parameter refused, before or during the draws: the
+        # message opens with its name. Any other ValueError, such as a
+        # DomainViolationError, is a fault of the program.
+        dests = _FLAGS.get(str(exc).split(" ", 1)[0])
+        if dests is None:
+            raise
+        typed = " ".join(f"--{dest.replace('_', '-')} {getattr(args, dest)}"
+                         for dest in dests.split())
+        print(f"error: {typed}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     finally:
         if collecting:
             gc.enable()

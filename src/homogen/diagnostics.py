@@ -56,7 +56,7 @@ def acceptance_curve(
     accepts. Each point runs on a seed drawn from ``rng``, so a fixed rng
     state reproduces the whole curve.
     """
-    if draws_per_point < 1:
+    if not (type(draws_per_point) is int and draws_per_point >= 1):
         raise ValueError("draws_per_point must be >= 1")
     points = []
     for epsilon in epsilons:

@@ -202,10 +202,10 @@ class HomogenizerRun:
 def expected_tries_bound(epsilon: float) -> float:
     """Upper bound on expected source draws per accepted sample."""
     if not math.isfinite(epsilon):
-        raise ValueError("the draw bound requires a finite epsilon")
+        raise ValueError("epsilon must be finite for the draw bound")
     if epsilon <= 0:
-        raise ValueError("the draw bound requires epsilon > 0")
+        raise ValueError("epsilon must be > 0 for the draw bound")
     bound = 1.0 + 1.0 / epsilon
     if not math.isfinite(bound):
-        raise ValueError("the draw bound 1 + 1/epsilon overflows a float")
+        raise ValueError("epsilon is too small: the draw bound 1 + 1/epsilon overflows a float")
     return bound

@@ -1,7 +1,9 @@
 import copy
+import math
 import pickle
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from homogen.calc import (
     sample_expr,
     sample_record,
 )
+from laws import chi2_against, chi2_sf
 
 ALL_SAMPLERS = (Dcfg(), T2t(), Rcfg(), Bal())
 
@@ -82,10 +85,11 @@ def test_eval_examples():
 def test_digit_requires_an_exact_int(value):
     # A bool is an int subclass, so it would render as "True" yet evaluate as 1.
     # A leaf is not checked when built, so the walk behind every written
-    # record rejects it, as the whole tree or as a left or right child.
+    # record, and the one that measures a draw, reject it, as the whole tree
+    # or as a left or right child.
     message = rf"^not a calculator expression: {re.escape(repr(value))}$"
     for tree in (value, BinOp("+", value, 2), BinOp("*", 3, BinOp("-", 4, value))):
-        for walk in (expr_record, render, eval_mod10):
+        for walk in (expr_record, render, eval_mod10, expr_salients):
             with pytest.raises(TypeError, match=message):
                 walk(tree)
 
@@ -232,6 +236,30 @@ def test_dcfg_validates_p():
         Dcfg(p=1.0)
 
 
+def dcfg_num_ops_law():
+    """The exact law of a default dcfg tree's ``num_ops``: ``{n: probability}``.
+
+    A tree with n operators has one of the C_n binary shapes (C_n the
+    Catalan number) and takes n branch coins and n + 1 digit coins, so
+    P(n) = C_n p^n (1 - p)^(n + 1). The p is the documented one, written out
+    rather than read from ``calc``, so that a changed constant moves the
+    sample but not the law. ``num_ops`` clamps at 60, so that value takes
+    the rest of the mass; the nesting cap cuts off far less than any bin.
+    """
+    p = 0.3
+    law = {n: math.comb(2 * n, n) // (n + 1) * p**n * (1 - p) ** (n + 1) for n in range(60)}
+    law[60] = 1 - sum(law.values())
+    return law
+
+
+def test_dcfg_num_ops_follows_its_exact_law():
+    rng = random.Random(5)
+    sampler = Dcfg()
+    counts = Counter(expr_salients(sample_expr(rng, sampler))["num_ops"] for _ in range(100_000))
+    stat, df = chi2_against(dcfg_num_ops_law(), counts)
+    assert chi2_sf(stat, df) > 1e-3, (stat, df)
+
+
 def test_t2t_default_depth_range():
     rng = random.Random(3)
     depths = {tree_depth(sample_expr(rng, T2t())) for _ in range(2000)}
@@ -311,6 +339,11 @@ def test_fixed_depth_samplers_reject_depths_past_the_cap():
     with pytest.raises(ValueError, match="max_depth"):
         T2t(max_depth=MAX_NESTING + 1)
     T2t(max_depth=MAX_NESTING)
+    # A float depth would fail only at the first draw, and True would draw
+    # depth-1 trees under the repr T2t(max_depth=True).
+    for max_depth in (2.5, True):
+        with pytest.raises(ValueError, match=rf"^max_depth must be in 1\.\.{MAX_NESTING}$"):
+            T2t(max_depth=max_depth)
 
 
 def t2t_at_depth(rng, depth):

@@ -168,15 +168,17 @@ def test_generate_missing_narrow_rates_is_usage_error(tmp_path, monkeypatch, cap
         id="dcfg-too-deep",
     ),
     pytest.param(
-        ["homogenize", "calc", "--var", "length", "--eps", "nan"], "epsilon", id="eps-nan"
+        ["homogenize", "calc", "--var", "length", "--eps", "nan"],
+        "error: --eps nan: epsilon must be finite for the draw bound\n", id="eps-nan",
     ),
     pytest.param(
-        ["homogenize", "calc", "--var", "length", "--eps", "inf"], "epsilon", id="eps-inf"
+        ["homogenize", "calc", "--var", "length", "--eps", "inf"],
+        "error: --eps inf: epsilon must be finite for the draw bound\n", id="eps-inf",
     ),
     # The report's draw bound, 1 + 1/eps, needs a positive eps.
     pytest.param(
-        ["homogenize", "calc", "--var", "length", "--eps", "0"], "--eps 0.0",
-        id="eps-zero-calc",
+        ["homogenize", "calc", "--var", "length", "--eps", "0"],
+        "error: --eps 0.0: epsilon must be > 0 for the draw bound\n", id="eps-zero-calc",
     ),
     pytest.param(
         ["homogenize", "karel", "--var", "size", "--eps", "0"], "--eps 0.0",
@@ -184,16 +186,17 @@ def test_generate_missing_narrow_rates_is_usage_error(tmp_path, monkeypatch, cap
     ),
     pytest.param(
         ["homogenize", "calc", "--var", "length", "--eps", "-0.5"],
-        "error: --eps -0.5: the draw bound requires epsilon > 0", id="eps-negative",
+        "error: --eps -0.5: epsilon must be > 0 for the draw bound\n", id="eps-negative",
     ),
     # 1/eps overflows a float, with or without a draw budget of its own.
     pytest.param(
         ["homogenize", "calc", "--var", "length", "--eps", "1e-320"],
-        "error: --eps 1e-320: the draw bound 1 + 1/epsilon overflows", id="eps-subnormal",
+        "error: --eps 1e-320: epsilon is too small: the draw bound 1 + 1/epsilon overflows",
+        id="eps-subnormal",
     ),
     pytest.param(
         ["homogenize", "karel", "--var", "size", "--eps", "1e-320", "--max-draws", "9"],
-        "error: --eps 1e-320: the draw bound 1 + 1/epsilon overflows",
+        "error: --eps 1e-320: epsilon is too small: the draw bound 1 + 1/epsilon overflows",
         id="eps-subnormal-budget",
     ),
 ])
@@ -238,7 +241,7 @@ def test_out_of_range_source_parameter_names_its_flag(argv, message, tmp_path, m
       "--seed", "1", "--out", "h.jsonl"], 3, "draw budget exhausted after 50 draws (4 accepted)"),
     (["generate", "calc", "--dist", "dcfg", "--p", "0.499", "--count", "2000", "--seed", "1",
       "--out", "d.jsonl"], 2,
-     "--p 0.499: a sampled expression nested deeper than 500 levels; choose a smaller value"),
+     "--p 0.499: p is too large: a sampled expression nested deeper than 500 levels"),
 ], ids=["homogenize-stall", "generate-too-deep"])
 def test_failed_run_leaves_no_file(argv, exit_code, message, tmp_path, monkeypatch, capsys):
     # Both fail after records were written; neither the partial output nor a
@@ -1218,8 +1221,8 @@ def test_homogenize_calc_matches_the_composed_reference(dist, var, tmp_path, mon
     assert row["draws_per_accept"] == run.draws_used / count
 
 
-TOO_DEEP = "--p 0.499: a sampled expression nested deeper than 500 levels"
-TOO_BIG = "--max-depth 500: a sampled expression grew past 100000 nodes"
+TOO_DEEP = "--p 0.499: p is too large: a sampled expression nested deeper than 500 levels"
+TOO_BIG = "--max-depth 500: max_depth is too large: a sampled expression grew past 100000 nodes"
 
 
 @pytest.mark.parametrize("command, argv, message", [
@@ -1237,13 +1240,13 @@ TOO_BIG = "--max-depth 500: a sampled expression grew past 100000 nodes"
 def test_a_draw_past_a_sampler_bound_is_usage_error_and_writes_nothing(
     command, argv, message, tmp_path, monkeypatch, capsys
 ):
-    # The mapping wraps each command's draw loops, the homogenize run and
-    # its baseline included, not each draw.
+    # A draw is refused in each command's draw loops, the homogenize run and
+    # its baseline included, and reported as its sampler parameter's flag.
     monkeypatch.chdir(tmp_path)
     if command == "homogenize":
         argv = argv + ["--var", "length"]
     code, out, err = run_cli([command, "calc", *argv, "--out", "d.jsonl"], capsys)
-    assert (code, out, err) == (2, "", f"error: {message}; choose a smaller value\n")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1255,6 +1258,22 @@ def test_homogenize_lets_a_domain_violation_through(tmp_path, monkeypatch, capsy
     with pytest.raises(DomainViolationError, match="salient 'length'"):
         cli.main(["homogenize", "calc", "--var", "length", "--count", "5", "--seed", "1",
                   "--out", "h.jsonl"])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_homogenize_lets_a_fault_in_a_draw_through(tmp_path, monkeypatch, capsys):
+    # A ValueError that names no parameter is a fault of the program, not a
+    # sampler bound, so it is not blamed on --p.
+    monkeypatch.chdir(tmp_path)
+
+    def faulty(expr):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(calc, "expr_salients", faulty)
+    with pytest.raises(ValueError, match="^boom$"):
+        cli.main(["homogenize", "calc", "--var", "length", "--count", "5", "--seed", "1",
+                  "--out", "h.jsonl"])
+    assert capsys.readouterr().err == ""
     assert list(tmp_path.iterdir()) == []
 
 

@@ -121,5 +121,6 @@ def test_acceptance_curve_validates_arguments():
     spec = identity_spec("value", (0,))
     with pytest.raises(ValueError):
         acceptance_curve(source, spec, [0.0], 10, random.Random(0))
-    with pytest.raises(ValueError):
-        acceptance_curve(source, spec, [0.1], 0, random.Random(0))
+    for draws_per_point in (0, 2.5, True):
+        with pytest.raises(ValueError, match="^draws_per_point must be >= 1$"):
+            acceptance_curve(source, spec, [0.1], draws_per_point, random.Random(0))

@@ -141,7 +141,8 @@ INVALID_SETTINGS = [
     ({"epsilon": 0.0, "target_size": 1},
      "epsilon=0 accepts nothing until every domain value has been seen; "
      "set max_draws to bound the run"),
-    ({"epsilon": 1e-320, "target_size": 1}, "the draw bound 1 + 1/epsilon overflows a float"),
+    ({"epsilon": 1e-320, "target_size": 1},
+     "epsilon is too small: the draw bound 1 + 1/epsilon overflows a float"),
     ({"epsilon": math.nan, "target_size": 0, "max_draws": 0}, EPSILON_MESSAGE.format("nan")),
     ({"epsilon": 0.1, "target_size": 0, "max_draws": 0}, TARGET_MESSAGE),
     ({"epsilon": 0.0, "target_size": 1, "max_draws": 0}, MAX_DRAWS_MESSAGE),
@@ -372,7 +373,7 @@ def test_expected_tries_bound():
     with pytest.raises(ValueError):
         expected_tries_bound(-1.0)
     for epsilon in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="finite epsilon"):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
             expected_tries_bound(epsilon)
     # A subnormal epsilon is finite and positive, but 1/epsilon overflows.
     assert math.isfinite(expected_tries_bound(1e-308))

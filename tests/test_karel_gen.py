@@ -1,6 +1,5 @@
 import copy
 import json
-import math
 import pickle
 import random
 import re
@@ -54,6 +53,7 @@ from homogen.karel.lang import (
 from homogen.karel.world import DIRECTIONS, GridDraw, KarelGrid, grid_cells, grid_from_json
 from homogen.rng import randbelow
 from karel_fixtures import CRASH_GRID, CRASH_TEXT
+from laws import chi2_against, chi2_sf
 
 
 # ---------------------------------------------------------------------------
@@ -444,40 +444,6 @@ def program_law(weights=(0.55, 0.25, 0.06, 0.04, 0.06, 0.04), negate=0.2, cap=60
             for (c, d), p in inner[rest].items() if rest > 0 else ():
                 out[c + 1, d + 1] += weight * p
     return {(t + 5, c, d): p for t in range(top + 1) for (c, d), p in body[t].items()}
-
-
-def chi2_sf(stat, df):
-    """P(X >= stat) for X chi-squared on ``df`` degrees of freedom, from the
-    closed form of the upper incomplete gamma function at a whole or
-    half-whole order."""
-    y = stat / 2
-    if df % 2:
-        sf, term, order = math.erfc(math.sqrt(y)), math.exp(-y) * math.sqrt(y) / math.gamma(1.5), 1.5
-    else:
-        sf, term, order = 0.0, math.exp(-y), 1.0
-    for _ in range(df // 2):
-        sf += term
-        term *= y / order
-        order += 1
-    return sf
-
-
-def chi2_against(law, counts):
-    """Pearson's statistic and degrees of freedom of ``counts`` against the
-    probabilities ``law``, adjacent values pooled upward until each pooled
-    bin expects at least 5."""
-    assert counts.keys() <= law.keys()
-    n = sum(counts.values())
-    bins, expected, observed = [], 0.0, 0
-    for value in sorted(law):
-        expected += n * law[value]
-        observed += counts[value]
-        if expected >= 5:
-            bins.append((expected, observed))
-            expected, observed = 0.0, 0
-    last_expected, last_observed = bins.pop()
-    bins.append((last_expected + expected, last_observed + observed))
-    return sum((o - e) ** 2 / e for e, o in bins), len(bins) - 1
 
 
 def test_chi2_sf_matches_known_quantiles():

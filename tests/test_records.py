@@ -42,7 +42,7 @@ def _p_check(self):
 
 
 def _t2t_check(self):
-    if not 1 <= self.max_depth <= calc.MAX_NESTING:
+    if not (type(self.max_depth) is int and 1 <= self.max_depth <= calc.MAX_NESTING):
         raise ValueError(f"max_depth must be in 1..{calc.MAX_NESTING}")
 
 
@@ -93,7 +93,7 @@ CASES: list[tuple[type, list, Any, list[dict], list[dict]]] = [
      [{"p": 0.0}, {"p": 1.0}, {"p": math.nan}]),
     (calc.T2t, [("max_depth", int, 8)], _t2t_check,
      [{}, {"max_depth": 3}],
-     [{"max_depth": 0}, {"max_depth": 501}]),
+     [{"max_depth": 0}, {"max_depth": 501}, {"max_depth": 2.5}, {"max_depth": True}]),
     (calc.Rcfg, [("p", float, 0.3)], _p_check,
      [{}, {"p": 0.2}],
      [{"p": 1.5}, {"p": 0}]),
