@@ -10,9 +10,9 @@ Both domains, calc and karel, are :class:`Domain` entries of one table,
 and Karel tasks are sampled, homogenized and measured as trees and tasks, and
 serialized once, when written, each straight to its JSON line: a calc record
 through ``_CALC_LINE`` and a Karel task through ``karel.gen.task_line``, so
-no record is built as JSON lists and dicts first. A ``homogenize`` run draws
-from one function per run, which returns each item with its value of the
-chosen variable.
+no record is built as JSON lists and dicts first. A domain builds both
+sources of a command at once: the item source ``generate`` draws from and,
+for a variable name, ``homogenize``'s, whose draws pair an item with its value.
 
 Datasets are JSON Lines with LF newlines and a fixed key order, so a given
 command line and seed reproduce files byte for byte. Every written dataset
@@ -124,20 +124,23 @@ class _Outputs:
     """The files one command writes, each first to a temporary sibling.
 
     Every path the command will write is named when the object is made,
-    which rejects a directory or other non-regular file at any of them and a
-    parent that is missing or not a directory, before anything is drawn or
-    read: ``os.replace`` would fail on a directory only after moving the
-    outputs before it and would put a regular file in place of a FIFO or a
-    device, and opening a temporary file would find a bad parent only after
-    the run's work. On success the files are moved into place in the order
-    they were opened, so the manifest, opened last, lands last; on failure
-    every temporary file is removed and every output path holds what it held
-    before, the old file or none. A failed open, write, close or move is
-    reported against the output path it was for.
+    which rejects a symbolic link, a directory or other non-regular file at
+    any of them and a parent that is missing or not a directory, before
+    anything is drawn or read: ``os.replace`` would put a regular file in
+    place of a link (its target untouched), a FIFO or a device, and fail on
+    a directory only after moving the outputs before it, and opening a
+    temporary file would find a bad parent only after the run's work. On
+    success the files are moved into place in the order they were opened,
+    so the manifest, opened last, lands last; on failure every temporary
+    file is removed and every output path holds what it held before, the
+    old file or none. A failed open, write, close or move is reported
+    against the output path it was for.
     """
 
     def __init__(self, *paths: Path) -> None:
         for path in paths:
+            if path.is_symlink():
+                raise UsageError(f"{path}: Is a symbolic link")
             if path.is_dir():
                 raise UsageError(f"{path}: Is a directory")
             if path.exists() and not path.is_file():
@@ -255,61 +258,57 @@ def _sibling(out_path: Path, suffix: str) -> Path:
 
 
 Source = Callable[[random.Random], Any]
+Sources = tuple[Source, Callable[[str], Source], dict[str, Any]]
 
 
 class Domain(NamedTuple):
     """One dataset domain as the subcommands see it.
 
-    ``sampler`` builds a sampler and the manifest parameters, raising
-    ``ValueError`` before any output is opened. Of a sampler, ``source`` makes
-    the item source of ``generate``, and ``measured`` the per-run source of
-    ``homogenize``, whose draws are ``(item, value of the named variable)``.
-    ``read`` validates and measures a stored record, which belongs to the
-    domain whose ``key`` it has.
+    ``sources`` builds, from the parsed arguments, the item source that
+    ``generate`` draws from, a function that gives ``homogenize``'s per-run
+    source for a variable name, whose draws are ``(item, value of the
+    variable)``, and the manifest parameters, raising ``ValueError`` before
+    any output is opened. ``read`` validates and measures a stored record,
+    which belongs to the domain whose ``key`` it has.
     """
 
     name: str
     help: str
     key: str
     add_arguments: Callable[[argparse.ArgumentParser], None]
-    sampler: Callable[[argparse.Namespace], tuple[Any, dict[str, Any]]]
-    source: Callable[[Any], Source]
-    measured: Callable[[Any, str], Source]
+    sources: Callable[[argparse.Namespace], Sources]
     to_line: Callable[[Any], str]
     read: Callable[[Any], dict[str, Any]]
     salient_specs: Callable[[], dict[str, SalientSpec]]
 
 
-_CALC_SAMPLERS = {
-    "dcfg": lambda args: calc.Dcfg() if args.p is None else calc.Dcfg(p=args.p),
-    "t2t": lambda args: calc.T2t(max_depth=args.max_depth),
-    "rcfg": lambda args: calc.Rcfg() if args.p is None else calc.Rcfg(p=args.p),
-    "bal": lambda args: calc.Bal(),
+# Each --dist's sampler builder and manifest ``sampler`` text: the sampler's
+# repr at manifest version 0.1.0, when the calc constants here were its fields.
+_CALC_DISTS = {
+    "dcfg": (lambda args: calc.Dcfg() if args.p is None else calc.Dcfg(p=args.p),
+             "Dcfg(p={0.p!r})"),
+    "t2t": (lambda args: calc.T2t(max_depth=args.max_depth),
+            "T2t(max_depth={0.max_depth!r}, depth=None)"),
+    "rcfg": (lambda args: calc.Rcfg() if args.p is None else calc.Rcfg(p=args.p),
+             f"Rcfg(p={{0.p!r}}, run_lengths={calc.RUN_LENGTHS!r})"),
+    "bal": (lambda args: calc.Bal(), f"Bal(depths={calc.BAL_DEPTHS!r})"),
 }
 
 
 def _calc_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--dist", choices=tuple(_CALC_SAMPLERS), default="dcfg", help="expression sampler"
+        "--dist", choices=tuple(_CALC_DISTS), default="dcfg", help="expression sampler"
     )
     parser.add_argument("--p", type=_real, default=None, help="recursion rate for dcfg/rcfg")
     parser.add_argument("--max-depth", type=_integer, default=8, help="t2t depth ceiling")
 
 
-# Each dist's manifest ``sampler`` text, formatted with the sampler: its repr
-# at manifest version 0.1.0, when the calc constants here were its fields.
-_SAMPLER_TEXT = {
-    "dcfg": "Dcfg(p={0.p!r})",
-    "t2t": "T2t(max_depth={0.max_depth!r}, depth=None)",
-    "rcfg": f"Rcfg(p={{0.p!r}}, run_lengths={calc.RUN_LENGTHS!r})",
-    "bal": f"Bal(depths={calc.BAL_DEPTHS!r})",
-}
-
-
-def _calc_sampler(args: argparse.Namespace) -> tuple[calc.CalcSampler, dict[str, Any]]:
-    sampler = _CALC_SAMPLERS[args.dist](args)
-    text = _SAMPLER_TEXT[args.dist].format(sampler)
-    return sampler, {"domain": "calc", "dist": args.dist, "sampler": text}
+def _calc_sources(args: argparse.Namespace) -> Sources:
+    build, text = _CALC_DISTS[args.dist]
+    sampler = build(args)
+    params = {"domain": "calc", "dist": args.dist, "sampler": text.format(sampler)}
+    return (functools.partial(calc.sample_expr, sampler=sampler),
+            functools.partial(calc.measured_source, sampler), params)
 
 
 # Calc text holds only 0-9 + - * ( ), which JSON writes unescaped, so this
@@ -342,7 +341,7 @@ def _karel_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _karel_sampler(args: argparse.Namespace) -> tuple[Source, dict[str, Any]]:
+def _karel_sources(args: argparse.Namespace) -> Sources:
     params: dict[str, Any] = {"domain": "karel", "grids": args.grids, "pairs": args.pairs}
     grid_sampler = karel_gen.sample_uniform_grid
     if args.grids == "narrow":
@@ -367,7 +366,7 @@ def _karel_sampler(args: argparse.Namespace) -> tuple[Source, dict[str, Any]]:
         step_limit=args.step_limit,
         classic_prune=args.classic_prune,
     )
-    return source, params
+    return source, functools.partial(_karel_measured, source), params
 
 
 def _karel_measured(source: Source, name: str) -> Source:
@@ -396,9 +395,7 @@ DOMAINS = {
             help="mod-10 calculator expressions",
             key="expr",
             add_arguments=_calc_arguments,
-            sampler=_calc_sampler,
-            source=lambda sampler: functools.partial(calc.sample_expr, sampler=sampler),
-            measured=lambda sampler, name: calc.measured_source(sampler, name),
+            sources=_calc_sources,
             to_line=lambda expr: _CALC_LINE(calc.expr_record(expr)),
             read=_read_calc,
             salient_specs=calc.salient_specs,
@@ -408,9 +405,7 @@ DOMAINS = {
             help="Karel synthesis tasks",
             key="program",
             add_arguments=_karel_arguments,
-            sampler=_karel_sampler,
-            source=lambda source: source,
-            measured=_karel_measured,
+            sources=_karel_sources,
             to_line=lambda task: karel_gen.task_line(task),
             read=lambda record: karel_gen.task_salients(karel_gen.task_from_json(record)),
             salient_specs=karel_gen.salient_specs,
@@ -419,10 +414,9 @@ DOMAINS = {
 }
 
 
-def _domain_source(args: argparse.Namespace) -> tuple[Domain, Any, dict[str, Any]]:
+def _domain_source(args: argparse.Namespace) -> tuple[Domain, Source, Callable, dict[str, Any]]:
     domain = DOMAINS[args.domain]
-    sampler, params = domain.sampler(args)
-    return domain, sampler, params
+    return domain, *domain.sources(args)
 
 
 def _salient_specs(domain: Domain, names: list[str]) -> list[SalientSpec]:
@@ -448,9 +442,8 @@ def cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
     seed = resolve_seed(args.seed)
     out_path = Path(args.out)
     outputs = _Outputs(out_path, _sibling(out_path, ".manifest.json"))
-    domain, sampler, params = _domain_source(args)
+    domain, source, _, params = _domain_source(args)
     params |= {"count": args.count}
-    source = domain.source(sampler)
     rng = random.Random(seed)
     with outputs:
         with outputs.open(out_path) as fp:
@@ -467,7 +460,7 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
     report_json = _sibling(out_path, ".report.json")
     report_csv = _sibling(out_path, ".report.csv")
     outputs = _Outputs(out_path, report_json, report_csv, _sibling(out_path, ".manifest.json"))
-    domain, sampler, params = _domain_source(args)
+    domain, _, measured_by, params = _domain_source(args)
     (base,) = _salient_specs(domain, [args.var])
     params |= {"variable": args.var, "epsilon": args.eps, "count": args.count}
     if args.max_draws is not None:
@@ -475,7 +468,7 @@ def cmd_homogenize(args: argparse.Namespace, argv: list[str]) -> int:
     bound = expected_tries_bound(args.eps)
     # Each draw is an (item, value) pair, so an item is measured once and
     # serialized only when it is accepted.
-    measured = domain.measured(sampler, base.name)
+    measured = measured_by(base.name)
     spec = SalientSpec(base.name, base.domain, itemgetter(1))
     run = HomogenizerRun(
         measured, spec,

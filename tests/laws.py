@@ -8,15 +8,14 @@ import math
 def chi2_sf(stat, df):
     """P(X >= stat) for X chi-squared on ``df`` degrees of freedom, from the
     closed form of the upper incomplete gamma function at a whole or
-    half-whole order."""
+    half-whole order. Each series term ``y^a e^-y / Γ(a + 1)`` is taken from
+    its logarithm, so a large statistic does not underflow ``e^-y`` to 0."""
+    if stat <= 0:
+        return 1.0
     y = stat / 2
-    if df % 2:
-        sf, term, order = math.erfc(math.sqrt(y)), math.exp(-y) * math.sqrt(y) / math.gamma(1.5), 1.5
-    else:
-        sf, term, order = 0.0, math.exp(-y), 1.0
+    sf, order = (math.erfc(math.sqrt(y)), 0.5) if df % 2 else (0.0, 0.0)
     for _ in range(df // 2):
-        sf += term
-        term *= y / order
+        sf += math.exp(order * math.log(y) - y - math.lgamma(order + 1))
         order += 1
     return sf
 

@@ -41,7 +41,7 @@ ALL_SAMPLERS = (Dcfg(), T2t(), Rcfg(), Bal())
 
 def sampler_id(sampler):
     """The sampler's text in a calc manifest, which names its test cases."""
-    return cli._SAMPLER_TEXT[type(sampler).__name__.lower()].format(sampler)
+    return cli._CALC_DISTS[type(sampler).__name__.lower()][1].format(sampler)
 
 
 def exact_value(expr):
@@ -257,6 +257,44 @@ def test_dcfg_num_ops_follows_its_exact_law():
     sampler = Dcfg()
     counts = Counter(expr_salients(sample_expr(rng, sampler))["num_ops"] for _ in range(100_000))
     stat, df = chi2_against(dcfg_num_ops_law(), counts)
+    assert chi2_sf(stat, df) > 1e-3, (stat, df)
+
+
+def dcfg_length_law():
+    """The exact law of a default dcfg tree's ``length``: ``{length: probability}``.
+
+    ``length`` is ``2t + 2`` for t = ops + parens, clamped at 120. The law of
+    t is built per root class in increasing t: a digit, with probability
+    0.7, has t = 0, and each of the three operators, with probability 0.1,
+    adds 1 to its children's. A ``*`` node wraps a ``+``/``-`` left child
+    and any operator right child, a ``+``/``-`` node only a ``+``/``-`` right
+    child, and each wrap adds 1. The weights are the documented ones,
+    written out rather than read from ``calc``.
+    """
+    top = 59  # t = 59 is the first t past the clamp
+    digit, additive, product = [0.7] + [0.0] * top, [0.0] * (top + 1), [0.0] * (top + 1)
+
+    def child(t, additive_wrap, product_wrap):
+        # P(a child's t and its wrap add up to t), where a +/- child adds
+        # additive_wrap and a * child product_wrap.
+        return digit[t] + (additive[t - additive_wrap] if t >= additive_wrap else 0.0) + (
+            product[t - product_wrap] if t >= product_wrap else 0.0)
+
+    for t in range(1, top):
+        for left in range(t):
+            right = t - 1 - left
+            additive[t] += 0.2 * child(left, 0, 0) * child(right, 1, 0)
+            product[t] += 0.1 * child(left, 1, 0) * child(right, 1, 1)
+    law = {2 * t + 2: digit[t] + additive[t] + product[t] for t in range(top)}
+    law[120] = 1 - sum(law.values())
+    return law
+
+
+def test_dcfg_length_follows_its_exact_law():
+    rng = random.Random(5)
+    sampler = Dcfg()
+    counts = Counter(expr_salients(sample_expr(rng, sampler))["length"] for _ in range(100_000))
+    stat, df = chi2_against(dcfg_length_law(), counts)
     assert chi2_sf(stat, df) > 1e-3, (stat, df)
 
 

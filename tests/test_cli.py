@@ -451,7 +451,7 @@ def _fail_on_call(*args, **kwargs):
 
 
 # Where each command starts building or drawing from its source: the domain
-# table's sampler builder, calc's draw for generate and its per-run function
+# table's source builder, calc's draw for generate and its per-run function
 # for homogenize, and Karel's task stream for both.
 DRAW_SEAMS = [
     (cli, "_domain_source"),
@@ -462,8 +462,9 @@ DRAW_SEAMS = [
 
 
 # Each case runs with ``--out <out>`` after putting ``blocker`` in the way:
-# a directory when it ends in "/", a FIFO when it ends in "|", a file
-# otherwise.
+# a directory when it ends in "/", a FIFO when it ends in "|", a symbolic
+# link when it holds "@" (to a regular file named after the "@", or to no
+# file when nothing follows it), a file otherwise.
 @pytest.mark.parametrize("domain", ["calc", "karel"])
 @pytest.mark.parametrize("command, out, blocker, error", [
     pytest.param("generate", "h.jsonl", "h.jsonl/", "h.jsonl: Is a directory",
@@ -482,6 +483,11 @@ DRAW_SEAMS = [
                  id="generate-fifo"),
     pytest.param("homogenize", "h.jsonl", "h.jsonl.report.json|",
                  "h.jsonl.report.json: Not a regular file", id="homogenize-.report.json-fifo"),
+    pytest.param("generate", "h.jsonl", "h.jsonl@t.jsonl", "h.jsonl: Is a symbolic link",
+                 id="generate-link"),
+    pytest.param("homogenize", "h.jsonl", "h.jsonl.manifest.json@",
+                 "h.jsonl.manifest.json: Is a symbolic link",
+                 id="homogenize-.manifest.json-dangling-link"),
     pytest.param("generate", "nodir/h.jsonl", None,
                  "nodir/h.jsonl: No such file or directory", id="generate-missing-parent"),
     pytest.param("homogenize", "nodir/h.jsonl", None,
@@ -503,9 +509,14 @@ def test_directory_at_any_output_path_exits_2_before_the_first_draw(
         (tmp_path / blocker).mkdir()
     elif blocker and blocker.endswith("|"):
         os.mkfifo(tmp_path / blocker[:-1])
+    elif blocker and "@" in blocker:
+        link, target = blocker.split("@")
+        if target:
+            (tmp_path / target).write_text("old\n")
+        (tmp_path / link).symlink_to(target or "nowhere")
     elif blocker:
         (tmp_path / blocker).write_text("old\n")
-    before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+    before = _tree(tmp_path)
     argv = [command, domain, "--count", "50000", "--seed", "1", "--out", out]
     if command == "homogenize":
         argv += ["--var", "length" if domain == "calc" else "size"]
@@ -513,7 +524,14 @@ def test_directory_at_any_output_path_exits_2_before_the_first_draw(
     assert code == 2
     assert stdout == ""
     assert err == f"error: {error}\n"
-    assert {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")} == before
+    assert _tree(tmp_path) == before
+
+
+def _tree(root):
+    """Each path under ``root``: whether it is a link, and its bytes if it
+    is, or points to, a regular file."""
+    return {p: (p.is_symlink(), p.read_bytes() if p.is_file() else None)
+            for p in root.rglob("*")}
 
 
 @pytest.mark.parametrize("command, domain, seam", [
@@ -1179,7 +1197,7 @@ def test_calc_manifest_sampler_text_is_pinned():
     for flags, text in cases.items():
         args = parser.parse_args(["generate", "calc", *flags.split(), "--count", "1",
                                   "--out", "x.jsonl"])
-        _, params = cli._calc_sampler(args)
+        *_, params = cli._calc_sources(args)
         assert params["sampler"] == text, flags
 
 
@@ -1593,13 +1611,15 @@ def test_stats_unwritable_out_is_usage_error(tmp_path, monkeypatch, capsys):
 
 
 def test_stats_directory_at_out_exits_2_before_reading(tmp_path, monkeypatch, capsys):
-    # A directory or a FIFO at the path, a missing parent and a file as the
-    # parent are each found before the dataset is read.
+    # A directory, a FIFO or a symbolic link at the path, a missing parent
+    # and a file as the parent are each found before the dataset is read.
     monkeypatch.chdir(tmp_path)
     run_cli(["generate", "calc", "--count", "5", "--seed", "1", "--out", "c.jsonl"], capsys)
     (tmp_path / "report").mkdir()
     os.mkfifo(tmp_path / "fifo")
-    before = sorted(p.name for p in tmp_path.iterdir())
+    (tmp_path / "old.json").write_text("old\n")
+    (tmp_path / "link").symlink_to("old.json")
+    before = _tree(tmp_path)
 
     def read_too_early(*args):
         raise AssertionError("the dataset was read before the output path was checked")
@@ -1608,6 +1628,7 @@ def test_stats_directory_at_out_exits_2_before_reading(tmp_path, monkeypatch, ca
     for path, error in [
         ("report", "Is a directory"),
         ("fifo", "Not a regular file"),
+        ("link", "Is a symbolic link"),
         ("nodir/x.json", "No such file or directory"),
         ("c.jsonl/x.json", "Not a directory"),
     ]:
@@ -1615,8 +1636,7 @@ def test_stats_directory_at_out_exits_2_before_reading(tmp_path, monkeypatch, ca
         assert code == 2
         assert out == ""
         assert err == f"error: {path}: {error}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == before
-    assert list((tmp_path / "report").iterdir()) == []
+        assert _tree(tmp_path) == before
 
 
 def test_stats_missing_file_is_usage_error(tmp_path, monkeypatch, capsys):

@@ -23,8 +23,8 @@ def check_one_pass_salients(domain_name, argv, seed):
     args = build_parser().parse_args(
         ["generate", domain_name, *argv, "--count", "1", "--out", "unused.jsonl"]
     )
-    sampler, _ = domain.sampler(args)
-    item = domain.source(sampler)(random.Random(seed))
+    source, measured_by, _ = domain.sources(args)
+    item = source(random.Random(seed))
     line = domain.to_line(item)
     record = json.loads(line)
     assert _json_line(record) == line
@@ -32,7 +32,7 @@ def check_one_pass_salients(domain_name, argv, seed):
     specs = domain.salient_specs()
     assert stored.keys() == specs.keys()
     for name, spec in specs.items():
-        drawn, value = domain.measured(sampler, name)(random.Random(seed))
+        drawn, value = measured_by(name)(random.Random(seed))
         assert domain.to_line(drawn) == line, name
         assert value == spec.extract(item) == stored[name], name
         assert value in spec.domain, name

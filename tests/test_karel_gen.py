@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import pickle
 import random
 import re
@@ -111,22 +112,58 @@ def test_uniform_pile_sizes():
 # grid samplers
 
 
+def _decile_law(sizes):
+    """The law of ``10 * k // m``, for k uniform on 0..m - 1, pooled over a
+    ``Counter`` of the sizes m."""
+    total = sum(sizes.values())
+    law = Counter()
+    for m, count in sizes.items():
+        for k in range(m):
+            law[10 * k // m] += count / (total * m)
+    return law
+
+
 def test_uniform_grids_bulk_invariants_and_marker_share():
     # One pass checks legality plus the conditional marker share, whose
-    # closed form is E[marker rate] = 1/2 (independent of the wall rate).
+    # closed form is E[marker rate] = 1/2 (independent of the wall rate),
+    # and the exact law of the draw. With both rates integrated out, a
+    # count of cells that each pass a coin of one uniform rate is uniform
+    # on 0..cells, so the redraw of all-wall grids weighs the sides (w, h)
+    # by wh/(wh + 1), and given n = wh cells the wall count is uniform on
+    # 0..n - 1; given f free cells the marker cells are uniform on 0..f, and
+    # piles on 1..9. Side and pile ranges are written out rather than read
+    # from ``karel.gen``. The four laws share a family-wise alpha of 1e-3.
     rng = random.Random(55)
     n = 100_000
     share_sum = 0.0
     sides = set()
+    shapes, cells, walls, frees, marked, piles = (Counter() for _ in range(6))
     for _ in range(n):
         grid = sample_uniform_grid(rng)
         sides.add(grid.width)
         sides.add(grid.height)
-        non_wall = grid.width * grid.height - len(grid.walls)
+        size = grid.width * grid.height
+        non_wall = size - len(grid.walls)
         assert non_wall >= 1
         share_sum += len(grid.markers) / non_wall
+        shapes[grid.width, grid.height] += 1
+        cells[size] += 1
+        walls[10 * (size - non_wall) // size] += 1
+        frees[non_wall + 1] += 1
+        marked[10 * len(grid.markers) // (non_wall + 1)] += 1
+        piles.update(grid.markers.values())
     assert share_sum / n == pytest.approx(0.5, abs=0.02)
     assert sides == set(range(2, 17))
+    weights = {(w, h): w * h / (w * h + 1) for w in range(2, 17) for h in range(2, 17)}
+    laws = [
+        ({shape: weight / sum(weights.values()) for shape, weight in weights.items()}, shapes),
+        (_decile_law(cells), walls),
+        (_decile_law(frees), marked),
+        (dict.fromkeys(range(1, 10), 1 / 9), piles),
+    ]
+    for law, counts in laws:
+        stat, df = chi2_against(law, counts)
+        assert chi2_sf(stat, df) > 1e-3 / 4, (stat, df)
 
 
 def test_uniform_grid_pile_sizes_cover_one_to_nine():
@@ -451,6 +488,31 @@ def test_chi2_sf_matches_known_quantiles():
     for stat, df, tail in [(3.841, 1, 0.05), (5.991, 2, 0.05), (11.070, 5, 0.05),
                            (62.830, 46, 0.05), (20.515, 5, 0.001), (81.400, 46, 0.001)]:
         assert chi2_sf(stat, df) == pytest.approx(tail, rel=2e-3)
+
+
+def _chi2_sf_by_products(stat, df):
+    """The same series with each term the product of the one before and
+    ``y / order``, which underflows once ``e^-y`` does."""
+    y = stat / 2
+    if df % 2:
+        sf, term, order = math.erfc(math.sqrt(y)), math.exp(-y) * math.sqrt(y) / math.gamma(1.5), 1.5
+    else:
+        sf, term, order = 0.0, math.exp(-y), 1.0
+    for _ in range(df // 2):
+        sf += term
+        term *= y / order
+        order += 1
+    return sf
+
+
+def test_chi2_sf_holds_its_tail_for_large_statistics():
+    # e^-y underflows past a statistic of about 1,490, where a law over
+    # more than about 1,500 pooled bins would always read 0.
+    assert chi2_sf(1500, 1600) == pytest.approx(0.9636, abs=1e-4)
+    assert chi2_sf(1600, 1600) == pytest.approx(0.4953, abs=1e-4)
+    worst = max(abs(chi2_sf(stat, df) - _chi2_sf_by_products(stat, df))
+                for stat in range(10, 1001, 10) for df in range(1, 201))
+    assert worst < 1e-12
 
 
 def test_program_law_gives_the_documented_share_over_the_cap():
