@@ -13,6 +13,10 @@ through ``_CALC_LINE`` and a Karel task through ``karel.gen.task_line``, so
 no record is built as JSON lists and dicts first. A domain builds both
 sources of a command at once: the item source ``generate`` draws from and,
 for a variable name, ``homogenize``'s, whose draws pair an item with its value.
+``stats`` decodes a dataset's first record as JSON to find its domain; after
+it, a Karel line in ``task_line``'s exact text is read as text by
+``karel.gen.task_from_line``, and any other line is decoded and read by
+``task_from_json``, which words every error.
 
 Datasets are JSON Lines with LF newlines and a fixed key order, so a given
 command line and seed reproduce files byte for byte. Every written dataset
@@ -27,7 +31,8 @@ the manifest last, so a failed run leaves no file behind: if a move fails,
 the outputs already moved are put back as they were.
 
 Exit codes: 0 success, 1 crash reported by ``karel-run``, 2 usage errors,
-3 sampling stalls (draw budget or grid retries exhausted). ``main`` reports
+3 sampling stalls (draw budget or grid retries exhausted), 130 and 143 for
+a run that SIGINT or SIGTERM interrupted. ``main`` reports
 a library ``ValueError`` that opens with a parameter in ``_FLAGS`` as a
 usage error against that parameter's flags; any other one propagates.
 """
@@ -44,6 +49,7 @@ import os
 import random
 import stat
 import sys
+import threading
 from collections.abc import Callable, Iterator
 from operator import itemgetter
 from pathlib import Path
@@ -74,6 +80,15 @@ BASELINE_SEED_OFFSET = 1
 
 class UsageError(ValueError):
     pass
+
+
+class _Interrupted(BaseException):
+    """SIGINT or SIGTERM, raised in the running command so that its outputs
+    are cleaned up as for any failure; its one argument is the signal."""
+
+
+def _interrupt(signum: int, frame: Any) -> None:
+    raise _Interrupted(signum)
 
 
 def _integer(text: str) -> int:
@@ -269,7 +284,10 @@ class Domain(NamedTuple):
     source for a variable name, whose draws are ``(item, value of the
     variable)``, and the manifest parameters, raising ``ValueError`` before
     any output is opened. ``read`` validates and measures a stored record,
-    which belongs to the domain whose ``key`` it has.
+    which belongs to the domain whose ``key`` it has. ``read_line``, when
+    the domain has one, measures a record from its line in the exact text
+    ``to_line`` writes, or returns ``None`` for any other line, which
+    ``read`` then reads.
     """
 
     name: str
@@ -279,6 +297,7 @@ class Domain(NamedTuple):
     sources: Callable[[argparse.Namespace], Sources]
     to_line: Callable[[Any], str]
     read: Callable[[Any], dict[str, Any]]
+    read_line: Callable[[str], dict[str, Any] | None] | None
     salient_specs: Callable[[], dict[str, SalientSpec]]
 
 
@@ -384,6 +403,11 @@ def _read_calc(record: dict[str, Any]) -> dict[str, Any]:
     return calc.calc_salients(text)
 
 
+def _read_karel_line(line: str) -> dict[str, Any] | None:
+    task = karel_gen.task_from_line(line)
+    return None if task is None else karel_gen.task_salients(task)
+
+
 # Calls into the domain modules look up their attributes when a command
 # runs, so wrappers installed before it see them. ``homogenize calc`` draws
 # through ``calc.measured_source``, which bypasses ``calc.sample_expr``.
@@ -398,6 +422,7 @@ DOMAINS = {
             sources=_calc_sources,
             to_line=lambda expr: _CALC_LINE(calc.expr_record(expr)),
             read=_read_calc,
+            read_line=None,
             salient_specs=calc.salient_specs,
         ),
         Domain(
@@ -408,6 +433,7 @@ DOMAINS = {
             sources=_karel_sources,
             to_line=lambda task: karel_gen.task_line(task),
             read=lambda record: karel_gen.task_salients(karel_gen.task_from_json(record)),
+            read_line=_read_karel_line,
             salient_specs=karel_gen.salient_specs,
         ),
     )
@@ -518,37 +544,46 @@ def _dataset_columns(
     """Recognise the dataset's domain by its first record, then validate and
     measure each record once, counting each chosen salient value into its
     variable's table as the record is read; no record's values are kept.
+
+    The first record is decoded as JSON. After it, each line goes first to
+    the domain's ``read_line``, when it has one; a line that gives ``None``
+    there is decoded and read by ``read``, which alone words the error of a
+    bad record.
     """
     tables: list[tuple[SalientSpec, CountTable]] | None = None
+    read_line = None
     try:
         with path.open("r", encoding="utf-8") as fp:
             for lineno, line in enumerate(fp, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    # ValueError covers JSONDecodeError and an int past the
-                    # digit limit; that one, like RecursionError from a value
-                    # nested past the decoder's depth, has no ``msg``.
-                    raise UsageError(
-                        f"{path}: line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})"
-                    ) from None
-                if tables is None:
-                    domain = _domain_of(path, record)
-                    names = variables or sorted(domain.salient_specs())
-                    tables = [(spec, CountTable(spec.domain))
-                               for spec in _salient_specs(domain, names)]
-                try:
-                    if not isinstance(record, dict):
-                        raise TypeError("not a JSON object")
-                    values = domain.read(record)
-                except KeyError as exc:
-                    raise UsageError(
-                        f"{path}: line {lineno}: bad record (missing key {exc})"
-                    ) from None
-                except (TypeError, ValueError, RecursionError) as exc:
-                    raise UsageError(f"{path}: line {lineno}: bad record ({exc})") from None
+                values = None if read_line is None else read_line(line)
+                if values is None:
+                    if not line.strip():
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except (ValueError, RecursionError) as exc:
+                        # ValueError covers JSONDecodeError and an int past the
+                        # digit limit; that one, like RecursionError from a value
+                        # nested past the decoder's depth, has no ``msg``.
+                        raise UsageError(
+                            f"{path}: line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})"
+                        ) from None
+                    if tables is None:
+                        domain = _domain_of(path, record)
+                        names = variables or sorted(domain.salient_specs())
+                        tables = [(spec, CountTable(spec.domain))
+                                  for spec in _salient_specs(domain, names)]
+                        read_line = domain.read_line
+                    try:
+                        if not isinstance(record, dict):
+                            raise TypeError("not a JSON object")
+                        values = domain.read(record)
+                    except KeyError as exc:
+                        raise UsageError(
+                            f"{path}: line {lineno}: bad record (missing key {exc})"
+                        ) from None
+                    except (TypeError, ValueError, RecursionError) as exc:
+                        raise UsageError(f"{path}: line {lineno}: bad record ({exc})") from None
                 # Outside the try: a measured value off its domain is a
                 # fault of the program, not of the record.
                 for spec, table in tables:
@@ -699,6 +734,11 @@ def main(argv: list[str] | None = None) -> int:
     young-generation pass more than once per record, yet no record forms a
     reference cycle: reference counting frees each one, so those passes find
     nothing to collect and only cost time.
+
+    SIGINT and SIGTERM, unless ignored, raise inside the command while it
+    runs, which removes its temporary files and leaves every output path as
+    it was; ``main`` then prints ``error: interrupted`` and returns 128 plus
+    the signal's number, as a shell reports a process the signal ended.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -709,8 +749,19 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     collecting = gc.isenabled()
     gc.disable()
+    # ``signal`` wraps this built-in module and builds its enums on import,
+    # which would add about 1 ms to every run.
+    import _signal as signal
+    handlers = {}
+    if threading.current_thread() is threading.main_thread():  # else signal() raises
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            if signal.getsignal(signum) != signal.SIG_IGN:
+                handlers[signum] = signal.signal(signum, _interrupt)
     try:
         return args.func(args, argv)
+    except _Interrupted as exc:
+        print("error: interrupted", file=sys.stderr)
+        return 128 + exc.args[0]
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -729,6 +780,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {typed}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
         if collecting:
             gc.enable()
 

@@ -18,7 +18,9 @@ the tasks :func:`make_task` returns.
 from __future__ import annotations
 
 import enum
+import functools
 import random
+import re
 from collections import Counter
 from collections.abc import Callable
 from typing import Any
@@ -448,8 +450,9 @@ def task_line(task: SynthesisTask) -> str:
     included, would build; and a pair's
     sorted wall text is built once, for its input, and reused by the output
     when the two share one wall set (``out.walls is inp.walls``), as every
-    pair of ``make_task`` and ``task_from_json`` does. Program tokens need
-    no JSON escape.
+    pair of ``make_task``, ``task_from_json`` and ``task_from_line`` does.
+    Program tokens need no JSON escape. :func:`task_from_line` reads this
+    text back, and only this text.
 
     :func:`task_to_json`, :func:`grid_to_json` and ``_json_line`` stay: the
     tests compare this function against them, the benchmark's tracer
@@ -511,6 +514,108 @@ def task_from_json(obj: dict[str, Any]) -> SynthesisTask:
         raise ValueError(
             f"malformed task object: {len(pairs)} shown pairs, not 1..{MAX_PAIRS}")
     return SynthesisTask(program=program, pairs=pairs, held_out=held)
+
+
+@functools.cache
+def _line_reader() -> tuple[Any, ...]:
+    """The patterns and tables of :func:`task_from_line`, built on its first
+    call, so that a command that reads no Karel record pays nothing for them.
+
+    The tables map the text of a side, of a cell ``i,j`` (the shared tuple
+    :func:`grid_cells` gives it) and of a pile ``i,j,n`` (its cell and
+    count) to its value.
+    """
+    token = r'"[^"\\\x00-\x1f]*"'
+    grid = (r'\{"w":([0-9]+),"h":([0-9]+),"walls":\[([0-9,\[\]]*)\],'
+            r'"markers":\[([0-9,\[\]]*)\],"karel":\{"pos":\[([0-9]+,[0-9]+)\],"dir":"([NESW])"\}\}')
+    pair = r'\{"in":%s,"out":%s\}' % (grid, grid)
+    cells = grid_cells(MAX_SIDE, MAX_SIDE)
+    return (
+        re.compile(r'\{"program":\[(%s(?:,%s)*)\],"pairs":\[' % (token, token)),
+        re.compile(pair + r'(,|\],"held_out":)'),
+        re.compile(pair + r'\}\n?'),
+        {str(side): side for side in range(MIN_SIDE, MAX_SIDE + 1)},
+        {"%d,%d" % cell: cell for cell in cells},
+        {"%d,%d,%d" % (*cell, n): (cell, n) for cell in cells for n in range(1, MAX_MARKERS + 1)},
+    )
+
+
+def task_from_line(line: str) -> SynthesisTask | None:
+    """The task of a record in the exact text :func:`task_line` writes, or
+    ``None`` for any other line: the inverse of :func:`task_line`, read
+    without building the record's JSON lists and dicts.
+
+    A line is read only when its keys come in ``task_line``'s order with no
+    whitespace, its sides are plain decimals, each cell ``[i,j]`` and pile
+    ``[i,j,n]`` is one of the texts of a 16 x 16 grid with ``n`` in 1..9,
+    each ``dir`` is ``N``, ``E``, ``S`` or ``W``, its program tokens hold no
+    backslash, quote or control character, and it ends in at most one
+    ``\\n``. Such a line means the same to ``json.loads``, and the task is
+    then equal to :func:`task_from_json` of it, held to the same rules:
+    every grid is built by the validating ``KarelGrid`` constructor, a cell
+    listed twice in ``walls`` or ``markers`` is refused, there are 1..5
+    shown pairs, and an output whose ``w``, ``h`` and wall text equal its
+    input's shares the input's wall set. A line outside that form, or one
+    that breaks a rule, gives ``None``, so that ``task_from_json`` reads it
+    and names what is wrong.
+    """
+    head, shown, held_out, sides, cells, piles = _line_reader()
+    found = head.match(line)
+    if found is None:
+        return None
+    try:
+        program = parse_program(found[1][1:-1].split('","'))
+        pairs = []
+        end = found.end()
+        while len(pairs) < MAX_PAIRS:
+            found = shown.match(line, end)
+            if found is None:
+                return None
+            pairs.append(_text_pair(found, sides, cells, piles))
+            end = found.end()
+            if found[13] != ",":
+                found = held_out.fullmatch(line, end)
+                if found is None:
+                    return None
+                return SynthesisTask(program=program, pairs=tuple(pairs),
+                                     held_out=_text_pair(found, sides, cells, piles))
+    except (KeyError, ValueError, RecursionError):
+        pass
+    return None
+
+
+def _text_pair(found: Any, sides: dict[str, int], cells: dict[str, Cell],
+               piles: dict[str, tuple[Cell, int]]) -> tuple[KarelGrid, KarelGrid]:
+    fields = found.groups()
+    inp = _text_grid(fields[:6], sides, cells, piles)
+    walls = inp.walls if fields[6:9] == fields[:3] else None
+    return inp, _text_grid(fields[6:12], sides, cells, piles, walls)
+
+
+def _text_grid(fields: tuple[str, ...], sides: dict[str, int], cells: dict[str, Cell],
+               piles: dict[str, tuple[Cell, int]], walls: frozenset[Cell] | None = None,
+               ) -> KarelGrid:
+    width, height, wall_text, pile_text, pos, direction = fields
+    if walls is None:
+        listed = _text_items(wall_text, cells)
+        walls = frozenset(listed)
+        if len(walls) != len(listed):
+            raise ValueError("a cell is listed twice in 'walls'")
+    listed = _text_items(pile_text, piles)
+    markers = dict(listed)
+    if len(markers) != len(listed):
+        raise ValueError("a cell is listed twice in 'markers'")
+    return KarelGrid(sides[width], sides[height], walls, markers, cells[pos], direction)
+
+
+def _text_items(text: str, table: dict[str, Any]) -> list[Any]:
+    """The table's values for the items of a list's text ``[a],[b],...``;
+    ``KeyError`` when an item is not a key."""
+    if not text:
+        return []
+    if text[0] != "[" or text[-1] != "]":
+        raise KeyError(text)
+    return list(map(table.__getitem__, text[1:-1].split("],[")))
 
 
 # ---------------------------------------------------------------------------

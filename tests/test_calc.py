@@ -298,6 +298,49 @@ def test_dcfg_length_follows_its_exact_law():
     assert chi2_sf(stat, df) > 1e-3, (stat, df)
 
 
+def dcfg_num_parens_law():
+    """The exact law of a default dcfg tree's ``num_parens``: ``{k: probability}``.
+
+    A tree's parenthesis pairs are its wrapped nodes, clamped at 30. As for
+    :func:`dcfg_length_law`, the law is tracked per root class: a digit, with
+    probability 0.7, has none; a ``+``/``-`` node, with probability 0.2,
+    adds the pairs of its children and wraps a ``+``/``-`` right child; a
+    ``*`` node, with probability 0.1, wraps a ``+``/``-`` left child and any
+    operator right child. A node with no pairs can still be any size, so
+    the law at k holds itself; it is the fixed point of the map below, which
+    each round extends to trees one level deeper. The default dcfg has 0.6
+    children per node, so 200 rounds leave out trees deeper than 200
+    levels, under 1e-40 of the mass. The weights are the documented ones.
+    """
+    top = 30
+    digit = [0.7] + [0.0] * (top - 1)
+    additive, product = [0.0] * top, [0.0] * top
+
+    def child(k, additive_wrap, product_wrap):
+        return digit[k] + (additive[k - additive_wrap] if k >= additive_wrap else 0.0) + (
+            product[k - product_wrap] if k >= product_wrap else 0.0)
+
+    for _ in range(200):
+        additive, product = (
+            [0.2 * sum(child(left, 0, 0) * child(k - left, 1, 0) for left in range(k + 1))
+             for k in range(top)],
+            [0.1 * sum(child(left, 1, 0) * child(k - left, 1, 1) for left in range(k + 1))
+             for k in range(top)],
+        )
+    law = {k: digit[k] + additive[k] + product[k] for k in range(top)}
+    law[top] = 1 - sum(law.values())
+    return law
+
+
+def test_dcfg_num_parens_follows_its_exact_law():
+    rng = random.Random(5)
+    sampler = Dcfg()
+    counts = Counter(
+        expr_salients(sample_expr(rng, sampler))["num_parens"] for _ in range(100_000))
+    stat, df = chi2_against(dcfg_num_parens_law(), counts)
+    assert chi2_sf(stat, df) > 1e-3, (stat, df)
+
+
 def test_t2t_default_depth_range():
     rng = random.Random(3)
     depths = {tree_depth(sample_expr(rng, T2t())) for _ in range(2000)}

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -1498,32 +1499,48 @@ def _with_input_grid(record, **changes):
     record["pairs"][0]["in"] = grid | changes
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda r: r.update(program="def run(): move()"),
-    lambda r: r.update(pairs=[]),
-    lambda r: r["held_out"].pop("in"),
-    lambda r: _with_input_grid(r, w=2.5),
-    lambda r: _with_input_grid(r, markers=[[0, 0, True]]),
-    lambda r: _with_input_grid(r, karel={"pos": [0.0, 1.5], "dir": "E"}),
-    lambda r: r.update(program=_repeat_program(5)),
-    lambda r: r.update(program=_repeat_program([5])),
-    lambda r: r.update(program=_repeat_program(None)),
-    lambda r: r.update(program=_repeat_program("0005")),
-], ids=["bad-program", "no-pairs", "no-held-out-input", "float-side", "pile-of-true",
-        "float-position", "int-repeat-count", "list-token", "null-token", "leading-zero-count"])
+def _spaced_and_compact(cases, ids):
+    """Each case twice: with its corrupted record written by ``json.dumps``'
+    defaults, which put a space after each separator, and, under the id's
+    ``-compact`` form, with no spaces, as ``generate`` writes records, so
+    that ``stats`` tries the record as text before it decodes it."""
+    return [
+        param
+        for case, name in zip(cases, ids)
+        for param in (pytest.param(*case, None, id=name),
+                      pytest.param(*case, (",", ":"), id=f"{name}-compact"))
+    ]
+
+
+@pytest.mark.parametrize("corrupt, separators", _spaced_and_compact([
+    (lambda r: r.update(program="def run(): move()"),),
+    (lambda r: r.update(pairs=[]),),
+    (lambda r: r["held_out"].pop("in"),),
+    (lambda r: _with_input_grid(r, w=2.5),),
+    (lambda r: _with_input_grid(r, markers=[[0, 0, True]]),),
+    (lambda r: _with_input_grid(r, karel={"pos": [0.0, 1.5], "dir": "E"}),),
+    (lambda r: r.update(program=_repeat_program(5)),),
+    (lambda r: r.update(program=_repeat_program([5])),),
+    (lambda r: r.update(program=_repeat_program(None)),),
+    (lambda r: r.update(program=_repeat_program("0005")),),
+], ["bad-program", "no-pairs", "no-held-out-input", "float-side", "pile-of-true",
+    "float-position", "int-repeat-count", "list-token", "null-token", "leading-zero-count"]))
 def test_stats_malformed_karel_record_reports_line_number(
-    corrupt, tmp_path, monkeypatch, capsys
+    corrupt, separators, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(tmp_path)
     run_cli(["generate", "karel", "--count", "2", "--seed", "1", "--out", "k.jsonl"], capsys)
     first, second = (tmp_path / "k.jsonl").read_text().splitlines()
     record = json.loads(second)
     corrupt(record)
-    (tmp_path / "k.jsonl").write_text(first + "\n" + json.dumps(record) + "\n")
+    (tmp_path / "k.jsonl").write_text(
+        first + "\n" + json.dumps(record, separators=separators) + "\n")
     code, _, err = run_cli(["stats", "k.jsonl"], capsys)
     assert code == 2
     assert "line 2: bad record" in err
     assert "Traceback" not in err
+    (tmp_path / "k.jsonl").write_text(first + "\n" + json.dumps(record) + "\n")
+    assert run_cli(["stats", "k.jsonl"], capsys) == (code, "", err)
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
@@ -1769,7 +1786,7 @@ LONG_REPEAT_TOKENS = ["def", "main", "(", ")", ":", "repeat", "(", "1" * 5000, "
                       "move", "(", ")"]
 
 
-@pytest.mark.parametrize("corrupt, message", [
+@pytest.mark.parametrize("corrupt, message, separators", _spaced_and_compact([
     (lambda r: {"expr": "1+2", "label": 3}, "malformed task object: missing key 'program'"),
     (_without_width, "malformed grid object: missing key 'w'"),
     (_repeated_cell("walls", [1, 1]), "malformed grid object: a cell is listed twice in 'walls'"),
@@ -1781,15 +1798,16 @@ LONG_REPEAT_TOKENS = ["def", "main", "(", ")", ":", "repeat", "(", "1" * 5000, "
     (_with_pairs(6), "malformed task object: 6 shown pairs, not 1..5"),
     (_with_pairs(0), "malformed task object: 0 shown pairs, not 1..5"),
     (lambda r: r | {"program": LONG_REPEAT_TOKENS}, "repeat count must be in 0..19 at 7"),
-], ids=["calc-in-karel", "grid-without-width", "wall-listed-twice", "pile-listed-twice",
-        "output-wall-listed-twice", "marker-on-an-output-wall", "six-pairs", "no-pairs", "long-repeat-count"])
+], ["calc-in-karel", "grid-without-width", "wall-listed-twice", "pile-listed-twice",
+    "output-wall-listed-twice", "marker-on-an-output-wall", "six-pairs", "no-pairs",
+    "long-repeat-count"]))
 def test_stats_bad_karel_record_names_the_missing_key(
-    corrupt, message, tmp_path, monkeypatch, capsys
+    corrupt, message, separators, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(tmp_path)
     run_cli(["generate", "karel", "--count", "2", "--seed", "1", "--out", "k.jsonl"], capsys)
     first, second = (tmp_path / "k.jsonl").read_text().splitlines()
-    bad = json.dumps(corrupt(json.loads(second)))
+    bad = json.dumps(corrupt(json.loads(second)), separators=separators)
     (tmp_path / "k.jsonl").write_text(first + "\n" + bad + "\n")
     code, _, err = run_cli(["stats", "k.jsonl"], capsys)
     assert code == 2
@@ -1956,6 +1974,31 @@ def test_importing_the_cli_loads_every_traced_module_and_no_heavy_one(tmp_path):
     traced = {"homogen.calc", "homogen.diagnostics", "homogen.homogenizer", "homogen.karel.gen",
               "homogen.karel.world", "homogen.karel.interp", "homogen.karel.lang"}
     assert traced <= added
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["sigint", "sigterm"])
+def test_a_signal_ends_a_run_with_one_line_and_leaves_no_file(signum, tmp_path):
+    (tmp_path / "k.jsonl").write_text("old\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    run = subprocess.Popen(
+        [sys.executable, "-m", "homogen.cli", "generate", "karel", "--count", "100000",
+         "--seed", "1", "--out", "k.jsonl"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        # A shell may start a job with SIGINT ignored, which Python and main keep.
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not list(tmp_path.glob(".k.jsonl.*.tmp")):
+            assert run.poll() is None and time.monotonic() < deadline, run.communicate()
+            time.sleep(0.01)
+        run.send_signal(signum)
+        out, err = run.communicate(timeout=60)
+    finally:
+        run.kill()
+    assert (run.returncode, out, err) == (128 + signum, "", "error: interrupted\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 def test_installed_console_script_round_trip(tmp_path):

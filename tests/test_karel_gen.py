@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import math
 import pickle
@@ -29,6 +30,7 @@ from homogen.karel.gen import (
     sample_uniform_grid,
     satisfies_action_pruning,
     task_from_json,
+    task_from_line,
     task_line,
     task_salients,
     task_source,
@@ -875,16 +877,36 @@ TASK_LINE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", TASK_LINE_CASES)
-def test_task_line_matches_the_reference_encoder(case):
+@functools.cache
+def case_tasks(case):
     grids, options, count = TASK_LINE_CASES[case]
     source = task_source(grids, **options)
     rng = random.Random(40)
-    for _ in range(count):
-        task = source(rng)
+    return [source(rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("case", TASK_LINE_CASES)
+def test_task_line_matches_the_reference_encoder(case):
+    for task in case_tasks(case):
         line = task_line(task)
         assert line == reference_line(task)
         assert task_line(task_from_json(json.loads(line))) == line
+
+
+def _shared_walls(task):
+    return [out.walls is inp.walls for inp, out in (*task.pairs, task.held_out)]
+
+
+@pytest.mark.parametrize("case", TASK_LINE_CASES)
+def test_task_from_line_reads_every_generated_line_as_the_json_path_does(case):
+    for task in case_tasks(case):
+        line = task_line(task)
+        for text in (line, line.rstrip("\n")):
+            read = task_from_line(text)
+            assert read == task_from_json(json.loads(text)) == task
+            assert _shared_walls(read) == _shared_walls(task)
+            assert all(cell is grid_cells(16, 16)[cell[1] * 16 + cell[0]]
+                       for inp, _ in read.pairs for cell in inp.walls)
 
 
 def test_homogenize_karel_writes_the_reference_encoding(tmp_path, monkeypatch):
@@ -936,6 +958,127 @@ def test_task_line_writes_an_int_equal_cell_as_its_int():
     assert json.loads(task_line(task))["held_out"]["in"] == {
         "w": 3, "h": 3, "walls": [[1, 1]], "markers": [[1, 2, 3]],
         "karel": {"pos": [0, 0], "dir": "S"}}
+
+
+def test_task_from_line_reads_every_cell_and_pile_size():
+    cells = grid_cells(16, 16)
+    walled = KarelGrid(16, 16, frozenset(cells[1:]), {}, cells[0], "N")
+    piled = KarelGrid(16, 16, frozenset(), {c: k % 9 + 1 for k, c in enumerate(cells)},
+                      cells[-1], "W")
+    task = SynthesisTask(program=parse_program("def main(): turnLeft()"),
+                         pairs=((walled, piled), (piled, walled)), held_out=(piled, piled))
+    assert task_from_line(task_line(task)) == task
+
+
+def _as_line(record):
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def _on_a_wall(grid):
+    """A wall cell of the grid, which gets one at (0, 0) if it has none."""
+    if not grid["walls"]:
+        grid["walls"].append([0, 0])
+    return grid["walls"][0]
+
+
+def _add_piles(grid, *counts):
+    # On the first pile's cell, or on the agent's, which holds no wall.
+    cell = grid["markers"][0][:2] if grid["markers"] else grid["karel"]["pos"]
+    grid["markers"] += [[*cell, count] for count in counts]
+
+
+# Kind -> a change to one grid of a decoded record.
+GRID_CHANGES = {
+    "wall-twice": lambda g: g["walls"].extend([_on_a_wall(g)]),
+    "pile-twice": lambda g: _add_piles(g, 1, 1),
+    "cell-at-16": lambda g: g["walls"].append([16, g["h"] - 1]),
+    "side-16": lambda g: g.update(w=16),
+    "pile-0": lambda g: _add_piles(g, 0),
+    "pile-10": lambda g: _add_piles(g, 10),
+    "agent-on-a-wall": lambda g: g["karel"].update(pos=_on_a_wall(g)),
+    "pile-on-a-wall": lambda g: g["markers"].append([*_on_a_wall(g), 3]),
+}
+
+
+def _record_mutants(record, rng):
+    """Each change of ``GRID_CHANGES`` to a grid drawn at random, and four
+    changes to the record's pairs and keys, written in the compact form."""
+    yield "no-pairs", _as_line(record | {"pairs": []})
+    yield "six-pairs", _as_line(record | {"pairs": (record["pairs"] * 6)[:6]})
+    yield "reordered-keys", _as_line(dict(reversed(record.items())))
+    yield "extra-key", _as_line(record | {"extra": 1})
+    for kind, change in GRID_CHANGES.items():
+        mutated = copy.deepcopy(record)
+        pair = rng.choice([*mutated["pairs"], mutated["held_out"]])
+        change(pair[rng.choice(("in", "out"))])
+        yield kind, _as_line(mutated)
+
+
+def _text_mutants(line, rng):
+    """Random text-level changes to a compact line."""
+    body = line[:-1]
+    for _ in range(8):
+        i = rng.randrange(len(body))
+        flipped = chr(ord(body[i]) ^ 1 << rng.randrange(7))
+        yield "byte-flip", body[:i] + flipped + body[i + 1:] + "\n"
+    for _ in range(2):
+        i = rng.randrange(len(body) + 1)
+        yield "space", body[:i] + rng.choice(" \t") + body[i:] + "\n"
+    numbers = [m.start() for m in re.finditer(r"(?<=[\[,:])[0-9]", body)]
+    i = rng.choice(numbers)
+    yield "leading-zero", body[:i] + "0" + body[i:] + "\n"
+    letters = [k for k, ch in enumerate(body) if ch.isalpha()]
+    i = rng.choice(letters)
+    yield "u-escape", body[:i] + "\\u%04x" % ord(body[i]) + body[i + 1:] + "\n"
+    first = body.index('"w":')
+    end = body.index(',"walls"', first)
+    width, height = body[first:end].split(",")
+    yield "swapped-sides", body[:first] + height + "," + width + body[end:] + "\n"
+    yield "repeated-key", body.replace('"karel":{', '"karel":{"dir":"N",', 1) + "\n"
+    yield "two-newlines", line + "\n"
+    yield "carriage-return", body + "\r\n"
+    yield "crlf-inside", body.replace(",", ",\r\n", 1) + "\n"
+
+
+def _general_read(line):
+    """What the JSON path makes of a line: the task, or the exception's type."""
+    try:
+        return task_from_json(json.loads(line))
+    except Exception as exc:  # noqa: BLE001 - each failure is compared, not raised
+        return type(exc)
+
+
+def test_task_from_line_agrees_with_the_json_path_on_mutated_lines(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(43)
+    source = task_source(sample_uniform_grid, n_pairs="uniform")
+    narrow = task_source(_narrow(NARROW_SWEEP_PARAMS[0]), n_pairs="uniform")
+    verdicts = Counter()
+    for k in range(12):
+        line = task_line((narrow if k % 4 == 0 else source)(rng))
+        record = json.loads(line)
+        for kind, mutant in [*_record_mutants(record, rng), *_text_mutants(line, rng)]:
+            read, general = task_from_line(mutant), _general_read(mutant)
+            assert read is None or read == general, kind
+            verdicts[kind, read is not None, type(general) is SynthesisTask] += 1
+            (tmp_path / "k.jsonl").write_text(line + mutant, newline="")
+            as_text = cli.main(["stats", "k.jsonl"]), capsys.readouterr()
+            with monkeypatch.context() as patched:
+                patched.setattr(gen, "task_from_line", lambda line: None)
+                as_json = cli.main(["stats", "k.jsonl"]), capsys.readouterr()
+            assert as_text == as_json, kind
+    assert len({kind for kind, _, _ in verdicts}) == 21
+    # Some lines are read as text, some left to the JSON path and some
+    # refused by both; the text reader refuses every kind that breaks a rule
+    # and reads none that leaves its form.
+    assert {(read, valid) for _, read, valid in verdicts} == {
+        (True, True), (False, True), (False, False)}
+    for kind in (*GRID_CHANGES, "no-pairs", "six-pairs", "leading-zero"):
+        if kind != "side-16":
+            assert verdicts[kind, False, False] == 12, kind
+    for kind in ("reordered-keys", "extra-key", "u-escape", "repeated-key", "space",
+                 "crlf-inside", "two-newlines"):
+        assert verdicts[kind, True, True] == 0, kind
 
 
 # The read path before walls were built with map(tuple, ...) and before the
