@@ -32,12 +32,46 @@ the outputs already moved are put back as they were.
 
 Exit codes: 0 success, 1 crash reported by ``karel-run``, 2 usage errors,
 3 sampling stalls (draw budget or grid retries exhausted), 130 and 143 for
-a run that SIGINT or SIGTERM interrupted. ``main`` reports
+a run that SIGINT or SIGTERM interrupted: once ``main`` starts, or, under
+``python -m homogen.cli``, once this module starts loading. ``main`` reports
 a library ``ValueError`` that opens with a parameter in ``_FLAGS`` as a
 usage error against that parameter's flags; any other one propagates.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
+from typing import Any
+
+# ``signal`` wraps this built-in module and builds its enums on import,
+# which would add about 1 ms to every run.
+import _signal as signal
+
+
+def _take_signals(handler: Any) -> dict[int, Any]:
+    """Point SIGINT and SIGTERM, unless ignored, at ``handler`` and return
+    the handlers they had; in a thread other than the main one, which may
+    not set them, change nothing."""
+    taken = {}
+    if threading.current_thread() is threading.main_thread():
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            if signal.getsignal(signum) != signal.SIG_IGN:
+                taken[signum] = signal.signal(signum, handler)
+    return taken
+
+
+def _end_loading(signum: int, frame: Any) -> None:
+    print("error: interrupted", file=sys.stderr)
+    raise SystemExit(128 + signum)
+
+
+if __name__ == "__main__":
+    # Run as a script, a signal that arrives while the modules below load,
+    # before ``main`` takes the signals over, ends the run as it ends a
+    # command; nothing is written yet. Imported as a library, the module
+    # changes no handler.
+    _take_signals(_end_loading)
 
 import argparse
 import contextlib
@@ -48,12 +82,10 @@ import json
 import os
 import random
 import stat
-import sys
-import threading
 from collections.abc import Callable, Iterator
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, NamedTuple, TextIO
+from typing import NamedTuple, TextIO
 
 from . import __version__, calc
 from .diagnostics import kl_to_uniform
@@ -735,29 +767,22 @@ def main(argv: list[str] | None = None) -> int:
     reference cycle: reference counting frees each one, so those passes find
     nothing to collect and only cost time.
 
-    SIGINT and SIGTERM, unless ignored, raise inside the command while it
-    runs, which removes its temporary files and leaves every output path as
-    it was; ``main`` then prints ``error: interrupted`` and returns 128 plus
-    the signal's number, as a shell reports a process the signal ended.
+    SIGINT and SIGTERM, unless ignored, raise inside ``main`` from before it
+    builds its parser, which removes a running command's temporary files
+    and leaves every output path as it was; ``main`` then prints ``error:
+    interrupted`` and returns 128 plus the signal's number, as a shell
+    reports a process the signal ended.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help/--version and 2 for usage errors.
-        return int(exc.code or 0)
     collecting = gc.isenabled()
-    gc.disable()
-    # ``signal`` wraps this built-in module and builds its enums on import,
-    # which would add about 1 ms to every run.
-    import _signal as signal
-    handlers = {}
-    if threading.current_thread() is threading.main_thread():  # else signal() raises
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            if signal.getsignal(signum) != signal.SIG_IGN:
-                handlers[signum] = signal.signal(signum, _interrupt)
+    handlers = _take_signals(_interrupt)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 0 for --help/--version and 2 for usage errors.
+            return int(exc.code or 0)
+        gc.disable()
         return args.func(args, argv)
     except _Interrupted as exc:
         print("error: interrupted", file=sys.stderr)

@@ -532,7 +532,7 @@ def _line_reader() -> tuple[Any, ...]:
     cells = grid_cells(MAX_SIDE, MAX_SIDE)
     return (
         re.compile(r'\{"program":\[(%s(?:,%s)*)\],"pairs":\[' % (token, token)),
-        re.compile(pair + r'(,|\],"held_out":)'),
+        re.compile(pair + r'(?:,|\],"held_out":)'),
         re.compile(pair + r'\}\n?'),
         {str(side): side for side in range(MIN_SIDE, MAX_SIDE + 1)},
         {"%d,%d" % cell: cell for cell in cells},
@@ -555,7 +555,10 @@ def task_from_line(line: str) -> SynthesisTask | None:
     every grid is built by the validating ``KarelGrid`` constructor, a cell
     listed twice in ``walls`` or ``markers`` is refused, there are 1..5
     shown pairs, and an output whose ``w``, ``h`` and wall text equal its
-    input's shares the input's wall set. A line outside that form, or one
+    input's shares the input's wall set. An output whose pile text equals
+    its input's is built on the input's parsed piles, which its
+    ``KarelGrid`` copies and validates in full against the output's own
+    shape, as it does any other piles. A line outside that form, or one
     that breaks a rule, gives ``None``, so that ``task_from_json`` reads it
     and names what is wrong.
     """
@@ -573,7 +576,7 @@ def task_from_line(line: str) -> SynthesisTask | None:
                 return None
             pairs.append(_text_pair(found, sides, cells, piles))
             end = found.end()
-            if found[13] != ",":
+            if line[end - 1] != ",":
                 found = held_out.fullmatch(line, end)
                 if found is None:
                     return None
@@ -586,36 +589,40 @@ def task_from_line(line: str) -> SynthesisTask | None:
 
 def _text_pair(found: Any, sides: dict[str, int], cells: dict[str, Cell],
                piles: dict[str, tuple[Cell, int]]) -> tuple[KarelGrid, KarelGrid]:
-    fields = found.groups()
-    inp = _text_grid(fields[:6], sides, cells, piles)
-    walls = inp.walls if fields[6:9] == fields[:3] else None
-    return inp, _text_grid(fields[6:12], sides, cells, piles, walls)
+    """The input and output grids of a pair's 12 captured fields.
+
+    The output is read against its input: when its ``w``, ``h`` and wall
+    text equal the input's, it is built on the input's wall set, and when
+    its pile text equals the input's, on the input's parsed piles. Either
+    way ``KarelGrid`` validates the output in full against its own shape,
+    and copies the piles.
+    """
+    (width, height, wall_text, pile_text, pos, facing,
+     out_width, out_height, out_wall_text, out_pile_text, out_pos, out_facing) = found.groups()
+    walls = _text_items(wall_text, cells, frozenset)
+    markers = _text_items(pile_text, piles, dict)
+    inp = KarelGrid(sides[width], sides[height], walls, markers, cells[pos], facing)
+    if out_wall_text != wall_text or out_width != width or out_height != height:
+        walls = _text_items(out_wall_text, cells, frozenset)
+    if out_pile_text != pile_text:
+        markers = _text_items(out_pile_text, piles, dict)
+    return inp, KarelGrid(sides[out_width], sides[out_height], walls, markers,
+                          cells[out_pos], out_facing)
 
 
-def _text_grid(fields: tuple[str, ...], sides: dict[str, int], cells: dict[str, Cell],
-               piles: dict[str, tuple[Cell, int]], walls: frozenset[Cell] | None = None,
-               ) -> KarelGrid:
-    width, height, wall_text, pile_text, pos, direction = fields
-    if walls is None:
-        listed = _text_items(wall_text, cells)
-        walls = frozenset(listed)
-        if len(walls) != len(listed):
-            raise ValueError("a cell is listed twice in 'walls'")
-    listed = _text_items(pile_text, piles)
-    markers = dict(listed)
-    if len(markers) != len(listed):
-        raise ValueError("a cell is listed twice in 'markers'")
-    return KarelGrid(sides[width], sides[height], walls, markers, cells[pos], direction)
-
-
-def _text_items(text: str, table: dict[str, Any]) -> list[Any]:
-    """The table's values for the items of a list's text ``[a],[b],...``;
-    ``KeyError`` when an item is not a key."""
+def _text_items(text: str, table: dict[str, Any], kind: Callable[..., Any]) -> Any:
+    """``kind`` (``frozenset`` or ``dict``) of the table's values for the
+    items of a list's text ``[a],[b],...``; ``KeyError`` when an item is not
+    a key, ``ValueError`` when one is listed twice."""
     if not text:
-        return []
+        return kind()
     if text[0] != "[" or text[-1] != "]":
         raise KeyError(text)
-    return list(map(table.__getitem__, text[1:-1].split("],[")))
+    items = text[1:-1].split("],[")
+    built = kind(map(table.__getitem__, items))
+    if len(built) != len(items):
+        raise ValueError("a cell is listed twice")
+    return built
 
 
 # ---------------------------------------------------------------------------

@@ -2001,12 +2001,59 @@ def test_a_signal_ends_a_run_with_one_line_and_leaves_no_file(signum, tmp_path):
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+# Raises a signal from cli.py's first ``import argparse``, so that it lands
+# while the module loads whatever the machine's speed; SIGINT starts at its
+# default, or ignored as a shell may start a job.
+_SIGNAL_WHILE_LOADING = """
+import builtins, runpy, signal, sys
+signum, sigint = int(sys.argv[1]), sys.argv[2]
+signal.signal(signal.SIGINT, signal.SIG_IGN if sigint == "ignored" else signal.SIG_DFL)
+load = builtins.__import__
+def interrupting(name, *args, **kwargs):
+    if name == "argparse":
+        builtins.__import__ = load
+        signal.raise_signal(signum)
+    return load(name, *args, **kwargs)
+builtins.__import__ = interrupting
+sys.argv = ["homogen", "generate", "calc", "--count", "2", "--seed", "1", "--out", "c.jsonl"]
+runpy.run_module("homogen.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("signum, sigint, ending", [
+    (signal.SIGINT, "default", (130, "", "error: interrupted\n")),
+    (signal.SIGTERM, "default", (143, "", "error: interrupted\n")),
+    (signal.SIGINT, "ignored", (0, "wrote 2 records to c.jsonl\n", "")),
+], ids=["sigint", "sigterm", "sigint-ignored"])
+def test_a_signal_while_the_cli_loads_ends_as_in_a_run(signum, sigint, ending, tmp_path):
+    run = subprocess.run(
+        [sys.executable, "-c", _SIGNAL_WHILE_LOADING, str(int(signum)), sigint],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+    )
+    assert (run.returncode, run.stdout, run.stderr) == ending
+    written = ["c.jsonl", "c.jsonl.manifest.json"] if ending[0] == 0 else []
+    assert sorted(path.name for path in tmp_path.iterdir()) == written
+
+
+def test_importing_the_cli_changes_no_signal_handler(tmp_path):
+    code = ("import signal; names = (signal.SIGINT, signal.SIGTERM); "
+            "before = list(map(signal.getsignal, names)); import homogen.cli; "
+            "print(list(map(signal.getsignal, names)) == before)")
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])), check=True,
+    )
+    assert run.stdout == "True\n"
+
+
 def test_installed_console_script_round_trip(tmp_path):
     out = subprocess.run(
         [sys.executable, "-m", "homogen.cli", "generate", "calc", "--count", "3",
          "--seed", "0", "--out", str(tmp_path / "s.jsonl")],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
     )
     assert out.returncode == 0
     assert len((tmp_path / "s.jsonl").read_text().splitlines()) == 3

@@ -970,6 +970,68 @@ def test_task_from_line_reads_every_cell_and_pile_size():
     assert task_from_line(task_line(task)) == task
 
 
+def test_task_from_line_reads_a_generated_dataset_as_the_json_path_does(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["generate", "karel", "--count", "200", "--seed", "7", "--out", "k.jsonl"]) == 0
+    lines = (tmp_path / "k.jsonl").read_text().splitlines(keepends=True)
+    assert len(lines) == 200
+    shared_piles = 0
+    for line in lines:
+        read = task_from_line(line)
+        assert read == task_from_json(json.loads(line))
+        for inp, out in (*read.pairs, read.held_out):
+            assert out.markers is not inp.markers
+            shared_piles += out.markers == inp.markers
+    assert shared_piles > 0
+
+
+def _pair_line(inp, out):
+    """A task's line whose one shown pair and held-out pair are ``inp`` and ``out``."""
+    program = parse_program("def main(): turnLeft()")
+    return task_line(SynthesisTask(program=program, pairs=((inp, out),), held_out=(inp, out)))
+
+
+def test_task_from_line_reads_an_output_against_its_input_piles():
+    # The output's pile text is the input's, or one pile apart from it: a pile
+    # dropped, recounted or added.
+    inp = KarelGrid(4, 3, frozenset({(0, 0)}), {(1, 1): 2, (0, 2): 9}, (2, 0), "E")
+    for piles in ({(1, 1): 2, (0, 2): 9}, {(1, 1): 2}, {(1, 1): 3, (0, 2): 9},
+                  {(1, 1): 2, (0, 2): 9, (3, 2): 1}):
+        out = KarelGrid(4, 3, inp.walls, piles, (3, 0), "S")
+        line = _pair_line(inp, out)
+        assert line.count('"markers":[[0,2,9],[1,1,2]]') == 2 + 2 * (piles == inp.markers)
+        read = task_from_line(line)
+        assert read == task_from_json(json.loads(line))
+        assert read.pairs[0] == read.held_out == (inp, out)
+        read_inp, read_out = read.pairs[0]
+        assert read_out.markers is not read_inp.markers
+        assert read_out.walls is read_inp.walls
+
+
+def test_task_from_line_checks_reused_piles_against_the_output(tmp_path, capsys):
+    # An output with its input's pile text, on a shape too small for a pile,
+    # and the same pile text listing a cell twice, are left to the JSON path,
+    # which refuses them with the words it always used.
+    inp = KarelGrid(4, 3, frozenset(), {(0, 0): 1, (3, 2): 4}, (1, 1), "N")
+    out = KarelGrid(4, 2, frozenset(), {(0, 0): 1}, (1, 1), "N")
+    good = _pair_line(inp, inp)
+    small = _pair_line(inp, out).replace('"markers":[[0,0,1]]', '"markers":[[0,0,1],[3,2,4]]')
+    twice = good.replace("[[0,0,1],[3,2,4]]", "[[0,0,1],[0,0,1]]")
+    assert '"w":4,"h":2,"walls":[],"markers":[[0,0,1],[3,2,4]]' in small
+    assert twice.count("[[0,0,1],[0,0,1]]") == 4
+    for line, error in [
+        (small, "markers at (3, 2) are out of bounds"),
+        (twice, "malformed grid object: a cell is listed twice in 'markers'"),
+    ]:
+        assert task_from_line(line) is None
+        with pytest.raises(ValueError, match=re.escape(error)):
+            task_from_json(json.loads(line))
+        (tmp_path / "k.jsonl").write_text(good + line, newline="")
+        assert cli.main(["stats", str(tmp_path / "k.jsonl")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'k.jsonl'}: line 2: bad record ({error})\n")
+
+
 def _as_line(record):
     return json.dumps(record, separators=(",", ":")) + "\n"
 
