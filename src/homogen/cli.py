@@ -18,6 +18,12 @@ it, a Karel line in ``task_line``'s exact text is read as text by
 ``karel.gen.task_from_line``, and any other line is decoded and read by
 ``task_from_json``, which words every error.
 
+A command runs only its own domain's modules. ``import homogen.cli``
+registers ``homogen.calc`` and the four ``homogen.karel`` modules in
+``sys.modules``, where the benchmark's tracer finds them, without running
+them; each runs at its first attribute access. The parser likewise adds a
+subcommand's and a domain's arguments only when parsing selects it.
+
 Datasets are JSON Lines with LF newlines and a fixed key order, so a given
 command line and seed reproduce files byte for byte. Every written dataset
 gets a sibling ``<out>.manifest.json`` recording the command, the resolved
@@ -78,6 +84,7 @@ import contextlib
 import errno
 import functools
 import gc
+import importlib.util
 import json
 import os
 import random
@@ -87,7 +94,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
-from . import __version__, calc
+from . import __version__
 from .diagnostics import kl_to_uniform
 from .homogenizer import (
     BudgetExhaustedError,
@@ -96,10 +103,29 @@ from .homogenizer import (
     SalientSpec,
     expected_tries_bound,
 )
-from .karel import gen as karel_gen
-from .karel.interp import DEFAULT_STEP_LIMIT, branch_arms, compile_program, execute
-from .karel.lang import KarelSyntaxError, parse_program
-from .karel.world import grid_from_json, grid_to_json
+
+
+def _lazy(name: str) -> Any:
+    """The module ``name``, registered in ``sys.modules`` and on its package
+    as ``import`` would register it, but run only at its first attribute
+    access; a module already imported is returned as it is, since running it
+    again would make a second copy of each of its classes."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        package, _, child = name.rpartition(".")
+        setattr(sys.modules[package], child, module)
+    return module
+
+
+calc = _lazy("homogen.calc")
+karel_gen = _lazy("homogen.karel.gen")
+karel_interp = _lazy("homogen.karel.interp")
+karel_lang = _lazy("homogen.karel.lang")
+karel_world = _lazy("homogen.karel.world")
 
 EXIT_OK = 0
 EXIT_CRASH = 1
@@ -341,8 +367,8 @@ _CALC_DISTS = {
     "t2t": (lambda args: calc.T2t(max_depth=args.max_depth),
             "T2t(max_depth={0.max_depth!r}, depth=None)"),
     "rcfg": (lambda args: calc.Rcfg() if args.p is None else calc.Rcfg(p=args.p),
-             f"Rcfg(p={{0.p!r}}, run_lengths={calc.RUN_LENGTHS!r})"),
-    "bal": (lambda args: calc.Bal(), f"Bal(depths={calc.BAL_DEPTHS!r})"),
+             "Rcfg(p={0.p!r}, run_lengths=(2, 3, 4))"),
+    "bal": (lambda args: calc.Bal(), "Bal(depths=(1, 2, 3, 4, 5, 6))"),
 }
 
 
@@ -383,7 +409,7 @@ def _karel_arguments(parser: argparse.ArgumentParser) -> None:
         help=f"shown pairs per task: 1..{karel_gen.MAX_PAIRS} or 'uniform' for a per-task draw",
     )
     parser.add_argument(
-        "--step-limit", type=_integer, default=DEFAULT_STEP_LIMIT,
+        "--step-limit", type=_integer, default=karel_interp.DEFAULT_STEP_LIMIT,
         help="action budget per execution",
     )
     parser.add_argument(
@@ -455,7 +481,7 @@ DOMAINS = {
             to_line=lambda expr: _CALC_LINE(calc.expr_record(expr)),
             read=_read_calc,
             read_line=None,
-            salient_specs=calc.salient_specs,
+            salient_specs=lambda: calc.salient_specs(),
         ),
         Domain(
             name="karel",
@@ -466,7 +492,7 @@ DOMAINS = {
             to_line=lambda task: karel_gen.task_line(task),
             read=lambda record: karel_gen.task_salients(karel_gen.task_from_json(record)),
             read_line=_read_karel_line,
-            salient_specs=karel_gen.salient_specs,
+            salient_specs=lambda: karel_gen.salient_specs(),
         ),
     )
 }
@@ -665,20 +691,20 @@ def cmd_karel_run(args: argparse.Namespace, argv: list[str]) -> int:
     program_path = Path(args.program)
     grid_path = Path(args.grid)
     try:
-        program = parse_program(program_path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, KarelSyntaxError, RecursionError) as exc:
+        program = karel_lang.parse_program(program_path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, karel_lang.KarelSyntaxError, RecursionError) as exc:
         raise UsageError(f"{program_path}: {getattr(exc, 'strerror', None) or exc}") from None
     try:
-        grid = grid_from_json(json.loads(grid_path.read_text(encoding="utf-8")))
+        grid = karel_world.grid_from_json(json.loads(grid_path.read_text(encoding="utf-8")))
     except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"{grid_path}: {getattr(exc, 'strerror', None) or exc}") from None
 
-    compiled = compile_program(program)
-    result = execute(compiled, grid, step_limit=args.step_limit)
-    arms = branch_arms(compiled)
+    compiled = karel_interp.compile_program(program)
+    result = karel_interp.execute(compiled, grid, step_limit=args.step_limit)
+    arms = karel_interp.branch_arms(compiled)
     coverage = f"coverage: {len(result.branches_taken)}/{len(arms)} arms"
     if result.success:
-        sys.stdout.write(_json_line(grid_to_json(result.output)))
+        sys.stdout.write(_json_line(karel_world.grid_to_json(result.output)))
         print(coverage)
         return EXIT_OK
     print(f"crash: {result.crash.value}")
@@ -697,24 +723,64 @@ def _count(text: str) -> int:
     return value
 
 
-def _add_domain_arguments(parser: argparse.ArgumentParser, *, homogenize: bool = False) -> None:
-    sub = parser.add_subparsers(dest="domain", required=True)
+class _OnDemand(argparse._SubParsersAction):
+    """Subparsers whose arguments their ``fill`` adds only once argparse
+    selects them, so that a command builds and parses its own path alone."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._fills: dict[str, Callable[[], None]] = {}
+
+    def add_parser(self, name: str, *, fill: Callable[[argparse.ArgumentParser], None],
+                   **kwargs: Any) -> argparse.ArgumentParser:
+        parser = super().add_parser(name, **kwargs)
+        self._fills[name] = functools.partial(fill, parser)
+        return parser
+
+    def __call__(self, parser: argparse.ArgumentParser, namespace: argparse.Namespace,
+                 values: Any, option_string: str | None = None) -> None:
+        fill = self._fills.pop(values[0], None)
+        if fill is not None:
+            fill()
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _domain_parsers(parser: argparse.ArgumentParser, *, homogenize: bool = False) -> None:
+    sub = parser.add_subparsers(dest="domain", required=True, action=_OnDemand)
     for domain in DOMAINS.values():
-        p = sub.add_parser(domain.name, help=domain.help)
-        domain.add_arguments(p)
-        if homogenize:
-            p.add_argument("--var", required=True, help="salient variable to even out")
-            p.add_argument(
-                "--eps", type=_real, default=0.025,
-                help="uniformity/throughput trade-off (default 0.025)",
-            )
-            p.add_argument(
-                "--max-draws", type=_integer, default=None,
-                help="source draw budget (default: 20x the expected need)",
-            )
-        p.add_argument("--count", type=_count, required=True, help="records to write")
-        p.add_argument("--seed", default=None, help="RNG seed (default HOMOGEN_SEED or 0)")
-        p.add_argument("--out", required=True, help="output JSONL path")
+        sub.add_parser(domain.name, help=domain.help,
+                       fill=functools.partial(_domain_arguments, domain, homogenize))
+
+
+def _domain_arguments(domain: Domain, homogenize: bool, p: argparse.ArgumentParser) -> None:
+    domain.add_arguments(p)
+    if homogenize:
+        p.add_argument("--var", required=True, help="salient variable to even out")
+        p.add_argument(
+            "--eps", type=_real, default=0.025,
+            help="uniformity/throughput trade-off (default 0.025)",
+        )
+        p.add_argument(
+            "--max-draws", type=_integer, default=None,
+            help="source draw budget (default: 20x the expected need)",
+        )
+    p.add_argument("--count", type=_count, required=True, help="records to write")
+    p.add_argument("--seed", default=None, help="RNG seed (default HOMOGEN_SEED or 0)")
+    p.add_argument("--out", required=True, help="output JSONL path")
+
+
+def _stats_arguments(stats: argparse.ArgumentParser) -> None:
+    stats.add_argument("dataset", help="JSONL dataset path")
+    stats.add_argument("--vars", default=None, help="comma-separated variables (default: all)")
+    stats.add_argument("--format", choices=("json", "csv"), default="json")
+    stats.add_argument("--out", default=None, help="write here instead of stdout")
+
+
+def _karel_run_arguments(karel_run: argparse.ArgumentParser) -> None:
+    karel_run.add_argument("program", help="program text file")
+    karel_run.add_argument("grid", help="grid JSON file")
+    karel_run.add_argument("--step-limit", type=_integer,
+                           default=karel_interp.DEFAULT_STEP_LIMIT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -723,31 +789,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generate and homogenize synthetic program-synthesis datasets.",
     )
     parser.add_argument("--version", action="version", version=f"homogen {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    generate = sub.add_parser("generate", help="write a raw dataset")
-    _add_domain_arguments(generate)
-    generate.set_defaults(func=cmd_generate)
-
-    homogenize_p = sub.add_parser(
-        "homogenize", help="write a dataset evened out over one salient variable"
-    )
-    _add_domain_arguments(homogenize_p, homogenize=True)
-    homogenize_p.set_defaults(func=cmd_homogenize)
-
-    stats = sub.add_parser("stats", help="histograms and KL-to-uniform of a dataset")
-    stats.add_argument("dataset", help="JSONL dataset path")
-    stats.add_argument("--vars", default=None, help="comma-separated variables (default: all)")
-    stats.add_argument("--format", choices=("json", "csv"), default="json")
-    stats.add_argument("--out", default=None, help="write here instead of stdout")
-    stats.set_defaults(func=cmd_stats)
-
-    karel_run = sub.add_parser("karel-run", help="run one program on one grid")
-    karel_run.add_argument("program", help="program text file")
-    karel_run.add_argument("grid", help="grid JSON file")
-    karel_run.add_argument("--step-limit", type=_integer, default=DEFAULT_STEP_LIMIT)
-    karel_run.set_defaults(func=cmd_karel_run)
-
+    sub = parser.add_subparsers(dest="command", required=True, action=_OnDemand)
+    for name, fill, func, summary in (
+        ("generate", _domain_parsers, cmd_generate, "write a raw dataset"),
+        ("homogenize", functools.partial(_domain_parsers, homogenize=True), cmd_homogenize,
+         "write a dataset evened out over one salient variable"),
+        ("stats", _stats_arguments, cmd_stats, "histograms and KL-to-uniform of a dataset"),
+        ("karel-run", _karel_run_arguments, cmd_karel_run, "run one program on one grid"),
+    ):
+        sub.add_parser(name, help=summary, fill=fill).set_defaults(func=func)
     return parser
 
 
@@ -790,7 +840,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (BudgetExhaustedError, karel_gen.GenerationStallError) as exc:
+    except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STALL
     except ValueError as exc:
@@ -804,6 +854,11 @@ def main(argv: list[str] | None = None) -> int:
                          for dest in dests.split())
         print(f"error: {typed}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except karel_gen.GenerationStallError as exc:
+        # Last, as naming the class runs the Karel modules: no calc path,
+        # a calc stall included, reaches this clause.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_STALL
     finally:
         for signum, handler in handlers.items():
             signal.signal(signum, handler)

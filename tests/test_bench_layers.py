@@ -57,7 +57,7 @@ def test_every_traced_layer_exists_and_is_restored(monkeypatch):
             if value is not module_attributes[name][attr]
         ]
         assert ("homogen.calc", "sample_record") in changed
-        assert ("homogen.cli", "execute") in changed
+        assert ("homogen.karel.gen", "execute") in changed
         for (cls, attr), original in zip(PATCHED_CLASS_ATTRIBUTES, class_attributes):
             assert cls.__dict__[attr] is not original
     finally:

@@ -966,6 +966,33 @@ def test_help_exits_0(capsys):
     capsys.readouterr()
 
 
+# Each leaf command's flags and positionals, which its ``--help`` lists
+# though its arguments are added only when parsing selects the command.
+_GENERATE_FLAGS = ["--count", "--seed", "--out"]
+_HOMOGENIZE_FLAGS = ["--var", "--eps", "--max-draws", *_GENERATE_FLAGS]
+_CALC_FLAGS = ["--dist", "--p", "--max-depth"]
+_KAREL_FLAGS = ["--grids", "--r-wall", "--r-marker", "--marker-dist", "--pairs", "--step-limit",
+                "--classic-prune"]
+HELP_FLAGS = {
+    "generate calc": _CALC_FLAGS + _GENERATE_FLAGS,
+    "generate karel": _KAREL_FLAGS + _GENERATE_FLAGS,
+    "homogenize calc": _CALC_FLAGS + _HOMOGENIZE_FLAGS,
+    "homogenize karel": _KAREL_FLAGS + _HOMOGENIZE_FLAGS,
+    "stats": ["dataset", "--vars", "--format", "--out"],
+    "karel-run": ["program", "grid", "--step-limit"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+def test_each_command_help_lists_each_of_its_flags(command, capsys):
+    assert cli.main([*command.split(), "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: homogen {command} [-h]")
+    listed = out.split("\n\n", 1)[1].split()
+    for flag in HELP_FLAGS[command]:
+        assert flag in listed, flag
+
+
 # ---------------------------------------------------------------------------
 # seeds
 
@@ -1962,18 +1989,93 @@ def test_importing_the_cli_loads_every_traced_module_and_no_heavy_one(tmp_path):
     # Every command pays for what ``import homogen.cli`` loads. The cost is
     # compared by module, not by timing: ``dataclasses`` brings ``inspect``,
     # ``hashlib`` only serves the commands that write, and none needs ``csv``.
-    show = "import sys; print(' '.join(sys.modules))"
+    # The domain modules are registered for the bench tracer, yet none runs.
+    show = ("import sys, types; print(' '.join(sys.modules)); print(' '.join("
+            "name for name, module in sys.modules.items() if name.startswith('homogen') "
+            "and type(module) is not types.ModuleType))")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    bare, loaded = (
-        set(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                           env=env, cwd=tmp_path, check=True).stdout.split())
+    (bare, _), (loaded, not_run) = (
+        map(str.split, subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                      text=True, env=env, cwd=tmp_path, check=True
+                                      ).stdout.split("\n", 1))
         for code in (show, f"import homogen.cli; {show}")
     )
-    added = loaded - bare
+    added = set(loaded) - set(bare)
     assert added & {"dataclasses", "inspect", "hashlib", "_hashlib", "csv"} == set()
     traced = {"homogen.calc", "homogen.diagnostics", "homogen.homogenizer", "homogen.karel.gen",
               "homogen.karel.world", "homogen.karel.interp", "homogen.karel.lang"}
     assert traced <= added
+    assert set(not_run) == DOMAIN_MODULES
+
+
+DOMAIN_MODULES = {"homogen.calc", "homogen.karel.gen", "homogen.karel.interp",
+                  "homogen.karel.lang", "homogen.karel.world"}
+KAREL_MODULES = DOMAIN_MODULES - {"homogen.calc"}
+
+# Runs ``cli.main`` on its arguments, then prints, as the last line of
+# stderr, the exit code and each domain module that ran: ``LazyLoader``
+# turns a module into a plain ``types.ModuleType`` when it runs it.
+_DOMAIN_MODULES_RUN = """
+import sys, types
+from homogen import cli
+code = cli.main(sys.argv[1:])
+print(code, *sorted(name for name, module in sys.modules.items()
+                    if name.startswith(("homogen.calc", "homogen.karel."))
+                    and type(module) is types.ModuleType), file=sys.stderr)
+"""
+
+# Each command line, its exit code and the domain modules it runs: its own
+# domain's (``karel-run`` samples nothing, so not ``karel.gen``), or none
+# before a domain is chosen or for calc's help.
+COMMAND_MODULES = [
+    ("generate calc --count 3 --out gc.jsonl", 0, {"homogen.calc"}),
+    ("homogenize calc --var length --count 3 --out hc.jsonl", 0, {"homogen.calc"}),
+    ("stats c.jsonl", 0, {"homogen.calc"}),
+    ("generate calc --p 2 --count 3 --out refused.jsonl", 2, {"homogen.calc"}),
+    ("homogenize calc --var length --count 500 --max-draws 40 --out stall.jsonl", 3,
+     {"homogen.calc"}),
+    ("generate karel --count 1 --out gk.jsonl", 0, KAREL_MODULES),
+    ("homogenize karel --var size --count 1 --out hk.jsonl", 0, KAREL_MODULES),
+    ("stats k.jsonl", 0, KAREL_MODULES),
+    ("karel-run prog.txt grid.json", 0, KAREL_MODULES - {"homogen.karel.gen"}),
+    ("--help", 0, set()),
+    ("--version", 0, set()),
+    ("generate calc --help", 0, set()),
+    ("generate calc --count x --out usage.jsonl", 2, set()),
+    ("bogus", 2, set()),
+]
+
+
+def _check_domain_modules_run(python, tmp_path):
+    # The inputs are written in the test's process; the commands then run
+    # side by side, each in its own process and to its own output path.
+    for argv in (["generate", "calc", "--count", "3", "--out", "c.jsonl"],
+                 ["generate", "karel", "--count", "1", "--out", "k.jsonl"]):
+        assert cli.main([*argv[:-1], str(tmp_path / argv[-1])]) == 0
+    write_run_inputs(tmp_path, COLLECTOR_TEXT, COLLECTOR_GRID_A)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    runs = [(command, code, modules, subprocess.Popen(
+        [python, "-c", _DOMAIN_MODULES_RUN, *command.split()], cwd=tmp_path, env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True))
+        for command, code, modules in COMMAND_MODULES]
+    for command, code, modules, run in runs:
+        last = run.communicate()[1].splitlines()[-1].split()
+        assert (int(last[0]), set(last[1:])) == (code, modules), command
+
+
+def test_each_command_runs_only_its_own_domain_modules(tmp_path):
+    _check_domain_modules_run(sys.executable, tmp_path)
+
+
+def test_each_command_runs_only_its_own_domain_modules_on_every_other_interpreter(tmp_path):
+    # ``LazyLoader`` loads under a lock from 3.13 (and late 3.12 releases),
+    # and argparse's ``add_parser`` took a ``deprecated`` flag in 3.13.
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no CPython 3.10 or later other than the running one in ~/.pyenv/versions")
+    for version, python in interpreters.items():
+        (tmp_path / version).mkdir()
+        _check_domain_modules_run(python, tmp_path / version)
 
 
 @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["sigint", "sigterm"])
