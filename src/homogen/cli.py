@@ -188,9 +188,7 @@ def resolve_seed(text: str | None) -> int:
 
 
 def _json_line(obj: Any) -> str:
-    # No record holds a reference cycle (a cyclic object raises
-    # RecursionError), so the encoder skips its check for one.
-    return json.dumps(obj, separators=(",", ":"), check_circular=False) + "\n"
+    return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 class _Outputs:

@@ -450,7 +450,7 @@ def task_line(task: SynthesisTask) -> str:
     included, would build; and a pair's
     sorted wall text is built once, for its input, and reused by the output
     when the two share one wall set (``out.walls is inp.walls``), as every
-    pair of ``make_task``, ``task_from_json`` and ``task_from_line`` does.
+    pair of ``make_task`` and ``task_from_line`` does.
     Program tokens need no JSON escape. :func:`task_from_line` reads this
     text back, and only this text.
 
@@ -487,20 +487,17 @@ def _grid_text(grid: KarelGrid, walls: str) -> str:
 
 
 def _pair_from_json(obj: dict[str, Any]) -> tuple[KarelGrid, KarelGrid]:
-    inp_obj = obj["in"]
-    inp = grid_from_json(inp_obj)
-    return inp, grid_from_json(obj["out"], (inp_obj, inp))
+    return grid_from_json(obj["in"]), grid_from_json(obj["out"])
 
 
 def task_from_json(obj: dict[str, Any]) -> SynthesisTask:
     """The :class:`SynthesisTask` that a :func:`task_to_json` object describes.
 
-    Every grid, held-out pair included, is read by :func:`grid_from_json`
-    and validated in full; an output that lists its input's ``w``, ``h`` and
-    ``walls`` shares the input's wall set, as the tasks ``make_task`` builds
-    do. Any malformed part raises ``ValueError``, which names the first
-    missing key or the rule broken; the program is read first, then the
-    pairs in order, each input before its output.
+    Every grid, held-out pair included, is read on its own by
+    :func:`grid_from_json` and validated in full. Any malformed part raises
+    ``ValueError``, which names the first missing key or the rule broken;
+    the program is read first, then the pairs in order, each input before
+    its output.
     """
     try:
         program = parse_program(obj["program"])
@@ -553,8 +550,8 @@ def task_from_line(line: str) -> SynthesisTask | None:
     ``\\n``. Such a line means the same to ``json.loads``, and the task is
     then equal to :func:`task_from_json` of it, held to the same rules:
     every grid is built by the validating ``KarelGrid`` constructor, a cell
-    listed twice in ``walls`` or ``markers`` is refused, there are 1..5
-    shown pairs, and an output whose ``w``, ``h`` and wall text equal its
+    listed twice in ``walls`` or ``markers`` is refused, and there are 1..5
+    shown pairs. An output whose ``w``, ``h`` and wall text equal its
     input's shares the input's wall set. An output whose pile text equals
     its input's is built on the input's parsed piles, which its
     ``KarelGrid`` copies and validates in full against the output's own

@@ -29,13 +29,6 @@ when no container is rebuilt. Checking every coordinate's type would close
 that hole, but it raised :func:`grid_from_json` from 17.5 to 26.2 us per
 grid (CPython 3.11.7, 2-core VM, the 1,200 grids of a 100-task file), and
 ``stats`` validates 12 grids per five-pair Karel record, so the hole stays.
-
-An output grid read from JSON with its pair's input holds the input's wall
-cells whenever its ``w``, ``h`` and ``walls`` equal the input's, as the
-outputs ``make_task`` builds do. That shows only through the hole above: an
-output wall ``[0, true]`` equals an input wall ``[0, 1]``, so the output is
-read with the int cell ``(0, 1)``, where a grid read alone keeps
-``(0, True)``.
 """
 
 from __future__ import annotations
@@ -194,34 +187,23 @@ def grid_to_json(grid: KarelGrid) -> dict[str, Any]:
     }
 
 
-def grid_from_json(obj: dict[str, Any],
-                   pair_input: tuple[dict[str, Any], KarelGrid] | None = None) -> KarelGrid:
+def grid_from_json(obj: dict[str, Any]) -> KarelGrid:
     """The :class:`KarelGrid` that a :func:`grid_to_json` object describes.
 
     The keys are read in the order ``w``, ``h``, ``walls``, ``markers`` and
     ``karel``, so a malformed object names its first missing key, and every
-    grid is validated in full. ``pair_input`` is a pair's input, as its JSON
-    object and as the grid already read from it: when ``obj`` lists the same
-    ``w``, ``h`` and ``walls``, the grid is built on that input's validated
-    wall set, as ``make_task`` builds a kept output, instead of a set of its
-    own. A cell listed twice is refused either way.
+    grid is validated in full. A cell listed twice is refused.
     """
     try:
-        width, height, wall_list = obj["w"], obj["h"], obj["walls"]
-        if (pair_input is not None and width == pair_input[1].width
-                and height == pair_input[1].height and wall_list == pair_input[0]["walls"]):
-            walls = pair_input[1].walls
-        else:
-            walls = frozenset(map(tuple, wall_list))
         grid = KarelGrid(
-            width=width,
-            height=height,
-            walls=walls,
+            width=obj["w"],
+            height=obj["h"],
+            walls=frozenset(map(tuple, obj["walls"])),
             markers={(i, j): n for i, j, n in obj["markers"]},
             karel_pos=tuple(obj["karel"]["pos"]),
             karel_dir=obj["karel"]["dir"],
         )
-        if len(grid.walls) != len(wall_list):
+        if len(grid.walls) != len(obj["walls"]):
             raise ValueError("malformed grid object: a cell is listed twice in 'walls'")
         if len(grid.markers) != len(obj["markers"]):
             raise ValueError("malformed grid object: a cell is listed twice in 'markers'")

@@ -900,6 +900,24 @@ def test_outputs_match_golden_digests(commands, digests, tmp_path, monkeypatch, 
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_stats_karel_reads_a_non_canonical_dataset_to_the_golden_bytes(
+    tmp_path, monkeypatch, capsys
+):
+    # The stats-karel dataset re-encoded with json.dumps' default separators:
+    # task_from_line refuses every line, so task_from_json reads them all.
+    (generate, *stats), digests = GOLDEN_SHA256[GOLDEN_IDS.index("stats-karel")]
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(generate, capsys)[0] == 0
+    dataset = tmp_path / "d.jsonl"
+    lines = [json.dumps(json.loads(line)) + "\n" for line in dataset.read_text().splitlines()]
+    assert len(lines) == 8 and all(karel_gen.task_from_line(line) is None for line in lines)
+    dataset.write_text("".join(lines))
+    for argv in stats:
+        assert run_cli(argv, capsys)[0] == 0, argv
+    for name in ("s.json", "s.csv"):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digests[name], name
+
+
 def _other_interpreters():
     """Each CPython 3.10 or later under ``~/.pyenv/versions`` but the running
     one, keyed by version."""

@@ -1204,8 +1204,6 @@ def test_read_path_matches_the_reference_on_generated_records(
             expected = reference_grid_from_json(obj)
             assert grid == expected == grid_from_json(obj)
             assert all(type(cell) is tuple for cell in grid.walls)
-        for inp, out in (*task.pairs, task.held_out):
-            assert out.walls is inp.walls
         assert task_salients(task) == reference_task_salients(task)
 
 
@@ -1263,18 +1261,20 @@ def test_task_from_json_rejects_a_bad_output_as_a_lone_grid_read(held_out, out_c
     assert str(in_task.value) == str(alone.value) == message
 
 
-def test_task_from_json_shares_only_an_equal_wall_list():
+def test_task_from_json_reads_every_grid_on_its_own():
+    # The shown output lists its input's walls; the held-out one reorders them.
     record = _one_pair_record({"walls": [[0, 2], [3, 0]]}, held_out=True)
     task = task_from_json(record)
-    (inp, out), (held_in, held_out) = task.pairs[0], task.held_out
-    assert out.walls is inp.walls
-    assert held_out.walls == held_in.walls and held_out.walls is not held_in.walls
-    # JSON lists compare 0.0 and false equal to 0, so an int-equal wall cell
-    # is read as the input's int cell; read alone, it keeps its float.
+    for (inp, out), pair in zip((*task.pairs, task.held_out),
+                                (*record["pairs"], record["held_out"]), strict=True):
+        assert out.walls == inp.walls and out.walls is not inp.walls
+        assert (inp, out) == (grid_from_json(pair["in"]), grid_from_json(pair["out"]))
+    # JSON lists compare 0.0 equal to 0, yet an int-equal output wall keeps
+    # its float, as it does in a lone read.
     record = _one_pair_record({"walls": [[3, 0.0], [0, 2]]}, held_out=False)
     inp, out = task_from_json(record).pairs[0]
-    assert out.walls is inp.walls
-    assert (3, 0.0) in grid_from_json(record["pairs"][0]["out"]).walls
+    assert sorted(map(repr, inp.walls)) == ["(0, 2)", "(3, 0)"]
+    assert sorted(map(repr, out.walls)) == ["(0, 2)", "(3, 0.0)"]
 
 
 def _mutated_outputs(record, rng):

@@ -200,7 +200,7 @@ BODIES = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(body=BODIES)
 def test_round_trip_property(body):
     # Any program of every node kind, depth and repeat count, past the
