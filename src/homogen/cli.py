@@ -37,7 +37,8 @@ the manifest last, so a failed run leaves no file behind: if a move fails,
 the outputs already moved are put back as they were.
 
 Exit codes: 0 success, 1 crash reported by ``karel-run``, 2 usage errors,
-3 sampling stalls (draw budget or grid retries exhausted), 130 and 143 for
+3 sampling stalls (a ``BudgetExhaustedError``: a homogenizer run's draw
+budget or a Karel task stream's program attempts exhausted), 130 and 143 for
 a run that SIGINT or SIGTERM interrupted: once ``main`` starts, or, under
 ``python -m homogen.cli``, once this module starts loading. ``main`` reports
 a library ``ValueError`` that opens with a parameter in ``_FLAGS`` as a
@@ -83,7 +84,6 @@ import argparse
 import contextlib
 import errno
 import functools
-import gc
 import importlib.util
 import json
 import os
@@ -808,13 +808,6 @@ _FLAGS = {"n_pairs": "pairs", "step_limit": "step_limit", "max_depth": "max_dept
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
-    The cyclic garbage collector is paused while the command runs and
-    restored after it. A Karel record holds about a thousand containers at
-    once (JSON lists and dicts, cell tuples, run states), enough to start a
-    young-generation pass more than once per record, yet no record forms a
-    reference cycle: reference counting frees each one, so those passes find
-    nothing to collect and only cost time.
-
     SIGINT and SIGTERM, unless ignored, raise inside ``main`` from before it
     builds its parser, which removes a running command's temporary files
     and leaves every output path as it was; ``main`` then prints ``error:
@@ -822,7 +815,6 @@ def main(argv: list[str] | None = None) -> int:
     reports a process the signal ended.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
-    collecting = gc.isenabled()
     handlers = _take_signals(_interrupt)
     try:
         try:
@@ -830,7 +822,6 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             # argparse exits 0 for --help/--version and 2 for usage errors.
             return int(exc.code or 0)
-        gc.disable()
         return args.func(args, argv)
     except _Interrupted as exc:
         print("error: interrupted", file=sys.stderr)
@@ -852,16 +843,9 @@ def main(argv: list[str] | None = None) -> int:
                          for dest in dests.split())
         print(f"error: {typed}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except karel_gen.GenerationStallError as exc:
-        # Last, as naming the class runs the Karel modules: no calc path,
-        # a calc stall included, reaches this clause.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STALL
     finally:
         for signum, handler in handlers.items():
             signal.signal(signum, handler)
-        if collecting:
-            gc.enable()
 
 
 if __name__ == "__main__":

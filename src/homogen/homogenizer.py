@@ -36,10 +36,13 @@ class DomainViolationError(ValueError):
 
 
 class BudgetExhaustedError(RuntimeError):
-    """The source-draw budget ran out before the target size was reached.
+    """A sampling stall: a budget ran out before the wanted items were drawn.
 
-    The raising run keeps how far it got: ``draws_used``, ``accepted`` and
-    ``counts``.
+    Two places raise it: a :class:`HomogenizerRun` whose ``max_draws`` ran
+    out before the target size was reached, which keeps how far it got in
+    ``draws_used``, ``accepted`` and ``counts``; and a Karel task stream
+    (``karel.gen.task_source``) after 100 consecutive programs fail task
+    assembly.
     """
 
 

@@ -26,7 +26,7 @@ from collections.abc import Callable
 from typing import Any
 
 from .._frozen import Frozen
-from ..homogenizer import SalientSpec
+from ..homogenizer import BudgetExhaustedError, SalientSpec
 from ..rng import randbelow
 from .interp import (DEFAULT_STEP_LIMIT, CrashReason, ExecResult, branch_arms,
                      compile_program, execute)
@@ -626,10 +626,6 @@ def _text_items(text: str, table: dict[str, Any], kind: Callable[..., Any]) -> A
 # Task streams for generation and homogenization.
 
 
-class GenerationStallError(RuntimeError):
-    """Too many consecutive programs failed task assembly."""
-
-
 def task_source(
     grid_sampler: GridSampler,
     n_pairs: int | str = MAX_PAIRS,
@@ -643,9 +639,10 @@ def task_source(
     the pair count (uniform over 1..MAX_PAIRS when ``n_pairs`` is the
     string ``"uniform"``), and assembles a task with ``_RETRY_LIMIT`` grid
     batches; programs that turn out uncoverable are dropped and redrawn.
-    After ``_MAX_PROGRAM_ATTEMPTS`` consecutive failures the stream reports
-    a stall instead of spinning, with how many of those programs the filter
-    rejected and the crash reasons summed over the uncoverable ones.
+    After ``_MAX_PROGRAM_ATTEMPTS`` consecutive failures the stream raises
+    :class:`BudgetExhaustedError` instead of spinning, with how many of those
+    programs the filter rejected and the crash reasons summed over the
+    uncoverable ones.
     """
     if n_pairs != "uniform" and not (type(n_pairs) is int and 1 <= n_pairs <= MAX_PAIRS):
         raise ValueError(f"n_pairs must be an int in 1..{MAX_PAIRS} or the string 'uniform'")
@@ -666,7 +663,7 @@ def task_source(
                                  step_limit=step_limit)
             except UncoverableProgramError as exc:
                 crash_counts.update(exc.crash_counts)
-        raise GenerationStallError(
+        raise BudgetExhaustedError(
             f"{_MAX_PROGRAM_ATTEMPTS} consecutive programs failed task assembly "
             f"({filtered} rejected by the program filter; crashes of the rest: "
             f"{dict(crash_counts)}); "

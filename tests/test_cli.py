@@ -1621,8 +1621,9 @@ def collector_paused():
 
 @pytest.mark.parametrize("domain", ["calc", "karel"])
 def test_reading_a_dataset_creates_no_reference_cycles(domain, tmp_path, monkeypatch, capsys):
-    # Commands run with the cyclic collector paused, so any cycle the stats
-    # read loop made would outlive the loop.
+    # No record may form a reference cycle: reference counting frees each
+    # one at once, while a cycle per record would cost the cyclic
+    # collector passes that grow with the dataset.
     monkeypatch.chdir(tmp_path)
     run_cli(["generate", domain, "--count", "40", "--seed", "3", "--out", "d.jsonl"], capsys)
     with collector_paused():
@@ -1641,9 +1642,10 @@ def test_reading_a_dataset_creates_no_reference_cycles(domain, tmp_path, monkeyp
 def test_paused_collector_leaves_garbage_that_does_not_grow_with_count(
     command, tmp_path, monkeypatch, capsys
 ):
-    # main() pauses the cyclic collector for the whole command. That is safe
-    # only if no record forms a reference cycle: the cyclic garbage one
-    # command leaves behind (argparse's parser) must not depend on --count.
+    # No record may form a reference cycle, or each one would leave garbage
+    # that only a pass of the cyclic collector frees, and a command would
+    # cost passes in proportion to --count. The cyclic garbage one command
+    # leaves behind (argparse's parser) must not depend on --count.
     monkeypatch.chdir(tmp_path)
     run_cli(["generate", "karel", "--count", "20", "--seed", "4", "--out", "k.jsonl"], capsys)
     records = (tmp_path / "k.jsonl").read_text().splitlines(keepends=True)
@@ -2094,6 +2096,39 @@ def test_each_command_runs_only_its_own_domain_modules_on_every_other_interprete
     for version, python in interpreters.items():
         (tmp_path / version).mkdir()
         _check_domain_modules_run(python, tmp_path / version)
+
+
+# Runs ``cli.main`` on its arguments with ``calc.expr_record`` raising, then
+# prints, as the last line of stderr, what ``main`` raised or returned and
+# each domain module that ran.
+_CALC_FAULT_RUN = """
+import sys, types
+from homogen import cli
+
+def expr_record(expr):
+    raise RuntimeError("expr_record failed")
+
+sys.modules["homogen.calc"].expr_record = expr_record
+try:
+    outcome = cli.main(sys.argv[1:])
+except RuntimeError as exc:
+    outcome = repr(exc)
+print(outcome, *sorted(name for name, module in sys.modules.items()
+                       if name.startswith(("homogen.calc", "homogen.karel."))
+                       and type(module) is types.ModuleType), file=sys.stderr)
+"""
+
+
+def test_a_fault_in_a_calc_command_propagates_and_runs_no_karel_module(tmp_path):
+    # A fault of the program is no stall: it reaches the caller as raised,
+    # the run leaves no file, and finding that out runs no Karel code.
+    run = subprocess.run(
+        [sys.executable, "-c", _CALC_FAULT_RUN,
+         "generate", "calc", "--count", "2", "--out", "c.jsonl"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert run.stderr.splitlines()[-1] == "RuntimeError('expr_record failed') homogen.calc"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["sigint", "sigterm"])

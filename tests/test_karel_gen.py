@@ -10,13 +10,12 @@ from collections import Counter
 import pytest
 
 from homogen import cli
-from homogen.homogenizer import HomogenizerRun
+from homogen.homogenizer import BudgetExhaustedError, HomogenizerRun
 from homogen.diagnostics import Histogram, kl_to_uniform
 from homogen.karel import gen, interp
 from homogen.karel.gen import (
     _SALIENT_DOMAINS,
     NARROW_SWEEP_PARAMS,
-    GenerationStallError,
     MarkerCountDist,
     NarrowGridParams,
     SynthesisTask,
@@ -1390,7 +1389,7 @@ def test_stall_message_counts_filtered_programs_and_crash_reasons(monkeypatch):
     for seed in range(5):
         rejected = 0
         src = task_source(sample_uniform_grid, step_limit=0, classic_prune=True)
-        with pytest.raises(GenerationStallError) as excinfo:
+        with pytest.raises(BudgetExhaustedError) as excinfo:
             src(random.Random(seed))
         message = str(excinfo.value)
         assert message.startswith(
