@@ -21,8 +21,11 @@ it, a Karel line in ``task_line``'s exact text is read as text by
 A command runs only its own domain's modules. ``import homogen.cli``
 registers ``homogen.calc`` and the four ``homogen.karel`` modules in
 ``sys.modules``, where the benchmark's tracer finds them, without running
-them; each runs at its first attribute access. The parser likewise adds a
-subcommand's and a domain's arguments only when parsing selects it.
+them; each runs at its first attribute access. Building the parser and
+parsing a command line run none of them, so a command runs its domain's
+modules only once its work starts: the Karel flags' choices and defaults are
+literals, which tests pin to ``karel.gen`` and ``karel.interp``, as the rcfg
+and bal manifest texts in ``_CALC_DISTS`` are pinned.
 
 Datasets are JSON Lines with LF newlines and a fixed key order, so a given
 command line and seed reproduce files byte for byte. Every written dataset
@@ -391,6 +394,9 @@ def _calc_sources(args: argparse.Namespace) -> Sources:
 _CALC_LINE = '{{"expr":"{expr}","label":{label}}}\n'.format_map
 
 
+# The --marker-dist choices and the --pairs and --step-limit defaults (the last
+# also karel-run's) are ``MarkerCountDist``'s values, ``MAX_PAIRS`` and
+# ``DEFAULT_STEP_LIMIT`` written out, so that the parser runs no Karel module.
 def _karel_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--grids", choices=("uniform", "narrow"), default="uniform",
@@ -399,16 +405,15 @@ def _karel_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--r-wall", type=_real, default=None, help="narrow wall cell rate")
     parser.add_argument("--r-marker", type=_real, default=None, help="narrow marker cell rate")
     parser.add_argument(
-        "--marker-dist", choices=tuple(d.value for d in karel_gen.MarkerCountDist),
+        "--marker-dist", choices=("geom", "uniform", "antigeom"),
         default="geom", help="narrow pile-size distribution",
     )
     parser.add_argument(
-        "--pairs", default=str(karel_gen.MAX_PAIRS),
-        help=f"shown pairs per task: 1..{karel_gen.MAX_PAIRS} or 'uniform' for a per-task draw",
+        "--pairs", default="5",
+        help="shown pairs per task: 1..5 or 'uniform' for a per-task draw",
     )
     parser.add_argument(
-        "--step-limit", type=_integer, default=karel_interp.DEFAULT_STEP_LIMIT,
-        help="action budget per execution",
+        "--step-limit", type=_integer, default=200, help="action budget per execution",
     )
     parser.add_argument(
         "--classic-prune", action="store_true",
@@ -721,50 +726,24 @@ def _count(text: str) -> int:
     return value
 
 
-class _OnDemand(argparse._SubParsersAction):
-    """Subparsers whose arguments their ``fill`` adds only once argparse
-    selects them, so that a command builds and parses its own path alone."""
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self._fills: dict[str, Callable[[], None]] = {}
-
-    def add_parser(self, name: str, *, fill: Callable[[argparse.ArgumentParser], None],
-                   **kwargs: Any) -> argparse.ArgumentParser:
-        parser = super().add_parser(name, **kwargs)
-        self._fills[name] = functools.partial(fill, parser)
-        return parser
-
-    def __call__(self, parser: argparse.ArgumentParser, namespace: argparse.Namespace,
-                 values: Any, option_string: str | None = None) -> None:
-        fill = self._fills.pop(values[0], None)
-        if fill is not None:
-            fill()
-        super().__call__(parser, namespace, values, option_string)
-
-
 def _domain_parsers(parser: argparse.ArgumentParser, *, homogenize: bool = False) -> None:
-    sub = parser.add_subparsers(dest="domain", required=True, action=_OnDemand)
+    sub = parser.add_subparsers(dest="domain", required=True)
     for domain in DOMAINS.values():
-        sub.add_parser(domain.name, help=domain.help,
-                       fill=functools.partial(_domain_arguments, domain, homogenize))
-
-
-def _domain_arguments(domain: Domain, homogenize: bool, p: argparse.ArgumentParser) -> None:
-    domain.add_arguments(p)
-    if homogenize:
-        p.add_argument("--var", required=True, help="salient variable to even out")
-        p.add_argument(
-            "--eps", type=_real, default=0.025,
-            help="uniformity/throughput trade-off (default 0.025)",
-        )
-        p.add_argument(
-            "--max-draws", type=_integer, default=None,
-            help="source draw budget (default: 20x the expected need)",
-        )
-    p.add_argument("--count", type=_count, required=True, help="records to write")
-    p.add_argument("--seed", default=None, help="RNG seed (default HOMOGEN_SEED or 0)")
-    p.add_argument("--out", required=True, help="output JSONL path")
+        p = sub.add_parser(domain.name, help=domain.help)
+        domain.add_arguments(p)
+        if homogenize:
+            p.add_argument("--var", required=True, help="salient variable to even out")
+            p.add_argument(
+                "--eps", type=_real, default=0.025,
+                help="uniformity/throughput trade-off (default 0.025)",
+            )
+            p.add_argument(
+                "--max-draws", type=_integer, default=None,
+                help="source draw budget (default: 20x the expected need)",
+            )
+        p.add_argument("--count", type=_count, required=True, help="records to write")
+        p.add_argument("--seed", default=None, help="RNG seed (default HOMOGEN_SEED or 0)")
+        p.add_argument("--out", required=True, help="output JSONL path")
 
 
 def _stats_arguments(stats: argparse.ArgumentParser) -> None:
@@ -777,8 +756,7 @@ def _stats_arguments(stats: argparse.ArgumentParser) -> None:
 def _karel_run_arguments(karel_run: argparse.ArgumentParser) -> None:
     karel_run.add_argument("program", help="program text file")
     karel_run.add_argument("grid", help="grid JSON file")
-    karel_run.add_argument("--step-limit", type=_integer,
-                           default=karel_interp.DEFAULT_STEP_LIMIT)
+    karel_run.add_argument("--step-limit", type=_integer, default=200)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -787,15 +765,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generate and homogenize synthetic program-synthesis datasets.",
     )
     parser.add_argument("--version", action="version", version=f"homogen {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, action=_OnDemand)
-    for name, fill, func, summary in (
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, add_arguments, func, summary in (
         ("generate", _domain_parsers, cmd_generate, "write a raw dataset"),
         ("homogenize", functools.partial(_domain_parsers, homogenize=True), cmd_homogenize,
          "write a dataset evened out over one salient variable"),
         ("stats", _stats_arguments, cmd_stats, "histograms and KL-to-uniform of a dataset"),
         ("karel-run", _karel_run_arguments, cmd_karel_run, "run one program on one grid"),
     ):
-        sub.add_parser(name, help=summary, fill=fill).set_defaults(func=func)
+        command = sub.add_parser(name, help=summary)
+        add_arguments(command)
+        command.set_defaults(func=func)
     return parser
 
 

@@ -5,6 +5,7 @@ checks the installed console script. All runs chdir into a tmp dir so the
 recorded command lines (and therefore the manifests) are reproducible.
 """
 
+import argparse
 import contextlib
 import copy
 import errno
@@ -2088,14 +2089,58 @@ def test_each_command_runs_only_its_own_domain_modules(tmp_path):
 
 
 def test_each_command_runs_only_its_own_domain_modules_on_every_other_interpreter(tmp_path):
-    # ``LazyLoader`` loads under a lock from 3.13 (and late 3.12 releases),
-    # and argparse's ``add_parser`` took a ``deprecated`` flag in 3.13.
+    # ``LazyLoader`` loads under a lock from 3.13 (and late 3.12 releases).
     interpreters = _other_interpreters()
     if not interpreters:
         pytest.skip("no CPython 3.10 or later other than the running one in ~/.pyenv/versions")
     for version, python in interpreters.items():
         (tmp_path / version).mkdir()
         _check_domain_modules_run(python, tmp_path / version)
+
+
+# Builds the parser and parses its arguments, then prints, as the last line
+# of stderr, each domain module that ran.
+_PARSE_MODULES_RUN = """
+import sys, types
+from homogen import cli
+try:
+    cli.build_parser().parse_args(sys.argv[1:])
+except SystemExit:
+    pass
+print(*sorted(name for name, module in sys.modules.items()
+              if name.startswith(("homogen.calc", "homogen.karel."))
+              and type(module) is types.ModuleType), file=sys.stderr)
+"""
+
+
+def test_parsing_a_command_line_runs_no_domain_module(tmp_path):
+    # Help, usage errors and a parsed command alike: a command runs its
+    # domain's modules only once its work starts.
+    commands = [command for command, _, _ in COMMAND_MODULES]
+    commands += ["generate karel --help", "karel-run --help"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    ran = {}
+    for python in [sys.executable, *_other_interpreters().values()]:
+        runs = [(command, subprocess.Popen(
+            [python, "-c", _PARSE_MODULES_RUN, *command.split()], cwd=tmp_path, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True))
+            for command in commands]
+        for command, run in runs:
+            ran[python, command] = run.communicate()[1].splitlines()[-1]
+    assert {run: modules for run, modules in ran.items() if modules} == {}
+
+
+def test_karel_flag_literals_match_the_library():
+    # The parser writes these values out so that building it runs no Karel
+    # module; test_step_limit_defaults_to_the_interpreter_default pins the
+    # third, --step-limit's default.
+    parser = argparse.ArgumentParser(prog="homogen")
+    cli.DOMAINS["karel"].add_arguments(parser)
+    text = " ".join(parser.format_help().split())
+    dists = tuple(dist.value for dist in karel_gen.MarkerCountDist)
+    assert f"--marker-dist {{{','.join(dists)}}} " in text
+    assert parser.get_default("pairs") == str(karel_gen.MAX_PAIRS)
+    assert f"shown pairs per task: 1..{karel_gen.MAX_PAIRS} or 'uniform'" in text
 
 
 # Runs ``cli.main`` on its arguments with ``calc.expr_record`` raising, then

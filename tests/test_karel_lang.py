@@ -187,7 +187,7 @@ SHELLS = st.tuples(st.sampled_from((If, While)), CONDITIONS) | st.tuples(
 )
 ACTION_STATEMENTS = st.sampled_from(ACTIONS).map(Action)
 BODIES = st.recursive(
-    st.lists(ACTION_STATEMENTS, min_size=1).map(tuple),
+    st.lists(ACTION_STATEMENTS, min_size=1, max_size=4).map(tuple),
     lambda inner: st.lists(
         st.one_of(
             ACTION_STATEMENTS,
@@ -195,6 +195,7 @@ BODIES = st.recursive(
             st.builds(_nest, st.lists(SHELLS, min_size=1, max_size=8), inner),
         ),
         min_size=1,
+        max_size=4,
     ).map(tuple),
     max_leaves=60,
 )
