@@ -13,17 +13,18 @@ Trees are immutable. A leaf is the digit it holds, an ``int`` in 0..9. An
 operator node is a ``BinOp``, the tuple ``(op, left, right)``; a draw builds
 one per node, so its constructor checks only the operator, and it is a tuple
 because a tuple is cheaper to build than a ``Frozen`` record. The samplers
-and ``parse_expr`` make only valid leaves; ``expr_record``, which ``render``
-and ``eval_mod10`` share, and ``expr_salients`` reject any other leaf with a
-``TypeError``.
+and ``parse_expr`` make only valid leaves; ``_walk``, behind ``expr_record``,
+``expr_line``, ``render`` and ``eval_mod10``, and ``expr_salients`` reject
+any other leaf with a ``TypeError``.
 
 Rendering, evaluation, parsing, salient measurement and the equality and
 ``repr`` of a tree all walk with explicit stacks, so they follow any nesting
-depth. ``expr_record`` builds a dataset row's text and label in one
-walk, and ``expr_salients`` measures the salients of the text a tree renders
-to without rendering it, so a caller that rejects most draws renders only
-the ones it keeps. The samplers stop at
-``MAX_NESTING`` levels or ``MAX_NODES`` nodes with a ``ValueError``.
+depth. ``_walk`` builds a dataset row's text and label in one walk, and
+``expr_line`` writes them straight into the row's JSON line, with no record
+dict between. ``expr_salients`` measures the salients of the text a tree
+renders to without rendering it, so a caller that rejects most draws renders
+only the ones it keeps. The samplers stop at ``MAX_NESTING`` levels or
+``MAX_NODES`` nodes with a ``ValueError``.
 """
 
 from __future__ import annotations
@@ -118,17 +119,34 @@ CalcExpr = int | BinOp
 
 def eval_mod10(expr: CalcExpr) -> int:
     """Value of the expression with every intermediate reduced mod 10."""
-    return expr_record(expr)["label"]
+    return _walk(expr)[1]
 
 
 def render(expr: CalcExpr) -> str:
     """Minimal-parenthesis text for the expression."""
-    return expr_record(expr)["expr"]
+    return _walk(expr)[0]
 
 
-# The record walk's stack holds subtrees, the text between them and an
-# apply marker after each operator node. Text and markers have private types
-# that no leaf has, so every other item is a leaf and meets the leaf check.
+def expr_record(expr: CalcExpr) -> dict:
+    """One dataset row for the expression: its minimal-parenthesis text and
+    its mod-10 label, built together in one walk by ``_walk``. A leaf, at the
+    root or below it, that is not an exact ``int`` in 0..9 is a
+    ``TypeError``."""
+    text, label = _walk(expr)
+    return {"expr": text, "label": label}
+
+
+def expr_line(expr: CalcExpr) -> str:
+    """``expr_record(expr)`` as a dataset's JSON line, written from the walk
+    without building the record. Calc text holds only ``0-9 + - * ( )``,
+    which JSON writes unescaped, so this is the compact ``json.dumps`` of
+    the record plus a newline, byte for byte."""
+    return '{"expr":"%s","label":%d}\n' % _walk(expr)
+
+
+# The walk's stack holds subtrees, the text between them and an apply marker
+# after each operator node. Text and markers have private types that no leaf
+# has, so every other item is a leaf and meets the leaf check.
 _Text = type("_Text", (str,), {})
 _Apply = type("_Apply", (int,), {})
 _OPEN, _CLOSE = _Text("("), _Text(")")
@@ -136,21 +154,29 @@ _OP_TEXT = {op: _Text(op) for op in OPS}
 _OP_OPEN = {op: _Text(op + "(") for op in OPS}
 _APPLY = {op: _Apply(code) for code, op in enumerate(OPS)}
 _ARITHMETIC = (add, sub, mul)  # indexed by apply marker, in OPS order
+_DIGIT_TEXT = tuple("0123456789")  # a leaf's text, indexed by the leaf
+# The text and value of each operator over two digits, by operator and then
+# by 10 * left + right.
+_PAIRS = {
+    op: tuple((f"{a}{op}{b}", apply(a, b) % 10) for a in range(10) for b in range(10))
+    for op, apply in zip(OPS, _ARITHMETIC)
+}
 
 
-def expr_record(expr: CalcExpr) -> dict:
-    """One dataset row for the expression: its minimal-parenthesis text and
-    its mod-10 label, built together in one walk.
+def _walk(expr: CalcExpr) -> tuple[str, int]:
+    """The expression's minimal-parenthesis text and its mod-10 label.
 
     The walk keeps an explicit stack of subtrees still to visit, the text
     between them and a marker after each operator node, so nesting depth is
     bounded by memory, not by Python's recursion limit. A left child is
     wrapped when it binds looser than its parent, a right child when it
-    binds looser or equally loose. A leaf, at the root or below it, that is
-    not an exact ``int`` in 0..9 is a ``TypeError``.
+    binds looser or equally loose. An operator over two digits, the most
+    common node, takes its text and value from ``_PAIRS``. A leaf, at the
+    root or below it, that is not an exact ``int`` in 0..9 is a
+    ``TypeError``.
     """
     if type(expr) is int and 0 <= expr <= 9:
-        return {"expr": str(expr), "label": expr}
+        return _DIGIT_TEXT[expr], expr
     parts: list[str] = []
     values: list[int] = []
     todo: list = [expr]
@@ -158,10 +184,15 @@ def expr_record(expr: CalcExpr) -> dict:
         item = todo.pop()
         kind = type(item)
         if kind is int and 0 <= item <= 9:
-            parts.append(str(item))
+            parts.append(_DIGIT_TEXT[item])
             values.append(item)
         elif kind is BinOp:
             op, left, right = item
+            if type(left) is int and type(right) is int and 0 <= left <= 9 and 0 <= right <= 9:
+                text, value = _PAIRS[op][10 * left + right]
+                parts.append(text)
+                values.append(value)
+                continue
             prec = _PRECEDENCE[op]
             todo.append(_APPLY[op])
             if type(right) is BinOp and _PRECEDENCE[right[0]] <= prec:
@@ -179,7 +210,7 @@ def expr_record(expr: CalcExpr) -> dict:
             values[-1] = _ARITHMETIC[item](values[-1], right_value) % 10
         else:
             raise TypeError(f"not a calculator expression: {item!r}")
-    return {"expr": "".join(parts), "label": values[0]}
+    return "".join(parts), values[0]
 
 
 class CalcParseError(ValueError):
@@ -494,13 +525,16 @@ def _salients_of_text(text: str) -> dict[str, int]:
 def _clamped(
     length: int, ops: int, parens: int, depth_sum: int, digits: int, max_depth: int
 ) -> dict[str, int]:
-    # The salients keyed by spec name, each clamped into its domain.
+    # The salients keyed by spec name, each clamped into its domain; the
+    # conditional expressions are min and max without their builtin calls.
+    length += length % 2
+    mean_depth = round(4.0 * (depth_sum / digits)) if depth_sum else 0
     return {
-        "length": min(max(length + length % 2, 2), 120),
-        "num_ops": min(ops, 60),
-        "num_parens": min(parens, 30),
-        "mean_depth": min(max(round(4.0 * (depth_sum / digits)), 0), 40) if depth_sum else 0,
-        "max_depth": min(max_depth, 15),
+        "length": 2 if length < 2 else 120 if length > 120 else length,
+        "num_ops": ops if ops < 60 else 60,
+        "num_parens": parens if parens < 30 else 30,
+        "mean_depth": 0 if mean_depth < 0 else 40 if mean_depth > 40 else mean_depth,
+        "max_depth": max_depth if max_depth < 15 else 15,
     }
 
 
@@ -513,12 +547,12 @@ _ONE_OP_SALIENTS = _clamped(3, 1, 0, 0, 2, 0)
 def expr_salients(expr: CalcExpr) -> dict[str, int]:
     """``_salients_of_text(render(expr))``, measured on the tree.
 
-    A walk with an explicit stack applies :func:`expr_record`'s parenthesis
-    rule: each wrapped node adds a pair of parentheses around every digit
-    below it, and the text has one character per digit and operator plus two
-    per pair. A bare digit, and an operator over two digits, each return one
-    shared dict, which callers must treat as read-only. A leaf that is not an
-    exact ``int`` in 0..9 is the ``TypeError`` :func:`expr_record` raises.
+    A walk with an explicit stack applies ``_walk``'s parenthesis rule: each
+    wrapped node adds a pair of parentheses around every digit below it, and
+    the text has one character per digit and operator plus two per pair. A
+    bare digit, and an operator over two digits, each return one shared
+    dict, which callers must treat as read-only. A leaf that is not an exact
+    ``int`` in 0..9 is the ``TypeError`` ``_walk`` raises.
     """
     if type(expr) is int and 0 <= expr <= 9:
         return _DIGIT_SALIENTS

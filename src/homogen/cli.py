@@ -9,7 +9,7 @@ Both domains, calc and karel, are :class:`Domain` entries of one table,
 ``DOMAINS``, and the subcommands never branch on the domain. Calc expressions
 and Karel tasks are sampled, homogenized and measured as trees and tasks, and
 serialized once, when written, each straight to its JSON line: a calc record
-through ``_CALC_LINE`` and a Karel task through ``karel.gen.task_line``, so
+through ``calc.expr_line`` and a Karel task through ``karel.gen.task_line``, so
 no record is built as JSON lists and dicts first. A domain builds both
 sources of a command at once: the item source ``generate`` draws from and,
 for a variable name, ``homogenize``'s, whose draws pair an item with its value.
@@ -389,11 +389,6 @@ def _calc_sources(args: argparse.Namespace) -> Sources:
             functools.partial(calc.measured_source, sampler), params)
 
 
-# Calc text holds only 0-9 + - * ( ), which JSON writes unescaped, so this
-# formats a record's _json_line byte for byte.
-_CALC_LINE = '{{"expr":"{expr}","label":{label}}}\n'.format_map
-
-
 # The --marker-dist choices and the --pairs and --step-limit defaults (the last
 # also karel-run's) are ``MarkerCountDist``'s values, ``MAX_PAIRS`` and
 # ``DEFAULT_STEP_LIMIT`` written out, so that the parser runs no Karel module.
@@ -481,7 +476,7 @@ DOMAINS = {
             key="expr",
             add_arguments=_calc_arguments,
             sources=_calc_sources,
-            to_line=lambda expr: _CALC_LINE(calc.expr_record(expr)),
+            to_line=lambda expr: calc.expr_line(expr),
             read=_read_calc,
             read_line=None,
             salient_specs=lambda: calc.salient_specs(),

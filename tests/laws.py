@@ -1,6 +1,6 @@
 """Goodness-of-fit helpers for the tests that check a sampler against its
-exact law: Pearson's chi-squared statistic over pooled bins, and its upper
-tail."""
+exact law: Pearson's chi-squared statistic over pooled bins, its upper
+tail, and the law a homogenizer run settles at over a source of known law."""
 
 import math
 
@@ -36,3 +36,19 @@ def chi2_against(law, counts):
     last_expected, last_observed = bins.pop()
     bins.append((last_expected + expected, last_observed + observed))
     return sum((o - e) ** 2 / e for e, o in bins), len(bins) - 1
+
+
+def homogenized(law, eps, domain):
+    """The law of a homogenizer run's accepted values over ``domain``, for a
+    source whose values follow ``law`` and a run at ``eps``.
+
+    The run keeps a draw of value x with probability (min_freq + eps) /
+    (freq(x) + eps) over running frequencies. As those settle at the source
+    probability q, a value's accepted share becomes proportional to
+    q (q_min + eps) / (q + eps), and the common factor drops out: the share
+    is proportional to q / (q + eps). A domain value the law leaves out has
+    q = 0 and no share."""
+    assert law.keys() <= set(domain)
+    weights = {v: law.get(v, 0.0) / (law.get(v, 0.0) + eps) for v in domain}
+    total = sum(weights.values())
+    return {v: w / total for v, w in weights.items()}

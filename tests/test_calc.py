@@ -1,15 +1,18 @@
 import copy
+import itertools
 import math
 import pickle
 import random
 import re
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homogen import calc, cli
+from homogen.homogenizer import HomogenizerRun, SalientSpec
 from homogen.karel.lang import KarelSyntaxError, parse_program
 from homogen.rng import randbelow
 from homogen.calc import (
@@ -26,6 +29,7 @@ from homogen.calc import (
     _salients_of_text,
     calc_salients,
     eval_mod10,
+    expr_line,
     expr_record,
     expr_salients,
     parse_expr,
@@ -34,7 +38,7 @@ from homogen.calc import (
     sample_expr,
     sample_record,
 )
-from laws import chi2_against, chi2_sf
+from laws import chi2_against, chi2_sf, homogenized
 
 ALL_SAMPLERS = (Dcfg(), T2t(), Rcfg(), Bal())
 
@@ -89,7 +93,7 @@ def test_digit_requires_an_exact_int(value):
     # or as a left or right child.
     message = rf"^not a calculator expression: {re.escape(repr(value))}$"
     for tree in (value, BinOp("+", value, 2), BinOp("*", 3, BinOp("-", 4, value))):
-        for walk in (expr_record, render, eval_mod10, expr_salients):
+        for walk in (expr_record, expr_line, render, eval_mod10, expr_salients):
             with pytest.raises(TypeError, match=message):
                 walk(tree)
 
@@ -341,6 +345,41 @@ def test_dcfg_num_parens_follows_its_exact_law():
     assert chi2_sf(stat, df) > 1e-3, (stat, df)
 
 
+# The homogenizer over a dcfg source, tested against the law its run settles
+# at (``laws.homogenized``) built from the exact source laws above. The three
+# variables share a family-wise level of 1e-3.
+HOMOGENIZED_ALPHA = 1e-3 / 3
+DCFG_LAWS = {
+    "num_ops": dcfg_num_ops_law,
+    "length": dcfg_length_law,
+    "num_parens": dcfg_num_parens_law,
+}
+
+
+def homogenized_fit(name, eps, law_eps, seed):
+    """The upper tail of a 20,000-accept dcfg run at ``eps`` over the
+    variable ``name``, tested against the stationary law at ``law_eps``."""
+    source = calc.measured_source(Dcfg(), name)
+    spec = SalientSpec(name, DOMAINS[name], itemgetter(1))
+    run = HomogenizerRun(source, spec, epsilon=eps, target_size=20_000, seed=seed)
+    counts = Counter(value for _, value in run)
+    stat, df = chi2_against(homogenized(DCFG_LAWS[name](), law_eps, DOMAINS[name]), counts)
+    return chi2_sf(stat, df), stat, df
+
+
+@pytest.mark.parametrize("name", DCFG_LAWS)
+def test_dcfg_homogenize_follows_its_stationary_law(name):
+    sf, stat, df = homogenized_fit(name, 0.025, 0.025, seed=1)
+    assert sf > HOMOGENIZED_ALPHA, (stat, df)
+
+
+@pytest.mark.parametrize("eps", [0.03, 0.02])
+def test_the_stationary_law_tells_a_neighbouring_eps_apart(eps):
+    # The oracle has the power to see a run at another eps.
+    sf, stat, df = homogenized_fit("num_ops", eps, 0.025, seed=1)
+    assert sf < HOMOGENIZED_ALPHA, (stat, df)
+
+
 def test_t2t_default_depth_range():
     rng = random.Random(3)
     depths = {tree_depth(sample_expr(rng, T2t())) for _ in range(2000)}
@@ -520,6 +559,35 @@ def test_salient_clamps_are_the_ends_of_their_domains():
     assert lowest.keys() == highest.keys() == DOMAINS.keys()
     for name, domain in DOMAINS.items():
         assert (lowest[name], highest[name]) == (domain[0], domain[-1]), name
+
+
+def _reference_clamped(length, ops, parens, depth_sum, digits, max_depth):
+    """``_clamped`` as written with ``min`` and ``max``."""
+    return {
+        "length": min(max(length + length % 2, 2), 120),
+        "num_ops": min(ops, 60),
+        "num_parens": min(parens, 30),
+        "mean_depth": min(max(round(4.0 * (depth_sum / digits)), 0), 40) if depth_sum else 0,
+        "max_depth": min(max_depth, 15),
+    }
+
+
+def test_clamped_matches_the_min_max_reference_at_every_edge():
+    # Each argument steps across its clamp edges. Unbalanced text, which
+    # ``_salients_of_text`` measures without parsing, gives negative depth
+    # sums; the sums here put 4 * depth_sum / digits on each side of 0 and of
+    # 40, and on the halves that ``round`` takes to the even neighbour.
+    depths = [(s, d) for d in (1, 2, 8, 10)
+              for s in (*range(-12, 13), *range(10 * d - 2, 10 * d + 3))]
+    cases = itertools.product(
+        (-2, -1, 0, 1, 2, 3, 119, 120, 121), (0, 59, 60, 61), (0, 29, 30, 31), depths,
+        (0, 14, 15, 16),
+    )
+    for length, ops, parens, (depth_sum, digits), max_depth in cases:
+        args = (length, ops, parens, depth_sum, digits, max_depth)
+        clamped = calc._clamped(*args)
+        assert clamped == _reference_clamped(*args), args
+        assert all(type(v) is int for v in clamped.values()), args
 
 
 def _leaves(expr):
@@ -953,6 +1021,16 @@ def test_record_walk_and_tree_salients_match_the_recursive_reference(seed, sampl
     rng = random.Random(seed)
     for _ in range(40):
         check_against_the_recursive_reference(sample_expr(rng, sampler))
+
+
+def test_expr_line_is_the_json_line_of_the_record():
+    trees = _hand_built_trees()
+    trees.append(parse_expr("1+(" * 600 + "1+1" + ")" * 600))
+    for seed, sampler in enumerate(ALL_SAMPLERS, start=141):
+        rng = random.Random(seed)
+        trees += [sample_expr(rng, sampler) for _ in range(300)]
+    for expr in trees:
+        assert expr_line(expr) == cli._json_line(expr_record(expr))
 
 
 def exact_op(op, left, right):

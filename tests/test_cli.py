@@ -2150,10 +2150,10 @@ _CALC_FAULT_RUN = """
 import sys, types
 from homogen import cli
 
-def expr_record(expr):
-    raise RuntimeError("expr_record failed")
+def expr_line(expr):
+    raise RuntimeError("expr_line failed")
 
-sys.modules["homogen.calc"].expr_record = expr_record
+sys.modules["homogen.calc"].expr_line = expr_line
 try:
     outcome = cli.main(sys.argv[1:])
 except RuntimeError as exc:
@@ -2172,7 +2172,7 @@ def test_a_fault_in_a_calc_command_propagates_and_runs_no_karel_module(tmp_path)
          "generate", "calc", "--count", "2", "--out", "c.jsonl"],
         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=60)
-    assert run.stderr.splitlines()[-1] == "RuntimeError('expr_record failed') homogen.calc"
+    assert run.stderr.splitlines()[-1] == "RuntimeError('expr_line failed') homogen.calc"
     assert list(tmp_path.iterdir()) == []
 
 
